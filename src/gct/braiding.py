@@ -470,7 +470,7 @@ def hom_equivariant(X: EquivariantObject, Y: EquivariantObject,
         cols = []
         for T in basis:
             D = (Y.cocycle[g] @ T) - (eng.transport(T, g, act) @ X.cocycle[g])
-            cols.append(_flat_mor(eng, D))
+            cols.append(D.flat())
         rows.append(np.stack(cols, axis=1))
     A = np.concatenate(rows, axis=0)
     Z = null_space_abs(A, atol=tol)
@@ -482,17 +482,6 @@ def hom_equivariant(X: EquivariantObject, Y: EquivariantObject,
             acc = term if acc is None else acc + term
         sols.append(acc)
     return Z.shape[1], sols
-
-
-def _flat_mor(eng, f: Mor) -> np.ndarray:
-    parts = []
-    for c in range(eng.rank):
-        m, n = eng.vdim(c, f.target), eng.vdim(c, f.source)
-        if m and n:
-            parts.append(f.block(c).ravel())
-    if not parts:
-        return np.zeros(0, dtype=complex)
-    return np.concatenate(parts)
 
 
 def conjugate_equivariant(X: EquivariantObject) -> EquivariantObject:

@@ -303,7 +303,7 @@ def hom_center(x: HalfBraiding, y: HalfBraiding, tol: float = 1e-9):
         for T in units:
             D = (y.E[pi] @ eng.rtens(T, pi)
                  - eng.ltens(x.tgt_label(pi), T) @ x.E[pi])
-            cols.append(_flat(eng, D))
+            cols.append(D.flat())
         rows.append(np.stack(cols, axis=1))
     A = np.concatenate(rows, axis=0)
     Z = null_space_abs(A, atol=tol)
@@ -315,19 +315,6 @@ def hom_center(x: HalfBraiding, y: HalfBraiding, tol: float = 1e-9):
             acc = term if acc is None else acc + term
         sols.append(acc)
     return Z.shape[1], sols
-
-
-def _flat(eng, f: Mor) -> np.ndarray:
-    """Fixed-order vectorization of a morphism's blocks."""
-    parts = []
-    for c in range(eng.rank):
-        m, n = eng.vdim(c, f.target), eng.vdim(c, f.source)
-        if m and n:
-            B = f.blocks.get(c)
-            parts.append((np.zeros((m, n), dtype=complex) if B is None else B).ravel())
-    if not parts:
-        return np.zeros(0, dtype=complex)
-    return np.concatenate(parts)
 
 
 def center_hom_residual(x: HalfBraiding, y: HalfBraiding, T: Mor) -> float:

@@ -145,15 +145,15 @@ def _twisted_setup(cat: GradedCategory, action_name: str):
     """Category + strict action ready for build_twisted_tube.
 
     ``--action trivial`` is always available (the identity permutation for
-    every group element); any other name must be bundled with the file.
+    every group element, not registered on the category); any other name
+    must be bundled with the file.
     """
     if any(int(d) != cat.group.neutral for d in cat.deg):
         cat = _regrade_keep_group(cat)
     if action_name == "trivial" and "trivial" not in cat.actions:
         perm = np.tile(np.arange(cat.rank), (cat.group.order, 1))
-        cat.actions["trivial"] = GroupAction("trivial", perm)
-    act = cat.action(action_name)
-    return cat, act
+        return cat, GroupAction("trivial", perm)
+    return cat, cat.action(action_name)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -480,7 +480,7 @@ def cmd_gcenter(args) -> int:
     _print_center_tables(rep, fusion, braiding)
 
     # compare against the plain tube of the crossed extension
-    ext = build_crossed_extension(cat2, act.name)
+    ext = build_crossed_extension(cat2, act)
     rel = build_tube(ext)
     iso = twisted_untwisted_iso(tube, rel)
     payload["crossed_extension_iso"] = iso

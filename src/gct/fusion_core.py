@@ -267,7 +267,11 @@ class GradedCategory:
     def dual_word(self, word: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(int(self.dual[a]) for a in reversed(word))
 
-    def action(self, name: str | None) -> GroupAction:
+    def action(self, name: str | GroupAction | None) -> GroupAction:
+        """The bundled action called `name`; a GroupAction passes through
+        unchanged, so callers may hand over an action that is not bundled."""
+        if isinstance(name, GroupAction):
+            return name
         if name is None:
             if len(self.actions) == 1:
                 return next(iter(self.actions.values()))
@@ -637,8 +641,8 @@ def verify_pentagon(cat: GradedCategory, tol: float = 1e-12) -> dict:
 # actions
 
 
-def verify_action(cat: GradedCategory, name: str | None = None) -> dict:
-    """Check that a bundled action is strict (preserves all category data)."""
+def verify_action(cat: GradedCategory, name: str | GroupAction | None = None) -> dict:
+    """Check that an action (bundled, by name, or given) is strict."""
     act = cat.action(name)
     G = cat.group
     failures: list[str] = []
@@ -758,7 +762,8 @@ def group_from_pointed(cat: GradedCategory) -> GroupData:
     return GroupData(cat.labels, table)
 
 
-def build_crossed_extension(d0: GradedCategory, action_name: str | None = None) -> GradedCategory:
+def build_crossed_extension(d0: GradedCategory,
+                            action_name: str | GroupAction | None = None) -> GradedCategory:
     """G-crossed extension of a trivially graded category with a G-action.
 
     Labels are pairs (g, a) named "g|a"; fusion, duals and F data are induced

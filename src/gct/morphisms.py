@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -50,14 +49,16 @@ __all__ = [
 Word = tuple  # tuple[int, ...]
 VObj = tuple  # tuple[Word, ...]
 
-_ENGINES: "WeakKeyDictionary[GradedCategory, TreeEngine]" = WeakKeyDictionary()
-
 
 def engine_for(cat: GradedCategory) -> "TreeEngine":
-    eng = _ENGINES.get(cat)
+    """The category's engine, created on first use and kept on the category.
+
+    The category and its engine reference each other, so the pair is freed
+    together by the cycle collector once the caller drops the category.
+    """
+    eng = getattr(cat, "_engine", None)
     if eng is None:
-        eng = TreeEngine(cat)
-        _ENGINES[cat] = eng
+        eng = cat._engine = TreeEngine(cat)
     return eng
 
 
@@ -133,6 +134,18 @@ class Mor:
         if B is not None:
             return B
         return np.zeros((self.eng.vdim(c, self.target), self.eng.vdim(c, self.source)), dtype=complex)
+
+    def flat(self) -> np.ndarray:
+        """Fixed-order vectorization of the blocks, absent ones zero-filled."""
+        parts = []
+        for c in range(self.eng.rank):
+            m, n = self.eng.vdim(c, self.target), self.eng.vdim(c, self.source)
+            if m and n:
+                B = self.blocks.get(c)
+                parts.append((np.zeros((m, n), dtype=complex) if B is None else B).ravel())
+        if not parts:
+            return np.zeros(0, dtype=complex)
+        return np.concatenate(parts)
 
     def norm(self) -> float:
         return max((float(np.linalg.norm(B)) for B in self.blocks.values()), default=0.0)

@@ -1,16 +1,21 @@
 """Unit tests for the tree-basis morphism calculus."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gct import (
+    bundled_path,
     conjugate_solution,
     engine_for,
     frobenius_transpose,
     hom_dim,
     left_tensor,
+    load_category,
     onb,
     right_tensor,
 )
@@ -201,3 +206,13 @@ def test_pairing_is_sesquilinear(cats, zs, ws):
     g = ws[0] * basis[0] + ws[1] * basis[1]
     want = np.conj(zs[0]) * ws[0] + np.conj(zs[1]) * ws[1]
     assert abs((f.H @ g).scalar() - want) < 1e-8 * (1 + abs(want))
+
+
+def test_engine_is_freed_with_its_category():
+    cat = load_category(bundled_path("fib"))
+    eng = engine_for(cat)
+    assert engine_for(cat) is eng
+    ref = weakref.ref(cat)
+    del cat, eng
+    gc.collect()
+    assert ref() is None

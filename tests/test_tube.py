@@ -11,13 +11,17 @@ import numpy as np
 import pytest
 
 from gct import (
+    build_crossed_extension,
     build_tube,
     build_twisted_tube,
     bundled_path,
+    category_from_dict,
     decompose,
+    load_category,
     twisted_untwisted_iso,
     verify_algebra,
 )
+from gct.cli import _twisted_setup
 from gct.fusion_core import GroupAction, ValidationError
 from test_oracles import tube_dim_oracle
 
@@ -57,6 +61,103 @@ def test_corrupted_constant_is_caught(cats):
         assert bad["associativity"] > 1e-3 or bad["star_anti_mult"] > 1e-3
     finally:
         tube.constants = saved
+
+
+# ------------------------------------- structured checks vs dense formulas
+
+
+def _dense_residuals(tube):
+    """Associativity and star anti-multiplicativity over the full n^4 / n^3
+    index ranges, written out as plain einsums (the test-side reference)."""
+    C, S = tube.constants, tube.star_matrix
+    assoc = np.max(np.abs(np.einsum("ijm,mkl->ijkl", C, C)
+                          - np.einsum("jkm,iml->ijkl", C, C)))
+    anti = np.max(np.abs(np.einsum("ijm,km->ijk", np.conj(C), S)
+                         - np.einsum("pj,qi,pqk->ijk", S, S, C)))
+    return float(assoc), float(anti)
+
+
+def _chains(tube, i, j, k):
+    """Whether b_i b_j may have a b_k component (grades and outer labels)."""
+    a, b, c = tube.basis[i], tube.basis[j], tube.basis[k]
+    return (a.grade == b.grade == c.grade and a.target_outer == b.source_outer
+            and c.source_outer == a.source_outer
+            and c.target_outer == b.target_outer)
+
+
+@pytest.fixture(scope="module")
+def ising_full_tube(cats):
+    return build_tube(cats["ising"], subcat=[0, 1, 2])
+
+
+@pytest.fixture
+def s3_tube(s3_center):
+    """The Vec_S3 tube on a private copy of its constants, restored after."""
+    tube = s3_center["tube"]
+    saved = tube.constants
+    tube.constants = saved.copy()
+    yield tube
+    tube.constants = saved
+
+
+@pytest.mark.parametrize("fixture", ["s3_center", "fib_center",
+                                     "ising_full_tube", "z3_twisted"])
+def test_structured_checks_match_dense_reference(request, fixture):
+    tube = request.getfixturevalue(fixture)
+    tube = tube["tube"] if isinstance(tube, dict) else tube
+    rep = verify_algebra(tube)
+    assert rep["pass"], rep
+    assert rep["pattern_violation_max"] == 0.0
+    assoc, anti = _dense_residuals(tube)
+    assert abs(rep["associativity"] - assoc) < 1e-12
+    assert abs(rep["star_anti_mult"] - anti) < 1e-12
+
+
+def test_in_block_corruption_is_caught_by_associativity(s3_tube):
+    tube = s3_tube
+    n = tube.dim
+    i, j, k = next((i, j, k) for i in range(n) for j in range(n)
+                   for k in range(n)
+                   if _chains(tube, i, j, k) and tube.basis[i].loop != tube.cat.unit
+                   and tube.basis[j].loop != tube.cat.unit)
+    tube.constants[i, j, k] += 0.37
+    bad = verify_algebra(tube)
+    assert not bad["pass"]
+    assert bad["pattern_violation_max"] == 0.0
+    assert bad["associativity"] > 1e-3
+    # with the pattern gate holding, the block maximum is the dense one
+    assert abs(bad["associativity"] - _dense_residuals(tube)[0]) < 1e-12
+
+
+def test_out_of_pattern_corruption_is_caught_by_the_gate(s3_tube):
+    tube = s3_tube
+    n = tube.dim
+    i, j = next((i, j) for i in range(n) for j in range(n)
+                if tube.basis[i].target_outer != tube.basis[j].source_outer)
+    tube.constants[i, j, 0] = 1e-30
+    bad = verify_algebra(tube)
+    assert not bad["pass"]
+    assert bad["pattern_violation_max"] == 1e-30
+    assert bad["grade_mismatch_max"] == 0.0   # one grade: only the gate sees it
+
+
+def _vec_zn(n):
+    return {
+        "rank": n,
+        "labels": [str(a) for a in range(n)],
+        "dual": [(-a) % n for a in range(n)],
+        "qdim": [1.0] * n,
+        "N": [[a, b, (a + b) % n, 1] for a in range(n) for b in range(n)],
+    }
+
+
+def test_vec_z8_tube_has_64_invertible_blocks():
+    # Z(Vec_A) has |A|^2 simples, all invertible, for an abelian group A
+    tube = build_tube(category_from_dict(_vec_zn(8), name="vec_z8"))
+    assert tube.dim == 64
+    assert verify_algebra(tube)["pass"]
+    dec = decompose(tube, 0)
+    assert dec.block_ranks() == [1] * 64
 
 
 # ------------------------------------------------------- dims and blocks
@@ -163,6 +264,23 @@ def test_identity_action_matches_plain_component(cats):
     # the untwisted odd component repeats the even one for this action
     so = tw.grade_slice(1)
     assert so.stop - so.start == 9
+
+
+def test_twisted_tube_leaves_callers_actions_alone():
+    z3 = load_category(bundled_path("vec_z3"))
+    before = list(z3.actions)
+    tube = build_twisted_tube(z3, GroupAction("id", np.tile(np.arange(3), (2, 1))))
+    assert tube.action.name == "id"
+    assert list(z3.actions) == before
+
+
+def test_trivial_action_setup_leaves_callers_actions_alone():
+    z3 = load_category(bundled_path("vec_z3"))
+    before = list(z3.actions)
+    cat, act = _twisted_setup(z3, "trivial")
+    assert act.name == "trivial"
+    assert build_crossed_extension(cat, act).rank == 2 * z3.rank
+    assert list(z3.actions) == before
 
 
 # ------------------------------------------------- twisted/untwisted bridge
