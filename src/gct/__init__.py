@@ -34,7 +34,6 @@ from .center import (
     induce_object,
     tensor_half_braidings,
     tube_representation,
-    verify_g_half_braiding,
     verify_half_braiding,
 )
 from .fusion_core import (

@@ -19,7 +19,6 @@ import numpy as np
 
 from .fusion_core import InternalCheckError, ValidationError
 from .morphisms import Mor, vobj_tensor
-from .tube import null_space_abs
 from .center import (
     HalfBraiding,
     center_hom_residual,
@@ -27,6 +26,7 @@ from .center import (
     g_action_on_center,
     hom_center,
     identity_half_braiding,
+    kernel_solve,
     tensor_half_braidings,
     unit_loop_E,
 )
@@ -165,12 +165,12 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
             counts["unitarity"] += 1
 
     # multiplicativity / naturality in the second slot
-    for i, x in enumerate(fam):
-        for j, y in enumerate(fam):
-            for k, z in enumerate(fam):
-                if not (second_ok(y) and second_ok(z)):
-                    continue
-                yz = tensor_half_braidings(y, z)
+    for j, y in enumerate(fam):
+        for k, z in enumerate(fam):
+            if not (second_ok(y) and second_ok(z)):
+                continue
+            yz = tensor_half_braidings(y, z)
+            for i, x in enumerate(fam):
                 lhs = build_G_braiding(x, yz)
                 rhs = (eng.ltens(x.tgt_vobj(y.obj), braid(i, k))
                        @ eng.rtens(braid(i, j), z.obj))
@@ -191,10 +191,10 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
     # multiplicativity / naturality in the first slot
     for i, x in enumerate(fam):
         for j, xp in enumerate(fam):
+            xx = tensor_half_braidings(x, xp)
             for k, y in enumerate(fam):
                 if not second_ok(y):
                     continue
-                xx = tensor_half_braidings(x, xp)
                 lhs = build_G_braiding(xx, y)
                 moved = (y if act is None
                          else g_action_on_center(y, xp.grade))
@@ -472,16 +472,7 @@ def hom_equivariant(X: EquivariantObject, Y: EquivariantObject,
             D = (Y.cocycle[g] @ T) - (eng.transport(T, g, act) @ X.cocycle[g])
             cols.append(D.flat())
         rows.append(np.stack(cols, axis=1))
-    A = np.concatenate(rows, axis=0)
-    Z = null_space_abs(A, atol=tol)
-    sols = []
-    for k in range(Z.shape[1]):
-        acc = None
-        for coef, T in zip(Z[:, k], basis):
-            term = T * complex(coef)
-            acc = term if acc is None else acc + term
-        sols.append(acc)
-    return Z.shape[1], sols
+    return kernel_solve(np.concatenate(rows, axis=0), basis, tol)
 
 
 def conjugate_equivariant(X: EquivariantObject) -> EquivariantObject:

@@ -20,6 +20,7 @@ alone.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 import scipy.linalg
@@ -38,7 +39,6 @@ __all__ = [
     "identity_half_braiding",
     "unit_loop_E",
     "verify_half_braiding",
-    "verify_g_half_braiding",
     "hom_center",
     "center_hom_residual",
     "conjugate_half_braiding",
@@ -75,7 +75,13 @@ class HalfBraiding:
     def __post_init__(self) -> None:
         self.obj = as_vobj(self.obj)
         self.eng = engine_for(self.cat)
+        # memos over the E-data, which is never changed after construction:
+        # E extended over words, and tensor products with this object on
+        # the left.  Those are keyed by the right factor itself (identity,
+        # not name), weakly, so a transient right factor takes its product
+        # with it.
         self._ext: dict = {}
+        self._tensor = weakref.WeakKeyDictionary()
 
     # -- structure ----------------------------------------------------------
 
@@ -259,10 +265,6 @@ def verify_half_braiding(hb: HalfBraiding, tol: float = 1e-8) -> dict:
     }
 
 
-# the twisted case is the same code path; the alias keeps call sites honest
-verify_g_half_braiding = verify_half_braiding
-
-
 # ---------------------------------------------------------------------------
 # morphisms of the center
 
@@ -274,6 +276,25 @@ def _same_context(x: HalfBraiding, y: HalfBraiding) -> bool:
     if ax is not None and ax.name != ay.name:
         raise ValidationError("half-braidings use different actions")
     return True
+
+
+def lincomb(coeffs, basis: list) -> Mor:
+    """sum_k coeffs[k] * basis[k], accumulated left to right."""
+    acc = None
+    for coef, T in zip(coeffs, basis):
+        term = T * complex(coef)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def kernel_solve(A: np.ndarray, basis: list, tol: float):
+    """Dimension and basis of the solutions sum_k z_k basis[k] with A z = 0.
+
+    Column k of A is the residual of basis[k]; the kernel is cut by
+    `null_space_abs` at the absolute floor `tol`.
+    """
+    Z = null_space_abs(A, atol=tol)
+    return Z.shape[1], [lincomb(Z[:, k], basis) for k in range(Z.shape[1])]
 
 
 def hom_center(x: HalfBraiding, y: HalfBraiding, tol: float = 1e-9):
@@ -305,16 +326,7 @@ def hom_center(x: HalfBraiding, y: HalfBraiding, tol: float = 1e-9):
                  - eng.ltens(x.tgt_label(pi), T) @ x.E[pi])
             cols.append(D.flat())
         rows.append(np.stack(cols, axis=1))
-    A = np.concatenate(rows, axis=0)
-    Z = null_space_abs(A, atol=tol)
-    sols = []
-    for k in range(Z.shape[1]):
-        acc = None
-        for coef, T in zip(Z[:, k], units):
-            term = T * complex(coef)
-            acc = term if acc is None else acc + term
-        sols.append(acc)
-    return Z.shape[1], sols
+    return kernel_solve(np.concatenate(rows, axis=0), units, tol)
 
 
 def center_hom_residual(x: HalfBraiding, y: HalfBraiding, T: Mor) -> float:
@@ -363,9 +375,12 @@ def tensor_half_braidings(x: HalfBraiding, y: HalfBraiding) -> HalfBraiding:
     """Tensor product object with the composite half-braiding.
 
     E_{xy}(pi) = (E_x(y-moved pi) x obj_y) o (obj_x x E_y(pi)); the grade
-    multiplies.
+    multiplies.  Each product is built once and memoised on x.
     """
     _same_context(x, y)
+    got = x._tensor.get(y)
+    if got is not None:
+        return got
     eng = x.eng
     grade = x.cat.group.mul(x.grade, y.grade)
     obj = vobj_tensor(x.obj, y.obj)
@@ -375,8 +390,10 @@ def tensor_half_braidings(x: HalfBraiding, y: HalfBraiding) -> HalfBraiding:
         s1 = eng.ltens(x.obj, y.E[pi])
         s2 = eng.rtens(x.E[arg], y.obj)
         E2[pi] = s2 @ s1
-    return HalfBraiding(x.cat, obj, grade, E2, action=x.action,
-                        name=f"{x.name}*{y.name}" if x.name and y.name else "")
+    out = x._tensor[y] = HalfBraiding(
+        x.cat, obj, grade, E2, action=x.action,
+        name=f"{x.name}*{y.name}" if x.name and y.name else "")
+    return out
 
 
 def g_action_on_center(x: HalfBraiding, k: int) -> HalfBraiding:
@@ -481,10 +498,7 @@ def _spectral_cuts(theta: HalfBraiding, rng, cluster_tol: float = 1e-6):
         return [None]
     eng = theta.eng
     coeff = rng.standard_normal(n_end) + 1j * rng.standard_normal(n_end)
-    h = None
-    for c, b in zip(coeff, basis):
-        term = b * complex(c)
-        h = term if h is None else h + term
+    h = lincomb(coeff, basis)
     h = h + h.H
     chans = [c for c in range(eng.rank) if eng.vdim(c, theta.obj)]
     spectra = {}

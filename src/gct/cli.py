@@ -49,6 +49,7 @@ from .fusion_core import (
     ValidationError,
     build_crossed_extension,
     load_category,
+    neutrally_graded,
     verify_action,
     verify_pentagon,
 )
@@ -120,27 +121,6 @@ def _subcat_labels(cat: GradedCategory, spec: str):
     return [s for s in spec.split(",") if s]
 
 
-def _regrade_keep_group(cat: GradedCategory) -> GradedCategory:
-    """The same fusion data with every label moved to the neutral degree.
-
-    Unlike ``trivially_graded`` this keeps the group, so it can still act;
-    used when a graded file is fed to the twisted-center pipeline, which
-    treats the underlying fusion data as the degree-neutral base.
-    """
-    out = GradedCategory(
-        labels=cat.labels,
-        dual=cat.dual.copy(),
-        qdim=cat.qdim.copy(),
-        N=cat.N.copy(),
-        group=cat.group,
-        deg=np.full(cat.rank, cat.group.neutral, dtype=int),
-        F=dict(cat.F),
-        actions=dict(cat.actions),
-        name=cat.name,
-    )
-    return out
-
-
 def _twisted_setup(cat: GradedCategory, action_name: str):
     """Category + strict action ready for build_twisted_tube.
 
@@ -149,7 +129,7 @@ def _twisted_setup(cat: GradedCategory, action_name: str):
     must be bundled with the file.
     """
     if any(int(d) != cat.group.neutral for d in cat.deg):
-        cat = _regrade_keep_group(cat)
+        cat = neutrally_graded(cat, cat.group, cat.actions)
     if action_name == "trivial" and "trivial" not in cat.actions:
         perm = np.tile(np.arange(cat.rank), (cat.group.order, 1))
         return cat, GroupAction("trivial", perm)

@@ -38,6 +38,7 @@ __all__ = [
     "verify_pentagon",
     "verify_action",
     "build_crossed_extension",
+    "neutrally_graded",
     "trivially_graded",
     "degree_zero_part",
     "group_from_pointed",
@@ -706,19 +707,30 @@ def _channel_perm(cat, src_channels, dst_channels, p) -> list[int]:
 # derived categories
 
 
-def trivially_graded(cat: GradedCategory, keep_name: bool = True) -> GradedCategory:
-    """The same fusion data regraded by the one-element group."""
-    out = GradedCategory(
+def neutrally_graded(cat: GradedCategory, group: GroupData,
+                     actions: dict) -> GradedCategory:
+    """The same fusion data with every label in the neutral degree of `group`.
+
+    `trivially_graded` takes the one-element group.  The twisted-center
+    pipeline keeps the category's own group and actions, so the group can
+    still act on what it treats as the degree-neutral base.
+    """
+    return GradedCategory(
         labels=cat.labels,
         dual=cat.dual.copy(),
         qdim=cat.qdim.copy(),
         N=cat.N.copy(),
-        group=GroupData.trivial(),
-        deg=np.zeros(cat.rank, dtype=int),
+        group=group,
+        deg=np.full(cat.rank, group.neutral, dtype=int),
         F=dict(cat.F),
-        name=cat.name if keep_name else cat.name + "!trivial",
+        actions=dict(actions),
+        name=cat.name,
     )
-    return out
+
+
+def trivially_graded(cat: GradedCategory) -> GradedCategory:
+    """The same fusion data regraded by the one-element group."""
+    return neutrally_graded(cat, GroupData.trivial(), {})
 
 
 def degree_zero_part(cat: GradedCategory) -> tuple[GradedCategory, list[int]]:

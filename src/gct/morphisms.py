@@ -73,9 +73,11 @@ def as_vobj(x) -> VObj:
     raise TypeError(f"cannot interpret {x!r} as an object")
 
 
-def vobj_tensor(a, b) -> VObj:
-    """Tensor product of objects: concatenation of words, left factor major."""
-    A, B = as_vobj(a), as_vobj(b)
+def vobj_tensor(A: VObj, B: VObj) -> VObj:
+    """Tensor product of two VObjs: concatenation of words, left factor major.
+
+    Both arguments must already be normalised (see `as_vobj`).
+    """
     return tuple(wa + wb for wa in A for wb in B)
 
 
@@ -138,8 +140,8 @@ class Mor:
     def flat(self) -> np.ndarray:
         """Fixed-order vectorization of the blocks, absent ones zero-filled."""
         parts = []
-        for c in range(self.eng.rank):
-            m, n = self.eng.vdim(c, self.target), self.eng.vdim(c, self.source)
+        dt, ds = self.eng.vdims(self.target), self.eng.vdims(self.source)
+        for c, (m, n) in enumerate(zip(dt, ds)):
             if m and n:
                 B = self.blocks.get(c)
                 parts.append((np.zeros((m, n), dtype=complex) if B is None else B).ravel())
@@ -199,15 +201,31 @@ class TreeEngine:
         self.unit = cat.unit
         self.unit_vobj: VObj = ((cat.unit,),)
         self._paths: dict = {}
-        self._dims: dict = {}
-        self._U: dict = {}
+        self._wdims: dict = {}
+        self._vdims: dict = {}
         self._offsets: dict = {}
+        self._U: dict = {}
         self._grouped: dict = {}
+        self._factored: dict = {}
         self._strip: dict = {}
         self._conj: dict = {}
         self._word_R: dict = {}
 
     # ------------------------------------------------------------------ paths
+
+    def word_dims(self, w: Word) -> tuple:
+        """dim Hom(c, w) for every channel c: dims(w) = dims(w[:-1]) @ N[:, w[-1], :]."""
+        out = self._wdims.get(w)
+        if out is None:
+            if len(w) == 1:
+                out = tuple(int(c == w[0]) for c in range(self.rank))
+            else:
+                out = tuple((np.asarray(self.word_dims(w[:-1])) @ self.cat.N[:, w[-1], :]).tolist())
+            self._wdims[w] = out
+        return out
+
+    def dim(self, c: int, w: Word) -> int:
+        return self.word_dims(w)[c]
 
     def paths(self, c: int, w: Word) -> list:
         key = (c, w)
@@ -227,23 +245,20 @@ class TreeEngine:
                 for p in self.paths(m, prefix):
                     for mu in range(nm):
                         out.append(p + ((m, mu),))
-        self._paths[key] = out
+        if out:  # most (c, w) pairs are empty; only the others are kept
+            self._paths[key] = out
         return out
 
-    def dim(self, c: int, w: Word) -> int:
-        key = (c, w)
-        out = self._dims.get(key)
+    def vdims(self, vobj: VObj) -> tuple:
+        """dim Hom(c, vobj) for every channel c."""
+        out = self._vdims.get(vobj)
         if out is None:
-            N = self.cat.N
-            if len(w) == 1:
-                out = 1 if w[0] == c else 0
-            else:
-                out = int(sum(self.dim(m, w[:-1]) * N[m, w[-1], c] for m in range(self.rank)))
-            self._dims[key] = out
+            out = tuple(map(sum, zip(*map(self.word_dims, vobj)))) or (0,) * self.rank
+            self._vdims[vobj] = out
         return out
 
     def vdim(self, c: int, vobj: VObj) -> int:
-        return sum(self.dim(c, w) for w in vobj)
+        return self.vdims(vobj)[c]
 
     def offsets(self, c: int, vobj: VObj) -> list:
         key = (c, vobj)
@@ -251,7 +266,7 @@ class TreeEngine:
         if out is None:
             out = [0]
             for w in vobj:
-                out.append(out[-1] + self.dim(c, w))
+                out.append(out[-1] + self.word_dims(w)[c])
             self._offsets[key] = out
         return out
 
@@ -316,12 +331,13 @@ class TreeEngine:
         return out
 
     def _rtens_simple(self, f: Mor, pi: int) -> Mor:
-        src = vobj_tensor(f.source, pi)
-        tgt = vobj_tensor(f.target, pi)
+        src = tuple(w + (pi,) for w in f.source)
+        tgt = tuple(w + (pi,) for w in f.target)
         N = self.cat.N
+        dt, ds = self.vdims(tgt), self.vdims(src)
         blocks = {}
         for c in range(self.rank):
-            nt, ns = self.vdim(c, tgt), self.vdim(c, src)
+            nt, ns = dt[c], ds[c]
             if nt == 0 or ns == 0:
                 continue
             gp_s = self._grouped_positions(c, f.source, pi)
@@ -344,7 +360,9 @@ class TreeEngine:
         """f tensor id_x for x a simple, word, or object."""
         if isinstance(x, (int, np.integer)):
             return self._rtens_simple(f, int(x))
-        V = as_vobj(x)
+        return self._rtens_vobj(f, as_vobj(x))
+
+    def _rtens_vobj(self, f: Mor, V: VObj) -> Mor:
         if len(V) == 1:
             out = f
             for letter in V[0]:
@@ -355,7 +373,7 @@ class TreeEngine:
         out = Mor(self, src, tgt, {})
         nv = len(V)
         for j, w in enumerate(V):
-            sub = self.rtens(f, (w,))
+            sub = self._rtens_vobj(f, (w,))
             # scatter sub's blocks into the (·, j) summand slots
             for c, B in sub.blocks.items():
                 rows = self._select_positions(c, tgt, [i * nv + j for i in range(len(f.target))])
@@ -469,24 +487,26 @@ class TreeEngine:
         return out
 
     def _ltens_simple(self, a: int, f: Mor) -> Mor:
-        src = vobj_tensor(((a,),), f.source)
-        tgt = vobj_tensor(((a,),), f.target)
+        src = tuple((a,) + w for w in f.source)
+        tgt = tuple((a,) + w for w in f.target)
         N = self.cat.N
+        ds, dt = self.vdims(src), self.vdims(tgt)
         blocks = {}
         for c in range(self.rank):
-            ns, nt = self.vdim(c, src), self.vdim(c, tgt)
-            if ns == 0 or nt == 0:
+            if ds[c] == 0 or dt[c] == 0:
                 continue
             Phi_s = self._phi(a, f.source, c)
             Phi_t = self._phi(a, f.target, c)
+            fp_s = self._factored_positions(a, f.source, c)
+            fp_t = self._factored_positions(a, f.target, c)
             # middle operator: f acting on the d-slot of the factored basis
             D = np.zeros((Phi_t.shape[0], Phi_s.shape[0]), dtype=complex)
             got = False
             for d, Bd in f.blocks.items():
                 for nu in range(N[a, d, c]):
-                    rows = self._factored_positions(a, f.target, c, d, nu)
-                    cols = self._factored_positions(a, f.source, c, d, nu)
-                    if rows.size and cols.size:
+                    rows = fp_t.get((d, nu))
+                    cols = fp_s.get((d, nu))
+                    if rows is not None and cols is not None:
                         D[np.ix_(rows, cols)] = Bd
                         got = True
             if got:
@@ -513,27 +533,37 @@ class TreeEngine:
             pos += k
         return out
 
-    def _factored_positions(self, a: int, vobj: VObj, c: int, d: int, nu: int) -> np.ndarray:
-        """Positions of (*, d, path, nu) in the factored basis, ordered like Hom(d, vobj)."""
+    def _factored_positions(self, a: int, vobj: VObj, c: int) -> dict:
+        """Positions in the factored basis of Hom(c, a*vobj) grouped by
+        (d, nu), each ordered like Hom(d, vobj)."""
+        key = (a, vobj, c)
+        out = self._factored.get(key)
+        if out is not None:
+            return out
         N = self.cat.N
-        sel = []
+        out = {}
         pos = 0
         for w in vobj:
-            for dd in range(self.rank):
-                nnu = N[a, dd, c]
+            dims = self.word_dims(w)
+            for d in range(self.rank):
+                nnu = N[a, d, c]
                 if nnu == 0:
                     continue
-                dw = self.dim(dd, w)
-                if dd == d:
-                    sel.extend(pos + p * nnu + nu for p in range(dw))
-                pos += dw * nnu
-        return np.asarray(sel, dtype=int)
+                for p in range(dims[d]):
+                    for nu in range(nnu):
+                        out.setdefault((d, nu), []).append(pos)
+                        pos += 1
+        out = {k: np.asarray(v, dtype=int) for k, v in out.items()}
+        self._factored[key] = out
+        return out
 
     def ltens(self, x, f: Mor) -> Mor:
         """id_x tensor f for x a simple, word, or object."""
         if isinstance(x, (int, np.integer)):
             return self._ltens_simple(int(x), f)
-        V = as_vobj(x)
+        return self._ltens_vobj(as_vobj(x), f)
+
+    def _ltens_vobj(self, V: VObj, f: Mor) -> Mor:
         if len(V) == 1:
             out = f
             for letter in reversed(V[0]):
@@ -544,7 +574,7 @@ class TreeEngine:
         out = Mor(self, src, tgt, {})
         ns, nt = len(f.source), len(f.target)
         for i, w in enumerate(V):
-            sub = self.ltens((w,), f)
+            sub = self._ltens_vobj((w,), f)
             for c, B in sub.blocks.items():
                 rows = self._select_positions(c, tgt, [i * nt + j for j in range(nt)])
                 cols = self._select_positions(c, src, [i * ns + j for j in range(ns)])

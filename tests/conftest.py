@@ -70,10 +70,10 @@ def z3_ext_tube(cats):
 
 
 @pytest.fixture(scope="session")
-def braid_reports(fib_center, z2_center, z3_twisted):
+def braid_reports(fib_center, z2_center, s3_center, z3_twisted):
     out = {}
     for key, ctx in (("fib", fib_center), ("vec_z2", z2_center),
-                     ("vec_z3^Z2", z3_twisted)):
+                     ("vec_s3", s3_center), ("vec_z3^Z2", z3_twisted)):
         out[key] = {
             "forward": verify_G_braiding(ctx["fam"]),
             "reverse": verify_reverse_braiding(ctx["fam"]),

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from gct import (
+    HalfBraiding,
     build_G_braiding,
     reverse_braiding,
+    tensor_half_braidings,
     verify_G_braiding,
 )
 from gct.fusion_core import ValidationError
@@ -23,7 +25,7 @@ FORWARD_KEYS = ("unit_rows", "unitarity", "mult_second", "nat_second",
                 "mult_first", "nat_first", "equivariance")
 
 
-@pytest.mark.parametrize("key", ["fib", "vec_z2", "vec_z3^Z2"])
+@pytest.mark.parametrize("key", ["fib", "vec_z2", "vec_s3", "vec_z3^Z2"])
 def test_forward_sweep_passes(braid_reports, key):
     rep = braid_reports[key]["forward"]
     assert rep["pass"], rep
@@ -36,7 +38,7 @@ def test_forward_sweep_passes(braid_reports, key):
         assert rep["counts"]["equivariance"] > 0
 
 
-@pytest.mark.parametrize("key", ["fib", "vec_z2", "vec_z3^Z2"])
+@pytest.mark.parametrize("key", ["fib", "vec_z2", "vec_s3", "vec_z3^Z2"])
 def test_reverse_sweep_passes(braid_reports, key):
     rep = braid_reports[key]["reverse"]
     assert rep["pass"], rep
@@ -123,3 +125,35 @@ def test_braiding_respects_hom_multiplicities(z2_center):
         (mat,) = blocks.values()
         assert mat.shape == (1, 1)
         assert abs(abs(mat[0, 0]) - 1.0) < 1e-10
+
+
+def test_cached_products_do_not_mask_a_corrupted_member(fib_center):
+    """A corrupted copy of a member gets its own tensor products.
+
+    The copy has the same object and name as the original, so a memo keyed
+    by either would hand it the original's products.  The sweep sees the
+    sign flip on the unit loop in its unit rows; multiplicativity holds for
+    any E-data, so a product borrowed from the good member would show up
+    there as a residual of 2.
+    """
+    fam = fib_center["fam"]
+    for x, y in itertools.product(fam, fam):
+        tensor_half_braidings(x, y)
+    assert tensor_half_braidings(fam[1], fam[2]) is tensor_half_braidings(fam[1], fam[2])
+    k = 2
+    good = fam[k]
+    unit = good.cat.unit
+    E = dict(good.E)
+    E[unit] = -1.0 * E[unit]
+    bad = HalfBraiding(good.cat, good.obj, good.grade, E, name=good.name)
+    assert tensor_half_braidings(fam[1], bad) is not tensor_half_braidings(fam[1], good)
+    family = fam[:k] + [bad] + fam[k + 1:]
+    rep = verify_G_braiding(family)
+    assert not rep["pass"]
+    assert rep["max_residual"] > 0.5
+    assert rep["unit_rows"] > 0.5
+    assert rep["mult_first"] < 1e-8 and rep["mult_second"] < 1e-8
+    # the same report from copies that have no products cached yet
+    cold = [HalfBraiding(x.cat, x.obj, x.grade, dict(x.E), action=x.action,
+                         name=x.name) for x in family]
+    assert verify_G_braiding(cold) == rep

@@ -1,5 +1,8 @@
 """Tests for half-braidings and the extracted relative centers."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from gct import (
     verify_half_braiding,
 )
 from gct.center import center_report_dict
+from gct.cli import _fusion_section
 
 
 def _qdims(fam):
@@ -217,6 +221,38 @@ def test_tensor_multiplies_grades_and_qdims(ising_center):
     total = sum(m * s.qdim() for m, s in zip(mults, ising_center["simples"][0]))
     assert total == pytest.approx(prod.qdim(), abs=1e-8)
     assert sum(mults) == 2  # sigma (x) sigma decomposes into two invertibles
+
+
+def test_s3_fusion_closure(s3_center):
+    """sum_k N_ij^k d_k = d_i d_j over the 8 simples of Z(Vec_S3); the
+    table is commutative (the center is braided) with the unit row the
+    identity."""
+    fam = s3_center["fam"]
+    fusion = _fusion_section(fam)
+    assert fusion["closure_residual"] < 1e-9
+    table = fusion["table"]
+    one = identity_half_braiding(fam[0].cat)
+    (unit,) = [z for z in fam if hom_center(one, z)[0] == 1]
+    for x in fam:
+        assert table[unit.name][x.name] == {x.name: 1}
+        for y in fam:
+            row = table[x.name][y.name]
+            assert row == table[y.name][x.name]
+            assert sum(n * fusion["qdims"][z] for z, n in row.items()) == \
+                pytest.approx(x.qdim() * y.qdim(), abs=1e-9)
+
+
+def test_tensor_memo_lets_a_transient_right_factor_go(fib_center):
+    x, y = fib_center["fam"][1], fib_center["fam"][2]
+    copy = HalfBraiding(y.cat, y.obj, y.grade, dict(y.E), name=y.name)
+    prod = tensor_half_braidings(x, copy)
+    assert tensor_half_braidings(x, copy) is prod
+    held = len(x._tensor)
+    ref = weakref.ref(copy)
+    del copy
+    gc.collect()
+    assert ref() is None
+    assert len(x._tensor) == held - 1
 
 
 def test_unit_is_monoidal_unit(fib_center):

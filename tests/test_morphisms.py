@@ -1,6 +1,7 @@
 """Unit tests for the tree-basis morphism calculus."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -19,7 +20,7 @@ from gct import (
     onb,
     right_tensor,
 )
-from gct.morphisms import as_vobj, vobj_tensor
+from gct.morphisms import TreeEngine, as_vobj, vobj_tensor
 
 RNG = np.random.default_rng(20240811)
 
@@ -176,6 +177,27 @@ def test_vobj_helpers():
     assert as_vobj((1, 2)) == ((1, 2),)
     assert as_vobj(((1,), (2, 0))) == ((1,), (2, 0))
     assert vobj_tensor(((1,), (2,)), ((0,),)) == ((1, 0), (2, 0))
+
+
+@pytest.mark.parametrize("name", ["fib", "ising", "vec_s3", "vec_z2", "vec_z3"])
+def test_cached_dims_and_offsets_match_path_counts(cats, name):
+    """Per-word and per-object dims and offsets against counted tree paths,
+    for every channel and every word of length <= 3."""
+    cat = cats[name]
+    eng = TreeEngine(cat)  # fresh caches
+    chans = range(cat.rank)
+    words = [w for n in (1, 2, 3) for w in itertools.product(chans, repeat=n)]
+    count = {(c, w): len(eng.paths(c, w)) for c in chans for w in words}
+    objs = [tuple(w for w in words if len(w) == n) for n in (1, 2, 3)]
+    objs += [tuple(words), tuple(reversed(words))]
+    for V in objs:
+        for c in chans:
+            sizes = [count[(c, w)] for w in V]
+            assert eng.vdim(c, V) == sum(sizes)
+            assert eng.offsets(c, V) == list(itertools.accumulate(sizes, initial=0))
+        assert all(type(n) is int for n in eng.vdims(V))
+    for w in words:
+        assert eng.word_dims(w) == tuple(count[(c, w)] for c in chans)
 
 
 def test_direct_sum_dims_add(cats):
