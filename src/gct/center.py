@@ -20,6 +20,7 @@ alone.
 from __future__ import annotations
 
 import dataclasses
+import types
 import weakref
 
 import numpy as np
@@ -63,6 +64,16 @@ class HalfBraiding:
     obj*pi -> pi'*obj for every loop simple pi.  ``grade`` is the common
     degree of the object's words in the plain case, or the acting group
     element in the twisted case (``action`` set).
+
+    The object keeps memos of values that depend only on its own data and
+    an argument: E extended over words and over sums of words, the
+    `verify_half_braiding` verdict per tolerance, and the
+    `tensor_half_braidings` product and `hom_center` solution with each
+    right-hand object.  The last two are keyed by that object itself
+    (identity, never name or words), weakly, so a transient right factor
+    takes its entries with it.  The memos are sound because no object's
+    data changes after construction: ``E`` is stored as a read-only
+    mapping, and the morphisms in it are never modified in place.
     """
 
     cat: GradedCategory
@@ -74,14 +85,13 @@ class HalfBraiding:
 
     def __post_init__(self) -> None:
         self.obj = as_vobj(self.obj)
+        self.E = types.MappingProxyType(dict(self.E))
         self.eng = engine_for(self.cat)
-        # memos over the E-data, which is never changed after construction:
-        # E extended over words, and tensor products with this object on
-        # the left.  Those are keyed by the right factor itself (identity,
-        # not name), weakly, so a transient right factor takes its product
-        # with it.
-        self._ext: dict = {}
-        self._tensor = weakref.WeakKeyDictionary()
+        self._ext: dict = {}        # word -> E_word
+        self._ext_sum: dict = {}    # sum of words -> E_vobj
+        self._verdicts: dict = {}   # tol -> verify_half_braiding report
+        self._tensor = weakref.WeakKeyDictionary()  # y -> x * y
+        self._homs = weakref.WeakKeyDictionary()    # y -> {tol: (dim, basis)}
 
     # -- structure ----------------------------------------------------------
 
@@ -141,6 +151,9 @@ class HalfBraiding:
         V = as_vobj(V)
         if len(V) == 1:
             return self.E_word(V[0])
+        got = self._ext_sum.get(V)
+        if got is not None:
+            return got
         eng = self.eng
         tgtV = self.tgt_vobj(V)
         src = vobj_tensor(self.obj, V)
@@ -150,6 +163,7 @@ class HalfBraiding:
             emb_s = eng.ltens(self.obj, _injection(eng, V, i))
             emb_t = eng.rtens(_injection(eng, tgtV, i), self.obj)
             acc = acc + (emb_t @ self.E_word(w) @ emb_s.H)
+        self._ext_sum[V] = acc
         return acc
 
 
@@ -209,8 +223,16 @@ def verify_half_braiding(hb: HalfBraiding, tol: float = 1e-8) -> dict:
     with T' the action transport of T at the object's grade (T' = T in
     the plain case).  Unitarity of each E(pi) is checked channel-wise;
     channels where the two sides of E(pi) have different dimensions are
-    reported in `non_square` (no unitary can exist there).
+    reported in `non_square` (no unitary can exist there).  The verdict
+    is kept on the object per tolerance; callers get a copy.
     """
+    got = hb._verdicts.get(tol)
+    if got is None:
+        got = hb._verdicts[tol] = _verify_half_braiding(hb, tol)
+    return dict(got, non_square=list(got["non_square"]))
+
+
+def _verify_half_braiding(hb: HalfBraiding, tol: float) -> dict:
     eng = hb.eng
     cat = hb.cat
     loops = hb.loop_labels()
@@ -244,14 +266,13 @@ def verify_half_braiding(hb: HalfBraiding, tol: float = 1e-8) -> dict:
     for xi in loops:
         Exi = hb.E[xi]
         for pi in loops:
+            through = eng.ltens(hb.tgt_label(xi), hb.E[pi]) @ eng.rtens(Exi, pi)
             for eta in loops:
                 for T in eng.onb(eta, ((xi, pi),)):
                     Tg = T if hb.action is None else eng.transport(
                         T, hb.grade, hb.action)
                     lhs = eng.rtens(Tg, hb.obj) @ hb.E[eta]
-                    rhs = (eng.ltens(hb.tgt_label(xi), hb.E[pi])
-                           @ eng.rtens(Exi, pi)
-                           @ eng.ltens(hb.obj, T))
+                    rhs = through @ eng.ltens(hb.obj, T)
                     max_res = max(max_res, lhs.diff_norm(rhs))
                     checked += 1
     ok = (max_res < tol and unit_defect < tol and not non_square)
@@ -304,11 +325,22 @@ def hom_center(x: HalfBraiding, y: HalfBraiding, tol: float = 1e-9):
     for every loop simple pi.  Objects of different grades are orthogonal
     by grade bookkeeping (the grade is part of the object's identity even
     when the action is not faithful), so the solve runs only within a
-    grade and (0, []) is returned across grades.
+    grade and (0, []) is returned across grades.  The solution is kept on
+    x per (y, tol), keyed by y itself.
     """
     _same_context(x, y)
     if x.grade != y.grade:
         return 0, []
+    memo = x._homs.get(y)
+    if memo is None:
+        memo = x._homs[y] = {}
+    got = memo.get(tol)
+    if got is None:
+        got = memo[tol] = _solve_hom_center(x, y, tol)
+    return got
+
+
+def _solve_hom_center(x: HalfBraiding, y: HalfBraiding, tol: float):
     eng = x.eng
     units = []
     for c in range(x.cat.rank):

@@ -207,6 +207,7 @@ class TreeEngine:
         self._U: dict = {}
         self._grouped: dict = {}
         self._factored: dict = {}
+        self._phis: dict = {}
         self._strip: dict = {}
         self._conj: dict = {}
         self._word_R: dict = {}
@@ -232,6 +233,8 @@ class TreeEngine:
         out = self._paths.get(key)
         if out is not None:
             return out
+        if not self.word_dims(w)[c]:  # most (c, w) pairs are empty
+            return []
         N = self.cat.N
         if len(w) == 1:
             out = [()] if w[0] == c else []
@@ -245,8 +248,7 @@ class TreeEngine:
                 for p in self.paths(m, prefix):
                     for mu in range(nm):
                         out.append(p + ((m, mu),))
-        if out:  # most (c, w) pairs are empty; only the others are kept
-            self._paths[key] = out
+        self._paths[key] = out
         return out
 
     def vdims(self, vobj: VObj) -> tuple:
@@ -350,7 +352,7 @@ class TreeEngine:
                     cols = gp_s.get((m, mu))
                     if rows is None or cols is None:
                         continue
-                    B[np.ix_(rows, cols)] = Bm
+                    B[rows[:, None], cols] = Bm
                     got = True
             if got:
                 blocks[c] = B
@@ -382,7 +384,7 @@ class TreeEngine:
                 if big is None:
                     big = np.zeros((self.vdim(c, tgt), self.vdim(c, src)), dtype=complex)
                     out.blocks[c] = big
-                big[np.ix_(rows, cols)] = B
+                big[rows[:, None], cols] = B
         return out
 
     def _select_positions(self, c: int, vobj: VObj, word_indices: list) -> np.ndarray:
@@ -507,14 +509,24 @@ class TreeEngine:
                     rows = fp_t.get((d, nu))
                     cols = fp_s.get((d, nu))
                     if rows is not None and cols is not None:
-                        D[np.ix_(rows, cols)] = Bd
+                        D[rows[:, None], cols] = Bd
                         got = True
             if got:
                 blocks[c] = Phi_t.conj().T @ D @ Phi_s
         return Mor(self, src, tgt, blocks)
 
     def _phi(self, a: int, vobj: VObj, c: int) -> np.ndarray:
-        """Block-diagonal factorization unitary for a whole object."""
+        """Block-diagonal factorization unitary for a whole object.
+
+        For a one-word object this is the cached factorization unitary
+        itself; callers must not modify it.
+        """
+        if len(vobj) == 1:
+            return self.factor_unitary(a, vobj[0])[c]
+        key = (a, vobj, c)
+        out = self._phis.get(key)
+        if out is not None:
+            return out
         mats = []
         for w in vobj:
             U = self.factor_unitary(a, w).get(c)
@@ -531,6 +543,7 @@ class TreeEngine:
             k = m.shape[0]
             out[pos:pos + k, pos:pos + k] = m
             pos += k
+        self._phis[key] = out
         return out
 
     def _factored_positions(self, a: int, vobj: VObj, c: int) -> dict:
@@ -582,7 +595,7 @@ class TreeEngine:
                 if big is None:
                     big = np.zeros((self.vdim(c, tgt), self.vdim(c, src)), dtype=complex)
                     out.blocks[c] = big
-                big[np.ix_(rows, cols)] = B
+                big[rows[:, None], cols] = B
         return out
 
     # ---------------------------------------------------- unit insert / drop
@@ -718,7 +731,7 @@ class TreeEngine:
             rperm = self._vobj_drop_perm(c, f.target, tgt_specs)
             cperm = self._vobj_drop_perm(c, f.source, src_specs)
             nB = np.empty_like(B)
-            nB[np.ix_(rperm, cperm)] = B
+            nB[rperm[:, None], cperm] = B
             blocks[c] = nB
         return Mor(self, new_src, new_tgt, blocks)
 
@@ -864,7 +877,7 @@ class TreeEngine:
             rperm = self._transport_perm(c, f.target, g, act)
             cperm = self._transport_perm(c, f.source, g, act)
             nB = np.zeros_like(B)
-            nB[np.ix_(rperm, cperm)] = B
+            nB[rperm[:, None], cperm] = B
             blocks[gc] = nB
         return Mor(self, src, tgt, blocks)
 

@@ -243,16 +243,77 @@ def test_s3_fusion_closure(s3_center):
 
 
 def test_tensor_memo_lets_a_transient_right_factor_go(fib_center):
+    """Neither the product memo nor the hom memo pins its right factor."""
     x, y = fib_center["fam"][1], fib_center["fam"][2]
-    copy = HalfBraiding(y.cat, y.obj, y.grade, dict(y.E), name=y.name)
-    prod = tensor_half_braidings(x, copy)
-    assert tensor_half_braidings(x, copy) is prod
-    held = len(x._tensor)
-    ref = weakref.ref(copy)
-    del copy
-    gc.collect()
-    assert ref() is None
-    assert len(x._tensor) == held - 1
+    for memo, fn in (("_tensor", tensor_half_braidings), ("_homs", hom_center)):
+        copy = HalfBraiding(y.cat, y.obj, y.grade, dict(y.E), name=y.name)
+        got = fn(x, copy)
+        assert fn(x, copy) is got
+        held = len(getattr(x, memo))
+        ref = weakref.ref(copy)
+        del copy, got
+        gc.collect()
+        assert ref() is None, memo
+        assert len(getattr(x, memo)) == held - 1, memo
+
+
+def test_E_data_is_read_only(fib_center):
+    x = fib_center["fam"][1]
+    pi = x.cat.unit
+    with pytest.raises(TypeError):
+        x.E[pi] = -1.0 * x.E[pi]
+    with pytest.raises(TypeError):
+        del x.E[pi]
+    # the constructor copies the caller's dict, so changing that later
+    # cannot reach the object either
+    E = dict(x.E)
+    copy = HalfBraiding(x.cat, x.obj, x.grade, E, name=x.name)
+    E[pi] = -1.0 * E[pi]
+    assert copy.E[pi] is x.E[pi]
+
+
+@pytest.mark.parametrize("key", ["fib", "ising"])
+def test_warm_E_extension_matches_a_cold_rebuild(request, key):
+    """E_vobj over every degree-neutral family object and every tensor
+    product and direct sum of two of them, for every family member: the
+    memoised value against the same extension on a fresh copy with empty
+    memos, bit for bit."""
+    fam = request.getfixturevalue(f"{key}_center")["fam"]
+    neutral = [y for y in fam if y.grade == y.cat.group.neutral]
+    args = [y.obj for y in neutral]
+    for y in neutral:
+        for z in neutral:
+            args += [tensor_half_braidings(y, z).obj, y.obj + z.obj]
+    for x in fam:
+        for V in args:
+            warm = x.E_vobj(V)
+            assert x.E_vobj(V) is warm
+            cold = HalfBraiding(x.cat, x.obj, x.grade, dict(x.E)).E_vobj(V)
+            assert warm.diff_norm(cold) == 0.0
+
+
+def test_memoised_verdict_and_homs_do_not_cover_a_corrupted_copy(fib_center):
+    """A copy with the same name and object and a sign-flipped unit loop
+    gets its own verdict and its own homs, although the good member's are
+    memoised already."""
+    good = fib_center["fam"][2]
+    assert verify_half_braiding(good)["pass"]
+    assert hom_center(good, good)[0] == 1
+    unit = good.cat.unit
+    E = dict(good.E)
+    E[unit] = -1.0 * E[unit]
+    bad = HalfBraiding(good.cat, good.obj, good.grade, E, name=good.name)
+    rep = verify_half_braiding(bad)
+    assert not rep["pass"]
+    assert rep["max_residual"] > 0.5
+    assert hom_center(good, bad)[0] == 0
+    assert hom_center(bad, good)[0] == 0
+    # the memoised verdict is handed out as a copy
+    rep = verify_half_braiding(good)
+    rep["pass"] = False
+    rep["non_square"].append(None)
+    again = verify_half_braiding(good)
+    assert again["pass"] and again["non_square"] == []
 
 
 def test_unit_is_monoidal_unit(fib_center):

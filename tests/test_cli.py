@@ -163,6 +163,34 @@ def test_gcenter_reports_are_byte_identical(z3_gcenter_report, tmp_path):
     assert again.read_bytes() == z3_gcenter_report.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["fib", "ising"])
+def test_center_payload_is_the_same_on_warm_caches(name):
+    """The center pipeline run twice in one process on one category and
+    tube: the second run meets the engine's warm path, dims and factor
+    caches.  Rebuilding the fusion and braiding sections on the first
+    run's family then meets every memo on its objects (E-extensions,
+    verdicts, homs, products).  All of it must give the same JSON."""
+    from gct import build_tube, load_category
+    from gct.cli import (_braiding_section, _build_parser, _center_payload,
+                         _fusion_section, _subcat_labels)
+
+    path = bundled_path(name)
+    args = _build_parser().parse_args(["center", path, "--subcat", "all"])
+    cat = load_category(path)  # a fresh engine, so the first run is cold
+    tube = build_tube(cat, _subcat_labels(cat, args.subcat))
+    tol = 1e-8
+
+    def dump(obj):
+        return json.dumps(obj, sort_keys=True)
+
+    first, _, fusion, braiding, fam, ok = _center_payload(args, tube, 7, tol)
+    assert ok
+    second = _center_payload(args, tube, 7, tol)[0]
+    assert dump(second) == dump(first)
+    assert dump(_fusion_section(fam)) == dump(fusion)
+    assert dump(_braiding_section(fam, tol)) == dump(braiding)
+
+
 def test_seed_env_var_is_honoured(tmp_path):
     out = tmp_path / "seeded.json"
     res = run_cli("center", bundled_path("vec_z2"), "--subcat", "all",

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -198,6 +199,38 @@ def test_cached_dims_and_offsets_match_path_counts(cats, name):
         assert all(type(n) is int for n in eng.vdims(V))
     for w in words:
         assert eng.word_dims(w) == tuple(count[(c, w)] for c in chans)
+
+
+@pytest.mark.parametrize("name", ["fib", "ising", "vec_s3", "vec_z2", "vec_z3"])
+def test_phi_is_the_block_diagonal_of_word_unitaries(cats, name):
+    """Phi(a, V, c) against scipy's block_diag of the per-word factorization
+    unitaries, for every a and c and every object made of one word of
+    length <= 2, of a simple and such a word (either order), or of three
+    simples; one-word Phi is the cached unitary itself."""
+    cat = cats[name]
+    eng = TreeEngine(cat)  # fresh caches
+    simples = [(b,) for b in range(cat.rank)]
+    words = simples + list(itertools.product(range(cat.rank), repeat=2))
+    objs = [(w,) for w in words]
+    objs += [V for s in simples for w in words for V in ((s, w), (w, s))]
+    objs += list(itertools.product(simples, repeat=3))
+    empty = np.zeros((0, 0), dtype=complex)
+    checked = 0
+    for V in objs:
+        for a in range(cat.rank):
+            aV = vobj_tensor(((a,),), V)
+            for c in range(cat.rank):
+                if not eng.vdim(c, aV):
+                    continue
+                want = scipy.linalg.block_diag(
+                    *[eng.factor_unitary(a, w).get(c, empty) for w in V])
+                got = eng._phi(a, V, c)
+                assert got.shape == want.shape and np.array_equal(got, want)
+                assert eng._phi(a, V, c) is got
+                if len(V) == 1:
+                    assert got is eng.factor_unitary(a, V[0])[c]
+                checked += 1
+    assert checked > len(objs)
 
 
 def test_direct_sum_dims_add(cats):
