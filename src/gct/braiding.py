@@ -104,6 +104,14 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
     built from the half-braiding data, so the sweep cross-examines the
     supplied morphisms instead of merely recomputing them.  A missing
     entry for a pair the sweep needs raises ValidationError.
+
+    The sweep does not check the half-braidings themselves.  With the
+    braidings built from the same data, a corrupted E(pi) for a loop pi
+    other than the unit goes unseen: multiplicativity holds for any E,
+    because `E_vobj` extends E by the same rule the check uses, and
+    naturality ranges only over the scalar endomorphisms of simples.
+    `verify_half_braiding` is the check that covers E; run it on every
+    member first, as the CLI and ``braid-check`` do.
     """
     if not simples:
         raise ValidationError("empty family")

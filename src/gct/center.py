@@ -67,13 +67,14 @@ class HalfBraiding:
 
     The object keeps memos of values that depend only on its own data and
     an argument: E extended over words and over sums of words, the
-    `verify_half_braiding` verdict per tolerance, and the
-    `tensor_half_braidings` product and `hom_center` solution with each
-    right-hand object.  The last two are keyed by that object itself
-    (identity, never name or words), weakly, so a transient right factor
-    takes its entries with it.  The memos are sound because no object's
-    data changes after construction: ``E`` is stored as a read-only
-    mapping, and the morphisms in it are never modified in place.
+    `verify_half_braiding` verdict per tolerance, the `g_action_on_center`
+    copy per group element, and the `tensor_half_braidings` product and
+    `hom_center` solution with each right-hand object.  The last two are
+    keyed by that object itself (identity, never name or words), weakly,
+    so a transient right factor takes its entries with it.  The memos are
+    sound because no object's data changes after construction: ``E`` is
+    stored as a read-only mapping, and the morphisms in it are never
+    modified in place.
     """
 
     cat: GradedCategory
@@ -90,6 +91,7 @@ class HalfBraiding:
         self._ext: dict = {}        # word -> E_word
         self._ext_sum: dict = {}    # sum of words -> E_vobj
         self._verdicts: dict = {}   # tol -> verify_half_braiding report
+        self._moved: dict = {}      # k -> g_action_on_center(self, k)
         self._tensor = weakref.WeakKeyDictionary()  # y -> x * y
         self._homs = weakref.WeakKeyDictionary()    # y -> {tol: (dim, basis)}
 
@@ -432,21 +434,25 @@ def g_action_on_center(x: HalfBraiding, k: int) -> HalfBraiding:
     """Transport a half-braiding along the action element k.
 
     The object is relabeled by k, E'(pi) = transport_k(E(k^{-1}[pi])), and
-    the grade conjugates: g -> k g k^{-1}.
+    the grade conjugates: g -> k g k^{-1}.  The moved copy is built once
+    per k and memoised on x, so it keeps its own memos across calls; its
+    name is re-derived on every call, so it follows a later rename of x.
     """
     if x.action is None:
         raise ValidationError("no action configured for this half-braiding")
-    act = x.action
-    eng = x.eng
     grp = x.cat.group
-    kinv = grp.inv(k)
-    obj2 = tuple(act.on_word(k, w) for w in x.obj)
-    grade2 = grp.mul(grp.mul(k, x.grade), kinv)
-    E2 = {}
-    for pi in x.loop_labels():
-        E2[pi] = eng.transport(x.E[act.on_label(kinv, pi)], k, act)
-    return HalfBraiding(x.cat, obj2, grade2, E2, action=act,
-                        name=f"{grp.elements[k]}[{x.name}]" if x.name else "")
+    got = x._moved.get(k)
+    if got is None:
+        act = x.action
+        kinv = grp.inv(k)
+        obj2 = tuple(act.on_word(k, w) for w in x.obj)
+        grade2 = grp.mul(grp.mul(k, x.grade), kinv)
+        E2 = {}
+        for pi in x.loop_labels():
+            E2[pi] = x.eng.transport(x.E[act.on_label(kinv, pi)], k, act)
+        got = x._moved[k] = HalfBraiding(x.cat, obj2, grade2, E2, action=act)
+    got.name = f"{grp.elements[k]}[{x.name}]" if x.name else ""
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,22 @@ def _as_complex_matrix(rows: list) -> np.ndarray:
 
 
 def category_from_dict(data: dict, name: str = "") -> GradedCategory:
-    """Build and fully validate a category from parsed JSON data."""
+    """Build and fully validate a category from parsed JSON data.
+
+    Malformed data ends in DataError (schema) or ValidationError (axioms);
+    a field of the wrong type or shape never escapes as a bare TypeError,
+    ValueError, KeyError or IndexError.
+    """
+    if not isinstance(data, dict):
+        raise DataError(f"category data must be a JSON object, not {type(data).__name__}")
+    try:
+        return _category_from_dict(data, name)
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError,
+            OverflowError) as exc:
+        raise DataError(f"malformed category data: {type(exc).__name__}: {exc}") from None
+
+
+def _category_from_dict(data: dict, name: str) -> GradedCategory:
     try:
         rank = int(data["rank"])
         labels = tuple(str(x) for x in data["labels"])
@@ -314,6 +329,10 @@ def category_from_dict(data: dict, name: str = "") -> GradedCategory:
         raise DataError("dual table must list one label per simple")
     if qdim.shape != (rank,):
         raise DataError("qdim must list one value per simple")
+    if not np.all(np.isfinite(qdim)):
+        # every later check compares a residual with a tolerance, and a NaN
+        # residual passes such a comparison
+        raise DataError("qdim entries must be finite numbers")
 
     if group_raw is None:
         group = GroupData.trivial()
@@ -347,6 +366,8 @@ def category_from_dict(data: dict, name: str = "") -> GradedCategory:
             raise DataError(f"malformed F entry: {exc}") from None
         if len(key) != 4 or not all(0 <= x < rank for x in key):
             raise DataError(f"F key {key} out of range")
+        if not np.all(np.isfinite(mat)):
+            raise DataError(f"F entry {key} has a non-finite value")
         F[key] = mat
         declared_rc = {"rows": item.get("rows"), "cols": item.get("cols")}
         _declared_channels.append((key, declared_rc))
@@ -464,6 +485,8 @@ def load_category(path: str | os.PathLike) -> GradedCategory:
         raise OSError(f"cannot read category file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: category data must be a JSON object")
     name = data.get("name", os.path.splitext(os.path.basename(str(path)))[0])
     return category_from_dict(data, name=name)
 

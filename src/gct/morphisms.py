@@ -22,6 +22,7 @@ this module, so its unitarity invariants are what the test-suite leans on.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +212,7 @@ class TreeEngine:
         self._strip: dict = {}
         self._conj: dict = {}
         self._word_R: dict = {}
+        self._moves = weakref.WeakKeyDictionary()  # action -> {(vobj, g): ...}
 
     # ------------------------------------------------------------------ paths
 
@@ -378,8 +380,8 @@ class TreeEngine:
             sub = self._rtens_vobj(f, (w,))
             # scatter sub's blocks into the (·, j) summand slots
             for c, B in sub.blocks.items():
-                rows = self._select_positions(c, tgt, [i * nv + j for i in range(len(f.target))])
-                cols = self._select_positions(c, src, [i * nv + j for i in range(len(f.source))])
+                rows = self._strided_positions(c, tgt, j, nv)
+                cols = self._strided_positions(c, src, j, nv)
                 big = out.blocks.get(c)
                 if big is None:
                     big = np.zeros((self.vdim(c, tgt), self.vdim(c, src)), dtype=complex)
@@ -387,12 +389,16 @@ class TreeEngine:
                 big[rows[:, None], cols] = B
         return out
 
-    def _select_positions(self, c: int, vobj: VObj, word_indices: list) -> np.ndarray:
+    def _strided_positions(self, c: int, vobj: VObj, j: int, nv: int) -> np.ndarray:
+        """Positions in Hom(c, vobj) of the words j, j + nv, j + 2 nv, ...
+
+        Not cached: the Vec_S3 center asks for over 3 000 distinct arrays of
+        about one entry each, and caching them cost about 0.9 MB of peak
+        memory for a few per cent of its wall time.
+        """
         offs = self.offsets(c, vobj)
-        sel = []
-        for k in word_indices:
-            sel.extend(range(offs[k], offs[k + 1]))
-        return np.asarray(sel, dtype=int)
+        return np.asarray([p for k in range(j, len(vobj), nv)
+                           for p in range(offs[k], offs[k + 1])], dtype=int)
 
     # ----------------------------------------------------------- left tensor
 
@@ -588,14 +594,14 @@ class TreeEngine:
         ns, nt = len(f.source), len(f.target)
         for i, w in enumerate(V):
             sub = self._ltens_vobj((w,), f)
+            # summand i occupies the contiguous words i*n .. (i+1)*n - 1
             for c, B in sub.blocks.items():
-                rows = self._select_positions(c, tgt, [i * nt + j for j in range(nt)])
-                cols = self._select_positions(c, src, [i * ns + j for j in range(ns)])
+                rows, cols = self.offsets(c, tgt), self.offsets(c, src)
                 big = out.blocks.get(c)
                 if big is None:
                     big = np.zeros((self.vdim(c, tgt), self.vdim(c, src)), dtype=complex)
                     out.blocks[c] = big
-                big[rows[:, None], cols] = B
+                big[rows[i * nt]:rows[(i + 1) * nt], cols[i * ns]:cols[(i + 1) * ns]] = B
         return out
 
     # ---------------------------------------------------- unit insert / drop
@@ -869,8 +875,8 @@ class TreeEngine:
 
     def transport(self, f: Mor, g: int, act: GroupAction) -> Mor:
         """Apply a strict action element to a morphism (relabel + re-index)."""
-        src = tuple(act.on_word(g, w) for w in f.source)
-        tgt = tuple(act.on_word(g, w) for w in f.target)
+        src = self._moved_vobj(f.source, g, act)[0]
+        tgt = self._moved_vobj(f.target, g, act)[0]
         blocks = {}
         for c, B in f.blocks.items():
             gc = act.on_label(g, c)
@@ -881,20 +887,38 @@ class TreeEngine:
             blocks[gc] = nB
         return Mor(self, src, tgt, blocks)
 
+    def _moved_vobj(self, vobj: VObj, g: int, act: GroupAction) -> tuple:
+        """(g[vobj], {c: index map}) for one action, kept on the engine.
+
+        Keyed by the action object itself, weakly: two actions may share a
+        name (every ``--action trivial`` run makes a fresh one).
+        """
+        per_act = self._moves.get(act)
+        if per_act is None:
+            per_act = self._moves[act] = {}
+        out = per_act.get((vobj, g))
+        if out is None:
+            out = per_act[(vobj, g)] = (tuple(act.on_word(g, w) for w in vobj), {})
+        return out
+
     def _transport_perm(self, c: int, vobj: VObj, g: int, act: GroupAction) -> np.ndarray:
+        """Index map Hom(c, vobj) -> Hom(g[c], g[vobj]), built once per action."""
+        gvobj, perms = self._moved_vobj(vobj, g, act)
+        out = perms.get(c)
+        if out is not None:
+            return out
         gc = act.on_label(g, c)
-        gvobj = tuple(act.on_word(g, w) for w in vobj)
         offs = self.offsets(gc, gvobj)
         parts = []
-        for k, w in enumerate(vobj):
-            gw = act.on_word(g, w)
+        for k, (w, gw) in enumerate(zip(vobj, gvobj)):
             tgt_index = self.path_index(gc, gw)
             part = np.zeros(self.dim(c, w), dtype=int)
             for i, p in enumerate(self.paths(c, w)):
                 gp = tuple((act.on_label(g, m), mu) for (m, mu) in p)
                 part[i] = tgt_index[gp]
             parts.append(part + offs[k])
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
+        out = perms[c] = np.concatenate(parts) if parts else np.zeros(0, dtype=int)
+        return out
 
     # ------------------------------------------------- Frobenius transposes
 

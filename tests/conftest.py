@@ -2,9 +2,14 @@
 
 Everything heavy is session-scoped so the acceptance module and the unit
 modules share one computation of each tube algebra / extraction.
+
+Property tests run under one hypothesis profile: derandomized, so every run
+draws the same examples, and with no deadline, so a slow example on a busy
+host is not a failure.  Each test keeps its own ``max_examples``.
 """
 
 import pytest
+from hypothesis import settings
 
 from gct import (
     build_tube,
@@ -18,6 +23,9 @@ from gct import (
 )
 
 BUNDLED = ("fib", "ising", "vec_s3", "vec_z2", "vec_z3")
+
+settings.register_profile("gct", derandomize=True, deadline=None)
+settings.load_profile("gct")
 
 
 @pytest.fixture(scope="session")

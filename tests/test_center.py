@@ -345,6 +345,55 @@ def test_group_action_permutes_twisted_simples(z3_twisted):
     assert [perm[perm[i]] for i in range(len(perm))] == list(range(len(fam)))
 
 
+def _fresh_copy(x, name=None):
+    """Same data as x, none of its memos."""
+    return HalfBraiding(x.cat, x.obj, x.grade, dict(x.E), action=x.action,
+                        name=x.name if name is None else name)
+
+
+def test_moved_copy_is_built_once_and_matches_a_cold_rebuild(z3_twisted):
+    for x in z3_twisted["fam"]:
+        for k in range(x.cat.group.order):
+            moved = g_action_on_center(x, k)
+            assert g_action_on_center(x, k) is moved
+            cold = g_action_on_center(_fresh_copy(x), k)
+            assert cold is not moved
+            assert (cold.obj, cold.grade, cold.name) == (moved.obj, moved.grade, moved.name)
+            for pi in x.loop_labels():
+                assert moved.E[pi].diff_norm(cold.E[pi]) == 0.0
+
+
+def test_moved_copy_of_a_corrupted_same_name_copy_is_its_own(z3_twisted):
+    """A copy of x with the same name and a sign-flipped unit loop gets its
+    own moved copy, which fails the axioms, although x's is memoised."""
+    x = z3_twisted["fam"][1]
+    k = 1
+    good = g_action_on_center(x, k)
+    assert verify_half_braiding(good)["pass"]
+    unit = x.cat.unit
+    E = dict(x.E)
+    E[unit] = -1.0 * E[unit]
+    bad = HalfBraiding(x.cat, x.obj, x.grade, E, action=x.action, name=x.name)
+    moved_bad = g_action_on_center(bad, k)
+    assert moved_bad is not good
+    assert moved_bad.name == good.name
+    assert moved_bad.E[unit].diff_norm(good.E[unit]) > 1.0
+    assert not verify_half_braiding(moved_bad)["pass"]
+
+
+def test_moved_copy_name_follows_a_rename(z3_twisted):
+    """extract_simples names its simples after they exist; a moved copy
+    memoised before the rename must carry the new name."""
+    x = _fresh_copy(z3_twisted["fam"][0], name="before")
+    k = 1
+    elt = x.cat.group.elements[k]
+    moved = g_action_on_center(x, k)
+    assert moved.name == f"{elt}[before]"
+    x.name = "after"
+    assert g_action_on_center(x, k) is moved
+    assert moved.name == f"{elt}[after]"
+
+
 # -------------------------------------------------------- gauge freedom
 
 

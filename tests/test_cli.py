@@ -119,6 +119,26 @@ def test_malformed_schema_is_data_error(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("rank", "x"), ("group", {}), ("N", None), (None, [1, 2]),
+])
+def test_wrongly_typed_field_is_data_error(tmp_path, field, value):
+    """A field of the wrong type exits with the data-error code and one
+    ``error:`` line, not a traceback (``None`` replaces the whole file)."""
+    with open(bundled_path("ising")) as fh:
+        d = json.load(fh)
+    if field is None:
+        d = value
+    else:
+        d[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    res = run_cli("verify", str(bad))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+
+
 def test_axiom_violation_is_data_error(tmp_path):
     with open(bundled_path("vec_z2")) as fh:
         d = json.load(fh)
@@ -153,6 +173,22 @@ def test_center_reports_are_byte_identical(ising_report, tmp_path):
     res = run_cli("center", bundled_path("ising"), "--json", str(again))
     assert res.returncode == 0
     assert again.read_bytes() == ising_report.read_bytes()
+
+
+def test_gcenter_payload_is_the_same_on_warm_caches():
+    """The twisted pipeline run twice in one process on one tube: the
+    second run meets the engine's warm transport maps.  Both runs must
+    give the same JSON."""
+    from gct import build_twisted_tube, load_category
+    from gct.cli import _build_parser, _center_payload, _twisted_setup
+
+    path = bundled_path("vec_z3")
+    args = _build_parser().parse_args(["gcenter", path, "--action", "inversion"])
+    tube = build_twisted_tube(*_twisted_setup(load_category(path), args.action))
+    first = _center_payload(args, tube, 7, 1e-8)
+    assert first[-1]
+    second = _center_payload(args, tube, 7, 1e-8)
+    assert json.dumps(second[0], sort_keys=True) == json.dumps(first[0], sort_keys=True)
 
 
 def test_gcenter_reports_are_byte_identical(z3_gcenter_report, tmp_path):
@@ -243,6 +279,35 @@ def test_braid_check_flags_sign_flip(ising_report, tmp_path):
     res = run_cli("braid-check", str(flipped))
     assert res.returncode == 2
     assert "BF" in res.stdout
+
+
+def _scale_E(data, name, label, z):
+    """Multiply the stored E(label) of one family simple by z in place."""
+    for mat in data["simple_data"][name]["E"][label]["blocks"].values():
+        for row in mat:
+            for cell in row:
+                w = complex(cell[0], cell[1]) * z
+                cell[0], cell[1] = w.real, w.imag
+
+
+@pytest.mark.parametrize("z,row", [(1j, "FAIL"), (-1.0, "ok")])
+def test_braid_check_flags_a_corrupted_half_braiding(ising_report, tmp_path, z, row):
+    """E(psi) of one member times z; the braiding entries stay as they
+    were, so the sweep fails against them either way.  Times i breaks the
+    half-braiding axioms (psi psi = 1 allows only a sign), and that
+    simple's row reads FAIL.  Times -1 is again a half-braiding, that of
+    another center object (psi -> -1 is a character of the loop fusion
+    rules), so its row rightly reads ok."""
+    data = json.loads(ising_report.read_text())
+    name = data["family"][-1]
+    _scale_E(data, name, "psi", z)
+    bad = tmp_path / "scaled.json"
+    bad.write_text(json.dumps(data))
+    res = run_cli("braid-check", str(bad))
+    assert res.returncode == 2
+    lines = res.stdout.splitlines()
+    assert next(ln.split() for ln in lines if ln.split()[:1] == [name])[-1] == row
+    assert any(ln.startswith("BF") and ln.endswith("FAIL") for ln in lines)
 
 
 def test_braid_check_rejects_empty_map(ising_report, tmp_path):

@@ -1,9 +1,12 @@
 """Category container: loading, grading, duals, actions, derived categories."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gct
 from gct import (
@@ -132,3 +135,57 @@ def test_bad_schema_rejected():
 
 def test_version_exported():
     assert gct.__version__
+
+
+# ------------------------------------------------------- malformed input
+
+
+def _json_paths(node, prefix=()):
+    """Every position in a parsed JSON document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    """A deep copy of doc with the value at path (the root for ()) replaced."""
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+with open(bundled_path("ising")) as _fh:
+    ISING = json.load(_fh)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=150)
+@given(path=st.sampled_from(list(_json_paths(ISING))), value=JSON_VALUES)
+def test_any_corrupted_field_ends_in_a_clean_error(path, value):
+    """One position of ising.json replaced by any JSON value (NaN and
+    infinities included): the loader returns a category or raises
+    DataError/ValidationError, never another exception."""
+    try:
+        category_from_dict(_replaced(ISING, path, value), "fuzzed")
+    except (DataError, ValidationError):
+        pass
+
+
+@pytest.mark.parametrize("path", [("qdim", 1), ("F", 2, "matrix", 0, 0, 0)])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_numbers_are_rejected(path, value):
+    """A NaN passes every residual-below-tolerance test, so it must be
+    stopped at load time."""
+    with pytest.raises(DataError, match="finite"):
+        category_from_dict(_replaced(ISING, path, value), "non-finite")

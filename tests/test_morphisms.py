@@ -173,6 +173,43 @@ def test_transport_is_a_unitary_action(cats):
     assert back.diff_norm(b) < 1e-12
 
 
+def test_cached_transport_matches_a_cold_engine(cats):
+    """transport through one warm engine against a fresh engine, bit for
+    bit, for the inversion action, a fresh trivial action, and an identity
+    action that borrows the inversion's name.  The objects have several
+    words and several channels, so a cache keyed by the action's name, or
+    by the object without the channel, hands out a wrong index map."""
+    from gct.cli import _twisted_setup
+    from gct.fusion_core import GroupAction
+    from gct.morphisms import Mor
+
+    cat, inversion = _twisted_setup(cats["vec_z3"], "inversion")
+    same_cat, trivial = _twisted_setup(cat, "trivial")
+    assert same_cat is cat
+    imposter = GroupAction(inversion.name, trivial.perm.copy())
+    eng = engine_for(cat)
+    objs = [((0,),), ((1, 2), (0,), (2, 2)), ((2,), (1, 1), (0, 1))]
+    rng = np.random.default_rng(5)
+    mors = []
+    for S, T in itertools.product(objs, repeat=2):
+        blocks = {}
+        for c in range(eng.rank):
+            m, n = eng.vdim(c, T), eng.vdim(c, S)
+            if m and n:
+                blocks[c] = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        mors.append(Mor(eng, S, T, blocks))
+    assert max(len(f.blocks) for f in mors) > 1
+    for act in (inversion, trivial, imposter, inversion):
+        for g in range(cat.group.order):
+            for f in mors:
+                warm = eng.transport(f, g, act)
+                cold = TreeEngine(cat).transport(f, g, act)
+                assert (warm.source, warm.target) == (cold.source, cold.target)
+                assert warm.blocks.keys() == cold.blocks.keys()
+                for c, B in warm.blocks.items():
+                    assert np.array_equal(B, cold.blocks[c])
+
+
 def test_vobj_helpers():
     assert as_vobj(3) == ((3,),)
     assert as_vobj((1, 2)) == ((1, 2),)
