@@ -56,7 +56,6 @@ from .fusion_core import (
 )
 from .morphisms import (
     Mor,
-    compose,
     conjugate_solution,
     engine_for,
     frobenius_transpose,

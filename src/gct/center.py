@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import dataclasses
 import types
-import weakref
 
 import numpy as np
 import scipy.linalg
 
+from ._memo import memo
 from .fusion_core import (
     GradedCategory,
     GroupAction,
@@ -65,16 +65,10 @@ class HalfBraiding:
     degree of the object's words in the plain case, or the acting group
     element in the twisted case (``action`` set).
 
-    The object keeps memos of values that depend only on its own data and
-    an argument: E extended over words and over sums of words, the
-    `verify_half_braiding` verdict per tolerance, the `g_action_on_center`
-    copy per group element, and the `tensor_half_braidings` product and
-    `hom_center` solution with each right-hand object.  The last two are
-    keyed by that object itself (identity, never name or words), weakly,
-    so a transient right factor takes its entries with it.  The memos are
-    sound because no object's data changes after construction: ``E`` is
-    stored as a read-only mapping, and the morphisms in it are never
-    modified in place.
+    Values that depend only on the object's data and an argument are
+    memoised on it under the policy of `gct._memo`.  That is sound because
+    no object's data changes after construction: ``E`` is stored as a
+    read-only mapping, and the morphisms in it are never modified in place.
     """
 
     cat: GradedCategory
@@ -88,12 +82,6 @@ class HalfBraiding:
         self.obj = as_vobj(self.obj)
         self.E = types.MappingProxyType(dict(self.E))
         self.eng = engine_for(self.cat)
-        self._ext: dict = {}        # word -> E_word
-        self._ext_sum: dict = {}    # sum of words -> E_vobj
-        self._verdicts: dict = {}   # tol -> verify_half_braiding report
-        self._moved: dict = {}      # k -> g_action_on_center(self, k)
-        self._tensor = weakref.WeakKeyDictionary()  # y -> x * y
-        self._homs = weakref.WeakKeyDictionary()    # y -> {tol: (dim, basis)}
 
     # -- structure ----------------------------------------------------------
 
@@ -129,33 +117,27 @@ class HalfBraiding:
 
     # -- E on composite arguments ------------------------------------------
 
+    @memo
     def E_word(self, w: tuple) -> Mor:
-        """E extended over a word by the multiplicative rule."""
-        w = tuple(int(a) for a in w)
-        got = self._ext.get(w)
-        if got is not None:
-            return got
-        eng = self.eng
+        """E extended over a word (a tuple of labels) by the multiplicative rule."""
         if len(w) == 0:
-            out = eng.identity(self.obj)
-        elif len(w) == 1:
-            out = self.E[w[0]]
-        else:
-            head, rest = w[0], w[1:]
-            first = self.eng.rtens(self.E[head], rest)
-            second = self.eng.ltens(self.tgt_label(head), self.E_word(rest))
-            out = second @ first
-        self._ext[w] = out
-        return out
+            return self.eng.identity(self.obj)
+        if len(w) == 1:
+            return self.E[w[0]]
+        head, rest = w[0], w[1:]
+        first = self.eng.rtens(self.E[head], rest)
+        second = self.eng.ltens(self.tgt_label(head), self.E_word(rest))
+        return second @ first
 
     def E_vobj(self, V) -> Mor:
         """E extended over a sum of words (diagonal over the summands)."""
         V = as_vobj(V)
         if len(V) == 1:
             return self.E_word(V[0])
-        got = self._ext_sum.get(V)
-        if got is not None:
-            return got
+        return self._E_sum(V)
+
+    @memo
+    def _E_sum(self, V: tuple) -> Mor:
         eng = self.eng
         tgtV = self.tgt_vobj(V)
         src = vobj_tensor(self.obj, V)
@@ -165,7 +147,6 @@ class HalfBraiding:
             emb_s = eng.ltens(self.obj, _injection(eng, V, i))
             emb_t = eng.rtens(_injection(eng, tgtV, i), self.obj)
             acc = acc + (emb_t @ self.E_word(w) @ emb_s.H)
-        self._ext_sum[V] = acc
         return acc
 
 
@@ -226,14 +207,13 @@ def verify_half_braiding(hb: HalfBraiding, tol: float = 1e-8) -> dict:
     the plain case).  Unitarity of each E(pi) is checked channel-wise;
     channels where the two sides of E(pi) have different dimensions are
     reported in `non_square` (no unitary can exist there).  The verdict
-    is kept on the object per tolerance; callers get a copy.
+    is memoised on the object per tolerance; callers get a copy.
     """
-    got = hb._verdicts.get(tol)
-    if got is None:
-        got = hb._verdicts[tol] = _verify_half_braiding(hb, tol)
+    got = _verify_half_braiding(hb, tol)
     return dict(got, non_square=list(got["non_square"]))
 
 
+@memo
 def _verify_half_braiding(hb: HalfBraiding, tol: float) -> dict:
     eng = hb.eng
     cat = hb.cat
@@ -327,21 +307,16 @@ def hom_center(x: HalfBraiding, y: HalfBraiding, tol: float = 1e-9):
     for every loop simple pi.  Objects of different grades are orthogonal
     by grade bookkeeping (the grade is part of the object's identity even
     when the action is not faithful), so the solve runs only within a
-    grade and (0, []) is returned across grades.  The solution is kept on
-    x per (y, tol), keyed by y itself.
+    grade and (0, []) is returned across grades.  The solution is memoised
+    on x per (y, tol), with y held weakly.
     """
     _same_context(x, y)
     if x.grade != y.grade:
         return 0, []
-    memo = x._homs.get(y)
-    if memo is None:
-        memo = x._homs[y] = {}
-    got = memo.get(tol)
-    if got is None:
-        got = memo[tol] = _solve_hom_center(x, y, tol)
-    return got
+    return _solve_hom_center(x, y, tol)
 
 
+@memo(store="_homs", weak=True)
 def _solve_hom_center(x: HalfBraiding, y: HalfBraiding, tol: float):
     eng = x.eng
     units = []
@@ -405,16 +380,15 @@ def conjugate_half_braiding(x: HalfBraiding) -> HalfBraiding:
                         name=f"conj({x.name})" if x.name else "")
 
 
+@memo(store="_tensor", weak=True)
 def tensor_half_braidings(x: HalfBraiding, y: HalfBraiding) -> HalfBraiding:
     """Tensor product object with the composite half-braiding.
 
     E_{xy}(pi) = (E_x(y-moved pi) x obj_y) o (obj_x x E_y(pi)); the grade
-    multiplies.  Each product is built once and memoised on x.
+    multiplies.  Each product is built once and memoised on x, with y held
+    weakly.
     """
     _same_context(x, y)
-    got = x._tensor.get(y)
-    if got is not None:
-        return got
     eng = x.eng
     grade = x.cat.group.mul(x.grade, y.grade)
     obj = vobj_tensor(x.obj, y.obj)
@@ -424,10 +398,8 @@ def tensor_half_braidings(x: HalfBraiding, y: HalfBraiding) -> HalfBraiding:
         s1 = eng.ltens(x.obj, y.E[pi])
         s2 = eng.rtens(x.E[arg], y.obj)
         E2[pi] = s2 @ s1
-    out = x._tensor[y] = HalfBraiding(
-        x.cat, obj, grade, E2, action=x.action,
-        name=f"{x.name}*{y.name}" if x.name and y.name else "")
-    return out
+    return HalfBraiding(x.cat, obj, grade, E2, action=x.action,
+                        name=f"{x.name}*{y.name}" if x.name and y.name else "")
 
 
 def g_action_on_center(x: HalfBraiding, k: int) -> HalfBraiding:
@@ -440,19 +412,22 @@ def g_action_on_center(x: HalfBraiding, k: int) -> HalfBraiding:
     """
     if x.action is None:
         raise ValidationError("no action configured for this half-braiding")
-    grp = x.cat.group
-    got = x._moved.get(k)
-    if got is None:
-        act = x.action
-        kinv = grp.inv(k)
-        obj2 = tuple(act.on_word(k, w) for w in x.obj)
-        grade2 = grp.mul(grp.mul(k, x.grade), kinv)
-        E2 = {}
-        for pi in x.loop_labels():
-            E2[pi] = x.eng.transport(x.E[act.on_label(kinv, pi)], k, act)
-        got = x._moved[k] = HalfBraiding(x.cat, obj2, grade2, E2, action=act)
-    got.name = f"{grp.elements[k]}[{x.name}]" if x.name else ""
+    got = _moved_copy(x, k)
+    got.name = f"{x.cat.group.elements[k]}[{x.name}]" if x.name else ""
     return got
+
+
+@memo
+def _moved_copy(x: HalfBraiding, k: int) -> HalfBraiding:
+    grp = x.cat.group
+    act = x.action
+    kinv = grp.inv(k)
+    obj2 = tuple(act.on_word(k, w) for w in x.obj)
+    grade2 = grp.mul(grp.mul(k, x.grade), kinv)
+    E2 = {}
+    for pi in x.loop_labels():
+        E2[pi] = x.eng.transport(x.E[act.on_label(kinv, pi)], k, act)
+    return HalfBraiding(x.cat, obj2, grade2, E2, action=act)
 
 
 # ---------------------------------------------------------------------------

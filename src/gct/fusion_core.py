@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._memo import memo
+
 __all__ = [
     "DataError",
     "ValidationError",
@@ -200,7 +202,6 @@ class GradedCategory:
         self.N = np.asarray(self.N, dtype=int)
         self.deg = np.asarray(self.deg, dtype=int)
         self.unit = self._find_unit()
-        self._fcache: dict[tuple[int, int, int, int], np.ndarray] = {}
 
     # -- basic structure ----------------------------------------------------
 
@@ -244,21 +245,16 @@ class GradedCategory:
             for lam in range(N[a, f, d])
         ]
 
+    @memo
     def f_block(self, a: int, b: int, c: int, d: int) -> np.ndarray:
         """Transition matrix from right-nested to left-nested coordinates."""
         key = (a, b, c, d)
-        out = self._fcache.get(key)
-        if out is not None:
-            return out
         nl = len(self.left_channels(a, b, c, d))
         nr = len(self.right_channels(a, b, c, d))
         if nl != nr:  # pragma: no cover - guarded by load-time associativity check
             raise InternalCheckError(f"associativity broken at F block {key}: {nl} != {nr}")
         out = self.F.get(key)
-        if out is None:
-            out = np.eye(nl, dtype=complex)
-        self._fcache[key] = out
-        return out
+        return np.eye(nl, dtype=complex) if out is None else out
 
     # -- misc ---------------------------------------------------------------
 
@@ -289,6 +285,22 @@ class GradedCategory:
 # loading and validation
 
 
+def _int(x, what: str) -> int:
+    """A JSON integer.  ``int()`` and ``dtype=int`` would truncate 1.7 to 1
+    and read ``true`` as 1, so any other number, a boolean or a string is
+    refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DataError(f"{what} must hold integers, not {x!r}")
+    return x
+
+
+def _ints(data, what: str) -> np.ndarray:
+    """An integer array from nested JSON lists, every entry checked by `_int`."""
+    def check(x):
+        return [check(y) for y in x] if isinstance(x, list) else _int(x, what)
+    return np.asarray(check(data), dtype=int)
+
+
 def _as_complex_matrix(rows: list) -> np.ndarray:
     mat = np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows])
     return mat
@@ -312,9 +324,9 @@ def category_from_dict(data: dict, name: str = "") -> GradedCategory:
 
 def _category_from_dict(data: dict, name: str) -> GradedCategory:
     try:
-        rank = int(data["rank"])
+        rank = _int(data["rank"], "rank")
         labels = tuple(str(x) for x in data["labels"])
-        dual = np.asarray(data["dual"], dtype=int)
+        dual = _ints(data["dual"], "dual")
         qdim = np.asarray(data["qdim"], dtype=float)
         group_raw = data.get("group")
         grading_raw = data.get("grading")
@@ -337,11 +349,11 @@ def _category_from_dict(data: dict, name: str) -> GradedCategory:
     if group_raw is None:
         group = GroupData.trivial()
     else:
-        group = GroupData(tuple(str(e) for e in group_raw["elements"]), np.asarray(group_raw["table"], dtype=int))
+        group = GroupData(tuple(str(e) for e in group_raw["elements"]), _ints(group_raw["table"], "group table"))
     if grading_raw is None:
         deg = np.full(rank, group.neutral, dtype=int)
     else:
-        deg = np.asarray(grading_raw, dtype=int)
+        deg = _ints(grading_raw, "grading")
         if deg.shape != (rank,):
             raise DataError("grading must assign a group element to each simple")
         if deg.min() < 0 or deg.max() >= group.order:
@@ -351,7 +363,7 @@ def _category_from_dict(data: dict, name: str) -> GradedCategory:
     for item in n_raw:
         if len(item) != 4:
             raise DataError(f"N entry {item!r} is not [a, b, c, value]")
-        a, b, c, v = (int(x) for x in item)
+        a, b, c, v = (_int(x, "N entry") for x in item)
         if not (0 <= a < rank and 0 <= b < rank and 0 <= c < rank) or v < 0:
             raise DataError(f"N entry {item!r} out of range")
         N[a, b, c] = v
@@ -360,7 +372,7 @@ def _category_from_dict(data: dict, name: str) -> GradedCategory:
     _declared_channels: list = []
     for item in f_raw:
         try:
-            key = tuple(int(x) for x in item["abcd"])
+            key = tuple(_int(x, "F abcd") for x in item["abcd"])
             mat = _as_complex_matrix(item["matrix"])
         except (KeyError, TypeError, IndexError) as exc:
             raise DataError(f"malformed F entry: {exc}") from None
@@ -380,7 +392,7 @@ def _category_from_dict(data: dict, name: str) -> GradedCategory:
             if gname not in group.elements:
                 raise DataError(f"action permutation given for unknown group element '{gname}'")
             g = group.elements.index(gname)
-            perm[g] = np.asarray(images, dtype=int)
+            perm[g] = _ints(images, "action perm")
         act = GroupAction(str(act_raw.get("name", "action")), perm)
         cat.actions[act.name] = act
 

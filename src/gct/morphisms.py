@@ -22,11 +22,11 @@ this module, so its unitarity invariants are what the test-suite leans on.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._memo import memo
 from .fusion_core import GradedCategory, GroupAction, InternalCheckError
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "as_vobj",
     "vobj_tensor",
     "hom_dim",
-    "compose",
     "left_tensor",
     "right_tensor",
     "onb",
@@ -194,84 +193,58 @@ class ConjugatePair:
 
 
 class TreeEngine:
-    """Per-category caches and tensor calculus for tree-basis morphisms."""
+    """Per-category memos (see `gct._memo`) and tensor calculus for
+    tree-basis morphisms."""
 
     def __init__(self, cat: GradedCategory):
         self.cat = cat
         self.rank = cat.rank
         self.unit = cat.unit
         self.unit_vobj: VObj = ((cat.unit,),)
-        self._paths: dict = {}
-        self._wdims: dict = {}
-        self._vdims: dict = {}
-        self._offsets: dict = {}
-        self._U: dict = {}
-        self._grouped: dict = {}
-        self._factored: dict = {}
-        self._phis: dict = {}
-        self._strip: dict = {}
-        self._conj: dict = {}
-        self._word_R: dict = {}
-        self._moves = weakref.WeakKeyDictionary()  # action -> {(vobj, g): ...}
 
     # ------------------------------------------------------------------ paths
 
+    @memo
     def word_dims(self, w: Word) -> tuple:
         """dim Hom(c, w) for every channel c: dims(w) = dims(w[:-1]) @ N[:, w[-1], :]."""
-        out = self._wdims.get(w)
-        if out is None:
-            if len(w) == 1:
-                out = tuple(int(c == w[0]) for c in range(self.rank))
-            else:
-                out = tuple((np.asarray(self.word_dims(w[:-1])) @ self.cat.N[:, w[-1], :]).tolist())
-            self._wdims[w] = out
-        return out
+        if len(w) == 1:
+            return tuple(int(c == w[0]) for c in range(self.rank))
+        return tuple((np.asarray(self.word_dims(w[:-1])) @ self.cat.N[:, w[-1], :]).tolist())
 
     def dim(self, c: int, w: Word) -> int:
         return self.word_dims(w)[c]
 
+    @memo(keep=bool)  # most (c, w) pairs are empty; storing those costs memory
     def paths(self, c: int, w: Word) -> list:
-        key = (c, w)
-        out = self._paths.get(key)
-        if out is not None:
-            return out
-        if not self.word_dims(w)[c]:  # most (c, w) pairs are empty
+        if not self.word_dims(w)[c]:
             return []
-        N = self.cat.N
         if len(w) == 1:
-            out = [()] if w[0] == c else []
-        else:
-            out = []
-            prefix, last = w[:-1], w[-1]
-            for m in range(self.rank):
-                nm = N[m, last, c]
-                if nm == 0:
-                    continue
-                for p in self.paths(m, prefix):
-                    for mu in range(nm):
-                        out.append(p + ((m, mu),))
-        self._paths[key] = out
+            return [()]
+        N = self.cat.N
+        out = []
+        prefix, last = w[:-1], w[-1]
+        for m in range(self.rank):
+            nm = N[m, last, c]
+            if nm == 0:
+                continue
+            for p in self.paths(m, prefix):
+                for mu in range(nm):
+                    out.append(p + ((m, mu),))
         return out
 
+    @memo
     def vdims(self, vobj: VObj) -> tuple:
         """dim Hom(c, vobj) for every channel c."""
-        out = self._vdims.get(vobj)
-        if out is None:
-            out = tuple(map(sum, zip(*map(self.word_dims, vobj)))) or (0,) * self.rank
-            self._vdims[vobj] = out
-        return out
+        return tuple(map(sum, zip(*map(self.word_dims, vobj)))) or (0,) * self.rank
 
     def vdim(self, c: int, vobj: VObj) -> int:
         return self.vdims(vobj)[c]
 
+    @memo
     def offsets(self, c: int, vobj: VObj) -> list:
-        key = (c, vobj)
-        out = self._offsets.get(key)
-        if out is None:
-            out = [0]
-            for w in vobj:
-                out.append(out[-1] + self.word_dims(w)[c])
-            self._offsets[key] = out
+        out = [0]
+        for w in vobj:
+            out.append(out[-1] + self.word_dims(w)[c])
         return out
 
     def path_index(self, c: int, w: Word) -> dict:
@@ -311,12 +284,9 @@ class TreeEngine:
 
     # ---------------------------------------------------------- right tensor
 
+    @memo
     def _grouped_positions(self, c: int, vobj: VObj, pi: int) -> dict:
         """Positions in Hom(c, vobj*pi) grouped by (m, mu), ordered like Hom(m, vobj)."""
-        key = (c, vobj, pi)
-        out = self._grouped.get(key)
-        if out is not None:
-            return out
         N = self.cat.N
         out = {}
         pos = 0
@@ -330,9 +300,7 @@ class TreeEngine:
                     for mu in range(nm):
                         out.setdefault((m, mu), []).append(pos)
                         pos += 1
-        out = {k: np.asarray(v, dtype=int) for k, v in out.items()}
-        self._grouped[key] = out
-        return out
+        return {k: np.asarray(v, dtype=int) for k, v in out.items()}
 
     def _rtens_simple(self, f: Mor, pi: int) -> Mor:
         src = tuple(w + (pi,) for w in f.source)
@@ -402,27 +370,19 @@ class TreeEngine:
 
     # ----------------------------------------------------------- left tensor
 
+    @memo
     def factor_unitary(self, a: int, w: Word) -> dict:
         """Per channel c: unitary from Hom(c, (a,)+w) to the factored basis.
 
         The factored basis is enumerated (d ascending, path of Hom(d, w),
         nu < N[a, d, c]).
         """
-        key = (a, w)
-        out = self._U.get(key)
-        if out is not None:
-            return out
         N = self.cat.N
-        out = {}
         if len(w) == 1:
-            b = w[0]
-            for c in range(self.rank):
-                n = N[a, b, c]
-                if n:
-                    out[c] = np.eye(n, dtype=complex)
-            self._U[key] = out
-            return out
+            return {c: np.eye(N[a, w[0], c], dtype=complex)
+                    for c in range(self.rank) if N[a, w[0], c]}
 
+        out = {}
         prefix, b = w[:-1], w[-1]
         U_pre = self.factor_unitary(a, prefix)
         for c in range(self.rank):
@@ -474,7 +434,6 @@ class TreeEngine:
             if U.shape[0] != U.shape[1]:
                 raise InternalCheckError(f"factorization not square at (a={a}, w={w}, c={c})")
             out[c] = U
-        self._U[key] = out
         return out
 
     def _factored_labels(self, a: int, w: Word, m: int | None, channel: int | None = None):
@@ -521,18 +480,15 @@ class TreeEngine:
                 blocks[c] = Phi_t.conj().T @ D @ Phi_s
         return Mor(self, src, tgt, blocks)
 
+    @memo
     def _phi(self, a: int, vobj: VObj, c: int) -> np.ndarray:
         """Block-diagonal factorization unitary for a whole object.
 
-        For a one-word object this is the cached factorization unitary
+        For a one-word object this is the memoised factorization unitary
         itself; callers must not modify it.
         """
         if len(vobj) == 1:
             return self.factor_unitary(a, vobj[0])[c]
-        key = (a, vobj, c)
-        out = self._phis.get(key)
-        if out is not None:
-            return out
         mats = []
         for w in vobj:
             U = self.factor_unitary(a, w).get(c)
@@ -549,16 +505,12 @@ class TreeEngine:
             k = m.shape[0]
             out[pos:pos + k, pos:pos + k] = m
             pos += k
-        self._phis[key] = out
         return out
 
+    @memo
     def _factored_positions(self, a: int, vobj: VObj, c: int) -> dict:
         """Positions in the factored basis of Hom(c, a*vobj) grouped by
         (d, nu), each ordered like Hom(d, vobj)."""
-        key = (a, vobj, c)
-        out = self._factored.get(key)
-        if out is not None:
-            return out
         N = self.cat.N
         out = {}
         pos = 0
@@ -572,9 +524,7 @@ class TreeEngine:
                     for nu in range(nnu):
                         out.setdefault((d, nu), []).append(pos)
                         pos += 1
-        out = {k: np.asarray(v, dtype=int) for k, v in out.items()}
-        self._factored[key] = out
-        return out
+        return {k: np.asarray(v, dtype=int) for k, v in out.items()}
 
     def ltens(self, x, f: Mor) -> Mor:
         """id_x tensor f for x a simple, word, or object."""
@@ -615,12 +565,9 @@ class TreeEngine:
             raise InternalCheckError("cannot drop every letter of a word")
         return kept
 
+    @memo
     def _drop_perm(self, c: int, w: Word, dels: tuple) -> np.ndarray:
         """Index map paths(c, w) -> paths(c, w with unit letters at dels removed)."""
-        key = (c, w, dels)
-        out = self._strip.get(key)
-        if out is not None:
-            return out
         new_w = self._drop_word(w, dels)
         first_kept = next(i for i in range(len(w)) if i not in dels)
         tgt_index = self.path_index(c, new_w)
@@ -634,7 +581,6 @@ class TreeEngine:
             perm[i] = tgt_index[sig]
         if len(set(perm.tolist())) != len(perm):  # pragma: no cover
             raise InternalCheckError(f"unit dropping is not a bijection for word {w} at {dels}")
-        self._strip[key] = perm
         return perm
 
     def _vobj_drop_perm(self, c: int, vobj: VObj, specs: list) -> np.ndarray:
@@ -719,44 +665,15 @@ class TreeEngine:
         out = tuple(t for t in w if t != self.unit)
         return out if out else (self.unit,)
 
-    def _full_drop_spec(self, w: Word) -> tuple:
-        if all(t == self.unit for t in w):
-            return tuple(range(1, len(w)))
-        return tuple(i for i, t in enumerate(w) if t == self.unit)
-
-    def strip(self, f: Mor) -> Mor:
-        """Remove all unit letters from source and target words."""
-        src_specs = [self._full_drop_spec(w) for w in f.source]
-        tgt_specs = [self._full_drop_spec(w) for w in f.target]
-        new_src = tuple(self._drop_word(w, d) for w, d in zip(f.source, src_specs))
-        new_tgt = tuple(self._drop_word(w, d) for w, d in zip(f.target, tgt_specs))
-        if new_src == f.source and new_tgt == f.target:
-            return f
-        blocks = {}
-        for c, B in f.blocks.items():
-            rperm = self._vobj_drop_perm(c, f.target, tgt_specs)
-            cperm = self._vobj_drop_perm(c, f.source, src_specs)
-            nB = np.empty_like(B)
-            nB[rperm[:, None], cperm] = B
-            blocks[c] = nB
-        return Mor(self, new_src, new_tgt, blocks)
-
     # ----------------------------------------------------------- conjugates
 
+    @memo
     def conjugates(self, a: int) -> ConjugatePair:
-        out = self._conj.get(a)
-        if out is not None:
-            return out
-        abar = int(self.cat.dual[a])
-        rep = min(a, abar)
-        if rep not in self._conj:
-            self._conj[rep] = self._solve_conjugates(rep)
-        if a != rep:
-            p = self._conj[rep]
-            self._conj[a] = ConjugatePair(
-                label=a, R=p.Rbar, Rbar=p.R, fs_indicator=0, residual=p.residual
-            )
-        return self._conj[a]
+        rep = min(a, int(self.cat.dual[a]))
+        if a == rep:
+            return self._solve_conjugates(a)
+        p = self.conjugates(rep)
+        return ConjugatePair(label=a, R=p.Rbar, Rbar=p.R, fs_indicator=0, residual=p.residual)
 
     def _solve_conjugates(self, a: int) -> ConjugatePair:
         cat = self.cat
@@ -814,33 +731,27 @@ class TreeEngine:
         n2 = abs((Rbar.H @ Rbar).scalar() - d)
         return max(z1, z2, n1, n2)
 
+    @memo
     def word_R(self, w: Word) -> tuple[Mor, Mor]:
         """(R, Rbar) for a word: R: unit -> wbar w, Rbar: unit -> w wbar."""
-        key = w
-        out = self._word_R.get(key)
-        if out is not None:
-            return out
         if len(w) == 1:
             pair = self.conjugates(w[0])
-            out = (pair.R, pair.Rbar)
-        else:
-            prefix, b = w[:-1], w[-1]
-            bbar = int(self.cat.dual[b])
-            Rp, Rbarp = self.word_R(prefix)
-            Rb, Rbarb = self.word_R((b,))
-            # R_w = (bbar tensor R_prefix tensor b) o R_b
-            mid = self.rtens(self.drop_units(self.ltens(bbar, Rp), "source", (1,)), (b,))
-            R = mid @ Rb
-            # Rbar_w = (prefix tensor Rbar_b tensor prefixbar) o Rbar_prefix
-            pbar = self.cat.dual_word(prefix)
-            np_ = len(prefix)
-            mid2 = self.rtens(
-                self.drop_units(self.ltens(prefix, Rbarb), "source", (np_,)), pbar
-            )
-            Rbar = mid2 @ Rbarp
-            out = (R, Rbar)
-        self._word_R[key] = out
-        return out
+            return pair.R, pair.Rbar
+        prefix, b = w[:-1], w[-1]
+        bbar = int(self.cat.dual[b])
+        Rp, Rbarp = self.word_R(prefix)
+        Rb, Rbarb = self.word_R((b,))
+        # R_w = (bbar tensor R_prefix tensor b) o R_b
+        mid = self.rtens(self.drop_units(self.ltens(bbar, Rp), "source", (1,)), (b,))
+        R = mid @ Rb
+        # Rbar_w = (prefix tensor Rbar_b tensor prefixbar) o Rbar_prefix
+        pbar = self.cat.dual_word(prefix)
+        np_ = len(prefix)
+        mid2 = self.rtens(
+            self.drop_units(self.ltens(prefix, Rbarb), "source", (np_,)), pbar
+        )
+        Rbar = mid2 @ Rbarp
+        return R, Rbar
 
     def vobj_R(self, V) -> tuple[Mor, Mor]:
         """(R, Rbar) for an object: diagonal sum of per-word solutions."""
@@ -875,38 +786,30 @@ class TreeEngine:
 
     def transport(self, f: Mor, g: int, act: GroupAction) -> Mor:
         """Apply a strict action element to a morphism (relabel + re-index)."""
-        src = self._moved_vobj(f.source, g, act)[0]
-        tgt = self._moved_vobj(f.target, g, act)[0]
+        src = self._moved_vobj(act, g, f.source)
+        tgt = self._moved_vobj(act, g, f.target)
         blocks = {}
         for c, B in f.blocks.items():
             gc = act.on_label(g, c)
-            rperm = self._transport_perm(c, f.target, g, act)
-            cperm = self._transport_perm(c, f.source, g, act)
+            rperm = self._transport_perm(act, g, f.target, c)
+            cperm = self._transport_perm(act, g, f.source, c)
             nB = np.zeros_like(B)
             nB[rperm[:, None], cperm] = B
             blocks[gc] = nB
         return Mor(self, src, tgt, blocks)
 
-    def _moved_vobj(self, vobj: VObj, g: int, act: GroupAction) -> tuple:
-        """(g[vobj], {c: index map}) for one action, kept on the engine.
+    # Both memos below are keyed by the action object itself, weakly: two
+    # actions may share a name (every ``--action trivial`` run makes a fresh one).
 
-        Keyed by the action object itself, weakly: two actions may share a
-        name (every ``--action trivial`` run makes a fresh one).
-        """
-        per_act = self._moves.get(act)
-        if per_act is None:
-            per_act = self._moves[act] = {}
-        out = per_act.get((vobj, g))
-        if out is None:
-            out = per_act[(vobj, g)] = (tuple(act.on_word(g, w) for w in vobj), {})
-        return out
+    @memo(weak=True)
+    def _moved_vobj(self, act: GroupAction, g: int, vobj: VObj) -> VObj:
+        """g[vobj]."""
+        return tuple(act.on_word(g, w) for w in vobj)
 
-    def _transport_perm(self, c: int, vobj: VObj, g: int, act: GroupAction) -> np.ndarray:
-        """Index map Hom(c, vobj) -> Hom(g[c], g[vobj]), built once per action."""
-        gvobj, perms = self._moved_vobj(vobj, g, act)
-        out = perms.get(c)
-        if out is not None:
-            return out
+    @memo(weak=True)
+    def _transport_perm(self, act: GroupAction, g: int, vobj: VObj, c: int) -> np.ndarray:
+        """Index map Hom(c, vobj) -> Hom(g[c], g[vobj])."""
+        gvobj = self._moved_vobj(act, g, vobj)
         gc = act.on_label(g, c)
         offs = self.offsets(gc, gvobj)
         parts = []
@@ -917,8 +820,7 @@ class TreeEngine:
                 gp = tuple((act.on_label(g, m), mu) for (m, mu) in p)
                 part[i] = tgt_index[gp]
             parts.append(part + offs[k])
-        out = perms[c] = np.concatenate(parts) if parts else np.zeros(0, dtype=int)
-        return out
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
 
     # ------------------------------------------------- Frobenius transposes
 
@@ -977,11 +879,6 @@ def hom_dim(cat: GradedCategory, c: int, w) -> int:
     """dim Hom(c, w) for a simple c and a word or object w."""
     eng = engine_for(cat)
     return eng.vdim(c, as_vobj(w))
-
-
-def compose(f: Mor, g: Mor) -> Mor:
-    """f after g."""
-    return f @ g
 
 
 def left_tensor(cat: GradedCategory, x, f: Mor) -> Mor:

@@ -32,6 +32,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from ._memo import memo
 from .fusion_core import (
     GradedCategory,
     GroupAction,
@@ -102,7 +103,6 @@ class TubeAlgebra:
         self.outer_by_grade = {int(g): tuple(int(a) for a in v)
                                for g, v in outer_by_grade.items()}
         self.grades = tuple(sorted(self.outer_by_grade))
-        self._onb_cache: dict = {}
         self._enumerate()
         self._fill_unit_and_trace()
         self._fill_constants()
@@ -162,11 +162,9 @@ class TubeAlgebra:
     def grade_name(self, g: int) -> str:
         return self.cat.group.elements[g]
 
+    @memo
     def _onb(self, z: int, x: int, y: int) -> list:
-        key = (z, x, y)
-        if key not in self._onb_cache:
-            self._onb_cache[key] = self.eng.onb(z, ((x, y),))
-        return self._onb_cache[key]
+        return self.eng.onb(z, ((x, y),))
 
     # ------------------------------------------------- product and star
 
@@ -265,15 +263,6 @@ class TubeAlgebra:
         self.star_matrix = S
 
     # ------------------------------------------------------- arithmetic
-
-    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.constants)
-
-    def star(self, x: np.ndarray) -> np.ndarray:
-        return self.star_matrix @ np.conj(x)
-
-    def trace(self, x: np.ndarray) -> complex:
-        return complex(self.trace_vector @ x)
 
     def left_mult(self, x: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by x on the whole algebra."""

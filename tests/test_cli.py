@@ -7,14 +7,19 @@ import sys
 
 import pytest
 
+import gct
 from gct import bundled_path
 
 RUN = [sys.executable, "-m", "gct.cli"]
+# the subprocess imports the same gct as the tests, installed or not
+GCT_PATH = os.path.dirname(os.path.dirname(gct.__file__))
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("GCT_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (GCT_PATH, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(RUN + list(args), capture_output=True, text=True,
@@ -121,22 +126,61 @@ def test_malformed_schema_is_data_error(tmp_path):
 
 @pytest.mark.parametrize("field,value", [
     ("rank", "x"), ("group", {}), ("N", None), (None, [1, 2]),
+    # integer fields holding a non-integer number or a boolean, each of
+    # which int() would truncate into a file that loads
+    pytest.param("rank", 3.5, id="rank-float"),
+    pytest.param(("dual", 1), True, id="dual-bool"),
+    pytest.param(("grading", 2), 1.7, id="grading-float"),
+    pytest.param(("N", 0, 3), 1.9, id="N-float"),
+    pytest.param(("F", 0, "abcd", 0), 1.5, id="F-abcd-float"),
+    pytest.param(("group", "table", 1, 1), 0.5, id="group-table-float"),
+    pytest.param("action", {"name": "flip", "perm": {"e": [0, 1, 2], "u": [0, 1, 2.5]}},
+                 id="action-perm-float"),
 ])
 def test_wrongly_typed_field_is_data_error(tmp_path, field, value):
     """A field of the wrong type exits with the data-error code and one
-    ``error:`` line, not a traceback (``None`` replaces the whole file)."""
+    ``error:`` line, not a traceback.  ``field`` is a top-level key, a path
+    of keys into the file, or ``None`` to replace the whole file."""
     with open(bundled_path("ising")) as fh:
         d = json.load(fh)
     if field is None:
         d = value
     else:
-        d[field] = value
+        *parents, last = (field,) if isinstance(field, str) else field
+        node = d
+        for key in parents:
+            node = node[key]
+        node[last] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
     res = run_cli("verify", str(bad))
     assert res.returncode == 2
     assert res.stderr.startswith("error:")
     assert "Traceback" not in res.stderr
+
+
+def test_verify_reports_a_broken_pentagon_as_a_data_failure(tmp_path):
+    """ising.json with no F entries (every block then the identity) breaks
+    the pentagon.  verify prints the FAIL row and exits with the data-error
+    code, although the conjugate equations cannot be solved there, and its
+    report stays strict JSON."""
+    with open(bundled_path("ising")) as fh:
+        d = json.load(fh)
+    d["F"] = []
+    bad = tmp_path / "no_f.json"
+    bad.write_text(json.dumps(d))
+    out = tmp_path / "report.json"
+    res = run_cli("verify", str(bad), "--json", str(out))
+    assert res.returncode == 2, res.stderr
+    assert "internal error" not in res.stderr
+    (row,) = [ln.split() for ln in res.stdout.splitlines() if ln.startswith("pentagon")]
+    assert row[-1] == "FAIL"
+
+    def non_finite(token):
+        raise AssertionError(f"report holds {token}")
+
+    rep = json.loads(out.read_text(), parse_constant=non_finite)
+    assert rep["pass"] is False
 
 
 def test_axiom_violation_is_data_error(tmp_path):

@@ -11,15 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gct import (
+    build_tube,
     bundled_path,
     conjugate_solution,
+    decompose,
     engine_for,
+    extract_simples,
     frobenius_transpose,
+    hom_center,
     hom_dim,
     left_tensor,
     load_category,
     onb,
     right_tensor,
+    tensor_half_braidings,
+    verify_half_braiding,
 )
 from gct.morphisms import TreeEngine, as_vobj, vobj_tensor
 
@@ -308,3 +314,20 @@ def test_engine_is_freed_with_its_category():
     del cat, eng
     gc.collect()
     assert ref() is None
+
+
+def test_memos_are_freed_with_their_owners():
+    """Extracting the fib center, then taking every product and hom within
+    the family, fills the engine, tube and half-braiding memos.  Once the
+    category, the tube and the family are dropped, all of them are
+    collected: no memo is held anywhere but on its owner."""
+    cat = load_category(bundled_path("fib"))
+    tube = build_tube(cat)
+    fam = [x for g in tube.grades for x in extract_simples(tube, decompose(tube, g))]
+    for x, y in itertools.product(fam, repeat=2):
+        assert verify_half_braiding(tensor_half_braidings(x, y))["pass"]
+        hom_center(x, y)
+    refs = [weakref.ref(o) for o in (cat, engine_for(cat), tube, *fam)]
+    del cat, tube, fam, x, y
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
