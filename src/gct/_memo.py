@@ -4,8 +4,8 @@
 goes through it and follows one policy:
 
 * The table lives on the first argument, the owner, as the attribute
-  ``store`` (by default ``_memo_`` and the function's name), so it is freed
-  with its owner.  No table is kept at module level and no
+  ``_memo_`` plus the function's name without leading underscores, so it is
+  freed with its owner.  No table is kept at module level and no
   ``functools.lru_cache`` runs over ``self``: either would hold every owner
   for the life of the process, because the stored values refer back to it.
 * A one-argument function is keyed by the argument itself, any other by the
@@ -15,8 +15,9 @@ goes through it and follows one policy:
 * ``weak=True`` holds the first argument after the owner by a weak
   reference, with one sub-table per such object keyed by the remaining
   arguments, so a transient right-hand object takes its entries with it.
-* ``keep`` is a predicate on results: a result it rejects is not stored.
-  None is never a stored result.
+* Every result is stored, and None is never a result.  A caller that
+  should not store some results (say, the many empty ones) answers those
+  before it calls the memoised function.
 * Stored values are shared by every later caller, so nothing modifies them
   in place; a function that hands out a mutable value copies it itself.
 """
@@ -27,10 +28,10 @@ import functools
 import weakref
 
 
-def memo(fn=None, *, store: str | None = None, weak: bool = False, keep=None):
+def memo(fn=None, *, weak: bool = False):
     if fn is None:
-        return functools.partial(memo, store=store, weak=weak, keep=keep)
-    name = store or "_memo_" + fn.__name__.lstrip("_")
+        return functools.partial(memo, weak=weak)
+    name = "_memo_" + fn.__name__.lstrip("_")
 
     def table(owner):
         got = getattr(owner, name, None)
@@ -40,9 +41,7 @@ def memo(fn=None, *, store: str | None = None, weak: bool = False, keep=None):
         return got
 
     def miss(owner, tab, key, args):
-        got = fn(owner, *args)
-        if keep is None or keep(got):
-            tab[key] = got
+        got = tab[key] = fn(owner, *args)
         return got
 
     if weak:

@@ -57,6 +57,15 @@ def _moved_obj(x: HalfBraiding, k: int) -> tuple:
     return tuple(x.action.on_word(k, w) for w in x.obj)
 
 
+def _unitarity_defect(m: Mor) -> float:
+    """Worst entry of B^* B - 1 over the nonempty channel blocks B of m."""
+    worst = 0.0
+    for B in m.blocks.values():
+        if B.size:
+            worst = max(worst, float(np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1])))))
+    return worst
+
+
 def _check_second_slot(x: HalfBraiding, y: HalfBraiding) -> None:
     if x.action is None and y.grade != x.cat.group.neutral:
         raise ValidationError(
@@ -154,14 +163,7 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
         for j, y in enumerate(fam):
             if not second_ok(y):
                 continue
-            B = braid(i, j)
-            for c in set(B.blocks):
-                blk = B.block(c)
-                if blk.shape[0] == blk.shape[1] and blk.size:
-                    eye = np.eye(blk.shape[0])
-                    res["unitarity"] = max(
-                        res["unitarity"],
-                        float(np.max(np.abs(blk.conj().T @ blk - eye))))
+            res["unitarity"] = max(res["unitarity"], _unitarity_defect(braid(i, j)))
             counts["unitarity"] += 1
 
     # multiplicativity in the second slot
@@ -520,12 +522,7 @@ def verify_equivariant(X: EquivariantObject, tol: float = 1e-8) -> dict:
         moved = g_action_on_center(base, g)
         res["intertwining"] = max(res["intertwining"],
                                   center_hom_residual(base, moved, cg))
-        for c in set(cg.blocks):
-            B = cg.block(c)
-            if B.size:
-                eye = np.eye(B.shape[1])
-                res["unitarity"] = max(res["unitarity"], float(
-                    np.max(np.abs(B.conj().T @ B - eye))))
+        res["unitarity"] = max(res["unitarity"], _unitarity_defect(cg))
         for h in range(grp.order):
             gh = grp.mul(g, h)
             comp = eng.transport(X.cocycle[h], g, act) @ cg
@@ -605,12 +602,7 @@ def verify_equivariant_braiding(objs: list, tol: float = 1e-8) -> dict:
     for X in objs:
         for Y in objs:
             B = equivariant_braiding(X, Y)
-            for c in set(B.blocks):
-                blk = B.block(c)
-                if blk.shape[0] == blk.shape[1] and blk.size:
-                    eye = np.eye(blk.shape[0])
-                    res["unitarity"] = max(res["unitarity"], float(
-                        np.max(np.abs(blk.conj().T @ blk - eye))))
+            res["unitarity"] = max(res["unitarity"], _unitarity_defect(B))
             XY = tensor_equivariant(X, Y)
             YX = tensor_equivariant(Y, X)
             for k in range(grp.order):

@@ -316,7 +316,7 @@ def hom_center(x: HalfBraiding, y: HalfBraiding, tol: float = 1e-9):
     return _solve_hom_center(x, y, tol)
 
 
-@memo(store="_homs", weak=True)
+@memo(weak=True)
 def _solve_hom_center(x: HalfBraiding, y: HalfBraiding, tol: float):
     eng = x.eng
     units = []
@@ -380,7 +380,7 @@ def conjugate_half_braiding(x: HalfBraiding) -> HalfBraiding:
                         name=f"conj({x.name})" if x.name else "")
 
 
-@memo(store="_tensor", weak=True)
+@memo(weak=True)
 def tensor_half_braidings(x: HalfBraiding, y: HalfBraiding) -> HalfBraiding:
     """Tensor product object with the composite half-braiding.
 

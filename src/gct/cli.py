@@ -298,10 +298,7 @@ def _print_center_tables(rep: dict, fusion: dict, braiding: dict) -> None:
     _print_table(["simple", "grade", "object", "qdim", "residual", "status"], rows)
     print()
     summ = braiding["summary"]
-    rows = [[key, _fmt(summ[key])] for key, _ in
-            [("unit_rows", 0), ("unitarity", 0), ("mult_second", 0),
-             ("nat_second", 0), ("mult_first", 0), ("nat_first", 0),
-             ("equivariance", 0)]]
+    rows = [[key, _fmt(summ[key])] for _, keys in BF_GROUPS for key in keys]
     rows.append(["reverse", _fmt(max(v for k, v in braiding["reverse"].items()
                                      if isinstance(v, float) and k != "tol"))])
     rows.append(["fusion closure", _fmt(fusion["closure_residual"])])

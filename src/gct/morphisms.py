@@ -214,10 +214,13 @@ class TreeEngine:
     def dim(self, c: int, w: Word) -> int:
         return self.word_dims(w)[c]
 
-    @memo(keep=bool)  # most (c, w) pairs are empty; storing those costs memory
     def paths(self, c: int, w: Word) -> list:
-        if not self.word_dims(w)[c]:
-            return []
+        """Tree paths of Hom(c, w); most (c, w) pairs are empty and are not
+        memoised, since storing them costs memory."""
+        return self._paths(c, w) if self.word_dims(w)[c] else []
+
+    @memo
+    def _paths(self, c: int, w: Word) -> list:
         if len(w) == 1:
             return [()]
         N = self.cat.N
@@ -422,10 +425,8 @@ class TreeEngine:
             T2 = np.zeros((len(tgt_labels), len(inter)), dtype=complex)
             for col, (m, e, pp, nu, mu) in enumerate(inter):
                 fb = self.cat.f_block(a, e, b, c)
-                lch = self.cat.left_channels(a, e, b, c)
-                rch = self.cat.right_channels(a, e, b, c)
-                row_l = lch.index((m, nu, mu))
-                for (d, kap, lam), col_r in zip(rch, range(len(rch))):
+                row_l = self.cat.channel_index(a, e, b, c)[0][(m, nu, mu)]
+                for col_r, (d, kap, lam) in enumerate(self.cat.right_channels(a, e, b, c)):
                     val = np.conj(fb[row_l, col_r])
                     if val == 0:
                         continue
@@ -699,10 +700,9 @@ class TreeEngine:
                     f"Frobenius-Schur indicator of {cat.labels[a]} is not a sign: {kappa}"
                 )
             # independent read from the F data: d(a) * unit entry of F^{a abar a}_a
-            lch = cat.left_channels(a, abar, a, a)
-            rch = cat.right_channels(a, abar, a, a)
+            lpos, rpos = cat.channel_index(a, abar, a, a)
             fb = cat.f_block(a, abar, a, a)
-            kf = d * fb[lch.index((self.unit, 0, 0)), rch.index((self.unit, 0, 0))]
+            kf = d * fb[lpos[(self.unit, 0, 0)], rpos[(self.unit, 0, 0)]]
             if abs(kf - fs) > 1e-8:
                 raise InternalCheckError(
                     f"Frobenius-Schur indicator mismatch for {cat.labels[a]}: "

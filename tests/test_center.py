@@ -245,7 +245,8 @@ def test_s3_fusion_closure(s3_center):
 def test_tensor_memo_lets_a_transient_right_factor_go(fib_center):
     """Neither the product memo nor the hom memo pins its right factor."""
     x, y = fib_center["fam"][1], fib_center["fam"][2]
-    for memo, fn in (("_tensor", tensor_half_braidings), ("_homs", hom_center)):
+    for memo, fn in (("_memo_tensor_half_braidings", tensor_half_braidings),
+                     ("_memo_solve_hom_center", hom_center)):
         copy = HalfBraiding(y.cat, y.obj, y.grade, dict(y.E), name=y.name)
         got = fn(x, copy)
         assert fn(x, copy) is got

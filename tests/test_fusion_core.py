@@ -1,6 +1,7 @@
 """Category container: loading, grading, duals, actions, derived categories."""
 
 import copy
+import itertools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gct
+from gct import fusion_core
 from gct import (
     DataError,
     GroupData,
@@ -119,6 +121,103 @@ def test_crossed_extension_of_z3(cats):
     G = group_from_pointed(ext)
     invs = [g for g in range(6) if g != G.neutral and G.mul(g, g) == G.neutral]
     assert len(invs) == 3
+
+
+# ------------------------------------------------- pentagon with multiplicities
+
+
+def _rep_a4_ring():
+    """N of Rep(A4): 1, 1', 1'' form Z3, each fixes 3, and
+    3 x 3 = 1 + 1' + 1'' + 2*3."""
+    N = np.zeros((4, 4, 4), dtype=int)
+    for x in range(4):
+        N[0, x, x] = N[x, 0, x] = 1
+    N[1, 1, 2] = N[2, 2, 1] = N[1, 2, 0] = N[2, 1, 0] = 1
+    for x in range(3):
+        N[x, 3, 3] = N[3, x, 3] = N[3, 3, x] = 1
+    N[3, 3, 3] = 2
+    return N
+
+
+def _random_unitary_f(N, seed):
+    """A seeded random unitary for every F block with no unit among a, b, c;
+    the others stay the identity the loader defaults them to."""
+    rng = np.random.default_rng(seed)
+    F = {}
+    for a, b, c, d in itertools.product(range(1, len(N)), range(1, len(N)),
+                                        range(1, len(N)), range(len(N))):
+        n = int(N[a, b] @ N[:, c, d])
+        if n:
+            q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            F[(a, b, c, d)] = q * (np.diag(r) / np.abs(np.diag(r)))
+    return F
+
+
+def _reference_pentagon(N, F, a, b, c, d):
+    """Both pentagon routes in index form, summed entry by entry:
+
+    sum_r F^{xcd}_t[(y,m2,m3),(w,n1,r)] F^{abw}_t[(x,m1,r),(z,n2,n3)]
+      = sum_{v,k1,l1,k2} F^{abc}_y[(x,m1,m2),(v,k1,l1)]
+          F^{avd}_t[(y,l1,m3),(z,k2,n3)] F^{bcd}_z[(v,k1,k2),(w,n1,n2)]
+
+    with channels of F^{pqr}_s listed as (e, mu, nu) and (f, kappa, lam)."""
+    R = range(len(N))
+
+    def entry(p, q, r, s, left, right):
+        lch = [(e, mu, nu) for e in R for mu in range(N[p, q, e]) for nu in range(N[e, r, s])]
+        rch = [(f, ka, la) for f in R for ka in range(N[q, r, f]) for la in range(N[p, f, s])]
+        mat = F.get((p, q, r, s), np.eye(len(lch)))
+        return mat[lch.index(left), rch.index(right)]
+
+    worst = 0.0
+    for t, x, y, w, z in itertools.product(R, repeat=5):
+        for m1, m2, m3, n1, n2, n3 in itertools.product(
+                range(N[a, b, x]), range(N[x, c, y]), range(N[y, d, t]),
+                range(N[c, d, w]), range(N[b, w, z]), range(N[a, z, t])):
+            one = sum(entry(x, c, d, t, (y, m2, m3), (w, n1, r))
+                      * entry(a, b, w, t, (x, m1, r), (z, n2, n3))
+                      for r in range(N[x, w, t]))
+            two = sum(entry(a, b, c, y, (x, m1, m2), (v, k1, l1))
+                      * entry(a, v, d, t, (y, l1, m3), (z, k2, n3))
+                      * entry(b, c, d, z, (v, k1, k2), (w, n1, n2))
+                      for v in R for k1 in range(N[b, c, v]) for l1 in range(N[a, v, y])
+                      for k2 in range(N[v, d, z]))
+            worst = max(worst, abs(one - two))
+    return worst
+
+
+def test_pentagon_residual_with_multiplicities():
+    """Rep(A4)'s ring has N = 2, so the move matrices mix multiplicity
+    indices; random unitary F makes every residual a generic number."""
+    N = _rep_a4_ring()
+    F = _random_unitary_f(N, seed=5)
+    data = {
+        "rank": 4, "labels": ["1", "1'", "1''", "3"], "dual": [0, 2, 1, 3],
+        "qdim": [1.0, 1.0, 1.0, 3.0],
+        "N": [[a, b, c, int(N[a, b, c])] for a, b, c in np.argwhere(N).tolist()],
+        "F": [{"abcd": list(key), "matrix": [[[z.real, z.imag] for z in row] for row in mat]}
+              for key, mat in F.items()],
+    }
+    cat = category_from_dict(data, "rep_a4_random")
+    assert max(m.shape[0] for m in cat.F.values()) == 7
+    worst = 0.0
+    for key in itertools.product(range(4), repeat=4):
+        got = fusion_core._pentagon_residual(cat, *key)
+        assert got == pytest.approx(_reference_pentagon(N, F, *key), abs=1e-12), key
+        worst = max(worst, got)
+    rep = verify_pentagon(cat)
+    assert rep["max_residual"] == worst > 0.1 and not rep["pass"]
+
+
+def test_pentagon_fails_on_a_sign_flipped_f_row():
+    data = json.loads(open(bundled_path("fib")).read())
+    (block,) = data["F"]
+    block["matrix"][1] = [[-re, -im] for re, im in block["matrix"][1]]
+    cat = category_from_dict(data, "fib_flipped")
+    rep = verify_pentagon(cat)
+    assert not rep["pass"] and rep["max_residual"] > 0.1
+    labels = {cat.labels[k] for k in block["abcd"]}
+    assert labels <= set(rep["worst_at"])
 
 
 def test_broken_unit_rejected():
