@@ -248,10 +248,14 @@ class GradedCategory:
         ]
 
     @memo
-    def channel_index(self, a: int, b: int, c: int, d: int) -> tuple[dict, dict]:
-        """Row and column position of every left and right channel."""
-        return ({ch: i for i, ch in enumerate(self.left_channels(a, b, c, d))},
-                {ch: i for i, ch in enumerate(self.right_channels(a, b, c, d))})
+    def left_index(self, a: int, b: int, c: int, d: int) -> dict:
+        """Row position of every left channel in the F block."""
+        return {ch: i for i, ch in enumerate(self.left_channels(a, b, c, d))}
+
+    @memo
+    def right_index(self, a: int, b: int, c: int, d: int) -> dict:
+        """Column position of every right channel in the F block."""
+        return {ch: i for i, ch in enumerate(self.right_channels(a, b, c, d))}
 
     @memo
     def f_block(self, a: int, b: int, c: int, d: int) -> np.ndarray:
@@ -580,7 +584,7 @@ def _move_matrix(cat, sym: list, rows: list, cols: list, key, rs, cs) -> np.ndar
         sym[_U], sym[_V] = lab[0], lab[2]
         fkey = tuple(sym[p] for p in key)
         fb = cat.f_block(*fkey)
-        lpos, rpos = cat.channel_index(*fkey)
+        lpos, rpos = cat.left_index(*fkey), cat.right_index(*fkey)
         left = lpos[tuple(lab[p] for p in rl)]
         for col, right in by_spectator.get((lab[rs[0]], lab[rs[1]]), ()):
             out[row, col] = fb[left, rpos[right]]
@@ -657,9 +661,9 @@ def verify_action(cat: GradedCategory, name: str | GroupAction | None = None) ->
                 break
         # F invariance, entrywise through the induced channel relabelling
         for (a, b, c, d) in _admissible_quadruples(cat):
-            src = cat.f_block(a, b, c, d)
-            dst = cat.f_block(p[a], p[b], p[c], p[d])
-            lpos, rpos = cat.channel_index(p[a], p[b], p[c], p[d])
+            q = (p[a], p[b], p[c], p[d])
+            src, dst = cat.f_block(a, b, c, d), cat.f_block(*q)
+            lpos, rpos = cat.left_index(*q), cat.right_index(*q)
             rperm = _channel_perm(cat.left_channels(a, b, c, d), lpos, p)
             cperm = _channel_perm(cat.right_channels(a, b, c, d), rpos, p)
             dev = float(np.abs(dst[np.ix_(rperm, cperm)] - src).max()) if src.size else 0.0
@@ -818,7 +822,7 @@ def build_crossed_extension(d0: GradedCategory,
                 Dd = lab(ghk, d)
                 lch = base.left_channels(A, B, C, Dd)
                 rch = base.right_channels(A, B, C, Dd)
-                lpos, rpos = d0.channel_index(a0, b0, c, d)
+                lpos, rpos = d0.left_index(a0, b0, c, d), d0.right_index(a0, b0, c, d)
                 mat = np.zeros((len(lch), len(rch)), dtype=complex)
                 for i, (E, mu, nu) in enumerate(lch):
                     e0 = act.on_label(t_b, E % r0)

@@ -425,7 +425,7 @@ class TreeEngine:
             T2 = np.zeros((len(tgt_labels), len(inter)), dtype=complex)
             for col, (m, e, pp, nu, mu) in enumerate(inter):
                 fb = self.cat.f_block(a, e, b, c)
-                row_l = self.cat.channel_index(a, e, b, c)[0][(m, nu, mu)]
+                row_l = self.cat.left_index(a, e, b, c)[(m, nu, mu)]
                 for col_r, (d, kap, lam) in enumerate(self.cat.right_channels(a, e, b, c)):
                     val = np.conj(fb[row_l, col_r])
                     if val == 0:
@@ -700,7 +700,7 @@ class TreeEngine:
                     f"Frobenius-Schur indicator of {cat.labels[a]} is not a sign: {kappa}"
                 )
             # independent read from the F data: d(a) * unit entry of F^{a abar a}_a
-            lpos, rpos = cat.channel_index(a, abar, a, a)
+            lpos, rpos = cat.left_index(a, abar, a, a), cat.right_index(a, abar, a, a)
             fb = cat.f_block(a, abar, a, a)
             kf = d * fb[lpos[(self.unit, 0, 0)], rpos[(self.unit, 0, 0)]]
             if abs(kf - fs) > 1e-8:

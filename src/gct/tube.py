@@ -20,8 +20,16 @@ unless i, j, k share a grade, the outer labels chain (target of i =
 source of j) and b_k runs from the source of i to the target of j.  Given
 the gate, associativity is checked per outer-label chain block
 p -> q -> r -> s and equals the dense check, because every entry and
-contraction index the blocks skip is a product with an exact zero.  The
-star anti-multiplicativity runs on all n^3 entries as two matrix products.
+contraction index the blocks skip is a product with an exact zero.
+
+The dense kernels run as BLAS matrix products.  `gram` is S^T (C t), with
+the trace vector contracted first.  Work that would otherwise build an
+n^3 temporary (the pattern gate, the star anti-multiplicativity on all n^3
+entries, and `decompose`'s check of its projection system) runs over
+slabs of one index, so none of its temporaries exceeds 1/_SLABS of the
+constants.  `decompose` checks centrality as M z with the commutant matrix
+M it already built, and takes every product z_a z_b from one contraction
+of the constants with its projections on both sides.
 """
 
 from __future__ import annotations
@@ -42,6 +50,9 @@ from .fusion_core import (
     verify_action,
 )
 from .morphisms import Mor, engine_for
+
+# every n^3 temporary is at most 1/_SLABS of the constants array
+_SLABS = 8
 
 __all__ = [
     "TubeBasisElement",
@@ -266,17 +277,30 @@ class TubeAlgebra:
 
     def left_mult(self, x: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by x on the whole algebra."""
-        return np.einsum("i,ijk->kj", x, self.constants)
+        return _left_mult(self.constants, x)
 
     def right_mult(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("j,ijk->ki", x, self.constants)
+        return (x @ self.constants).T
 
     def gram(self, g: int | None = None) -> np.ndarray:
         """Gram matrix tau(b_i^* b_j), optionally restricted to one grade."""
         sl = slice(None) if g is None else self.grade_slice(g)
-        S = self.star_matrix[:, sl]
-        return np.einsum("ki,kjl,l->ij", S, self.constants[:, sl, :],
-                         self.trace_vector)
+        return self.star_matrix[:, sl].T @ (self.constants[:, sl, :]
+                                            @ self.trace_vector)
+
+
+def _left_mult(C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i x_i C[i, j, k] as the matrix [k, j] of left multiplication."""
+    n = C.shape[0]
+    return (x @ C.reshape(n, n * n)).reshape(n, n).T
+
+
+def _slabs(n: int, size: int):
+    """Consecutive slices of range(n), each at most max(1, size // _SLABS)
+    long; a slab of one index of an array with size^3 entries then holds at
+    most 1/_SLABS of them."""
+    step = max(1, size // _SLABS)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +411,14 @@ def _pattern_violations(tube: TubeAlgebra) -> tuple[float, float]:
     key_ij = (grade[:, None] * r + src[:, None]) * r + tgt[None, :]
     cross = grade[:, None] != grade[None, :]
     key_ij[cross | (tgt[:, None] != src[None, :])] = -1
-    off = np.abs(np.where(key_ij[:, :, None] == key_k, 0.0, tube.constants))
-    return float(off.max()), float(off[cross].max()) if cross.any() else 0.0
+    worst = worst_cross = 0.0
+    for I in _slabs(tube.dim, tube.dim):
+        off = np.abs(np.where(key_ij[I, :, None] == key_k, 0.0,
+                              tube.constants[I]))
+        worst = max(worst, float(off.max()))
+        if cross[I].any():
+            worst_cross = max(worst_cross, float(off[cross[I]].max()))
+    return worst, worst_cross
 
 
 def _block_associativity(tube: TubeAlgebra) -> float:
@@ -446,11 +476,14 @@ def verify_algebra(tube: TubeAlgebra, tol: float = 1e-8) -> dict:
     assoc = _block_associativity(tube)
     invol = float(np.max(np.abs(S @ np.conj(S) - eye)))
     # star(b_i b_j)_k = sum_m conj(c_ijm) S_km;
-    # (star b_j)(star b_i)_k = sum_pq S_pj S_qi c_pqk
-    star_of_prod = (np.conj(C).reshape(n * n, n) @ S.T).reshape(n, n, n)
-    sj_c = (S.T @ C.reshape(n, n * n)).reshape(n, n, n)
-    anti = float(np.max(np.abs(
-        star_of_prod - np.tensordot(S, sj_c, axes=(0, 1)))))
+    # (star b_j)(star b_i)_k = sum_pq S_pj S_qi c_pqk; one slab of j at a time
+    anti = 0.0
+    c_flat = C.reshape(n, n * n)
+    for J in _slabs(n, n):
+        star_of_prod = np.conj(C[:, J, :]) @ S.T              # [i, j, k]
+        sj_c = (S[:, J].T @ c_flat).reshape(-1, n, n)         # [j, q, k]
+        prod_of_stars = (S.T @ sj_c).transpose(1, 0, 2)      # [i, j, k]
+        anti = max(anti, float(np.max(np.abs(star_of_prod - prod_of_stars))))
     G = tube.gram()
     gram_herm = float(np.max(np.abs(G - G.conj().T)))
     eigs = np.linalg.eigvalsh((G + G.conj().T) / 2)
@@ -551,7 +584,7 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
     # commutant: sum_k x_k (C[k,i,m] - C[i,k,m]) = 0 for all i, m.  The
     # system is ng^2 x ng, so the economy SVD's vh is already complete.
     M = (C.transpose(1, 2, 0) - C.transpose(0, 2, 1)).reshape(ng * ng, ng)
-    _, s, vh = scipy.linalg.svd(M, full_matrices=False)
+    s, vh = scipy.linalg.svd(M, full_matrices=False)[1:]
     Z = _kernel_columns(M.shape, s, vh, 1e-9)
     nc = Z.shape[1]
     if nc == 0:
@@ -566,17 +599,17 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
         raise InternalCheckError(
             f"trace form not positive definite (cond {cond:.3e})") from exc
     Uinv = np.linalg.inv(U)
-
-    # left / right multiplication by x: (x @ c_left).reshape(ng, ng).T and
-    # (x @ c_right).reshape(ng, ng).T; the trace of the left one is x . t
-    # with t_i = sum_k c[i, k, k]
-    c_left = C.reshape(ng, ng * ng)
-    c_right = C.transpose(1, 0, 2).reshape(ng, ng * ng)
-    diag_trace = np.einsum("ikk->i", C)
+    # one copy when the grade is a strided view of the constants, so that
+    # the reshapes below read C in place
+    C = np.ascontiguousarray(C)
 
     outer = tube.outer_by_grade[grade]
     corner_pos = [tube.index[TubeBasisElement(grade, tube.cat.unit, p, p, p, 0, 0)]
                   - sl.start for p in outer]
+    # the corner count of p in block z is trace(lmat(z e_p)) / rank, where
+    # e_p is the unit's corner at p; z e_p = unit[p] lmat(z)[:, p] and
+    # trace(lmat(x)) = x . t with t_i = sum_k c[i, k, k]
+    corner_trace = (C @ np.einsum("ikk->i", C))[:, corner_pos]
 
     last_reason = ""
     for attempt in range(max_retries):
@@ -587,8 +620,7 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
         if np.linalg.norm(z) < 1e-8:
             last_reason = "degenerate Hermitian probe"
             continue
-        A = np.einsum("i,ijk->kj", z, C)
-        Mh = U @ A @ Uinv
+        Mh = U @ _left_mult(C, z) @ Uinv
         herm_dev = float(np.max(np.abs(Mh - Mh.conj().T)))
         if herm_dev > 1e-6 * max(1.0, float(np.max(np.abs(Mh)))):
             last_reason = f"probe not Hermitian in the trace form ({herm_dev:.2e})"
@@ -619,30 +651,16 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
             p_alg = Uinv @ P @ U
             projs.append(p_alg @ unit)
 
-        # Li @ zs holds every product z_i z_j; Li[:, corner_pos] is all the
-        # corner count needs of Li
         zs = np.stack(projs, axis=1)
-        corner_cols = []
-        devs = [float(np.linalg.norm(sum(projs) - unit))]
-        for ii, zi in enumerate(projs):
-            Li = (zi @ c_left).reshape(ng, ng).T
-            Ri = (zi @ c_right).reshape(ng, ng).T
-            prods = Li @ zs
-            prods[:, ii] -= zi          # z_i z_j should be delta_ij z_i
-            devs.append(float(np.linalg.norm(S @ np.conj(zi) - zi)))
-            devs.append(float(np.max(np.abs(Li - Ri))))
-            devs.append(float(np.max(np.linalg.norm(prods, axis=0))))
-            corner_cols.append(Li[:, corner_pos])
-        if max(devs) > 1e-6:
-            last_reason = f"projection system residual {max(devs):.2e}"
+        dev = _projection_residual(C, S, M, unit, zs)
+        if dev > 1e-6:
+            last_reason = f"projection system residual {dev:.2e}"
             continue
 
         blocks = []
         corner_ok = True
-        for zc, cols, m in zip(projs, corner_cols, ranks):
-            # the corner count of p is trace(lmat(z_c e_p)) / m, where e_p is
-            # the unit's corner at p, so z_c e_p = unit[q] Li[:, q]
-            vals = unit[corner_pos] * (diag_trace @ cols) / m
+        for zc, tr, m in zip(projs, zs.T @ corner_trace, ranks):
+            vals = unit[corner_pos] * tr / m
             corners = {}
             for p, val in zip(outer, vals):
                 nval = round(val.real)
@@ -676,6 +694,31 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
     raise InternalCheckError(
         f"block decomposition failed after {max_retries} probes "
         f"(last: {last_reason}; Gram condition number {cond:.3e})")
+
+
+def _projection_residual(C: np.ndarray, S: np.ndarray, M: np.ndarray,
+                         unit: np.ndarray, zs: np.ndarray) -> float:
+    """Worst defect of the columns of zs as a system of central projections.
+
+    The largest of: |sum_a z_a - 1|, and for each z_a the norm of
+    star(z_a) - z_a, the largest entry of its commutator matrix M z_a
+    (M as `decompose` builds it, so M z is L_z - R_z flattened), and the
+    largest |z_a z_b - delta_ab z_a| over b.  The products come from one
+    contraction of C with zs on both sides, a slab of a at a time.
+    """
+    ng, nc = zs.shape
+    dev = max(float(np.linalg.norm(zs.sum(axis=1) - unit)),
+              float(np.max(np.linalg.norm(S @ np.conj(zs) - zs, axis=0))))
+    c_flat = C.reshape(ng, ng * ng)
+    for A in _slabs(nc, ng):
+        za = zs[:, A]
+        dev = max(dev, float(np.max(np.abs(M @ za))))
+        left = (za.T @ c_flat).reshape(-1, ng, ng)            # [a, j, k]
+        prods = zs.T @ left                                   # [a, b, k]
+        own = np.arange(A.start, A.stop)
+        prods[own - A.start, own] -= za.T
+        dev = max(dev, float(np.max(np.linalg.norm(prods, axis=2))))
+    return dev
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ test_oracles; expected block counts come from the group-theory oracle
 there and from the known simple counts of the small doubles.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -21,8 +22,10 @@ from gct import (
     twisted_untwisted_iso,
     verify_algebra,
 )
+import gct.tube
 from gct.cli import _twisted_setup
-from gct.fusion_core import GroupAction, ValidationError
+from gct.fusion_core import GroupAction, InternalCheckError, ValidationError
+from gct.tube import TubeAlgebra, _projection_residual, decomposition_dict
 from test_oracles import tube_dim_oracle
 
 
@@ -77,6 +80,28 @@ def _dense_residuals(tube):
     return float(assoc), float(anti)
 
 
+def _dense_gram(tube, g=None):
+    """tau(b_i^* b_j) as one three-operand einsum (the test-side reference)."""
+    sl = slice(None) if g is None else tube.grade_slice(g)
+    return np.einsum("ki,kjl,l->ij", tube.star_matrix[:, sl],
+                     tube.constants[:, sl, :], tube.trace_vector)
+
+
+def _loop_projection_residual(C, S, unit, zs):
+    """The projection-system residual block by block, with left and right
+    multiplication matrices written as einsums (the test-side reference)."""
+    projs = list(zs.T)
+    devs = [np.linalg.norm(sum(projs) - unit)]
+    for a, za in enumerate(projs):
+        left = np.einsum("i,ijk->kj", za, C)
+        right = np.einsum("j,ijk->ki", za, C)
+        prods = left @ zs
+        prods[:, a] -= za
+        devs += [np.linalg.norm(S @ np.conj(za) - za), np.abs(left - right).max(),
+                 np.linalg.norm(prods, axis=0).max()]
+    return float(max(devs))
+
+
 def _chains(tube, i, j, k):
     """Whether b_i b_j may have a b_k component (grades and outer labels)."""
     a, b, c = tube.basis[i], tube.basis[j], tube.basis[k]
@@ -113,6 +138,145 @@ def test_structured_checks_match_dense_reference(request, fixture):
     assert abs(rep["star_anti_mult"] - anti) < 1e-12
 
 
+@pytest.mark.parametrize("fixture", ["s3_center", "fib_center",
+                                     "ising_full_tube", "z3_twisted"])
+def test_gram_matches_dense_reference(request, fixture):
+    tube = request.getfixturevalue(fixture)
+    tube = tube["tube"] if isinstance(tube, dict) else tube
+    for g in (*tube.grades, None):
+        G = tube.gram(g)
+        assert np.max(np.abs(G - _dense_gram(tube, g))) < 1e-12
+        assert np.max(np.abs(G - G.conj().T)) < 1e-12
+
+
+def test_gram_and_multiplications_on_complex_data(ising_center):
+    # the bundled tubes have real star matrices; random complex arrays on a
+    # two-grade tube also tell S from conj(S) and the index orders apart
+    tube = copy.copy(ising_center["tube"])
+    n = tube.dim
+    rng = np.random.default_rng(3)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    tube.constants, tube.star_matrix, tube.trace_vector = cplx(n, n, n), cplx(n, n), cplx(n)
+    for g in (*tube.grades, None):
+        assert np.max(np.abs(tube.gram(g) - _dense_gram(tube, g))) < 1e-12
+    x, C = cplx(n), tube.constants
+    assert np.max(np.abs(tube.left_mult(x) - np.einsum("i,ijk->kj", x, C))) < 1e-12
+    assert np.max(np.abs(tube.right_mult(x) - np.einsum("j,ijk->ki", x, C))) < 1e-12
+
+
+@pytest.mark.parametrize("n, size", [(1, 1), (7, 7), (8, 64), (9, 64), (64, 64),
+                                     (65, 64), (36, 36)])
+def test_slabs_cover_every_index_once(n, size):
+    slabs = list(gct.tube._slabs(n, size))
+    assert [i for sl in slabs for i in range(n)[sl]] == list(range(n))
+    assert max(sl.stop - sl.start for sl in slabs) <= max(1, size // gct.tube._SLABS)
+
+
+def _projection_system(bundle):
+    """C, S, M and unit of grade 0 as `decompose` builds them, and the
+    decomposition's projections as columns."""
+    tube = bundle["tube"]
+    sl = tube.grade_slice(0)
+    ng = sl.stop - sl.start
+    C = tube.constants[sl, sl, sl]
+    M = (C.transpose(1, 2, 0) - C.transpose(0, 2, 1)).reshape(ng * ng, ng)
+    zs = np.stack([b.projection[sl] for b in bundle["decs"][0].blocks], axis=1)
+    return C, tube.star_matrix[sl, sl], M, tube.unit_coords[sl], zs
+
+
+def _corrupt_scaled(zs, M):
+    zs[:, -1] *= 1.01                 # no longer idempotent
+
+
+def _corrupt_phase(zs, M):
+    zs[:, -1] *= 1j                   # no longer self-adjoint
+
+
+def _corrupt_non_central(zs, M):
+    k = int(np.flatnonzero(np.abs(M).max(axis=0) > 1e-6)[0])
+    zs[:, 0] = 0.0
+    zs[k, 0] = 1.0                    # a basis vector outside the center
+
+
+def _unit_corners(tube, g):
+    """The unit's corners e_p, one per outer label: self-adjoint orthogonal
+    idempotents that sum to the unit, but are not central."""
+    unit = tube.unit_coords[tube.grade_slice(g)]
+    return np.diag(unit)[:, np.flatnonzero(unit)]
+
+
+@pytest.mark.parametrize("fixture", ["s3_center", "fib_center"])
+def test_projection_residual_matches_per_block_loop(request, fixture):
+    C, S, M, unit, zs = _projection_system(request.getfixturevalue(fixture))
+    got = _projection_residual(C, S, M, unit, zs)
+    assert got < 1e-9
+    assert abs(got - _loop_projection_residual(C, S, unit, zs)) < 1e-12
+    for corrupt in (_corrupt_scaled, _corrupt_phase, _corrupt_non_central):
+        bad = zs.copy()
+        corrupt(bad, M)
+        got = _projection_residual(C, S, M, unit, bad)
+        assert got > 1e-6
+        assert abs(got - _loop_projection_residual(C, S, unit, bad)) < 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["s3_center", "fib_center"])
+def test_projection_residual_sees_a_non_central_system(request, fixture):
+    bundle = request.getfixturevalue(fixture)
+    C, S, M, unit, _ = _projection_system(bundle)
+    corners = _unit_corners(bundle["tube"], 0)
+    assert corners.shape[1] > 1
+    # only centrality fails, so the residual is the largest |M e_p|
+    centrality = float(np.max(np.abs(M @ corners)))
+    assert centrality > 1e-6
+    got = _projection_residual(C, S, M, unit, corners)
+    assert abs(got - centrality) < 1e-12
+    assert abs(got - _loop_projection_residual(C, S, unit, corners)) < 1e-12
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_scaled, _corrupt_non_central])
+def test_decompose_refuses_a_corrupted_projection_system(monkeypatch, fib_center,
+                                                         corrupt):
+    def corrupted(C, S, M, unit, zs):
+        zs = zs.copy()
+        corrupt(zs, M)
+        return _projection_residual(C, S, M, unit, zs)
+
+    monkeypatch.setattr(gct.tube, "_projection_residual", corrupted)
+    with pytest.raises(InternalCheckError, match="projection system residual"):
+        decompose(fib_center["tube"], 0)
+
+
+def _gate_mismatches(got, ref, path="dec"):
+    """Paths where two report trees differ: any non-float field that is not
+    identical, or a float more than 1e-12 away."""
+    if isinstance(ref, dict):
+        if not isinstance(got, dict) or got.keys() != ref.keys():
+            return [path]
+        return [m for k in ref for m in _gate_mismatches(got[k], ref[k], f"{path}.{k}")]
+    if isinstance(ref, list):
+        if not isinstance(got, list) or len(got) != len(ref):
+            return [path]
+        return [m for i, (a, b) in enumerate(zip(got, ref))
+                for m in _gate_mismatches(a, b, f"{path}[{i}]")]
+    if isinstance(ref, float) and isinstance(got, float):
+        return [] if abs(got - ref) <= 1e-12 else [path]
+    return [] if type(got) is type(ref) and got == ref else [path]
+
+
+@pytest.mark.parametrize("fixture", ["fib_center", "ising_full_tube", "s3_center"])
+def test_decomposition_with_the_dense_gram_passes_the_report_gate(
+        request, monkeypatch, fixture):
+    tube = request.getfixturevalue(fixture)
+    tube = tube["tube"] if isinstance(tube, dict) else tube
+    ours = [decomposition_dict(decompose(tube, g), tube) for g in tube.grades]
+    monkeypatch.setattr(TubeAlgebra, "gram", _dense_gram)
+    dense = [decomposition_dict(decompose(tube, g), tube) for g in tube.grades]
+    assert _gate_mismatches(ours, dense) == []
+
+
 def test_in_block_corruption_is_caught_by_associativity(s3_tube):
     tube = s3_tube
     n = tube.dim
@@ -139,6 +303,30 @@ def test_out_of_pattern_corruption_is_caught_by_the_gate(s3_tube):
     assert not bad["pass"]
     assert bad["pattern_violation_max"] == 1e-30
     assert bad["grade_mismatch_max"] == 0.0   # one grade: only the gate sees it
+
+
+def test_corruption_in_the_last_slab_is_caught(s3_tube):
+    tube = s3_tube
+    n = tube.dim
+    S = tube.star_matrix
+    # b_j and the star of b_i both sit in the last slab of j, so no other
+    # slab sees the corruption; the two sides of the check change at
+    # different entries unless b_i, b_j are each other's stars and b_k is
+    # its own
+    last = range(n)[list(gct.tube._slabs(n, n))[-1]]
+    i, j, k = next((i, j, k) for i in range(n) for j in last for k in range(n)
+                   if _chains(tube, i, j, k)
+                   and set(np.flatnonzero(S[i])) <= set(last)
+                   and not (S[j, i] != 0 and S[k, k] != 0))
+    tube.constants[i, j, k] += 0.37
+    bad = verify_algebra(tube)
+    assert bad["pattern_violation_max"] == 0.0
+    assert bad["star_anti_mult"] > 1e-3
+    assert abs(bad["star_anti_mult"] - _dense_residuals(tube)[1]) < 1e-12
+    j = next(j for j in range(n)
+             if tube.basis[n - 1].target_outer != tube.basis[j].source_outer)
+    tube.constants[n - 1, j, 0] = 1e-30
+    assert verify_algebra(tube)["pattern_violation_max"] == 1e-30
 
 
 def _vec_zn(n):
