@@ -22,14 +22,29 @@ the gate, associativity is checked per outer-label chain block
 p -> q -> r -> s and equals the dense check, because every entry and
 contraction index the blocks skip is a product with an exact zero.
 
+The same pattern splits each graded component into two-sided *-ideals, one
+per connected component of its outer-label graph, in which an element
+p -> r joins p and r: a product of elements of two components is zero, and
+the star of p -> r runs r -> p.  `decompose` works on each ideal C[I, I, I]
+on its own (commutant, trace form, probe, projections, corner counts): the
+center of the grade is the direct sum of the ideals' centers.  It refuses
+a grade whose constants or star have a nonzero that couples two
+components.  Star anti-multiplicativity is checked per ideal as well, after
+merging any components that a nonzero of the constants or the star couples
+(a tube that passes the gate and is built by `TubeAlgebra` has none).
+Every nonzero then has all of its indices in one ideal, so both sides of
+the check vanish at every (i, j, k) outside the ideals, and the result
+equals the dense check for any data; it costs sum n_I^4 instead of n^4.
+
 The dense kernels run as BLAS matrix products.  `gram` is S^T (C t), with
 the trace vector contracted first.  Work that would otherwise build an
-n^3 temporary (the pattern gate, the star anti-multiplicativity on all n^3
-entries, and `decompose`'s check of its projection system) runs over
-slabs of one index, so none of its temporaries exceeds 1/_SLABS of the
-constants.  `decompose` checks centrality as M z with the commutant matrix
-M it already built, and takes every product z_a z_b from one contraction
-of the constants with its projections on both sides.
+n^3 temporary (the pattern gate, the coupling scan, the star
+anti-multiplicativity of an ideal, `decompose`'s check of its projection
+system and the nonzero scan of `tube_dump_dict`) runs over slabs of one
+index, so none of its temporaries exceeds 1/_SLABS of the array it reads.
+`decompose` checks centrality as M z with the commutant matrix M it
+already built, and takes every product z_a z_b from one contraction of the
+constants with its projections on both sides.
 """
 
 from __future__ import annotations
@@ -285,14 +300,74 @@ class TubeAlgebra:
     def gram(self, g: int | None = None) -> np.ndarray:
         """Gram matrix tau(b_i^* b_j), optionally restricted to one grade."""
         sl = slice(None) if g is None else self.grade_slice(g)
-        return self.star_matrix[:, sl].T @ (self.constants[:, sl, :]
-                                            @ self.trace_vector)
+        return _gram(self.constants[:, sl, :], self.star_matrix[:, sl],
+                     self.trace_vector)
+
+
+def _gram(C: np.ndarray, S: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """tau(b_i^* b_j) = sum_kl S[k, i] c[k, j, l] t_l for the columns i, j
+    that C and S hold."""
+    return S.T @ (C @ t)
 
 
 def _left_mult(C: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_i x_i C[i, j, k] as the matrix [k, j] of left multiplication."""
     n = C.shape[0]
     return (x @ C.reshape(n, n * n)).reshape(n, n).T
+
+
+def _components(tube: TubeAlgebra) -> tuple[np.ndarray, list]:
+    """Connected components of each grade's outer-label graph, in which an
+    element p -> r joins p and r: the component number of every basis
+    element, and the (grade, outer labels) of each component, numbered
+    grade by grade in the order of their first label."""
+    comp = np.empty(tube.dim, dtype=int)
+    parts = []
+    for g in tube.grades:
+        sl = tube.grade_slice(g)
+        src, tgt = tube.source_of[sl], tube.target_of[sl]
+        root = {p: p for p in tube.outer_by_grade[g]}
+        for p, r in sorted(set(zip(src.tolist(), tgt.tolist()))):
+            root[_find(root, r)] = _find(root, p)
+        groups: dict = {}
+        for p in tube.outer_by_grade[g]:
+            groups.setdefault(_find(root, p), []).append(p)
+        for outer in sorted(groups.values()):
+            comp[sl][np.isin(src, outer)] = len(parts)
+            parts.append((g, tuple(outer)))
+    return comp, parts
+
+
+def _find(root: dict, p):
+    while root[p] != p:
+        p = root[p]
+    return p
+
+
+def _coupled(C: np.ndarray, S: np.ndarray, comp: np.ndarray,
+             count: int) -> np.ndarray:
+    """Symmetric linked[a, b]: some nonzero c[i, j, k] has i in component a
+    and j or k in b, or some nonzero S[k, j] has k in a and j in b.  A
+    nonzero off every cube C[I, I, I] therefore links two different
+    components.  The constants are read a slab of i at a time."""
+    linked = np.zeros((count, count), dtype=bool)
+    k, j = np.nonzero(S)
+    linked[comp[k], comp[j]] = True
+    for A in _slabs(comp.size, comp.size):
+        nz = C[A] != 0
+        for hit in (nz.any(axis=2), nz.any(axis=1)):       # [i, j], [i, k]
+            i, j = np.nonzero(hit)
+            linked[comp[i + A.start], comp[j]] = True
+    return linked | linked.T
+
+
+def _cube(C: np.ndarray, I: np.ndarray) -> np.ndarray:
+    """C[I, I, I]: a view when I is one run of consecutive indices, as for
+    a component that fills its grade, and a copy otherwise."""
+    if I[-1] - I[0] + 1 == I.size:
+        run = slice(int(I[0]), int(I[-1]) + 1)
+        return C[run, run, run]
+    return C[np.ix_(I, I, I)]
 
 
 def _slabs(n: int, size: int):
@@ -460,6 +535,35 @@ def _block_associativity(tube: TubeAlgebra) -> float:
     return worst
 
 
+def _star_anti_mult(tube: TubeAlgebra) -> float:
+    """max |star(b_i b_j) - star(b_j) star(b_i)| over the ideals: the
+    outer-label components of every grade, merged wherever the constants or
+    the star couple them.  Every nonzero of either then has all its indices
+    in one ideal, so both sides vanish off the ideals and this equals the
+    dense n^3 maximum (see the module docstring)."""
+    comp, parts = _components(tube)
+    root = {a: a for a in range(len(parts))}
+    for a, b in np.argwhere(_coupled(tube.constants, tube.star_matrix, comp,
+                                     len(parts))):
+        root[_find(root, int(b))] = _find(root, int(a))
+    ideal = np.array([_find(root, a) for a in range(len(parts))], dtype=int)[comp]
+    anti = 0.0
+    for r in np.unique(ideal):
+        I = np.flatnonzero(ideal == r)
+        n = I.size
+        C = np.ascontiguousarray(_cube(tube.constants, I))
+        S = tube.star_matrix[np.ix_(I, I)]
+        # star(b_i b_j)_k = sum_m conj(c_ijm) S_km;
+        # (star b_j)(star b_i)_k = sum_pq S_pj S_qi c_pqk; one slab of j at a time
+        c_flat = C.reshape(n, n * n)
+        for J in _slabs(n, n):
+            star_of_prod = np.conj(C[:, J, :]) @ S.T              # [i, j, k]
+            sj_c = (S[:, J].T @ c_flat).reshape(-1, n, n)         # [j, q, k]
+            prod_of_stars = (S.T @ sj_c).transpose(1, 0, 2)      # [i, j, k]
+            anti = max(anti, float(np.max(np.abs(star_of_prod - prod_of_stars))))
+    return anti
+
+
 def verify_algebra(tube: TubeAlgebra, tol: float = 1e-8) -> dict:
     """Report the *-algebra axioms: associativity, star, trace, unit.
 
@@ -468,22 +572,13 @@ def verify_algebra(tube: TubeAlgebra, tol: float = 1e-8) -> dict:
     `pass` needs the pattern gate `pattern_violation_max` (whose
     cross-grade part is `grade_mismatch_max`) to be exactly 0.0.
     """
-    C = tube.constants
     S = tube.star_matrix
     n = tube.dim
     eye = np.eye(n)
     pattern, cross = _pattern_violations(tube)
     assoc = _block_associativity(tube)
     invol = float(np.max(np.abs(S @ np.conj(S) - eye)))
-    # star(b_i b_j)_k = sum_m conj(c_ijm) S_km;
-    # (star b_j)(star b_i)_k = sum_pq S_pj S_qi c_pqk; one slab of j at a time
-    anti = 0.0
-    c_flat = C.reshape(n, n * n)
-    for J in _slabs(n, n):
-        star_of_prod = np.conj(C[:, J, :]) @ S.T              # [i, j, k]
-        sj_c = (S[:, J].T @ c_flat).reshape(-1, n, n)         # [j, q, k]
-        prod_of_stars = (S.T @ sj_c).transpose(1, 0, 2)      # [i, j, k]
-        anti = max(anti, float(np.max(np.abs(star_of_prod - prod_of_stars))))
+    anti = _star_anti_mult(tube)
     G = tube.gram()
     gram_herm = float(np.max(np.abs(G - G.conj().T)))
     eigs = np.linalg.eigvalsh((G + G.conj().T) / 2)
@@ -565,11 +660,14 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
               max_retries: int = 8) -> TubeDecomposition:
     """Block structure of one graded component.
 
-    Solves the commutant equations for the component's center, probes it
-    with a seeded random Hermitian central element, clusters the spectrum
-    (gap threshold `cluster_tol`) and turns each cluster into a minimal
-    central projection.  Probes that produce eigenvalue collisions are
-    retried with seed+1, seed+2, ...; the retry count is reported.
+    The grade splits into the ideals of its outer-label components (see the
+    module docstring); a grade whose constants or star couple two of them
+    is refused.  For each ideal, solves the commutant equations for its
+    center, probes it with a seeded random Hermitian central element,
+    clusters the spectrum (gap threshold `cluster_tol`) and turns each
+    cluster into a minimal central projection.  Probes that produce
+    eigenvalue collisions are retried with seed+1, seed+2, ...; the largest
+    retry count of any ideal is reported.
     """
     sl = tube.grade_slice(grade)
     ng = sl.stop - sl.start
@@ -579,33 +677,80 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
                                  seed, 0)
     C = tube.constants[sl, sl, sl]
     S = tube.star_matrix[sl, sl]
-    unit = tube.unit_coords[sl]
+    comp, parts = _components(tube)
+    comp = comp[sl]
+    linked = _coupled(C, S, comp, len(parts))
+    np.fill_diagonal(linked, False)
+    if linked.any():
+        names = ["[" + ", ".join(tube.cat.label_name(p) for p in parts[c][1]) + "]"
+                 for c in np.argwhere(linked)[0]]
+        raise InternalCheckError(
+            f"grade {tube.grade_name(grade)}: tube data couple the outer-label "
+            f"components {names[0]} and {names[1]}")
+    outer = tube.outer_by_grade[grade]
+    blocks = []
+    retries = 0
+    for c in np.unique(comp):
+        I = np.flatnonzero(comp == c)
+        found, attempt = _decompose_ideal(tube, grade, parts[c][1], I, C, S,
+                                          seed, cluster_tol, max_retries)
+        retries = max(retries, attempt)
+        for m, zc, corners in found:
+            full = np.zeros(tube.dim, dtype=complex)
+            full[sl.start + I] = zc
+            blocks.append(TubeBlock(rank=m, projection=full,
+                                    corners={p: corners.get(p, 0) for p in outer}))
+
+    def order_key(blk: TubeBlock):
+        zc = blk.projection[sl]
+        return (blk.rank,
+                tuple(blk.corners[p] for p in outer),
+                tuple(np.round(zc.real, 6)),
+                tuple(np.round(zc.imag, 6)))
+
+    blocks.sort(key=order_key)
+    return TubeDecomposition(grade=grade, grade_name=tube.grade_name(grade),
+                             dim=ng, center_dim=len(blocks), blocks=blocks,
+                             seed=seed, retries=retries)
+
+
+def _decompose_ideal(tube: TubeAlgebra, grade: int, labels: tuple,
+                     I: np.ndarray, Cg: np.ndarray, Sg: np.ndarray, seed: int,
+                     cluster_tol: float, max_retries: int) -> tuple:
+    """Minimal central projections of the ideal on positions I of the grade
+    (constants Cg, star Sg): a list of (rank, projection on I, corner
+    multiplicity of each label of the component), and the attempt index."""
+    sl = tube.grade_slice(grade)
+    n = I.size
+    C = np.ascontiguousarray(_cube(Cg, I))
+    S = Sg[np.ix_(I, I)]
+    unit = tube.unit_coords[sl][I]
+    where = "outer labels " + ", ".join(tube.cat.label_name(p) for p in labels)
 
     # commutant: sum_k x_k (C[k,i,m] - C[i,k,m]) = 0 for all i, m.  The
-    # system is ng^2 x ng, so the economy SVD's vh is already complete.
-    M = (C.transpose(1, 2, 0) - C.transpose(0, 2, 1)).reshape(ng * ng, ng)
+    # system is n^2 x n, so the economy SVD's vh is already complete.
+    M = np.subtract(C.transpose(1, 2, 0), C.transpose(0, 2, 1),
+                    order="C").reshape(n * n, n)
     s, vh = scipy.linalg.svd(M, full_matrices=False)[1:]
     Z = _kernel_columns(M.shape, s, vh, 1e-9)
     nc = Z.shape[1]
     if nc == 0:
-        raise InternalCheckError("tube component has empty center")
+        raise InternalCheckError(f"tube component has empty center ({where})")
 
-    G = tube.gram(grade)
+    G = _gram(C, S, tube.trace_vector[sl][I])
     Gh = (G + G.conj().T) / 2
     cond = float(np.linalg.cond(Gh))
     try:
         U = scipy.linalg.cholesky(Gh)
     except scipy.linalg.LinAlgError as exc:
         raise InternalCheckError(
-            f"trace form not positive definite (cond {cond:.3e})") from exc
+            f"trace form not positive definite on {where} "
+            f"(cond {cond:.3e})") from exc
     Uinv = np.linalg.inv(U)
-    # one copy when the grade is a strided view of the constants, so that
-    # the reshapes below read C in place
-    C = np.ascontiguousarray(C)
 
-    outer = tube.outer_by_grade[grade]
-    corner_pos = [tube.index[TubeBasisElement(grade, tube.cat.unit, p, p, p, 0, 0)]
-                  - sl.start for p in outer]
+    corner_pos = np.searchsorted(I, [
+        tube.index[TubeBasisElement(grade, tube.cat.unit, p, p, p, 0, 0)] - sl.start
+        for p in labels])
     # the corner count of p in block z is trace(lmat(z e_p)) / rank, where
     # e_p is the unit's corner at p; z e_p = unit[p] lmat(z)[:, p] and
     # trace(lmat(x)) = x . t with t_i = sum_k c[i, k, k]
@@ -629,11 +774,11 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
         scale = max(1.0, float(np.max(np.abs(w))))
         clusters = []
         start = 0
-        for idx in range(1, ng):
+        for idx in range(1, n):
             if w[idx] - w[idx - 1] > cluster_tol * scale:
                 clusters.append(list(range(start, idx)))
                 start = idx
-        clusters.append(list(range(start, ng)))
+        clusters.append(list(range(start, n)))
         if len(clusters) != nc:
             last_reason = f"{len(clusters)} spectral clusters for a {nc}-dim center"
             continue
@@ -657,42 +802,29 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
             last_reason = f"projection system residual {dev:.2e}"
             continue
 
-        blocks = []
+        found = []
         corner_ok = True
         for zc, tr, m in zip(projs, zs.T @ corner_trace, ranks):
             vals = unit[corner_pos] * tr / m
             corners = {}
-            for p, val in zip(outer, vals):
+            for p, val in zip(labels, vals):
                 nval = round(val.real)
                 if abs(val - nval) > 1e-6:
                     corner_ok = False
                 corners[p] = int(nval)
             if sum(corners.values()) != m:
                 corner_ok = False
-            full = np.zeros(tube.dim, dtype=complex)
-            full[sl] = zc
-            blocks.append(TubeBlock(rank=m, projection=full, corners=corners))
+            found.append((m, zc, corners))
         if not corner_ok:
             last_reason = "non-integral corner multiplicities"
             continue
-        if sum(b.rank ** 2 for b in blocks) != ng:
+        if sum(m * m for m in ranks) != n:
             last_reason = "block ranks do not fill the component"
             continue
-
-        def order_key(blk: TubeBlock):
-            zc = blk.projection[sl]
-            return (blk.rank,
-                    tuple(blk.corners[p] for p in outer),
-                    tuple(np.round(zc.real, 6)),
-                    tuple(np.round(zc.imag, 6)))
-
-        blocks.sort(key=order_key)
-        return TubeDecomposition(grade=grade, grade_name=tube.grade_name(grade),
-                                 dim=ng, center_dim=nc, blocks=blocks,
-                                 seed=seed, retries=attempt)
+        return found, attempt
 
     raise InternalCheckError(
-        f"block decomposition failed after {max_retries} probes "
+        f"block decomposition of {where} failed after {max_retries} probes "
         f"(last: {last_reason}; Gram condition number {cond:.3e})")
 
 
@@ -802,19 +934,9 @@ def tube_dump_dict(tube: TubeAlgebra, seed: int = 7, tol: float = 1e-8) -> dict:
     basis = [[tube.grade_name(e.grade), names[e.loop], names[e.source_outer],
               names[e.target_outer], names[e.channel], e.col, e.row]
              for e in tube.basis]
-    consts = [[int(i), int(j), int(k),
-               float(tube.constants[i, j, k].real),
-               float(tube.constants[i, j, k].imag)]
-              for i, j, k in np.argwhere(np.abs(tube.constants) > 1e-12)]
-    star = [[int(k), int(i),
-             float(tube.star_matrix[k, i].real), float(tube.star_matrix[k, i].imag)]
-            for k, i in np.argwhere(np.abs(tube.star_matrix) > 1e-12)]
-    trace = [[int(i), float(tube.trace_vector[i].real),
-              float(tube.trace_vector[i].imag)]
-             for i in np.nonzero(np.abs(tube.trace_vector) > 1e-12)[0]]
-    unit = [[int(i), float(tube.unit_coords[i].real),
-             float(tube.unit_coords[i].imag)]
-            for i in np.nonzero(np.abs(tube.unit_coords) > 1e-12)[0]]
+    consts, star, trace, unit = (
+        _nonzeros(a) for a in (tube.constants, tube.star_matrix,
+                               tube.trace_vector, tube.unit_coords))
     grades = {}
     for g in tube.grades:
         sl = tube.grade_slice(g)
@@ -837,6 +959,21 @@ def tube_dump_dict(tube: TubeAlgebra, seed: int = 7, tol: float = 1e-8) -> dict:
         "trace": trace,
         "unit": unit,
     }
+
+
+def _nonzeros(A: np.ndarray) -> list:
+    """[*index, re, im] for each entry of A above 1e-12 in modulus, in C
+    order, found a slab of the first index at a time."""
+    n = A.shape[0]
+    out = []
+    for I in _slabs(n, n):
+        part = A[I]
+        hit = np.abs(part) > 1e-12
+        idx = np.argwhere(hit)
+        idx[:, 0] += I.start
+        out += [[*map(int, ix), float(v.real), float(v.imag)]
+                for ix, v in zip(idx, part[hit])]
+    return out
 
 
 def decomposition_dict(dec: TubeDecomposition, tube: TubeAlgebra | None = None) -> dict:

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gct import (
     build_crossed_extension,
@@ -25,7 +26,16 @@ from gct import (
 import gct.tube
 from gct.cli import _twisted_setup
 from gct.fusion_core import GroupAction, InternalCheckError, ValidationError
-from gct.tube import TubeAlgebra, _projection_residual, decomposition_dict
+from gct.tube import (
+    TubeBasisElement,
+    TubeBlock,
+    TubeDecomposition,
+    _kernel_columns,
+    _left_mult,
+    _projection_residual,
+    decomposition_dict,
+    tube_dump_dict,
+)
 from test_oracles import tube_dim_oracle
 
 
@@ -272,9 +282,180 @@ def test_decomposition_with_the_dense_gram_passes_the_report_gate(
     tube = request.getfixturevalue(fixture)
     tube = tube["tube"] if isinstance(tube, dict) else tube
     ours = [decomposition_dict(decompose(tube, g), tube) for g in tube.grades]
-    monkeypatch.setattr(TubeAlgebra, "gram", _dense_gram)
+    monkeypatch.setattr(gct.tube, "_gram", lambda C, S, t: np.einsum(
+        "ki,kjl,l->ij", S, C, t))
     dense = [decomposition_dict(decompose(tube, g), tube) for g in tube.grades]
     assert _gate_mismatches(ours, dense) == []
+
+
+# ------------------------------------------ per-ideal work vs whole grade
+
+
+def _whole_grade_decompose(tube, grade, seed=7, cluster_tol=1e-6, max_retries=8):
+    """`decompose` on the whole graded component at once: one commutant SVD,
+    trace form and probe over the grade (the test-side reference)."""
+    sl = tube.grade_slice(grade)
+    ng = sl.stop - sl.start
+    C = tube.constants[sl, sl, sl]
+    S = tube.star_matrix[sl, sl]
+    unit = tube.unit_coords[sl]
+    M = (C.transpose(1, 2, 0) - C.transpose(0, 2, 1)).reshape(ng * ng, ng)
+    s, vh = scipy.linalg.svd(M, full_matrices=False)[1:]
+    Z = _kernel_columns(M.shape, s, vh, 1e-9)
+    nc = Z.shape[1]
+    G = tube.gram(grade)
+    U = scipy.linalg.cholesky((G + G.conj().T) / 2)
+    Uinv = np.linalg.inv(U)
+    C = np.ascontiguousarray(C)
+    outer = tube.outer_by_grade[grade]
+    corner_pos = [tube.index[TubeBasisElement(grade, tube.cat.unit, p, p, p, 0, 0)]
+                  - sl.start for p in outer]
+    corner_trace = (C @ np.einsum("ikk->i", C))[:, corner_pos]
+    for attempt in range(max_retries):
+        rng = np.random.default_rng(seed + attempt)
+        z0 = Z @ (rng.standard_normal(nc) + 1j * rng.standard_normal(nc))
+        z = z0 + S @ np.conj(z0)
+        Mh = U @ _left_mult(C, z) @ Uinv
+        w, V = scipy.linalg.eigh((Mh + Mh.conj().T) / 2)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        cuts = [0] + [i for i in range(1, ng)
+                      if w[i] - w[i - 1] > cluster_tol * scale] + [ng]
+        clusters = [list(range(a, b)) for a, b in zip(cuts, cuts[1:])]
+        ranks = [round(len(cl) ** 0.5) for cl in clusters]
+        if len(clusters) != nc or any(m * m != len(cl)
+                                      for m, cl in zip(ranks, clusters)):
+            continue
+        zs = np.stack([Uinv @ (V[:, cl] @ V[:, cl].conj().T) @ U @ unit
+                       for cl in clusters], axis=1)
+        if _projection_residual(C, S, M, unit, zs) > 1e-6:
+            continue
+        blocks = []
+        for zc, tr, m in zip(zs.T, zs.T @ corner_trace, ranks):
+            vals = unit[corner_pos] * tr / m
+            full = np.zeros(tube.dim, dtype=complex)
+            full[sl] = zc
+            blocks.append(TubeBlock(m, full, {p: int(round(v.real))
+                                              for p, v in zip(outer, vals)}))
+        blocks.sort(key=lambda b: (b.rank, tuple(b.corners[p] for p in outer),
+                                   tuple(np.round(b.projection[sl].real, 6)),
+                                   tuple(np.round(b.projection[sl].imag, 6))))
+        return TubeDecomposition(grade, tube.grade_name(grade), ng, nc, blocks,
+                                 seed, attempt)
+    raise AssertionError("whole-grade reference found no decomposition")
+
+
+@pytest.fixture(scope="module")
+def z8_tube():
+    return build_tube(category_from_dict(_vec_zn(8), name="vec_z8"))
+
+
+@pytest.mark.parametrize("fixture", ["fib_center", "ising_full_tube", "s3_center",
+                                     "z8_tube", "z3_twisted"])
+def test_per_ideal_decomposition_matches_the_whole_grade(request, fixture):
+    tube = request.getfixturevalue(fixture)
+    tube = tube["tube"] if isinstance(tube, dict) else tube
+    for g in tube.grades:
+        ours, ref = decompose(tube, g, seed=1), _whole_grade_decompose(tube, g, seed=1)
+        assert (ours.dim, ours.center_dim, ours.retries) == \
+            (ref.dim, ref.center_dim, ref.retries)
+        assert [(b.rank, b.corners) for b in ours.blocks] == \
+            [(b.rank, b.corners) for b in ref.blocks]
+        for a, b in zip(ours.blocks, ref.blocks):
+            assert np.max(np.abs(a.projection - b.projection)) < 1e-12
+
+
+def test_ideal_sizes(s3_center, z3_twisted, fib_center, z8_tube):
+    def sizes(tube, g):
+        comp = gct.tube._components(tube)[0][tube.grade_slice(g)]
+        return sorted(np.bincount(comp)[np.unique(comp)].tolist())
+
+    assert sizes(s3_center["tube"], 0) == [6, 12, 18]
+    assert sizes(z3_twisted["tube"], 0) == [3, 3, 3]
+    assert sizes(z3_twisted["tube"], 1) == [9]
+    assert sizes(fib_center["tube"], 0) == [7]
+    assert sizes(z8_tube, 0) == [8] * 8
+
+
+def _cross_component_entry(tube, i):
+    """Indices (i, j, i) of a structure constant with b_i and b_j in two
+    different outer-label components of grade 0."""
+    comp = gct.tube._components(tube)[0]
+    sl = tube.grade_slice(0)
+    j = next(j for j in range(sl.start, sl.stop) if comp[j] != comp[i])
+    return i, j, i
+
+
+@pytest.mark.parametrize("end", [0, -1])
+def test_decompose_refuses_data_that_couple_two_components(end):
+    tube = build_tube(category_from_dict(_vec_zn(8), name="vec_z8"), verify=False)
+    assert decompose(tube, 0).block_ranks() == [1] * 64
+    i, j, k = _cross_component_entry(tube, range(tube.dim)[end])
+    # components are numbered by their first outer label
+    first, second = (tube.cat.label_name(p)
+                     for p in sorted(tube.basis[x].source_outer for x in (i, j)))
+    tube.constants[i, j, k] = 1e-30
+    with pytest.raises(InternalCheckError,
+                       match=rf"couple the outer-label components \[{first}\] "
+                             rf"and \[{second}\]"):
+        decompose(tube, 0)
+    tube.constants[i, j, k] = 0.0
+    tube.constants[i, i, j] = 1e-30          # b_i b_i with a b_j component
+    with pytest.raises(InternalCheckError, match="couple the outer-label components"):
+        decompose(tube, 0)
+    tube.constants[i, i, j] = 0.0
+    tube.star_matrix[j, i] = 1e-30
+    with pytest.raises(InternalCheckError, match="couple the outer-label components"):
+        decompose(tube, 0)
+
+
+def test_retries_are_the_largest_of_any_ideal(monkeypatch, z8_tube):
+    calls = []
+
+    def first_probe_fails(*args):
+        calls.append(1)
+        return 1.0 if len(calls) == 1 else _projection_residual(*args)
+
+    monkeypatch.setattr(gct.tube, "_projection_residual", first_probe_fails)
+    dec = decompose(z8_tube, 0)
+    assert (dec.retries, len(calls)) == (1, 9)
+    assert dec.block_ranks() == [1] * 64
+
+
+def test_star_check_in_the_last_ideal_matches_dense(s3_center):
+    tube = copy.copy(s3_center["tube"])
+    tube.star_matrix = tube.star_matrix.copy()
+    comp = gct.tube._components(tube)[0]
+    last = np.flatnonzero(comp == comp.max())
+    j = int(last[-1])
+    k = int(np.flatnonzero(tube.star_matrix[:, j])[0])
+    assert k in last
+    tube.star_matrix[k, j] *= 1.5
+    bad = verify_algebra(tube)
+    assert not bad["pass"]
+    assert bad["star_anti_mult"] > 1e-3
+    assert abs(bad["star_anti_mult"] - _dense_residuals(tube)[1]) < 1e-12
+
+
+def test_star_check_merges_ideals_that_the_data_couple(s3_tube):
+    # an out-of-pattern constant joins two components; the merged ideal
+    # sees exactly what the dense check sees
+    i, j, k = _cross_component_entry(s3_tube, s3_tube.dim - 1)
+    s3_tube.constants[i, j, k] = 0.37
+    bad = verify_algebra(s3_tube)
+    assert bad["pattern_violation_max"] == 0.37
+    assert bad["star_anti_mult"] > 1e-3
+    assert abs(bad["star_anti_mult"] - _dense_residuals(s3_tube)[1]) < 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["s3_center", "ising_center", "z3_twisted"])
+def test_dump_lists_the_entries_of_a_whole_array_scan(request, fixture):
+    tube = request.getfixturevalue(fixture)["tube"]
+    dump = tube_dump_dict(tube)
+    for key, A in (("constants", tube.constants), ("star", tube.star_matrix),
+                   ("trace", tube.trace_vector), ("unit", tube.unit_coords)):
+        ref = [[*map(int, idx), float(A[tuple(idx)].real), float(A[tuple(idx)].imag)]
+               for idx in np.argwhere(np.abs(A) > 1e-12)]
+        assert dump[key] == ref
 
 
 def test_in_block_corruption_is_caught_by_associativity(s3_tube):
