@@ -228,12 +228,18 @@ class GradedCategory:
     # -- F access -----------------------------------------------------------
 
     @memo
+    def fusion_channels(self, a: int, b: int) -> tuple[tuple[int, int], ...]:
+        """(c, N[a, b, c]) for every simple c in a x b, as Python ints."""
+        row = self.N[a, b]
+        return tuple((c, int(row[c])) for c in np.flatnonzero(row).tolist())
+
+    @memo
     def left_channels(self, a: int, b: int, c: int, d: int) -> list[tuple[int, int, int]]:
         N = self.N
         return [
             (e, mu, nu)
-            for e in range(self.rank)
-            for mu in range(N[a, b, e])
+            for e, m in self.fusion_channels(a, b)
+            for mu in range(m)
             for nu in range(N[e, c, d])
         ]
 
@@ -242,8 +248,8 @@ class GradedCategory:
         N = self.N
         return [
             (f, kappa, lam)
-            for f in range(self.rank)
-            for kappa in range(N[b, c, f])
+            for f, k in self.fusion_channels(b, c)
+            for kappa in range(k)
             for lam in range(N[a, f, d])
         ]
 

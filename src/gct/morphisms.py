@@ -384,6 +384,12 @@ class TreeEngine:
         if len(w) == 1:
             return {c: np.eye(N[a, w[0], c], dtype=complex)
                     for c in range(self.rank) if N[a, w[0], c]}
+        if len(w) == 2:
+            # paths of (a,) + w are the left channels of F^{a w0 w1}_c and
+            # the factored basis its right channels: one F-block, adjoint
+            dims = N[a, w[0]] @ N[:, w[1]]
+            return {c: self.cat.f_block(a, w[0], w[1], c).conj().T
+                    for c in np.flatnonzero(dims).tolist()}
 
         out = {}
         prefix, b = w[:-1], w[-1]

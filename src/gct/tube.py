@@ -10,9 +10,21 @@ from a trivially graded category, twisted by a strict group action).
 Products splice two loops through an orthonormal channel basis of the
 fused loop; the star bends the loop around with a conjugate pair.  The
 matrix-unit basis used here is orthonormal for the Hilbert-Schmidt
-pairing, so structure constants are plain block reads of the spliced
-morphisms.  `decompose` computes the block structure (minimal central
-projections, block ranks, corner multiplicities) of one graded component.
+pairing, so a structure constant is one entry of a spliced morphism.  The
+splice of X : a x -> x' b and Y : b y -> y' c is
+rtens(T'^*, c) ltens(x', Y) rtens(X, y) ltens(a, T), summed over T in
+onb(z, x y) with T' its transport (which keeps the multiplicity index of
+T).  Both rtens factors are re-indexings and each ltens is one F-move, so
+on each output channel d the constants are read in closed form off three
+F-blocks: F^{a x y}_d, F^{x' b y}_d and F^{x' y' c}_d.  `_fill_constants`
+evaluates each chained block C[x: a -> b, y: b -> c, z: a -> c] this way,
+batched over blocks of one shape, and builds no morphism.  The constants
+read F only through these blocks, so they equal the splice on any F data,
+also data that fail the pentagon; the splice itself is kept only as the
+oracle of the tests.  The star is still bent from morphisms, one
+`star_mor` per basis element.  `decompose` computes the block structure
+(minimal central projections, block ranks, corner multiplicities) of one
+graded component.
 
 `verify_algebra` checks every axiom on every entry without dense n^4
 intermediates.  A pattern gate requires c[i, j, k] to be exactly 0.0
@@ -50,6 +62,7 @@ constants with its projections on both sides.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -188,37 +201,7 @@ class TubeAlgebra:
     def grade_name(self, g: int) -> str:
         return self.cat.group.elements[g]
 
-    @memo
-    def _onb(self, z: int, x: int, y: int) -> list:
-        return self.eng.onb(z, ((x, y),))
-
-    # ------------------------------------------------- product and star
-
-    def product_mor(self, g: int, X: Mor, Y: Mor) -> dict:
-        """Splice two loop morphisms at grade g.
-
-        X : (a x,) -> (x' b,) and Y : (b y,) -> (y' c,); returns a dict
-        mapping each surviving new loop label z to the combined morphism
-        (a z,) -> (z' c,).
-        """
-        eng = self.eng
-        a, x = X.source[0]
-        y = Y.source[0][1]
-        c2 = Y.target[0][1]
-        xp = self.tloop(g, x)
-        s2 = eng.rtens(X, y)
-        s3 = eng.ltens(xp, Y)
-        mid = s3 @ s2
-        out: dict = {}
-        for z in self.loop_labels:
-            acc = None
-            for T in self._onb(z, x, y):
-                Tg = T if self.action is None else eng.transport(T, g, self.action)
-                term = eng.rtens(Tg.H, c2) @ mid @ eng.ltens(a, T)
-                acc = term if acc is None else acc + term
-            if acc is not None and acc.blocks:
-                out[z] = acc
-        return out
+    # ------------------------------------------------------------- star
 
     def star_mor(self, g: int, X: Mor) -> Mor:
         """Bend the loop of X : (a x,) -> (x' b,) into (b xbar,) -> (xbar' a,)."""
@@ -258,21 +241,94 @@ class TubeAlgebra:
                 self.trace_vector[k] = float(self.cat.qdim[p]) / kappa
 
     def _fill_constants(self) -> None:
+        """Every chained block of the constants from three F-blocks per
+        output channel (see the module docstring).  The basis elements of one
+        (grade, loop, source, target) form a run of consecutive indices, and
+        a block is C[run x: a -> b, run y: b -> c, the runs z: a -> c].  The
+        blocks that start with one loop x are evaluated together, one numpy
+        contraction for all blocks of one shape."""
         n = self.dim
         C = np.zeros((n, n, n), dtype=complex)
-        for k1, e1 in enumerate(self.basis):
-            for k2, e2 in enumerate(self.basis):
-                if e1.grade != e2.grade or e1.target_outer != e2.source_outer:
-                    continue
-                terms = self.product_mor(e1.grade, self._mors[k1], self._mors[k2])
-                for z, Zm in terms.items():
-                    for c, B in Zm.blocks.items():
-                        for j, i in np.argwhere(np.abs(B) > 0):
-                            elt = TubeBasisElement(
-                                e1.grade, z, e1.source_outer, e2.target_outer,
-                                c, int(i), int(j))
-                            C[k1, k2, self.index[elt]] += B[j, i]
+        runs: dict = {}
+        for k, e in enumerate(self.basis):
+            key = (e.grade, e.loop, e.source_outer, e.target_outer)
+            runs[key] = range(runs[key].start if key in runs else k, k + 1)
+        leaving: dict = {}
+        for (g, y, b, c), sy in runs.items():
+            leaving.setdefault((g, b), []).append((y, c, sy))
+        fsums = _FSums(self.cat)
+        # runs come in basis order, so those of one (grade, loop) are adjacent
+        for (g, x), firsts in itertools.groupby(runs.items(), lambda kv: kv[0][:2]):
+            by_shape: dict = {}
+            for (_, _, a, b), sx in firsts:
+                for y, c, sy in leaving[g, b]:
+                    blk = self._chained_block(fsums, runs, g, x, y, a, b, c, sx, sy)
+                    if blk is not None:
+                        rA, _, _, cB, R = blk[:5]
+                        shape = (len(rA), len(rA[0]), len(cB), len(cB[0]),
+                                 len(R), len(R[0]))
+                        by_shape.setdefault(shape, []).append(blk)
+            for blks in by_shape.values():
+                np.put(C, *_block_values(fsums.flat(), n, blks))
         self.constants = C
+
+    def _chained_block(self, fsums: _FSums, runs: dict, g: int, x: int,
+                       y: int, a: int, b: int, c: int, sx: range,
+                       sy: range) -> tuple | None:
+        """Where b_X b_Y reads its three F-blocks, for X in Hom(a x, x' b) on
+        the run sx and Y in Hom(b y, y' c) on sy; None if it reaches no
+        element z: a -> c.
+
+        The splice is rtens(T'^*, c) ltens(x', Y) rtens(X, y) ltens(a, T),
+        summed over T in onb(z, x y), with T' the transport of T to
+        Hom(z', x' y'), which keeps its multiplicity index t.  Both rtens
+        factors are re-indexings.  On channel d, ltens(a, T) is column
+        (z, t, .) of A = F^{a x y}_d (right to left coordinates) and
+        ltens(x', Y) is D E_Y B^*, with B = F^{x' b y}_d, D = F^{x' y' c}_d
+        and E_Y the matrix unit of Y on right channels; T'^* reads row
+        (z', t, .) of D.  Returns flat positions into `fsums`, as lists of
+        lists cut to one length: the rows of A [X, nu] and the columns of A
+        [o, t] that T pairs with the rows of D [o, t]; the rows of B [X, nu]
+        that rtens(X, y) pairs with those of A; the columns of B [Y, lam]
+        that E_Y pairs with the columns of D [Y, lam]; then the basis
+        positions of X, Y and the output elements o.
+        """
+        xp, yp = self.tloop(g, x), self.tloop(g, y)
+        rowA, colA, padA = fsums.positions(a, x, y)
+        rowB, colB, padB = fsums.positions(xp, b, y)
+        rowD, colD, padD = fsums.positions(xp, yp, c)
+        R, P, out = [], [], []
+        for z, nt in self.cat.fusion_channels(x, y):
+            so = runs.get((g, z, a, c))
+            if so is None:
+                continue
+            zp = self.tloop(g, z)
+            for e in self.basis[so.start:so.stop]:
+                R.append([rowD[e.channel, zp, t, e.row] for t in range(nt)])
+                P.append([colA[e.channel, z, t, e.col] for t in range(nt)])
+            out.extend(so)
+        if not out:
+            return None
+        Xs = self.basis[sx.start:sx.stop]
+        Ys = self.basis[sy.start:sy.stop]
+        # rtens(X, y) sends row (d, ch, col, nu) of A to row (d, ch, row, nu) of B
+        rA = [[rowA[d, e.channel, e.col, nu] for d, nu in self._pairs(e.channel, y)]
+              for e in Xs]
+        rB = [[rowB[d, e.channel, e.row, nu] for d, nu in self._pairs(e.channel, y)]
+              for e in Xs]
+        # E_Y sends column (d, ch, col, lam) of B to column (d, ch, row, lam) of D
+        cB = [[colB[d, e.channel, e.col, lam] for d, lam in self._pairs(xp, e.channel)]
+              for e in Ys]
+        cD = [[colD[d, e.channel, e.row, lam] for d, lam in self._pairs(xp, e.channel)]
+              for e in Ys]
+        return (_padded(rA, padA[0]), _padded(P, padA[1]),
+                _padded(rB, padB[0]), _padded(cB, padB[1]),
+                _padded(R, padD[0]), _padded(cD, padD[1]), sx, sy, out)
+
+    @memo
+    def _pairs(self, u: int, v: int) -> list:
+        """(d, k) for every channel d of u v and k < N[u, v, d]."""
+        return [(d, k) for d, m in self.cat.fusion_channels(u, v) for k in range(m)]
 
     def _fill_star(self) -> None:
         n = self.dim
@@ -316,11 +372,80 @@ def _left_mult(C: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x @ C.reshape(n, n * n)).reshape(n, n).T
 
 
-def _components(tube: TubeAlgebra) -> tuple[np.ndarray, list]:
+def _padded(rows: list, pad: int) -> list:
+    """Lists of positions cut to one length, the short ones filled with
+    `pad`, the position of a zero."""
+    lengths = list(map(len, rows))
+    width = max(lengths)
+    if min(lengths) == width:
+        return rows
+    return [r + [pad] * (width - len(r)) for r in rows]
+
+
+def _block_values(F: np.ndarray, n: int, blks: list) -> tuple:
+    """The flat positions in the constants and the values of a list of
+    chained blocks of one shape, as `TubeAlgebra._chained_block` describes
+    them: c[X, Y, o] = sum over nu, lam, t of A[X nu, o t] conj(B[X nu, Y lam])
+    D[o t, Y lam]."""
+    rA, P, rB, cB, R, cD, X, Y, O = (np.array(part) for part in zip(*blks))
+    a = F[rA[:, :, :, None, None] + P[:, None, None]]          # [k, X, nu, o, t]
+    b = F[rB[:, :, :, None, None] + cB[:, None, None]]         # [k, X, nu, Y, lam]
+    d = F[R[:, :, :, None, None] + cD[:, None, None]]          # [k, o, t, Y, lam]
+    vals = np.einsum("kxnot,kxnyl,kotyl->kxyo", a, np.conj(b), d)
+    where = (X[:, :, None, None] * n + Y[:, None, :, None]) * n + O[:, None, None, :]
+    return where, vals
+
+
+class _FSums:
+    """F^{u v w}_d over every channel d of a triple, as one block-diagonal
+    matrix with a zero row and column appended, the triples stored flat one
+    after another, each when first asked for."""
+
+    def __init__(self, cat: GradedCategory):
+        self.cat = cat
+        self.parts: list = []
+        self.size = 0
+
+    @memo
+    def positions(self, u: int, v: int, w: int) -> tuple:
+        """The flat offset of the row of each (d, left channel) of the
+        triple, the column of each (d, right channel), and the pair (zero
+        row, zero column) that padding reads."""
+        cat = self.cat
+        ds = sorted({d for e, _ in cat.fusion_channels(u, v)
+                     for d, _ in cat.fusion_channels(e, w)})
+        blocks = [cat.f_block(u, v, w, d) for d in ds]
+        size = sum(len(fb) for fb in blocks)
+        width = size + 1
+        M = np.zeros((width, width), dtype=complex)
+        rows, cols = {}, {}
+        at = 0
+        for d, fb in zip(ds, blocks):
+            M[at:at + len(fb), at:at + len(fb)] = fb
+            for i, ch in enumerate(cat.left_channels(u, v, w, d)):
+                rows[(d, *ch)] = self.size + (at + i) * width
+            for i, ch in enumerate(cat.right_channels(u, v, w, d)):
+                cols[(d, *ch)] = at + i
+            at += len(fb)
+        pads = (self.size + size * width, size)
+        self.parts.append(M.ravel())
+        self.size += M.size
+        return rows, cols, pads
+
+    def flat(self) -> np.ndarray:
+        """Every triple stored so far, as one array."""
+        if len(self.parts) > 1:
+            self.parts = [np.concatenate(self.parts)]
+        return self.parts[0]
+
+
+@memo
+def _components(tube: TubeAlgebra) -> tuple[np.ndarray, tuple]:
     """Connected components of each grade's outer-label graph, in which an
     element p -> r joins p and r: the component number of every basis
-    element, and the (grade, outer labels) of each component, numbered
-    grade by grade in the order of their first label."""
+    element (a read-only array), and the (grade, outer labels) of each
+    component, numbered grade by grade in the order of their first label.
+    Memoised on the tube, whose basis never changes."""
     comp = np.empty(tube.dim, dtype=int)
     parts = []
     for g in tube.grades:
@@ -335,7 +460,8 @@ def _components(tube: TubeAlgebra) -> tuple[np.ndarray, list]:
         for outer in sorted(groups.values()):
             comp[sl][np.isin(src, outer)] = len(parts)
             parts.append((g, tuple(outer)))
-    return comp, parts
+    comp.flags.writeable = False
+    return comp, tuple(parts)
 
 
 def _find(root: dict, p):
@@ -488,11 +614,15 @@ def _pattern_violations(tube: TubeAlgebra) -> tuple[float, float]:
     key_ij[cross | (tgt[:, None] != src[None, :])] = -1
     worst = worst_cross = 0.0
     for I in _slabs(tube.dim, tube.dim):
-        off = np.abs(np.where(key_ij[I, :, None] == key_k, 0.0,
-                              tube.constants[I]))
-        worst = max(worst, float(off.max()))
-        if cross[I].any():
-            worst_cross = max(worst_cross, float(off[cross[I]].max()))
+        slab = tube.constants[I]
+        # boolean masks only: values are read just at off-pattern nonzeros
+        hit = key_ij[I, :, None] != key_k
+        hit &= slab != 0
+        if hit.any():
+            worst = max(worst, float(np.abs(slab[hit]).max()))
+            hit &= cross[I][:, :, None]
+            if hit.any():
+                worst_cross = max(worst_cross, float(np.abs(slab[hit]).max()))
     return worst, worst_cross
 
 

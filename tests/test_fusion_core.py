@@ -186,11 +186,9 @@ def _reference_pentagon(N, F, a, b, c, d):
     return worst
 
 
-def test_pentagon_residual_with_multiplicities():
-    """Rep(A4)'s ring has N = 2, so the move matrices mix multiplicity
-    indices; random unitary F makes every residual a generic number."""
+def _rep_a4_category(F):
+    """The Rep(A4) ring with the F blocks F, through the loader."""
     N = _rep_a4_ring()
-    F = _random_unitary_f(N, seed=5)
     data = {
         "rank": 4, "labels": ["1", "1'", "1''", "3"], "dual": [0, 2, 1, 3],
         "qdim": [1.0, 1.0, 1.0, 3.0],
@@ -198,7 +196,15 @@ def test_pentagon_residual_with_multiplicities():
         "F": [{"abcd": list(key), "matrix": [[[z.real, z.imag] for z in row] for row in mat]}
               for key, mat in F.items()],
     }
-    cat = category_from_dict(data, "rep_a4_random")
+    return category_from_dict(data, "rep_a4_random")
+
+
+def test_pentagon_residual_with_multiplicities():
+    """Rep(A4)'s ring has N = 2, so the move matrices mix multiplicity
+    indices; random unitary F makes every residual a generic number."""
+    N = _rep_a4_ring()
+    F = _random_unitary_f(N, seed=5)
+    cat = _rep_a4_category(F)
     assert max(m.shape[0] for m in cat.F.values()) == 7
     worst = 0.0
     for key in itertools.product(range(4), repeat=4):
@@ -207,6 +213,24 @@ def test_pentagon_residual_with_multiplicities():
         worst = max(worst, got)
     rep = verify_pentagon(cat)
     assert rep["max_residual"] == worst > 0.1 and not rep["pass"]
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "rep_a4"])
+def test_channel_lists_follow_the_fusion_rules(cats, name):
+    """The channel orders that F blocks, tree paths and the closed-form
+    tube constants share: lexicographic over every label."""
+    cat = _rep_a4_category({}) if name == "rep_a4" else cats[name]
+    N, labels = cat.N, range(cat.rank)
+    for a, b in itertools.product(labels, repeat=2):
+        assert cat.fusion_channels(a, b) == tuple(
+            (c, int(N[a, b, c])) for c in labels if N[a, b, c])
+    for a, b, c, d in itertools.product(labels, repeat=4):
+        assert cat.left_channels(a, b, c, d) == [
+            (e, mu, nu) for e in labels for mu in range(N[a, b, e])
+            for nu in range(N[e, c, d])]
+        assert cat.right_channels(a, b, c, d) == [
+            (f, kappa, lam) for f in labels for kappa in range(N[b, c, f])
+            for lam in range(N[a, f, d])]
 
 
 def test_pentagon_fails_on_a_sign_flipped_f_row():

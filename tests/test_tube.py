@@ -22,6 +22,7 @@ from gct import (
     load_category,
     twisted_untwisted_iso,
     verify_algebra,
+    verify_pentagon,
 )
 import gct.tube
 from gct.cli import _twisted_setup
@@ -36,6 +37,7 @@ from gct.tube import (
     decomposition_dict,
     tube_dump_dict,
 )
+from test_fusion_core import _random_unitary_f, _rep_a4_ring, _rep_a4_category
 from test_oracles import tube_dim_oracle
 
 
@@ -685,3 +687,84 @@ def test_block_structure_is_seed_independent(fib_center):
     assert sorted(alt.block_ranks()) == sorted(
         fib_center["decs"][0].block_ranks())
     assert alt.center_dim == fib_center["decs"][0].center_dim
+
+
+# ----------------------------------- structure constants against the splice
+
+
+def _spliced_constants(tube):
+    """The constants as tree-engine morphisms give them, one chained pair of
+    basis elements at a time: X : a x -> x' b and Y : b y -> y' c splice to
+    rtens(T'^*, c) ltens(x', Y) rtens(X, y) ltens(a, T), summed over T in
+    onb(z, x y) with T' the transport of T, for every loop z."""
+    eng = tube.eng
+    n = tube.dim
+    C = np.zeros((n, n, n), dtype=complex)
+    for k1, e1 in enumerate(tube.basis):
+        X = tube._mors[k1]
+        a, x = X.source[0]
+        for k2, e2 in enumerate(tube.basis):
+            if e1.grade != e2.grade or e1.target_outer != e2.source_outer:
+                continue
+            Y = tube._mors[k2]
+            y, c = Y.source[0][1], Y.target[0][1]
+            mid = eng.ltens(tube.tloop(e1.grade, x), Y) @ eng.rtens(X, y)
+            for z in tube.loop_labels:
+                for T in eng.onb(z, ((x, y),)):
+                    Tg = T if tube.action is None else eng.transport(T, e1.grade, tube.action)
+                    term = eng.rtens(Tg.H, c) @ mid @ eng.ltens(a, T)
+                    for ch, B in term.blocks.items():
+                        for j, i in np.argwhere(np.abs(B) > 0):
+                            elt = TubeBasisElement(e1.grade, z, a, c, ch, int(i), int(j))
+                            C[k1, k2, tube.index[elt]] += B[j, i]
+    return C
+
+
+def _assert_constants_are_spliced(tube):
+    ref = _spliced_constants(tube)
+    assert np.array_equal(tube.constants != 0, ref != 0)
+    assert np.max(np.abs(tube.constants - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("fixture", ["fib_center", "ising_center", "ising_full_tube",
+                                     "s3_center", "z8_tube", "z3_twisted",
+                                     "z3_ext_tube"])
+def test_closed_form_constants_match_the_splice(request, fixture):
+    tube = request.getfixturevalue(fixture)
+    _assert_constants_are_spliced(tube["tube"] if isinstance(tube, dict) else tube)
+
+
+def test_closed_form_constants_on_f_data_that_fail_the_pentagon(monkeypatch):
+    """Rep(A4)'s ring has N = 2, and random unitary F fails the pentagon.
+    The constants read F only through the three F-blocks of each chained
+    block, so the closed form equals the splice on any F data.  The star is
+    not filled: its conjugate pairs check the Frobenius-Schur indicator,
+    which such F data fail."""
+    cat = _rep_a4_category(_random_unitary_f(_rep_a4_ring(), seed=5))
+    assert not verify_pentagon(cat)["pass"]
+    monkeypatch.setattr(gct.tube.TubeAlgebra, "_fill_star", lambda self: None)
+    tube = build_tube(cat, verify=False)
+    assert max(max(e.col, e.row) for e in tube.basis) == 1
+    _assert_constants_are_spliced(tube)
+
+
+def test_a_flipped_f_entry_moves_both_fills_alike(ising_full_tube):
+    """F^{psi sigma psi}_sigma = -1 flipped to +1: the constants move, the
+    splice moves with them, and the axioms fail."""
+    data = _raw("ising")
+    (block,) = [b for b in data["F"] if b["abcd"] == [1, 2, 1, 2]]
+    block["matrix"][0][0][0] *= -1
+    cat = category_from_dict(data, "ising_flipped")
+    tube = build_tube(cat, subcat=[0, 1, 2], verify=False)
+    assert tube.basis == ising_full_tube.basis
+    assert np.max(np.abs(tube.constants - ising_full_tube.constants)) > 1
+    _assert_constants_are_spliced(tube)
+    assert not verify_algebra(tube)["pass"]
+    with pytest.raises(InternalCheckError, match="axioms fail"):
+        build_tube(cat, subcat=[0, 1, 2])
+
+
+def test_components_are_computed_once_and_read_only(z8_tube):
+    comp, parts = gct.tube._components(z8_tube)
+    assert gct.tube._components(z8_tube)[0] is comp
+    assert not comp.flags.writeable and isinstance(parts, tuple)
