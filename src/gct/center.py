@@ -735,10 +735,15 @@ def tube_representation(tube: TubeAlgebra, hb: HalfBraiding,
                 continue
             for i in range(col.shape[0]):
                 mats[k - sl.start, pos[(e.source_outer, i)], j] = col[i, 0]
-    C = tube.constants[sl, sl, sl]
-    lhs = np.einsum("aij,bjk->abik", mats, mats)
-    rhs = np.einsum("abc,cik->abik", C, mats)
-    hom_res = float(np.max(np.abs(lhs - rhs))) if H else 0.0
+    # rho(b_a) rho(b_b) and sum_c c_abc rho(b_c) both vanish for a, b in
+    # two ideals, so multiplicativity is checked per ideal
+    hom_res = 0.0
+    for idl in tube.ideals:
+        if idl.grade == g and H:
+            R = mats[idl.positions - sl.start]
+            lhs = np.einsum("aij,bjk->abik", R, R)
+            rhs = np.einsum("abc,cik->abik", idl.cube, R)
+            hom_res = max(hom_res, float(np.max(np.abs(lhs - rhs))))
     unit_mat = np.einsum("k,kij->ij", tube.unit_coords[sl], mats)
     unit_res = float(np.max(np.abs(unit_mat - np.eye(H)))) if H else 0.0
     weights = np.array([float(cat.qdim[rho]) for rho, _ in vecs])

@@ -13,8 +13,8 @@ gcenter      same for the group-twisted center of a category with an action,
 braid-check  re-verify the braiding entries of a previously written report
              file against the crossed-braiding axioms
 
-Exit codes: 0 success, 1 I/O error, 2 bad or failing input data,
-3 internal invariant breach.  JSON output (``--json path``) is
+Exit codes: 0 success, 1 I/O error or memory exhausted, 2 bad or failing
+input data, 3 internal invariant breach.  JSON output (``--json path``) is
 byte-reproducible for a fixed input file, seed and tool version.
 """
 
@@ -629,6 +629,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as e:
+        detail = f" ({e})" if str(e) else ""
+        print(f"error: gct {args.command}: out of memory{detail}", file=sys.stderr)
         return EXIT_IO
     except (DataError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -26,37 +26,33 @@ oracle of the tests.  The star is still bent from morphisms, one
 (minimal central projections, block ranks, corner multiplicities) of one
 graded component.
 
-`verify_algebra` checks every axiom on every entry without dense n^4
-intermediates.  A pattern gate requires c[i, j, k] to be exactly 0.0
-unless i, j, k share a grade, the outer labels chain (target of i =
-source of j) and b_k runs from the source of i to the target of j.  Given
-the gate, associativity is checked per outer-label chain block
-p -> q -> r -> s and equals the dense check, because every entry and
-contraction index the blocks skip is a product with an exact zero.
+Each graded component is a direct sum of two-sided *-ideals, one per
+connected component of its outer-label graph, in which an element p -> r
+joins p and r.  A chained block x: a -> b, y: b -> c, z: a -> c lies in
+one ideal, so a product of elements of two ideals is zero, and the star of
+p -> r runs r -> p.  The constants are stored that way: each `TubeIdeal`
+holds its sorted basis positions I and the dense cube C[I, I, I] in that
+local order, and nothing else of the n^3 index range is stored.
 
-The same pattern splits each graded component into two-sided *-ideals, one
-per connected component of its outer-label graph, in which an element
-p -> r joins p and r: a product of elements of two components is zero, and
-the star of p -> r runs r -> p.  `decompose` works on each ideal C[I, I, I]
-on its own (commutant, trace form, probe, projections, corner counts): the
-center of the grade is the direct sum of the ideals' centers.  It refuses
-a grade whose constants or star have a nonzero that couples two
-components.  Star anti-multiplicativity is checked per ideal as well, after
-merging any components that a nonzero of the constants or the star couples
-(a tube that passes the gate and is built by `TubeAlgebra` has none).
-Every nonzero then has all of its indices in one ideal, so both sides of
-the check vanish at every (i, j, k) outside the ideals, and the result
-equals the dense check for any data; it costs sum n_I^4 instead of n^4.
+`verify_algebra` checks every axiom on every entry, ideal by ideal.  A
+pattern gate requires c[i, j, k] to be exactly 0.0 unless the outer labels
+chain (target of i = source of j) and b_k runs from the source of i to the
+target of j, and S[k, j] to be exactly 0.0 unless b_k runs the reverse way
+of b_j in the same grade.  Given the gate, associativity is checked per
+outer-label chain block p -> q -> r -> s, and the star, the Gram form and
+multiplication by the unit are block diagonal over the ideals; every entry
+and contraction index the ideals skip is a product with an exact zero, so
+each per-ideal maximum equals the dense one at a cost of sum n_I^4 instead
+of n^4.  `decompose` works on each ideal on its own (commutant, trace form,
+probe, projections, corner counts): the center of the grade is the direct
+sum of the ideals' centers.  It refuses a grade whose star couples two
+ideals.
 
-The dense kernels run as BLAS matrix products.  `gram` is S^T (C t), with
-the trace vector contracted first.  Work that would otherwise build an
-n^3 temporary (the pattern gate, the coupling scan, the star
-anti-multiplicativity of an ideal, `decompose`'s check of its projection
-system and the nonzero scan of `tube_dump_dict`) runs over slabs of one
-index, so none of its temporaries exceeds 1/_SLABS of the array it reads.
-`decompose` checks centrality as M z with the commutant matrix M it
-already built, and takes every product z_a z_b from one contraction of the
-constants with its projections on both sides.
+The kernels run as BLAS matrix products.  The Gram form is S^T (C t), with
+the trace vector contracted first.  `decompose` checks centrality as M z
+with the commutant matrix M it already built, and takes every product
+z_a z_b from one contraction of the cube with its projections on both
+sides.
 """
 
 from __future__ import annotations
@@ -79,11 +75,9 @@ from .fusion_core import (
 )
 from .morphisms import Mor, engine_for
 
-# every n^3 temporary is at most 1/_SLABS of the constants array
-_SLABS = 8
-
 __all__ = [
     "TubeBasisElement",
+    "TubeIdeal",
     "TubeAlgebra",
     "TubeBlock",
     "TubeDecomposition",
@@ -115,21 +109,36 @@ class TubeBasisElement:
     row: int
 
 
+@dataclasses.dataclass(eq=False)
+class TubeIdeal:
+    """One two-sided *-ideal of a graded component: the basis elements whose
+    outer labels lie in one component of the grade's outer-label graph.
+
+    `positions` are its basis indices in increasing order, and `cube` holds
+    c[i, j, k] for i, j, k in `positions`, in that local order.
+    """
+
+    grade: int
+    labels: tuple                   # outer labels of the component
+    positions: np.ndarray
+    cube: np.ndarray | None = None  # filled by TubeAlgebra._fill_constants
+
+
 class TubeAlgebra:
     """A tube algebra in its matrix-unit basis.
 
     The interesting attributes after construction:
 
     - ``basis``: list of `TubeBasisElement` in lexicographic order;
-    - ``constants``: dense c[i, j, k] with b_i b_j = sum_k c[i, j, k] b_k;
+    - ``ideals``: the `TubeIdeal`s, grade by grade, each grade's in the
+      order of their first outer label; b_i b_j = sum_k c[i, j, k] b_k with
+      c stored as one cube per ideal and zero elsewhere;
+    - ``ideal_of``: the ideal number of each basis element, as an array;
     - ``star_matrix``: S with star(x) = S conj(x) (antilinear involution);
     - ``trace_vector``, ``unit_coords``: the canonical trace and unit;
     - ``grade_slice(g)``: contiguous index range of one graded component;
     - ``grade_of``, ``source_of``, ``target_of``: the grade and outer labels
       of each basis element, as arrays.
-
-    Products of elements in different grades vanish identically; the
-    constants array is block diagonal over grades by construction.
     """
 
     def __init__(self, cat: GradedCategory, loop_labels, outer_by_grade,
@@ -187,6 +196,27 @@ class TubeAlgebra:
         self.source_of = np.array([e.source_outer for e in basis], dtype=int)
         self.target_of = np.array([e.target_outer for e in basis], dtype=int)
         self._mors = [self.element_mor(k) for k in range(self.dim)]
+        self._find_ideals()
+
+    def _find_ideals(self) -> None:
+        """The connected components of each grade's outer-label graph, in
+        which an element p -> r joins p and r, as cubeless `TubeIdeal`s."""
+        self.ideal_of = np.empty(self.dim, dtype=int)
+        ideals = []
+        for g in self.grades:
+            sl = self.grade_slice(g)
+            src, tgt = self.source_of[sl], self.target_of[sl]
+            root = {p: p for p in self.outer_by_grade[g]}
+            for p, r in set(zip(src.tolist(), tgt.tolist())):
+                root[_find(root, r)] = _find(root, p)
+            groups: dict = {}
+            for p in self.outer_by_grade[g]:
+                groups.setdefault(_find(root, p), []).append(p)
+            for labels in sorted(groups.values()):
+                I = sl.start + np.flatnonzero(np.isin(src, labels))
+                self.ideal_of[I] = len(ideals)
+                ideals.append(TubeIdeal(g, tuple(labels), I))
+        self.ideals = tuple(ideals)
 
     def element_mor(self, k: int) -> Mor:
         e = self.basis[k]
@@ -244,11 +274,17 @@ class TubeAlgebra:
         """Every chained block of the constants from three F-blocks per
         output channel (see the module docstring).  The basis elements of one
         (grade, loop, source, target) form a run of consecutive indices, and
-        a block is C[run x: a -> b, run y: b -> c, the runs z: a -> c].  The
-        blocks that start with one loop x are evaluated together, one numpy
-        contraction for all blocks of one shape."""
-        n = self.dim
-        C = np.zeros((n, n, n), dtype=complex)
+        a block is C[run x: a -> b, run y: b -> c, the runs z: a -> c], all
+        in the ideal of a.  The blocks that start with one loop x are
+        evaluated together, one numpy contraction for all blocks of one
+        shape, and scattered into the ideals' cubes, which are consecutive
+        parts of one array."""
+        sizes = np.array([idl.positions.size for idl in self.ideals])
+        starts = np.concatenate(([0], np.cumsum(sizes ** 3)))
+        local = np.empty(self.dim, dtype=int)
+        for idl in self.ideals:
+            local[idl.positions] = np.arange(idl.positions.size)
+        flat = np.zeros(starts[-1], dtype=complex)
         runs: dict = {}
         for k, e in enumerate(self.basis):
             key = (e.grade, e.loop, e.source_outer, e.target_outer)
@@ -269,8 +305,14 @@ class TubeAlgebra:
                                  len(R), len(R[0]))
                         by_shape.setdefault(shape, []).append(blk)
             for blks in by_shape.values():
-                np.put(C, *_block_values(fsums.flat(), n, blks))
-        self.constants = C
+                X, Y, O, vals = _block_values(fsums.flat(), blks)
+                r = self.ideal_of[X[:, :1, None, None]]
+                m = sizes[r]
+                where = (local[X][:, :, None, None] * m
+                         + local[Y][:, None, :, None]) * m + local[O][:, None, None, :]
+                np.put(flat, starts[r] + where, vals)
+        for idl, at, m in zip(self.ideals, starts, sizes):
+            idl.cube = flat[at:at + m ** 3].reshape(m, m, m)
 
     def _chained_block(self, fsums: _FSums, runs: dict, g: int, x: int,
                        y: int, a: int, b: int, c: int, sx: range,
@@ -344,21 +386,6 @@ class TubeAlgebra:
                     S[self.index[elt], k] += B[j, i]
         self.star_matrix = S
 
-    # ------------------------------------------------------- arithmetic
-
-    def left_mult(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of left multiplication by x on the whole algebra."""
-        return _left_mult(self.constants, x)
-
-    def right_mult(self, x: np.ndarray) -> np.ndarray:
-        return (x @ self.constants).T
-
-    def gram(self, g: int | None = None) -> np.ndarray:
-        """Gram matrix tau(b_i^* b_j), optionally restricted to one grade."""
-        sl = slice(None) if g is None else self.grade_slice(g)
-        return _gram(self.constants[:, sl, :], self.star_matrix[:, sl],
-                     self.trace_vector)
-
 
 def _gram(C: np.ndarray, S: np.ndarray, t: np.ndarray) -> np.ndarray:
     """tau(b_i^* b_j) = sum_kl S[k, i] c[k, j, l] t_l for the columns i, j
@@ -382,18 +409,16 @@ def _padded(rows: list, pad: int) -> list:
     return [r + [pad] * (width - len(r)) for r in rows]
 
 
-def _block_values(F: np.ndarray, n: int, blks: list) -> tuple:
-    """The flat positions in the constants and the values of a list of
-    chained blocks of one shape, as `TubeAlgebra._chained_block` describes
-    them: c[X, Y, o] = sum over nu, lam, t of A[X nu, o t] conj(B[X nu, Y lam])
+def _block_values(F: np.ndarray, blks: list) -> tuple:
+    """The basis positions X, Y, O and the values of a list of chained
+    blocks of one shape, as `TubeAlgebra._chained_block` describes them:
+    c[X, Y, o] = sum over nu, lam, t of A[X nu, o t] conj(B[X nu, Y lam])
     D[o t, Y lam]."""
     rA, P, rB, cB, R, cD, X, Y, O = (np.array(part) for part in zip(*blks))
     a = F[rA[:, :, :, None, None] + P[:, None, None]]          # [k, X, nu, o, t]
     b = F[rB[:, :, :, None, None] + cB[:, None, None]]         # [k, X, nu, Y, lam]
     d = F[R[:, :, :, None, None] + cD[:, None, None]]          # [k, o, t, Y, lam]
-    vals = np.einsum("kxnot,kxnyl,kotyl->kxyo", a, np.conj(b), d)
-    where = (X[:, :, None, None] * n + Y[:, None, :, None]) * n + O[:, None, None, :]
-    return where, vals
+    return X, Y, O, np.einsum("kxnot,kxnyl,kotyl->kxyo", a, np.conj(b), d)
 
 
 class _FSums:
@@ -439,69 +464,10 @@ class _FSums:
         return self.parts[0]
 
 
-@memo
-def _components(tube: TubeAlgebra) -> tuple[np.ndarray, tuple]:
-    """Connected components of each grade's outer-label graph, in which an
-    element p -> r joins p and r: the component number of every basis
-    element (a read-only array), and the (grade, outer labels) of each
-    component, numbered grade by grade in the order of their first label.
-    Memoised on the tube, whose basis never changes."""
-    comp = np.empty(tube.dim, dtype=int)
-    parts = []
-    for g in tube.grades:
-        sl = tube.grade_slice(g)
-        src, tgt = tube.source_of[sl], tube.target_of[sl]
-        root = {p: p for p in tube.outer_by_grade[g]}
-        for p, r in sorted(set(zip(src.tolist(), tgt.tolist()))):
-            root[_find(root, r)] = _find(root, p)
-        groups: dict = {}
-        for p in tube.outer_by_grade[g]:
-            groups.setdefault(_find(root, p), []).append(p)
-        for outer in sorted(groups.values()):
-            comp[sl][np.isin(src, outer)] = len(parts)
-            parts.append((g, tuple(outer)))
-    comp.flags.writeable = False
-    return comp, tuple(parts)
-
-
 def _find(root: dict, p):
     while root[p] != p:
         p = root[p]
     return p
-
-
-def _coupled(C: np.ndarray, S: np.ndarray, comp: np.ndarray,
-             count: int) -> np.ndarray:
-    """Symmetric linked[a, b]: some nonzero c[i, j, k] has i in component a
-    and j or k in b, or some nonzero S[k, j] has k in a and j in b.  A
-    nonzero off every cube C[I, I, I] therefore links two different
-    components.  The constants are read a slab of i at a time."""
-    linked = np.zeros((count, count), dtype=bool)
-    k, j = np.nonzero(S)
-    linked[comp[k], comp[j]] = True
-    for A in _slabs(comp.size, comp.size):
-        nz = C[A] != 0
-        for hit in (nz.any(axis=2), nz.any(axis=1)):       # [i, j], [i, k]
-            i, j = np.nonzero(hit)
-            linked[comp[i + A.start], comp[j]] = True
-    return linked | linked.T
-
-
-def _cube(C: np.ndarray, I: np.ndarray) -> np.ndarray:
-    """C[I, I, I]: a view when I is one run of consecutive indices, as for
-    a component that fills its grade, and a copy otherwise."""
-    if I[-1] - I[0] + 1 == I.size:
-        run = slice(int(I[0]), int(I[-1]) + 1)
-        return C[run, run, run]
-    return C[np.ix_(I, I, I)]
-
-
-def _slabs(n: int, size: int):
-    """Consecutive slices of range(n), each at most max(1, size // _SLABS)
-    long; a slab of one index of an array with size^3 entries then holds at
-    most 1/_SLABS of them."""
-    step = max(1, size // _SLABS)
-    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 # ---------------------------------------------------------------------------
@@ -594,134 +560,113 @@ def build_twisted_tube(d0: GradedCategory, action, verify: bool = True,
 # verification
 
 
-def _outer_index(tube: TubeAlgebra, g: int) -> dict:
-    """Index arrays I[p, q] of the grade-g basis elements with outer p -> q."""
-    sl = tube.grade_slice(g)
-    src, tgt = tube.source_of[sl], tube.target_of[sl]
-    outers = tube.outer_by_grade[g]
-    return {(p, q): sl.start + np.flatnonzero((src == p) & (tgt == q))
-            for p in outers for q in outers}
-
-
-def _pattern_violations(tube: TubeAlgebra) -> tuple[float, float]:
-    """Largest |c[i, j, k]| off the chaining pattern (see the module
-    docstring), and its part over pairs (i, j) of different grades."""
+def _pattern_violation(tube: TubeAlgebra) -> float:
+    """Largest |c[i, j, k]| of a cube and |S[k, j]| of the star off the
+    pattern of the module docstring."""
     r = tube.cat.rank
-    grade, src, tgt = tube.grade_of, tube.source_of, tube.target_of
-    key_k = (grade * r + src) * r + tgt
-    key_ij = (grade[:, None] * r + src[:, None]) * r + tgt[None, :]
-    cross = grade[:, None] != grade[None, :]
-    key_ij[cross | (tgt[:, None] != src[None, :])] = -1
-    worst = worst_cross = 0.0
-    for I in _slabs(tube.dim, tube.dim):
-        slab = tube.constants[I]
-        # boolean masks only: values are read just at off-pattern nonzeros
-        hit = key_ij[I, :, None] != key_k
-        hit &= slab != 0
-        if hit.any():
-            worst = max(worst, float(np.abs(slab[hit]).max()))
-            hit &= cross[I][:, :, None]
-            if hit.any():
-                worst_cross = max(worst_cross, float(np.abs(slab[hit]).max()))
-    return worst, worst_cross
-
-
-def _block_associativity(tube: TubeAlgebra) -> float:
-    """max |(b_i b_j) b_k - b_i (b_j b_k)| over every outer-label chain.
-
-    For each grade and chain p -> q -> r -> s, with I_pq the basis elements
-    running from p to q, compares C[I_pq, I_qr, I_pr] C[I_pr, I_rs, I_ps]
-    with C[I_qr, I_rs, I_qs] C[I_pq, I_qs, I_ps].  This equals the dense
-    n^4 maximum whenever `_pattern_violations` reads 0.0.
-    """
-    C = tube.constants
+    src, tgt = tube.source_of, tube.target_of
     worst = 0.0
-    for g in tube.grades:
-        index = _outer_index(tube, g)
-        outers = tube.outer_by_grade[g]
-        for p in outers:
-            for q in outers:
-                Ipq = index[p, q]
-                a = Ipq.size
-                if not a:
-                    continue
-                for r in outers:
-                    Iqr, Ipr = index[q, r], index[p, r]
-                    b, c = Iqr.size, Ipr.size
-                    if not b:
-                        continue
-                    ij = C[np.ix_(Ipq, Iqr, Ipr)].reshape(a * b, c)
-                    for s in outers:
-                        Irs, Ips, Iqs = index[r, s], index[p, s], index[q, s]
-                        d, e, f = Irs.size, Ips.size, Iqs.size
-                        if not (d and e):
-                            continue
-                        lhs = ij @ C[np.ix_(Ipr, Irs, Ips)].reshape(c, d * e)
-                        jk = C[np.ix_(Iqr, Irs, Iqs)].reshape(b * d, f)
-                        im = C[np.ix_(Ipq, Iqs, Ips)].transpose(1, 0, 2)
-                        rhs = (jk @ im.reshape(f, a * e)).reshape(b, d, a, e)
-                        rhs = rhs.transpose(2, 0, 1, 3).reshape(a * b, d * e)
-                        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    for idl in tube.ideals:
+        s, t = src[idl.positions], tgt[idl.positions]
+        key_ij = np.where(t[:, None] == s, s[:, None] * r + t, -1)
+        # boolean masks only: values are read just at off-pattern nonzeros
+        hit = key_ij[:, :, None] != s * r + t
+        hit &= idl.cube != 0
+        if hit.any():
+            worst = max(worst, float(np.abs(idl.cube[hit]).max()))
+    k, j = np.nonzero(tube.star_matrix)
+    off = (tube.grade_of[k] != tube.grade_of[j]) | (src[k] != tgt[j]) | (tgt[k] != src[j])
+    if off.any():
+        worst = max(worst, float(np.abs(tube.star_matrix[k[off], j[off]]).max()))
     return worst
 
 
-def _star_anti_mult(tube: TubeAlgebra) -> float:
-    """max |star(b_i b_j) - star(b_j) star(b_i)| over the ideals: the
-    outer-label components of every grade, merged wherever the constants or
-    the star couple them.  Every nonzero of either then has all its indices
-    in one ideal, so both sides vanish off the ideals and this equals the
-    dense n^3 maximum (see the module docstring)."""
-    comp, parts = _components(tube)
-    root = {a: a for a in range(len(parts))}
-    for a, b in np.argwhere(_coupled(tube.constants, tube.star_matrix, comp,
-                                     len(parts))):
-        root[_find(root, int(b))] = _find(root, int(a))
-    ideal = np.array([_find(root, a) for a in range(len(parts))], dtype=int)[comp]
-    anti = 0.0
-    for r in np.unique(ideal):
-        I = np.flatnonzero(ideal == r)
-        n = I.size
-        C = np.ascontiguousarray(_cube(tube.constants, I))
-        S = tube.star_matrix[np.ix_(I, I)]
-        # star(b_i b_j)_k = sum_m conj(c_ijm) S_km;
-        # (star b_j)(star b_i)_k = sum_pq S_pj S_qi c_pqk; one slab of j at a time
-        c_flat = C.reshape(n, n * n)
-        for J in _slabs(n, n):
-            star_of_prod = np.conj(C[:, J, :]) @ S.T              # [i, j, k]
-            sj_c = (S[:, J].T @ c_flat).reshape(-1, n, n)         # [j, q, k]
-            prod_of_stars = (S.T @ sj_c).transpose(1, 0, 2)      # [i, j, k]
-            anti = max(anti, float(np.max(np.abs(star_of_prod - prod_of_stars))))
-    return anti
+def _block_associativity(tube: TubeAlgebra, ideal: TubeIdeal) -> float:
+    """max |(b_i b_j) b_k - b_i (b_j b_k)| over every outer-label chain of
+    the ideal.
+
+    For each chain p -> q -> r -> s, with I_pq the local positions of the
+    elements running from p to q, compares C[I_pq, I_qr, I_pr] C[I_pr, I_rs, I_ps] with
+    C[I_qr, I_rs, I_qs] C[I_pq, I_qs, I_ps].  Over all ideals this equals
+    the dense n^4 maximum whenever `_pattern_violation` reads 0.0.
+    """
+    C, outers = ideal.cube, ideal.labels
+    src, tgt = tube.source_of[ideal.positions], tube.target_of[ideal.positions]
+    index = {(p, q): np.flatnonzero((src == p) & (tgt == q))
+             for p in outers for q in outers}
+    worst = 0.0
+    for p in outers:
+        for q in outers:
+            Ipq = index[p, q]
+            a = Ipq.size
+            if not a:
+                continue
+            for r in outers:
+                Iqr, Ipr = index[q, r], index[p, r]
+                b, c = Iqr.size, Ipr.size
+                if not b:
+                    continue
+                ij = C[np.ix_(Ipq, Iqr, Ipr)].reshape(a * b, c)
+                for s in outers:
+                    Irs, Ips, Iqs = index[r, s], index[p, s], index[q, s]
+                    d, e, f = Irs.size, Ips.size, Iqs.size
+                    if not (d and e):
+                        continue
+                    lhs = ij @ C[np.ix_(Ipr, Irs, Ips)].reshape(c, d * e)
+                    jk = C[np.ix_(Iqr, Irs, Iqs)].reshape(b * d, f)
+                    im = C[np.ix_(Ipq, Iqs, Ips)].transpose(1, 0, 2)
+                    rhs = (jk @ im.reshape(f, a * e)).reshape(b, d, a, e)
+                    rhs = rhs.transpose(2, 0, 1, 3).reshape(a * b, d * e)
+                    worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def _star_anti_mult(C: np.ndarray, S: np.ndarray) -> float:
+    """max |star(b_i b_j) - star(b_j) star(b_i)| over one ideal's cube C and
+    star block S.  Over all ideals this equals the dense n^3 maximum
+    whenever `_pattern_violation` reads 0.0."""
+    n = S.shape[0]
+    # star(b_i b_j)_k = sum_m conj(c_ijm) S_km;
+    # (star b_j)(star b_i)_k = sum_pq S_pj S_qi c_pqk
+    star_of_prod = np.conj(C) @ S.T                                # [i, j, k]
+    sj_c = (S.T @ C.reshape(n, n * n)).reshape(n, n, n)           # [j, q, k]
+    prod_of_stars = (S.T @ sj_c).transpose(1, 0, 2)               # [i, j, k]
+    return float(np.max(np.abs(star_of_prod - prod_of_stars)))
 
 
 def verify_algebra(tube: TubeAlgebra, tol: float = 1e-8) -> dict:
     """Report the *-algebra axioms: associativity, star, trace, unit.
 
     Pure report; `pass` summarizes every residual against its tolerance.
-    Every entry of every axiom is checked, as the module docstring says;
-    `pass` needs the pattern gate `pattern_violation_max` (whose
-    cross-grade part is `grade_mismatch_max`) to be exactly 0.0.
+    Every entry of every axiom is checked ideal by ideal, as the module
+    docstring says; `pass` needs the pattern gate `pattern_violation_max`
+    to be exactly 0.0.
     """
-    S = tube.star_matrix
-    n = tube.dim
-    eye = np.eye(n)
-    pattern, cross = _pattern_violations(tube)
-    assoc = _block_associativity(tube)
-    invol = float(np.max(np.abs(S @ np.conj(S) - eye)))
-    anti = _star_anti_mult(tube)
-    G = tube.gram()
-    gram_herm = float(np.max(np.abs(G - G.conj().T)))
-    eigs = np.linalg.eigvalsh((G + G.conj().T) / 2)
+    rows, eigs = [], []
+    for idl in tube.ideals:
+        I, C = idl.positions, idl.cube
+        S = tube.star_matrix[np.ix_(I, I)]
+        eye = np.eye(I.size)
+        G = _gram(C, S, tube.trace_vector[I])
+        eigs.append(np.linalg.eigvalsh((G + G.conj().T) / 2))
+        u = tube.unit_coords[I]
+        rows.append((
+            _block_associativity(tube, idl),
+            float(np.max(np.abs(S @ np.conj(S) - eye))),
+            _star_anti_mult(C, S),
+            float(np.max(np.abs(G - G.conj().T))),
+            float(max(np.max(np.abs(_left_mult(C, u) - eye)),
+                      np.max(np.abs((u @ C).T - eye))))))
+    assoc, invol, anti, gram_herm, unit_res = map(max, zip(*rows))
+    eigs = np.concatenate(eigs)
     min_eig = float(eigs.min())
     max_eig = float(eigs.max())
-    u = tube.unit_coords
-    unit_res = float(max(np.max(np.abs(tube.left_mult(u) - eye)),
-                         np.max(np.abs(tube.right_mult(u) - eye))))
+    pattern = _pattern_violation(tube)
     ok = (assoc < tol and invol < tol and anti < tol and gram_herm < tol
           and unit_res < 1e-9 and pattern == 0.0
           and min_eig > 1e-10 * max(1.0, max_eig))
     return {
-        "dim": n,
+        "dim": tube.dim,
         "associativity": assoc,
         "star_involution": invol,
         "star_anti_mult": anti,
@@ -729,7 +674,6 @@ def verify_algebra(tube: TubeAlgebra, tol: float = 1e-8) -> dict:
         "trace_min_eig": min_eig,
         "trace_max_eig": max_eig,
         "unit_residual": unit_res,
-        "grade_mismatch_max": cross,
         "pattern_violation_max": pattern,
         "tol": tol,
         "pass": bool(ok),
@@ -790,14 +734,13 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
               max_retries: int = 8) -> TubeDecomposition:
     """Block structure of one graded component.
 
-    The grade splits into the ideals of its outer-label components (see the
-    module docstring); a grade whose constants or star couple two of them
-    is refused.  For each ideal, solves the commutant equations for its
-    center, probes it with a seeded random Hermitian central element,
-    clusters the spectrum (gap threshold `cluster_tol`) and turns each
-    cluster into a minimal central projection.  Probes that produce
-    eigenvalue collisions are retried with seed+1, seed+2, ...; the largest
-    retry count of any ideal is reported.
+    The grade splits into its ideals (see the module docstring); a grade
+    whose star couples two of them is refused.  For each ideal, solves the
+    commutant equations for its center, probes it with a seeded random
+    Hermitian central element, clusters the spectrum (gap threshold
+    `cluster_tol`) and turns each cluster into a minimal central projection.
+    Probes that produce eigenvalue collisions are retried with seed+1,
+    seed+2, ...; the largest retry count of any ideal is reported.
     """
     sl = tube.grade_slice(grade)
     ng = sl.stop - sl.start
@@ -805,29 +748,18 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
         # a grade with no objects carries the zero algebra and no simples
         return TubeDecomposition(grade, tube.grade_name(grade), 0, 0, [],
                                  seed, 0)
-    C = tube.constants[sl, sl, sl]
-    S = tube.star_matrix[sl, sl]
-    comp, parts = _components(tube)
-    comp = comp[sl]
-    linked = _coupled(C, S, comp, len(parts))
-    np.fill_diagonal(linked, False)
-    if linked.any():
-        names = ["[" + ", ".join(tube.cat.label_name(p) for p in parts[c][1]) + "]"
-                 for c in np.argwhere(linked)[0]]
-        raise InternalCheckError(
-            f"grade {tube.grade_name(grade)}: tube data couple the outer-label "
-            f"components {names[0]} and {names[1]}")
+    _refuse_star_coupling(tube, grade)
     outer = tube.outer_by_grade[grade]
     blocks = []
     retries = 0
-    for c in np.unique(comp):
-        I = np.flatnonzero(comp == c)
-        found, attempt = _decompose_ideal(tube, grade, parts[c][1], I, C, S,
-                                          seed, cluster_tol, max_retries)
+    for idl in tube.ideals:
+        if idl.grade != grade:
+            continue
+        found, attempt = _decompose_ideal(tube, idl, seed, cluster_tol, max_retries)
         retries = max(retries, attempt)
         for m, zc, corners in found:
             full = np.zeros(tube.dim, dtype=complex)
-            full[sl.start + I] = zc
+            full[idl.positions] = zc
             blocks.append(TubeBlock(rank=m, projection=full,
                                     corners={p: corners.get(p, 0) for p in outer}))
 
@@ -844,17 +776,31 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
                              seed=seed, retries=retries)
 
 
-def _decompose_ideal(tube: TubeAlgebra, grade: int, labels: tuple,
-                     I: np.ndarray, Cg: np.ndarray, Sg: np.ndarray, seed: int,
-                     cluster_tol: float, max_retries: int) -> tuple:
-    """Minimal central projections of the ideal on positions I of the grade
-    (constants Cg, star Sg): a list of (rank, projection on I, corner
-    multiplicity of each label of the component), and the attempt index."""
+def _refuse_star_coupling(tube: TubeAlgebra, grade: int) -> None:
+    """Raise if a nonzero S[k, j] with b_j in the grade has b_k in another
+    ideal."""
     sl = tube.grade_slice(grade)
+    k, j = np.nonzero(tube.star_matrix[:, sl])
+    own, other = tube.ideal_of[sl.start + j], tube.ideal_of[k]
+    split = np.flatnonzero(own != other)
+    if split.size:
+        names = ["[" + ", ".join(tube.cat.label_name(p) for p in tube.ideals[c].labels)
+                 + "]" for c in sorted((own[split[0]], other[split[0]]))]
+        raise InternalCheckError(
+            f"grade {tube.grade_name(grade)}: the star couples the outer-label "
+            f"components {names[0]} and {names[1]}")
+
+
+def _decompose_ideal(tube: TubeAlgebra, ideal: TubeIdeal, seed: int,
+                     cluster_tol: float, max_retries: int) -> tuple:
+    """Minimal central projections of one ideal: a list of (rank,
+    projection on the ideal's positions, corner multiplicity of each of its
+    labels), and the attempt index."""
+    I, C = ideal.positions, ideal.cube
     n = I.size
-    C = np.ascontiguousarray(_cube(Cg, I))
-    S = Sg[np.ix_(I, I)]
-    unit = tube.unit_coords[sl][I]
+    S = tube.star_matrix[np.ix_(I, I)]
+    unit = tube.unit_coords[I]
+    labels = ideal.labels
     where = "outer labels " + ", ".join(tube.cat.label_name(p) for p in labels)
 
     # commutant: sum_k x_k (C[k,i,m] - C[i,k,m]) = 0 for all i, m.  The
@@ -867,7 +813,7 @@ def _decompose_ideal(tube: TubeAlgebra, grade: int, labels: tuple,
     if nc == 0:
         raise InternalCheckError(f"tube component has empty center ({where})")
 
-    G = _gram(C, S, tube.trace_vector[sl][I])
+    G = _gram(C, S, tube.trace_vector[I])
     Gh = (G + G.conj().T) / 2
     cond = float(np.linalg.cond(Gh))
     try:
@@ -879,7 +825,7 @@ def _decompose_ideal(tube: TubeAlgebra, grade: int, labels: tuple,
     Uinv = np.linalg.inv(U)
 
     corner_pos = np.searchsorted(I, [
-        tube.index[TubeBasisElement(grade, tube.cat.unit, p, p, p, 0, 0)] - sl.start
+        tube.index[TubeBasisElement(ideal.grade, tube.cat.unit, p, p, p, 0, 0)]
         for p in labels])
     # the corner count of p in block z is trace(lmat(z e_p)) / rank, where
     # e_p is the unit's corner at p; z e_p = unit[p] lmat(z)[:, p] and
@@ -966,21 +912,16 @@ def _projection_residual(C: np.ndarray, S: np.ndarray, M: np.ndarray,
     star(z_a) - z_a, the largest entry of its commutator matrix M z_a
     (M as `decompose` builds it, so M z is L_z - R_z flattened), and the
     largest |z_a z_b - delta_ab z_a| over b.  The products come from one
-    contraction of C with zs on both sides, a slab of a at a time.
+    contraction of C with zs on both sides.
     """
     ng, nc = zs.shape
-    dev = max(float(np.linalg.norm(zs.sum(axis=1) - unit)),
-              float(np.max(np.linalg.norm(S @ np.conj(zs) - zs, axis=0))))
-    c_flat = C.reshape(ng, ng * ng)
-    for A in _slabs(nc, ng):
-        za = zs[:, A]
-        dev = max(dev, float(np.max(np.abs(M @ za))))
-        left = (za.T @ c_flat).reshape(-1, ng, ng)            # [a, j, k]
-        prods = zs.T @ left                                   # [a, b, k]
-        own = np.arange(A.start, A.stop)
-        prods[own - A.start, own] -= za.T
-        dev = max(dev, float(np.max(np.linalg.norm(prods, axis=2))))
-    return dev
+    prods = zs.T @ (zs.T @ C.reshape(ng, ng * ng)).reshape(nc, ng, ng)   # [a, b, k]
+    own = np.arange(nc)
+    prods[own, own] -= zs.T
+    return max(float(np.linalg.norm(zs.sum(axis=1) - unit)),
+               float(np.max(np.linalg.norm(S @ np.conj(zs) - zs, axis=0))),
+               float(np.max(np.abs(M @ zs))),
+               float(np.max(np.linalg.norm(prods, axis=2))))
 
 
 # ---------------------------------------------------------------------------
@@ -1034,8 +975,16 @@ def twisted_untwisted_iso(twisted: TubeAlgebra, relative: TubeAlgebra,
     if len(set(perm.tolist())) != relative.dim:
         raise ValidationError("basis bijection fails: map is not injective")
 
-    dev = float(np.max(np.abs(
-        relative.constants - twisted.constants[np.ix_(perm, perm, perm)])))
+    ra, rb, rc, rv = _constant_entries(relative)
+    ta, tb, tc, tv = _constant_entries(twisted)
+    n = relative.dim
+    mapped = (perm[ra] * n + perm[rb]) * n + perm[rc]
+    own = (ta * n + tb) * n + tc
+    keys = np.union1d(mapped, own)
+    diff = np.zeros(keys.size, dtype=complex)
+    diff[np.searchsorted(keys, mapped)] = rv
+    diff[np.searchsorted(keys, own)] -= tv
+    dev = float(np.max(np.abs(diff), initial=0.0))
     sdev = float(np.max(np.abs(
         relative.star_matrix - twisted.star_matrix[np.ix_(perm, perm)])))
     tdev = float(np.max(np.abs(relative.trace_vector - twisted.trace_vector[perm])))
@@ -1064,9 +1013,10 @@ def tube_dump_dict(tube: TubeAlgebra, seed: int = 7, tol: float = 1e-8) -> dict:
     basis = [[tube.grade_name(e.grade), names[e.loop], names[e.source_outer],
               names[e.target_outer], names[e.channel], e.col, e.row]
              for e in tube.basis]
-    consts, star, trace, unit = (
-        _nonzeros(a) for a in (tube.constants, tube.star_matrix,
-                               tube.trace_vector, tube.unit_coords))
+    i, j, k, vals = _constant_entries(tube, 1e-12)
+    consts = _listed(np.stack((i, j, k), axis=1), vals)
+    star, trace, unit = (_nonzeros(a) for a in (tube.star_matrix, tube.trace_vector,
+                                                tube.unit_coords))
     grades = {}
     for g in tube.grades:
         sl = tube.grade_slice(g)
@@ -1091,19 +1041,29 @@ def tube_dump_dict(tube: TubeAlgebra, seed: int = 7, tol: float = 1e-8) -> dict:
     }
 
 
+def _constant_entries(tube: TubeAlgebra, above: float = 0.0) -> tuple:
+    """Every stored constant c[i, j, k] with |c| > above, as the index
+    arrays i, j, k and the values, in C order over the whole n^3 range."""
+    parts = [(np.zeros(0, dtype=int),) * 3 + (np.zeros(0, dtype=complex),)]
+    for idl in tube.ideals:
+        hit = np.abs(idl.cube) > above
+        parts.append((*(idl.positions[x] for x in np.nonzero(hit)), idl.cube[hit]))
+    i, j, k, vals = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((k, j, i))
+    return i[order], j[order], k[order], vals[order]
+
+
 def _nonzeros(A: np.ndarray) -> list:
     """[*index, re, im] for each entry of A above 1e-12 in modulus, in C
-    order, found a slab of the first index at a time."""
-    n = A.shape[0]
-    out = []
-    for I in _slabs(n, n):
-        part = A[I]
-        hit = np.abs(part) > 1e-12
-        idx = np.argwhere(hit)
-        idx[:, 0] += I.start
-        out += [[*map(int, ix), float(v.real), float(v.imag)]
-                for ix, v in zip(idx, part[hit])]
-    return out
+    order."""
+    hit = np.abs(A) > 1e-12
+    return _listed(np.argwhere(hit), A[hit])
+
+
+def _listed(index: np.ndarray, values: np.ndarray) -> list:
+    """[*index, re, im] for each row of index and its value."""
+    return [[*map(int, ix), float(v.real), float(v.imag)]
+            for ix, v in zip(index, values)]
 
 
 def decomposition_dict(dec: TubeDecomposition, tube: TubeAlgebra | None = None) -> dict:

@@ -8,7 +8,10 @@ import pytest
 
 from gct import (
     HalfBraiding,
+    build_tube,
     conjugate_half_braiding,
+    decompose,
+    extract_simples,
     g_action_on_center,
     hom_center,
     identity_half_braiding,
@@ -18,6 +21,8 @@ from gct import (
     verify_half_braiding,
 )
 from gct.center import center_report_dict
+from gct.tube import TubeBasisElement
+from test_tube import _private_cubes
 from gct.cli import _fusion_section
 
 
@@ -436,6 +441,64 @@ def test_representation_dims_are_block_ranks(fib_center):
     dims = sorted(tube_representation(tube, x)["dim"]
                   for x in fib_center["fam"])
     assert dims == sorted(fib_center["decs"][0].block_ranks())
+
+
+def _dense_hom_residual(tube, rep, g):
+    """Multiplicativity of the representation on the whole grade, with the
+    constants assembled dense from the cubes (the test-side reference)."""
+    sl = tube.grade_slice(g)
+    ng = sl.stop - sl.start
+    C = np.zeros((ng, ng, ng), dtype=complex)
+    for idl in tube.ideals:
+        if idl.grade == g:
+            I = idl.positions - sl.start
+            C[np.ix_(I, I, I)] = idl.cube
+    mats = rep["matrices"]
+    lhs = np.einsum("aij,bjk->abik", mats, mats)
+    rhs = np.einsum("abc,cik->abik", C, mats)
+    return float(np.max(np.abs(lhs - rhs))) if rep["dim"] else 0.0
+
+
+@pytest.fixture(scope="module")
+def ising_full_simples(cats):
+    tube = build_tube(cats["ising"], subcat=[0, 1, 2])
+    return tube, extract_simples(tube, decompose(tube, 0))
+
+
+def test_per_ideal_hom_residual_equals_the_dense_one(s3_center, z3_twisted,
+                                                     ising_full_simples):
+    bundles = [(s3_center["tube"], s3_center["fam"]),
+               (z3_twisted["tube"], z3_twisted["fam"]), ising_full_simples]
+    for tube, fam in bundles:
+        for x in fam:
+            rep = tube_representation(tube, x)
+            assert rep["pass"]
+            assert rep["hom_residual"] == _dense_hom_residual(tube, rep, x.grade)
+
+
+def test_a_corrupted_constant_shows_in_the_hom_residual(s3_center):
+    # each simple of Vec_S3 represents one of the three ideals, so every
+    # ideal is corrupted at least once
+    corrupted = set()
+    for x in s3_center["fam"]:
+        tube = _private_cubes(s3_center["tube"])
+        mats = tube_representation(tube, x)["matrices"]
+        # b_u b_c = kappa b_c for b_u the unit loop at the source of b_c,
+        # with rho(b_c) nonzero; the corrupted entry lies in the ideal of b_c
+        c = int(np.flatnonzero(np.abs(mats).max(axis=(1, 2)) > 0.5)[0])
+        e = tube.basis[c]
+        u = tube.index[TubeBasisElement(e.grade, tube.cat.unit, e.source_outer,
+                                        e.source_outer, e.source_outer, 0, 0)]
+        corrupted.add(int(tube.ideal_of[c]))
+        idl = tube.ideals[tube.ideal_of[c]]
+        a, b = np.searchsorted(idl.positions, (u, c))
+        assert idl.cube[a, b, b] != 0
+        idl.cube[a, b, b] += 0.37
+        rep = tube_representation(tube, x)
+        assert not rep["pass"]
+        assert rep["hom_residual"] > 0.1
+        assert rep["hom_residual"] == _dense_hom_residual(tube, rep, x.grade)
+    assert corrupted == set(range(len(s3_center["tube"].ideals)))
 
 
 # ----------------------------------------------------------- reporting

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import gct
+import gct.cli
 from gct import bundled_path
 
 RUN = [sys.executable, "-m", "gct.cli"]
@@ -115,6 +116,19 @@ def test_explicit_subcat_equals_degree0():
 def test_missing_file_is_io_error(tmp_path):
     res = run_cli("verify", str(tmp_path / "nope.json"))
     assert res.returncode == 1
+
+
+def test_memory_exhaustion_is_a_clean_io_error(monkeypatch, capsys):
+    # numpy's failed allocations raise a subclass of MemoryError
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.85 GiB for an array")
+
+    monkeypatch.setattr(gct.cli, "build_tube", no_memory)
+    assert gct.cli.main(["tube", bundled_path("ising")]) == gct.cli.EXIT_IO == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert err == ("error: gct tube: out of memory "
+                   "(Unable to allocate 2.85 GiB for an array)\n")
 
 
 def test_malformed_schema_is_data_error(tmp_path):

@@ -6,6 +6,7 @@ there and from the known simple counts of the small doubles.
 """
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -31,6 +32,7 @@ from gct.tube import (
     TubeBasisElement,
     TubeBlock,
     TubeDecomposition,
+    _gram,
     _kernel_columns,
     _left_mult,
     _projection_residual,
@@ -56,7 +58,7 @@ def test_algebra_axioms(request, key, fib_center, z2_center, ising_center,
             "vec_s3": s3_center}[key]["tube"]
     rep = verify_algebra(tube)
     assert rep["pass"], rep
-    assert rep["grade_mismatch_max"] == 0.0
+    assert rep["pattern_violation_max"] == 0.0
 
 
 def test_twisted_algebra_axioms(z3_twisted):
@@ -64,18 +66,33 @@ def test_twisted_algebra_axioms(z3_twisted):
     assert rep["pass"], rep
 
 
+def _dense_constants(tube):
+    """The whole n^3 array of structure constants, assembled from the
+    ideals' cubes (the test-side reference)."""
+    n = tube.dim
+    C = np.zeros((n, n, n), dtype=complex)
+    for idl in tube.ideals:
+        C[np.ix_(idl.positions, idl.positions, idl.positions)] = idl.cube
+    return C
+
+
+def _set_constant(tube, i, j, k, value):
+    """Set c[i, j, k] in the cube of the ideal that holds all three."""
+    (r,) = set(tube.ideal_of[[i, j, k]].tolist())
+    idl = tube.ideals[r]
+    idl.cube[tuple(np.searchsorted(idl.positions, (i, j, k)))] = value
+
+
 def test_corrupted_constant_is_caught(cats):
     tube = build_tube(cats["vec_z2"], subcat=[0, 1])
     rep = verify_algebra(tube)
     assert rep["pass"]
-    saved = tube.constants.copy()
-    try:
-        tube.constants[0, 1, 2] += 0.37
-        bad = verify_algebra(tube)
-        assert not bad["pass"]
-        assert bad["associativity"] > 1e-3 or bad["star_anti_mult"] > 1e-3
-    finally:
-        tube.constants = saved
+    # b_0 (the unit loop at outer 0) times b_2 (loop 1 at outer 0) is b_2
+    i, j, k = 0, 2, 2
+    _set_constant(tube, i, j, k, _dense_constants(tube)[i, j, k] + 0.37)
+    bad = verify_algebra(tube)
+    assert not bad["pass"]
+    assert bad["associativity"] > 1e-3 or bad["star_anti_mult"] > 1e-3
 
 
 # ------------------------------------- structured checks vs dense formulas
@@ -84,7 +101,7 @@ def test_corrupted_constant_is_caught(cats):
 def _dense_residuals(tube):
     """Associativity and star anti-multiplicativity over the full n^4 / n^3
     index ranges, written out as plain einsums (the test-side reference)."""
-    C, S = tube.constants, tube.star_matrix
+    C, S = _dense_constants(tube), tube.star_matrix
     assoc = np.max(np.abs(np.einsum("ijm,mkl->ijkl", C, C)
                           - np.einsum("jkm,iml->ijkl", C, C)))
     anti = np.max(np.abs(np.einsum("ijm,km->ijk", np.conj(C), S)
@@ -96,7 +113,7 @@ def _dense_gram(tube, g=None):
     """tau(b_i^* b_j) as one three-operand einsum (the test-side reference)."""
     sl = slice(None) if g is None else tube.grade_slice(g)
     return np.einsum("ki,kjl,l->ij", tube.star_matrix[:, sl],
-                     tube.constants[:, sl, :], tube.trace_vector)
+                     _dense_constants(tube)[:, sl, :], tube.trace_vector)
 
 
 def _loop_projection_residual(C, S, unit, zs):
@@ -127,14 +144,28 @@ def ising_full_tube(cats):
     return build_tube(cats["ising"], subcat=[0, 1, 2])
 
 
+def _private_cubes(tube):
+    """A shallow copy of the tube with copies of its ideals and cubes."""
+    tube = copy.copy(tube)
+    tube.ideals = tuple(dataclasses.replace(idl, cube=idl.cube.copy())
+                        for idl in tube.ideals)
+    return tube
+
+
 @pytest.fixture
 def s3_tube(s3_center):
-    """The Vec_S3 tube on a private copy of its constants, restored after."""
-    tube = s3_center["tube"]
-    saved = tube.constants
-    tube.constants = saved.copy()
-    yield tube
-    tube.constants = saved
+    """The Vec_S3 tube on private copies of its cubes."""
+    return _private_cubes(s3_center["tube"])
+
+
+def _ideal_gram(tube):
+    """The Gram form assembled from the per-ideal `_gram` of each cube."""
+    G = np.zeros((tube.dim, tube.dim), dtype=complex)
+    for idl in tube.ideals:
+        I = idl.positions
+        G[np.ix_(I, I)] = _gram(idl.cube, tube.star_matrix[np.ix_(I, I)],
+                                tube.trace_vector[I])
+    return G
 
 
 @pytest.mark.parametrize("fixture", ["s3_center", "fib_center",
@@ -155,36 +186,28 @@ def test_structured_checks_match_dense_reference(request, fixture):
 def test_gram_matches_dense_reference(request, fixture):
     tube = request.getfixturevalue(fixture)
     tube = tube["tube"] if isinstance(tube, dict) else tube
-    for g in (*tube.grades, None):
-        G = tube.gram(g)
-        assert np.max(np.abs(G - _dense_gram(tube, g))) < 1e-12
-        assert np.max(np.abs(G - G.conj().T)) < 1e-12
+    G = _ideal_gram(tube)
+    for g in tube.grades:
+        sl = tube.grade_slice(g)
+        assert np.max(np.abs(G[sl, sl] - _dense_gram(tube, g))) < 1e-12
+    assert np.max(np.abs(G - _dense_gram(tube))) < 1e-12
+    assert np.max(np.abs(G - G.conj().T)) < 1e-12
 
 
 def test_gram_and_multiplications_on_complex_data(ising_center):
-    # the bundled tubes have real star matrices; random complex arrays on a
-    # two-grade tube also tell S from conj(S) and the index orders apart
-    tube = copy.copy(ising_center["tube"])
-    n = tube.dim
+    # the bundled tubes have real star matrices; random complex data on each
+    # ideal also tell S from conj(S) and the index orders apart
+    tube = ising_center["tube"]
     rng = np.random.default_rng(3)
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    tube.constants, tube.star_matrix, tube.trace_vector = cplx(n, n, n), cplx(n, n), cplx(n)
-    for g in (*tube.grades, None):
-        assert np.max(np.abs(tube.gram(g) - _dense_gram(tube, g))) < 1e-12
-    x, C = cplx(n), tube.constants
-    assert np.max(np.abs(tube.left_mult(x) - np.einsum("i,ijk->kj", x, C))) < 1e-12
-    assert np.max(np.abs(tube.right_mult(x) - np.einsum("j,ijk->ki", x, C))) < 1e-12
-
-
-@pytest.mark.parametrize("n, size", [(1, 1), (7, 7), (8, 64), (9, 64), (64, 64),
-                                     (65, 64), (36, 36)])
-def test_slabs_cover_every_index_once(n, size):
-    slabs = list(gct.tube._slabs(n, size))
-    assert [i for sl in slabs for i in range(n)[sl]] == list(range(n))
-    assert max(sl.stop - sl.start for sl in slabs) <= max(1, size // gct.tube._SLABS)
+    for idl in tube.ideals:
+        m = idl.positions.size
+        C, S, t, x = cplx(m, m, m), cplx(m, m), cplx(m), cplx(m)
+        assert np.max(np.abs(_gram(C, S, t) - np.einsum("ki,kjl,l->ij", S, C, t))) < 1e-12
+        assert np.max(np.abs(_left_mult(C, x) - np.einsum("i,ijk->kj", x, C))) < 1e-12
 
 
 def _projection_system(bundle):
@@ -193,7 +216,7 @@ def _projection_system(bundle):
     tube = bundle["tube"]
     sl = tube.grade_slice(0)
     ng = sl.stop - sl.start
-    C = tube.constants[sl, sl, sl]
+    C = _dense_constants(tube)[sl, sl, sl]
     M = (C.transpose(1, 2, 0) - C.transpose(0, 2, 1)).reshape(ng * ng, ng)
     zs = np.stack([b.projection[sl] for b in bundle["decs"][0].blocks], axis=1)
     return C, tube.star_matrix[sl, sl], M, tube.unit_coords[sl], zs
@@ -298,14 +321,14 @@ def _whole_grade_decompose(tube, grade, seed=7, cluster_tol=1e-6, max_retries=8)
     trace form and probe over the grade (the test-side reference)."""
     sl = tube.grade_slice(grade)
     ng = sl.stop - sl.start
-    C = tube.constants[sl, sl, sl]
+    C = _dense_constants(tube)[sl, sl, sl]
     S = tube.star_matrix[sl, sl]
     unit = tube.unit_coords[sl]
     M = (C.transpose(1, 2, 0) - C.transpose(0, 2, 1)).reshape(ng * ng, ng)
     s, vh = scipy.linalg.svd(M, full_matrices=False)[1:]
     Z = _kernel_columns(M.shape, s, vh, 1e-9)
     nc = Z.shape[1]
-    G = tube.gram(grade)
+    G = _dense_gram(tube, grade)
     U = scipy.linalg.cholesky((G + G.conj().T) / 2)
     Uinv = np.linalg.inv(U)
     C = np.ascontiguousarray(C)
@@ -368,8 +391,7 @@ def test_per_ideal_decomposition_matches_the_whole_grade(request, fixture):
 
 def test_ideal_sizes(s3_center, z3_twisted, fib_center, z8_tube):
     def sizes(tube, g):
-        comp = gct.tube._components(tube)[0][tube.grade_slice(g)]
-        return sorted(np.bincount(comp)[np.unique(comp)].tolist())
+        return sorted(idl.positions.size for idl in tube.ideals if idl.grade == g)
 
     assert sizes(s3_center["tube"], 0) == [6, 12, 18]
     assert sizes(z3_twisted["tube"], 0) == [3, 3, 3]
@@ -378,35 +400,19 @@ def test_ideal_sizes(s3_center, z3_twisted, fib_center, z8_tube):
     assert sizes(z8_tube, 0) == [8] * 8
 
 
-def _cross_component_entry(tube, i):
-    """Indices (i, j, i) of a structure constant with b_i and b_j in two
-    different outer-label components of grade 0."""
-    comp = gct.tube._components(tube)[0]
-    sl = tube.grade_slice(0)
-    j = next(j for j in range(sl.start, sl.stop) if comp[j] != comp[i])
-    return i, j, i
-
-
 @pytest.mark.parametrize("end", [0, -1])
 def test_decompose_refuses_data_that_couple_two_components(end):
     tube = build_tube(category_from_dict(_vec_zn(8), name="vec_z8"), verify=False)
     assert decompose(tube, 0).block_ranks() == [1] * 64
-    i, j, k = _cross_component_entry(tube, range(tube.dim)[end])
-    # components are numbered by their first outer label
+    i = range(tube.dim)[end]
+    j = next(j for j in range(tube.dim) if tube.ideal_of[j] != tube.ideal_of[i])
+    # ideals are numbered by their first outer label
     first, second = (tube.cat.label_name(p)
                      for p in sorted(tube.basis[x].source_outer for x in (i, j)))
-    tube.constants[i, j, k] = 1e-30
-    with pytest.raises(InternalCheckError,
-                       match=rf"couple the outer-label components \[{first}\] "
-                             rf"and \[{second}\]"):
-        decompose(tube, 0)
-    tube.constants[i, j, k] = 0.0
-    tube.constants[i, i, j] = 1e-30          # b_i b_i with a b_j component
-    with pytest.raises(InternalCheckError, match="couple the outer-label components"):
-        decompose(tube, 0)
-    tube.constants[i, i, j] = 0.0
     tube.star_matrix[j, i] = 1e-30
-    with pytest.raises(InternalCheckError, match="couple the outer-label components"):
+    with pytest.raises(InternalCheckError,
+                       match=rf"the star couples the outer-label components "
+                             rf"\[{first}\] and \[{second}\]"):
         decompose(tube, 0)
 
 
@@ -426,8 +432,7 @@ def test_retries_are_the_largest_of_any_ideal(monkeypatch, z8_tube):
 def test_star_check_in_the_last_ideal_matches_dense(s3_center):
     tube = copy.copy(s3_center["tube"])
     tube.star_matrix = tube.star_matrix.copy()
-    comp = gct.tube._components(tube)[0]
-    last = np.flatnonzero(comp == comp.max())
+    last = tube.ideals[-1].positions
     j = int(last[-1])
     k = int(np.flatnonzero(tube.star_matrix[:, j])[0])
     assert k in last
@@ -438,22 +443,37 @@ def test_star_check_in_the_last_ideal_matches_dense(s3_center):
     assert abs(bad["star_anti_mult"] - _dense_residuals(tube)[1]) < 1e-12
 
 
-def test_star_check_merges_ideals_that_the_data_couple(s3_tube):
-    # an out-of-pattern constant joins two components; the merged ideal
-    # sees exactly what the dense check sees
-    i, j, k = _cross_component_entry(s3_tube, s3_tube.dim - 1)
-    s3_tube.constants[i, j, k] = 0.37
-    bad = verify_algebra(s3_tube)
-    assert bad["pattern_violation_max"] == 0.37
-    assert bad["star_anti_mult"] > 1e-3
-    assert abs(bad["star_anti_mult"] - _dense_residuals(s3_tube)[1]) < 1e-12
+def test_star_entry_off_the_reversed_pattern_is_caught_by_the_gate(s3_center,
+                                                                  ising_center):
+    """S[k, j] for a b_k that does not run the reverse way of b_j: in the
+    same ideal, in another ideal of the grade, and in another grade."""
+    def off_reversed(tube, j, k):
+        return (tube.source_of[k], tube.target_of[k]) != \
+            (tube.target_of[j], tube.source_of[j])
+
+    s3, ising = s3_center["tube"], ising_center["tube"]
+    # the last Vec_S3 ideal has three outer labels
+    ideal = s3.ideals[-1].positions
+    j = next(j for j in ideal if s3.source_of[j] != s3.target_of[j])
+    cases = [(s3, j, next(k for k in ideal if off_reversed(s3, j, k))),
+             (s3, j, next(k for k in range(s3.dim) if s3.ideal_of[k] != s3.ideal_of[j]))]
+    sl = ising.grade_slice(1)
+    cases.append((ising, sl.start, sl.start - 1))
+    for tube, j, k in cases:
+        tube = copy.copy(tube)
+        tube.star_matrix = tube.star_matrix.copy()
+        assert tube.star_matrix[k, j] == 0
+        tube.star_matrix[k, j] = 1e-30
+        bad = verify_algebra(tube)
+        assert not bad["pass"]
+        assert bad["pattern_violation_max"] == 1e-30
 
 
 @pytest.mark.parametrize("fixture", ["s3_center", "ising_center", "z3_twisted"])
 def test_dump_lists_the_entries_of_a_whole_array_scan(request, fixture):
     tube = request.getfixturevalue(fixture)["tube"]
     dump = tube_dump_dict(tube)
-    for key, A in (("constants", tube.constants), ("star", tube.star_matrix),
+    for key, A in (("constants", _dense_constants(tube)), ("star", tube.star_matrix),
                    ("trace", tube.trace_vector), ("unit", tube.unit_coords)):
         ref = [[*map(int, idx), float(A[tuple(idx)].real), float(A[tuple(idx)].imag)]
                for idx in np.argwhere(np.abs(A) > 1e-12)]
@@ -467,7 +487,7 @@ def test_in_block_corruption_is_caught_by_associativity(s3_tube):
                    for k in range(n)
                    if _chains(tube, i, j, k) and tube.basis[i].loop != tube.cat.unit
                    and tube.basis[j].loop != tube.cat.unit)
-    tube.constants[i, j, k] += 0.37
+    _set_constant(tube, i, j, k, _dense_constants(tube)[i, j, k] + 0.37)
     bad = verify_algebra(tube)
     assert not bad["pass"]
     assert bad["pattern_violation_max"] == 0.0
@@ -476,39 +496,62 @@ def test_in_block_corruption_is_caught_by_associativity(s3_tube):
     assert abs(bad["associativity"] - _dense_residuals(tube)[0]) < 1e-12
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unit_residual_matches_dense(s3_tube, side):
+    # b_u b_j (left) or b_j b_u (right), b_u the unit loop at the matching
+    # outer label of b_j, has a wrong b_j component
+    tube = s3_tube
+    j = int(tube.ideals[-1].positions[-1])
+    e = tube.basis[j]
+    p = e.source_outer if side == "left" else e.target_outer
+    u = tube.index[TubeBasisElement(e.grade, tube.cat.unit, p, p, p, 0, 0)]
+    i, k = (u, j) if side == "left" else (j, u)
+    _set_constant(tube, i, k, j, _dense_constants(tube)[i, k, j] + 0.37)
+    C, unit, eye = _dense_constants(tube), tube.unit_coords, np.eye(tube.dim)
+    dense = max(np.max(np.abs(np.einsum("i,ijk->kj", unit, C) - eye)),
+                np.max(np.abs(np.einsum("j,ijk->ki", unit, C) - eye)))
+    bad = verify_algebra(tube)
+    assert bad["unit_residual"] > 0.1
+    assert abs(bad["unit_residual"] - dense) < 1e-12
+
+
+def _off_pattern_entry(tube, ideal):
+    """(i, j, k) in one ideal with b_k from the source of b_i to the target
+    of b_j, but b_i, b_j that do not chain."""
+    src, tgt, I = tube.source_of, tube.target_of, ideal.positions
+    return next((i, j, k) for i in I for j in I for k in I
+                if tgt[i] != src[j] and (src[k], tgt[k]) == (src[i], tgt[j]))
+
+
 def test_out_of_pattern_corruption_is_caught_by_the_gate(s3_tube):
     tube = s3_tube
-    n = tube.dim
-    i, j = next((i, j) for i in range(n) for j in range(n)
-                if tube.basis[i].target_outer != tube.basis[j].source_outer)
-    tube.constants[i, j, 0] = 1e-30
+    # the last Vec_S3 ideal has three outer labels, so not all pairs chain
+    ideal = tube.ideals[-1]
+    assert len(ideal.labels) == 3
+    _set_constant(tube, *_off_pattern_entry(tube, ideal), 1e-30)
     bad = verify_algebra(tube)
     assert not bad["pass"]
     assert bad["pattern_violation_max"] == 1e-30
-    assert bad["grade_mismatch_max"] == 0.0   # one grade: only the gate sees it
 
 
-def test_corruption_in_the_last_slab_is_caught(s3_tube):
+def test_corruption_in_the_last_ideal_matches_dense(s3_tube):
     tube = s3_tube
     n = tube.dim
     S = tube.star_matrix
-    # b_j and the star of b_i both sit in the last slab of j, so no other
-    # slab sees the corruption; the two sides of the check change at
-    # different entries unless b_i, b_j are each other's stars and b_k is
-    # its own
-    last = range(n)[list(gct.tube._slabs(n, n))[-1]]
-    i, j, k = next((i, j, k) for i in range(n) for j in last for k in range(n)
+    # all of b_i, b_j, b_k and the stars in the last ideal; the two sides of
+    # the check change at different entries unless b_i, b_j are each other's
+    # stars and b_k is its own
+    last = tube.ideals[-1].positions
+    i, j, k = next((i, j, k) for i in last for j in last for k in last
                    if _chains(tube, i, j, k)
-                   and set(np.flatnonzero(S[i])) <= set(last)
                    and not (S[j, i] != 0 and S[k, k] != 0))
-    tube.constants[i, j, k] += 0.37
+    _set_constant(tube, i, j, k, _dense_constants(tube)[i, j, k] + 0.37)
     bad = verify_algebra(tube)
     assert bad["pattern_violation_max"] == 0.0
     assert bad["star_anti_mult"] > 1e-3
     assert abs(bad["star_anti_mult"] - _dense_residuals(tube)[1]) < 1e-12
-    j = next(j for j in range(n)
-             if tube.basis[n - 1].target_outer != tube.basis[j].source_outer)
-    tube.constants[n - 1, j, 0] = 1e-30
+    assert abs(bad["associativity"] - _dense_residuals(tube)[0]) < 1e-12
+    _set_constant(tube, *_off_pattern_entry(tube, tube.ideals[-1]), 1e-30)
     assert verify_algebra(tube)["pattern_violation_max"] == 1e-30
 
 
@@ -619,7 +662,7 @@ def test_trivial_group_twisted_tube_is_the_plain_one(cats):
     tw = build_twisted_tube(fib, ident)
     plain = build_tube(fib, subcat=[0, 1])
     assert tw.dim == plain.dim
-    assert np.allclose(tw.constants, plain.constants, atol=1e-12)
+    assert np.allclose(_dense_constants(tw), _dense_constants(plain), atol=1e-12)
     assert np.allclose(tw.star_matrix, plain.star_matrix, atol=1e-12)
 
 
@@ -630,8 +673,8 @@ def test_identity_action_matches_plain_component(cats):
     plain = build_tube(z3)
     sl = tw.grade_slice(0)
     assert sl == plain.grade_slice(0)
-    assert np.allclose(tw.constants[sl, sl, sl], plain.constants[sl, sl, sl],
-                       atol=1e-12)
+    assert np.allclose(_dense_constants(tw)[sl, sl, sl],
+                       _dense_constants(plain)[sl, sl, sl], atol=1e-12)
     # the untwisted odd component repeats the even one for this action
     so = tw.grade_slice(1)
     assert so.stop - so.start == 9
@@ -667,6 +710,19 @@ def test_crossed_extension_tube_matches_twisted(z3_ext_tube, z3_twisted):
     # the identification inverts the grade; every element of this group
     # is its own inverse, so the map reads as the identity
     assert rep["grade_map"] == {"e": "e", "i": "i"}
+
+
+def test_iso_deviation_reads_entries_stored_on_either_side(z3_ext_tube, z3_twisted):
+    # a zero entry of one cube made nonzero has no counterpart on the other
+    # side, so only the union of the stored keys sees it
+    for which, value in (("relative", 0.37), ("twisted", 0.25)):
+        tubes = {"relative": z3_ext_tube, "twisted": z3_twisted["tube"]}
+        tubes[which] = _private_cubes(tubes[which])
+        cube = tubes[which].ideals[-1].cube
+        cube[np.unravel_index(np.flatnonzero(cube == 0)[0], cube.shape)] = value
+        rep = twisted_untwisted_iso(tubes["twisted"], tubes["relative"])
+        assert not rep["pass"]
+        assert abs(rep["max_deviation"] - value) < 1e-12
 
 
 # ----------------------------------------------------------- determinism
@@ -721,9 +777,9 @@ def _spliced_constants(tube):
 
 
 def _assert_constants_are_spliced(tube):
-    ref = _spliced_constants(tube)
-    assert np.array_equal(tube.constants != 0, ref != 0)
-    assert np.max(np.abs(tube.constants - ref)) <= 1e-13
+    ref, ours = _spliced_constants(tube), _dense_constants(tube)
+    assert np.array_equal(ours != 0, ref != 0)
+    assert np.max(np.abs(ours - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("fixture", ["fib_center", "ising_center", "ising_full_tube",
@@ -757,14 +813,9 @@ def test_a_flipped_f_entry_moves_both_fills_alike(ising_full_tube):
     cat = category_from_dict(data, "ising_flipped")
     tube = build_tube(cat, subcat=[0, 1, 2], verify=False)
     assert tube.basis == ising_full_tube.basis
-    assert np.max(np.abs(tube.constants - ising_full_tube.constants)) > 1
+    assert np.max(np.abs(_dense_constants(tube) - _dense_constants(ising_full_tube))) > 1
     _assert_constants_are_spliced(tube)
     assert not verify_algebra(tube)["pass"]
     with pytest.raises(InternalCheckError, match="axioms fail"):
         build_tube(cat, subcat=[0, 1, 2])
 
-
-def test_components_are_computed_once_and_read_only(z8_tube):
-    comp, parts = gct.tube._components(z8_tube)
-    assert gct.tube._components(z8_tube)[0] is comp
-    assert not comp.flags.writeable and isinstance(parts, tuple)
