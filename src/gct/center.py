@@ -653,7 +653,8 @@ def extract_simples(tube: TubeAlgebra, dec: TubeDecomposition, seed: int = 7,
                 f"tube representation checks fail for {X.name or X.obj}: {info}")
         hits = []
         for bi, blk in enumerate(dec.blocks):
-            t = complex(np.einsum("k,kii->", blk.projection[sl], rep["matrices"]))
+            t = complex(np.einsum("k,kii->", blk.projection,
+                                  rep["matrices"][blk.positions - sl.start]))
             if abs(t - blk.rank) < 1e-4:
                 hits.append(bi)
             elif abs(t) > 1e-4:
@@ -725,7 +726,7 @@ def tube_representation(tube: TubeAlgebra, hb: HalfBraiding,
     mats = np.zeros((ng, H, H), dtype=complex)
     for k in range(sl.start, sl.stop):
         e = tube.basis[k]
-        B = tube._mors[k]
+        B = tube.element_mor(k)
         for j, (rho, v) in enumerate(vecs):
             if rho != e.target_outer:
                 continue
@@ -735,26 +736,24 @@ def tube_representation(tube: TubeAlgebra, hb: HalfBraiding,
                 continue
             for i in range(col.shape[0]):
                 mats[k - sl.start, pos[(e.source_outer, i)], j] = col[i, 0]
+    weights = np.array([float(cat.qdim[rho]) for rho, _ in vecs])
+    W = np.diag(weights)
+    Winv = np.diag(1.0 / weights)
     # rho(b_a) rho(b_b) and sum_c c_abc rho(b_c) both vanish for a, b in
-    # two ideals, so multiplicativity is checked per ideal
-    hom_res = 0.0
+    # two ideals, and the star stays in its ideal, so both are checked per
+    # ideal
+    hom_res = star_res = 0.0
     for idl in tube.ideals:
         if idl.grade == g and H:
             R = mats[idl.positions - sl.start]
             lhs = np.einsum("aij,bjk->abik", R, R)
             rhs = np.einsum("abc,cik->abik", idl.cube, R)
             hom_res = max(hom_res, float(np.max(np.abs(lhs - rhs))))
+            lhs = np.einsum("ik,ijl->kjl", idl.star, R)
+            rhs = Winv @ R.conj().transpose(0, 2, 1) @ W
+            star_res = max(star_res, float(np.max(np.abs(lhs - rhs))))
     unit_mat = np.einsum("k,kij->ij", tube.unit_coords[sl], mats)
     unit_res = float(np.max(np.abs(unit_mat - np.eye(H)))) if H else 0.0
-    weights = np.array([float(cat.qdim[rho]) for rho, _ in vecs])
-    W = np.diag(weights)
-    Winv = np.diag(1.0 / weights)
-    S = tube.star_matrix[sl, sl]
-    star_res = 0.0
-    for k in range(ng):
-        lhs_m = np.einsum("i,ijk->jk", S[:, k], mats)
-        rhs_m = Winv @ mats[k].conj().T @ W
-        star_res = max(star_res, float(np.max(np.abs(lhs_m - rhs_m))))
     ok = hom_res < tol and unit_res < tol and star_res < tol
     return {
         "matrices": mats,

@@ -312,6 +312,14 @@ def _int(x, what: str) -> int:
     return x
 
 
+def _real(x, what: str) -> float:
+    """A JSON number.  ``float()`` and ``dtype=float`` would read ``"1.5"``
+    and ``true``, so a string or a boolean is refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise DataError(f"{what} must hold numbers, not {x!r}")
+    return float(x)
+
+
 def _ints(data, what: str) -> np.ndarray:
     """An integer array from nested JSON lists, every entry checked by `_int`."""
     def check(x):
@@ -320,8 +328,13 @@ def _ints(data, what: str) -> np.ndarray:
 
 
 def _as_complex_matrix(rows: list) -> np.ndarray:
-    mat = np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows])
-    return mat
+    """A matrix of F entries [re, im].  Reading entry[0] and entry[1] would
+    drop a third component, so any other shape is refused."""
+    def entry(z):
+        if not isinstance(z, list) or len(z) != 2:
+            raise DataError(f"F entries must be [re, im], not {z!r}")
+        return complex(_real(z[0], "F entries"), _real(z[1], "F entries"))
+    return np.array([[entry(z) for z in row] for row in rows])
 
 
 def category_from_dict(data: dict, name: str = "") -> GradedCategory:
@@ -345,7 +358,7 @@ def _category_from_dict(data: dict, name: str) -> GradedCategory:
         rank = _int(data["rank"], "rank")
         labels = tuple(str(x) for x in data["labels"])
         dual = _ints(data["dual"], "dual")
-        qdim = np.asarray(data["qdim"], dtype=float)
+        qdim = np.array([_real(x, "qdim") for x in data["qdim"]])
         group_raw = data.get("group")
         grading_raw = data.get("grading")
         n_raw = data["N"]

@@ -165,16 +165,6 @@ class Mor:
             raise InternalCheckError("morphism is not a scalar")
         return complex(vals[0][0, 0])
 
-    def clean(self, tol: float = 0.0) -> "Mor":
-        """Drop all-zero blocks (and, with tol, tiny entries) in place-ish."""
-        out = {}
-        for c, B in self.blocks.items():
-            if tol:
-                B = np.where(np.abs(B) <= tol, 0.0, B)
-            if np.any(B):
-                out[c] = B
-        return Mor(self.eng, self.source, self.target, out)
-
 
 @dataclass(eq=False)
 class ConjugatePair:
@@ -399,7 +389,7 @@ class TreeEngine:
             if not src_paths:
                 continue
             n_src = len(src_paths)
-            # intermediate基 after factoring the prefix: (m, (e, p', nu), mu)
+            # intermediate basis after factoring the prefix: (m, (e, p', nu), mu)
             inter = []
             for m in range(self.rank):
                 nmu = N[m, b, c]

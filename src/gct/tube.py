@@ -30,23 +30,23 @@ Each graded component is a direct sum of two-sided *-ideals, one per
 connected component of its outer-label graph, in which an element p -> r
 joins p and r.  A chained block x: a -> b, y: b -> c, z: a -> c lies in
 one ideal, so a product of elements of two ideals is zero, and the star of
-p -> r runs r -> p.  The constants are stored that way: each `TubeIdeal`
-holds its sorted basis positions I and the dense cube C[I, I, I] in that
-local order, and nothing else of the n^3 index range is stored.
+p -> r runs r -> p.  The algebra is stored that way: each `TubeIdeal`
+holds its sorted basis positions I, the dense cube C[I, I, I] and the star
+block S[I, I] in that local order, and nothing else of the n^3 and n^2
+index ranges is stored, so no star can couple two ideals.
 
 `verify_algebra` checks every axiom on every entry, ideal by ideal.  A
 pattern gate requires c[i, j, k] to be exactly 0.0 unless the outer labels
 chain (target of i = source of j) and b_k runs from the source of i to the
 target of j, and S[k, j] to be exactly 0.0 unless b_k runs the reverse way
-of b_j in the same grade.  Given the gate, associativity is checked per
-outer-label chain block p -> q -> r -> s, and the star, the Gram form and
-multiplication by the unit are block diagonal over the ideals; every entry
-and contraction index the ideals skip is a product with an exact zero, so
-each per-ideal maximum equals the dense one at a cost of sum n_I^4 instead
-of n^4.  `decompose` works on each ideal on its own (commutant, trace form,
-probe, projections, corner counts): the center of the grade is the direct
-sum of the ideals' centers.  It refuses a grade whose star couples two
-ideals.
+of b_j.  Given the gate, associativity is checked per outer-label chain
+block p -> q -> r -> s, and the Gram form and multiplication by the unit
+are block diagonal over the ideals; every entry and contraction index the
+ideals skip is a product with an exact zero, so each per-ideal maximum
+equals the dense one at a cost of sum n_I^4 instead of n^4.  `decompose`
+works on each ideal on its own (commutant, trace form, probe, projections,
+corner counts): the center of the grade is the direct sum of the ideals'
+centers, and each block's projection is stored on its ideal's positions.
 
 The kernels run as BLAS matrix products.  The Gram form is S^T (C t), with
 the trace vector contracted first.  `decompose` checks centrality as M z
@@ -114,14 +114,16 @@ class TubeIdeal:
     """One two-sided *-ideal of a graded component: the basis elements whose
     outer labels lie in one component of the grade's outer-label graph.
 
-    `positions` are its basis indices in increasing order, and `cube` holds
-    c[i, j, k] for i, j, k in `positions`, in that local order.
+    `positions` are its basis indices in increasing order; `cube` holds
+    c[i, j, k] and `star` holds S[k, j] for i, j, k in `positions`, in that
+    local order.
     """
 
     grade: int
     labels: tuple                   # outer labels of the component
     positions: np.ndarray
     cube: np.ndarray | None = None  # filled by TubeAlgebra._fill_constants
+    star: np.ndarray | None = None  # filled by TubeAlgebra._fill_star
 
 
 class TubeAlgebra:
@@ -131,10 +133,10 @@ class TubeAlgebra:
 
     - ``basis``: list of `TubeBasisElement` in lexicographic order;
     - ``ideals``: the `TubeIdeal`s, grade by grade, each grade's in the
-      order of their first outer label; b_i b_j = sum_k c[i, j, k] b_k with
-      c stored as one cube per ideal and zero elsewhere;
+      order of their first outer label; b_i b_j = sum_k c[i, j, k] b_k and
+      star(x) = S conj(x) (an antilinear involution), with c stored as one
+      cube and S as one block per ideal, both zero elsewhere;
     - ``ideal_of``: the ideal number of each basis element, as an array;
-    - ``star_matrix``: S with star(x) = S conj(x) (antilinear involution);
     - ``trace_vector``, ``unit_coords``: the canonical trace and unit;
     - ``grade_slice(g)``: contiguous index range of one graded component;
     - ``grade_of``, ``source_of``, ``target_of``: the grade and outer labels
@@ -164,30 +166,22 @@ class TubeAlgebra:
             return x
         return self.action.on_label(g, x)
 
-    def words(self, elt: TubeBasisElement) -> tuple:
-        src = ((elt.source_outer, elt.loop),)
-        tgt = ((self.tloop(elt.grade, elt.loop), elt.target_outer),)
-        return src, tgt
-
     def _enumerate(self) -> None:
-        eng = self.eng
+        """The matrix units of Hom(p x, x' r): one per channel c of p x and
+        pair of multiplicity indices."""
+        N = self.cat.N
         basis = []
         for g in self.grades:
             outers = self.outer_by_grade[g]
             for x in self.loop_labels:
                 tl = self.tloop(g, x)
                 for p in outers:
+                    channels = self.cat.fusion_channels(p, x)
                     for r in outers:
-                        src = ((p, x),)
-                        tgt = ((tl, r),)
-                        for c in range(self.cat.rank):
-                            m = eng.vdim(c, src)
-                            n = eng.vdim(c, tgt)
-                            if m and n:
-                                for i in range(m):
-                                    for j in range(n):
-                                        basis.append(
-                                            TubeBasisElement(g, x, p, r, c, i, j))
+                        for c, m in channels:
+                            n = int(N[tl, r, c])
+                            basis.extend(TubeBasisElement(g, x, p, r, c, i, j)
+                                         for i in range(m) for j in range(n))
         basis.sort()
         self.basis = basis
         self.dim = len(basis)
@@ -195,7 +189,6 @@ class TubeAlgebra:
         self.grade_of = np.array([e.grade for e in basis], dtype=int)
         self.source_of = np.array([e.source_outer for e in basis], dtype=int)
         self.target_of = np.array([e.target_outer for e in basis], dtype=int)
-        self._mors = [self.element_mor(k) for k in range(self.dim)]
         self._find_ideals()
 
     def _find_ideals(self) -> None:
@@ -219,8 +212,10 @@ class TubeAlgebra:
         self.ideals = tuple(ideals)
 
     def element_mor(self, k: int) -> Mor:
+        """Basis element k as the matrix unit X : (a x,) -> (x' b,)."""
         e = self.basis[k]
-        src, tgt = self.words(e)
+        src = ((e.source_outer, e.loop),)
+        tgt = ((self.tloop(e.grade, e.loop), e.target_outer),)
         return self.eng.elementary(src, tgt, e.channel, e.col, e.row)
 
     def grade_slice(self, g: int) -> slice:
@@ -373,18 +368,22 @@ class TubeAlgebra:
         return [(d, k) for d, m in self.cat.fusion_channels(u, v) for k in range(m)]
 
     def _fill_star(self) -> None:
-        n = self.dim
-        S = np.zeros((n, n), dtype=complex)
-        for k, e in enumerate(self.basis):
-            Zm = self.star_mor(e.grade, self._mors[k])
-            xbar = int(self.cat.dual[e.loop])
-            for c, B in Zm.blocks.items():
-                for j, i in np.argwhere(np.abs(B) > 0):
-                    elt = TubeBasisElement(
-                        e.grade, xbar, e.target_outer, e.source_outer,
-                        c, int(i), int(j))
-                    S[self.index[elt], k] += B[j, i]
-        self.star_matrix = S
+        """Each ideal's star block, one `star_mor` per basis element.  The
+        star of p -> r runs r -> p, so it stays in the ideal."""
+        for idl in self.ideals:
+            I = idl.positions
+            S = np.zeros((I.size, I.size), dtype=complex)
+            for col, k in enumerate(I.tolist()):
+                e = self.basis[k]
+                Zm = self.star_mor(e.grade, self.element_mor(k))
+                xbar = int(self.cat.dual[e.loop])
+                for c, B in Zm.blocks.items():
+                    for j, i in np.argwhere(np.abs(B) > 0):
+                        elt = TubeBasisElement(
+                            e.grade, xbar, e.target_outer, e.source_outer,
+                            c, int(i), int(j))
+                        S[np.searchsorted(I, self.index[elt]), col] += B[j, i]
+            idl.star = S
 
 
 def _gram(C: np.ndarray, S: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -561,23 +560,22 @@ def build_twisted_tube(d0: GradedCategory, action, verify: bool = True,
 
 
 def _pattern_violation(tube: TubeAlgebra) -> float:
-    """Largest |c[i, j, k]| of a cube and |S[k, j]| of the star off the
-    pattern of the module docstring."""
+    """Largest |c[i, j, k]| of a cube and |S[k, j]| of a star block off
+    the pattern of the module docstring."""
     r = tube.cat.rank
-    src, tgt = tube.source_of, tube.target_of
     worst = 0.0
     for idl in tube.ideals:
-        s, t = src[idl.positions], tgt[idl.positions]
+        s, t = tube.source_of[idl.positions], tube.target_of[idl.positions]
         key_ij = np.where(t[:, None] == s, s[:, None] * r + t, -1)
         # boolean masks only: values are read just at off-pattern nonzeros
         hit = key_ij[:, :, None] != s * r + t
         hit &= idl.cube != 0
-        if hit.any():
-            worst = max(worst, float(np.abs(idl.cube[hit]).max()))
-    k, j = np.nonzero(tube.star_matrix)
-    off = (tube.grade_of[k] != tube.grade_of[j]) | (src[k] != tgt[j]) | (tgt[k] != src[j])
-    if off.any():
-        worst = max(worst, float(np.abs(tube.star_matrix[k[off], j[off]]).max()))
+        # S[k, j] needs b_k: q -> p for b_j: p -> q
+        off = (s * r + t)[:, None] != t * r + s
+        off &= idl.star != 0
+        for A, mask in ((idl.cube, hit), (idl.star, off)):
+            if mask.any():
+                worst = max(worst, float(np.abs(A[mask]).max()))
     return worst
 
 
@@ -644,8 +642,7 @@ def verify_algebra(tube: TubeAlgebra, tol: float = 1e-8) -> dict:
     """
     rows, eigs = [], []
     for idl in tube.ideals:
-        I, C = idl.positions, idl.cube
-        S = tube.star_matrix[np.ix_(I, I)]
+        I, C, S = idl.positions, idl.cube, idl.star
         eye = np.eye(I.size)
         G = _gram(C, S, tube.trace_vector[I])
         eigs.append(np.linalg.eigvalsh((G + G.conj().T) / 2))
@@ -711,7 +708,8 @@ class TubeBlock:
     """One matrix block of a graded tube component."""
 
     rank: int
-    projection: np.ndarray          # coords of the minimal central projection
+    positions: np.ndarray           # basis positions of the block's ideal
+    projection: np.ndarray          # the minimal central projection on them
     corners: dict                   # outer label -> corner multiplicity
 
 
@@ -734,13 +732,18 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
               max_retries: int = 8) -> TubeDecomposition:
     """Block structure of one graded component.
 
-    The grade splits into its ideals (see the module docstring); a grade
-    whose star couples two of them is refused.  For each ideal, solves the
-    commutant equations for its center, probes it with a seeded random
-    Hermitian central element, clusters the spectrum (gap threshold
-    `cluster_tol`) and turns each cluster into a minimal central projection.
+    The grade splits into its ideals (see the module docstring).  For each
+    ideal, solves the commutant equations for its center, probes it with a
+    seeded random Hermitian central element, clusters the spectrum (gap
+    threshold `cluster_tol`) and turns each cluster into a minimal central
+    projection.
     Probes that produce eigenvalue collisions are retried with seed+1,
     seed+2, ...; the largest retry count of any ideal is reported.
+
+    The blocks are sorted by rank, corners and rounded projection.  Blocks
+    of two ideals differ in their corners, since a block's corners over its
+    own labels sum to its rank, so the projections are compared only
+    within one ideal.
     """
     sl = tube.grade_slice(grade)
     ng = sl.stop - sl.start
@@ -748,7 +751,6 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
         # a grade with no objects carries the zero algebra and no simples
         return TubeDecomposition(grade, tube.grade_name(grade), 0, 0, [],
                                  seed, 0)
-    _refuse_star_coupling(tube, grade)
     outer = tube.outer_by_grade[grade]
     blocks = []
     retries = 0
@@ -758,17 +760,14 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
         found, attempt = _decompose_ideal(tube, idl, seed, cluster_tol, max_retries)
         retries = max(retries, attempt)
         for m, zc, corners in found:
-            full = np.zeros(tube.dim, dtype=complex)
-            full[idl.positions] = zc
-            blocks.append(TubeBlock(rank=m, projection=full,
+            blocks.append(TubeBlock(rank=m, positions=idl.positions, projection=zc,
                                     corners={p: corners.get(p, 0) for p in outer}))
 
     def order_key(blk: TubeBlock):
-        zc = blk.projection[sl]
         return (blk.rank,
                 tuple(blk.corners[p] for p in outer),
-                tuple(np.round(zc.real, 6)),
-                tuple(np.round(zc.imag, 6)))
+                tuple(np.round(blk.projection.real, 6)),
+                tuple(np.round(blk.projection.imag, 6)))
 
     blocks.sort(key=order_key)
     return TubeDecomposition(grade=grade, grade_name=tube.grade_name(grade),
@@ -776,29 +775,13 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
                              seed=seed, retries=retries)
 
 
-def _refuse_star_coupling(tube: TubeAlgebra, grade: int) -> None:
-    """Raise if a nonzero S[k, j] with b_j in the grade has b_k in another
-    ideal."""
-    sl = tube.grade_slice(grade)
-    k, j = np.nonzero(tube.star_matrix[:, sl])
-    own, other = tube.ideal_of[sl.start + j], tube.ideal_of[k]
-    split = np.flatnonzero(own != other)
-    if split.size:
-        names = ["[" + ", ".join(tube.cat.label_name(p) for p in tube.ideals[c].labels)
-                 + "]" for c in sorted((own[split[0]], other[split[0]]))]
-        raise InternalCheckError(
-            f"grade {tube.grade_name(grade)}: the star couples the outer-label "
-            f"components {names[0]} and {names[1]}")
-
-
 def _decompose_ideal(tube: TubeAlgebra, ideal: TubeIdeal, seed: int,
                      cluster_tol: float, max_retries: int) -> tuple:
     """Minimal central projections of one ideal: a list of (rank,
     projection on the ideal's positions, corner multiplicity of each of its
     labels), and the attempt index."""
-    I, C = ideal.positions, ideal.cube
+    I, C, S = ideal.positions, ideal.cube, ideal.star
     n = I.size
-    S = tube.star_matrix[np.ix_(I, I)]
     unit = tube.unit_coords[I]
     labels = ideal.labels
     where = "outer labels " + ", ".join(tube.cat.label_name(p) for p in labels)
@@ -975,18 +958,22 @@ def twisted_untwisted_iso(twisted: TubeAlgebra, relative: TubeAlgebra,
     if len(set(perm.tolist())) != relative.dim:
         raise ValidationError("basis bijection fails: map is not injective")
 
-    ra, rb, rc, rv = _constant_entries(relative)
-    ta, tb, tc, tv = _constant_entries(twisted)
-    n = relative.dim
-    mapped = (perm[ra] * n + perm[rb]) * n + perm[rc]
-    own = (ta * n + tb) * n + tc
-    keys = np.union1d(mapped, own)
-    diff = np.zeros(keys.size, dtype=complex)
-    diff[np.searchsorted(keys, mapped)] = rv
-    diff[np.searchsorted(keys, own)] -= tv
-    dev = float(np.max(np.abs(diff), initial=0.0))
-    sdev = float(np.max(np.abs(
-        relative.star_matrix - twisted.star_matrix[np.ix_(perm, perm)])))
+    def deviation(field: str) -> float:
+        # the dense max |relative - twisted[perm]|: both sides' stored
+        # entries, keyed by global index, compared over the union of keys
+        rel, rv = _stored_entries(relative, field)
+        tw, tv = _stored_entries(twisted, field)
+        shape = (relative.dim,) * rel.shape[1]
+        mapped = np.ravel_multi_index(perm[rel].T, shape)
+        own = np.ravel_multi_index(tw.T, shape)
+        keys = np.union1d(mapped, own)
+        diff = np.zeros(keys.size, dtype=complex)
+        diff[np.searchsorted(keys, mapped)] = rv
+        diff[np.searchsorted(keys, own)] -= tv
+        return float(np.max(np.abs(diff), initial=0.0))
+
+    dev = deviation("cube")
+    sdev = deviation("star")
     tdev = float(np.max(np.abs(relative.trace_vector - twisted.trace_vector[perm])))
     udev = float(np.max(np.abs(relative.unit_coords - twisted.unit_coords[perm])))
     grade_map = {grp.elements[g]: grp.elements[grp.inv(g)]
@@ -1013,10 +1000,9 @@ def tube_dump_dict(tube: TubeAlgebra, seed: int = 7, tol: float = 1e-8) -> dict:
     basis = [[tube.grade_name(e.grade), names[e.loop], names[e.source_outer],
               names[e.target_outer], names[e.channel], e.col, e.row]
              for e in tube.basis]
-    i, j, k, vals = _constant_entries(tube, 1e-12)
-    consts = _listed(np.stack((i, j, k), axis=1), vals)
-    star, trace, unit = (_nonzeros(a) for a in (tube.star_matrix, tube.trace_vector,
-                                                tube.unit_coords))
+    consts = _listed(*_stored_entries(tube, "cube", 1e-12))
+    star = _listed(*_stored_entries(tube, "star", 1e-12))
+    trace, unit = _nonzeros(tube.trace_vector), _nonzeros(tube.unit_coords)
     grades = {}
     for g in tube.grades:
         sl = tube.grade_slice(g)
@@ -1041,16 +1027,19 @@ def tube_dump_dict(tube: TubeAlgebra, seed: int = 7, tol: float = 1e-8) -> dict:
     }
 
 
-def _constant_entries(tube: TubeAlgebra, above: float = 0.0) -> tuple:
-    """Every stored constant c[i, j, k] with |c| > above, as the index
-    arrays i, j, k and the values, in C order over the whole n^3 range."""
-    parts = [(np.zeros(0, dtype=int),) * 3 + (np.zeros(0, dtype=complex),)]
+def _stored_entries(tube: TubeAlgebra, field: str, above: float = 0.0) -> tuple:
+    """Every stored entry with modulus above `above` of the ideals' cubes
+    (field "cube") or star blocks ("star"): the global indices, one row per
+    entry, and the values, in C order over the whole n^3 or n^2 range."""
+    ndim = 3 if field == "cube" else 2
+    parts = [(np.zeros((0, ndim), dtype=int), np.zeros(0, dtype=complex))]
     for idl in tube.ideals:
-        hit = np.abs(idl.cube) > above
-        parts.append((*(idl.positions[x] for x in np.nonzero(hit)), idl.cube[hit]))
-    i, j, k, vals = (np.concatenate(p) for p in zip(*parts))
-    order = np.lexsort((k, j, i))
-    return i[order], j[order], k[order], vals[order]
+        A = getattr(idl, field)
+        hit = np.abs(A) > above
+        parts.append((idl.positions[np.argwhere(hit)], A[hit]))
+    index, vals = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort(index.T[::-1])
+    return index[order], vals[order]
 
 
 def _nonzeros(A: np.ndarray) -> list:
@@ -1070,7 +1059,8 @@ def decomposition_dict(dec: TubeDecomposition, tube: TubeAlgebra | None = None) 
     name = (lambda a: tube.cat.labels[a]) if tube is not None else str
     blocks = []
     for b in dec.blocks:
-        proj = [[int(i), float(b.projection[i].real), float(b.projection[i].imag)]
+        proj = [[int(b.positions[i]), float(b.projection[i].real),
+                 float(b.projection[i].imag)]
                 for i in np.nonzero(np.abs(b.projection) > 1e-9)[0]]
         blocks.append({
             "rank": int(b.rank),

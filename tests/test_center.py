@@ -22,7 +22,7 @@ from gct import (
 )
 from gct.center import center_report_dict
 from gct.tube import TubeBasisElement
-from test_tube import _private_cubes
+from test_tube import _dense_star, _private_ideals
 from gct.cli import _fusion_section
 
 
@@ -459,6 +459,19 @@ def _dense_hom_residual(tube, rep, g):
     return float(np.max(np.abs(lhs - rhs))) if rep["dim"] else 0.0
 
 
+def _dense_star_residual(tube, rep, g):
+    """The star check on the whole grade, one basis element at a time, with
+    the star assembled dense from the blocks (the test-side reference)."""
+    sl = tube.grade_slice(g)
+    S = _dense_star(tube)[sl, sl]
+    mats = rep["matrices"]
+    w = np.array([float(tube.cat.qdim[tube.cat.labels.index(name)])
+                  for name, _ in rep["space"]])
+    return max((float(np.max(np.abs(np.einsum("i,ijk->jk", S[:, k], mats)
+                                    - np.diag(1 / w) @ mats[k].conj().T @ np.diag(w))))
+                for k in range(len(mats))), default=0.0) if rep["dim"] else 0.0
+
+
 @pytest.fixture(scope="module")
 def ising_full_simples(cats):
     tube = build_tube(cats["ising"], subcat=[0, 1, 2])
@@ -474,6 +487,8 @@ def test_per_ideal_hom_residual_equals_the_dense_one(s3_center, z3_twisted,
             rep = tube_representation(tube, x)
             assert rep["pass"]
             assert rep["hom_residual"] == _dense_hom_residual(tube, rep, x.grade)
+            assert abs(rep["star_residual"]
+                       - _dense_star_residual(tube, rep, x.grade)) < 1e-12
 
 
 def test_a_corrupted_constant_shows_in_the_hom_residual(s3_center):
@@ -481,7 +496,7 @@ def test_a_corrupted_constant_shows_in_the_hom_residual(s3_center):
     # ideal is corrupted at least once
     corrupted = set()
     for x in s3_center["fam"]:
-        tube = _private_cubes(s3_center["tube"])
+        tube = _private_ideals(s3_center["tube"])
         mats = tube_representation(tube, x)["matrices"]
         # b_u b_c = kappa b_c for b_u the unit loop at the source of b_c,
         # with rho(b_c) nonzero; the corrupted entry lies in the ideal of b_c
@@ -498,6 +513,26 @@ def test_a_corrupted_constant_shows_in_the_hom_residual(s3_center):
         assert not rep["pass"]
         assert rep["hom_residual"] > 0.1
         assert rep["hom_residual"] == _dense_hom_residual(tube, rep, x.grade)
+    assert corrupted == set(range(len(s3_center["tube"].ideals)))
+
+
+def test_a_corrupted_star_entry_shows_in_the_star_residual(s3_center):
+    # one corruption per Vec_S3 simple, in the star block of the ideal it
+    # represents, so every ideal's block is corrupted at least once
+    corrupted = set()
+    for x in s3_center["fam"]:
+        tube = _private_ideals(s3_center["tube"])
+        mats = tube_representation(tube, x)["matrices"]
+        c = int(np.flatnonzero(np.abs(mats).max(axis=(1, 2)) > 0.5)[0])
+        corrupted.add(int(tube.ideal_of[c]))
+        idl = tube.ideals[tube.ideal_of[c]]
+        j = int(np.searchsorted(idl.positions, c))
+        k = int(np.flatnonzero(idl.star[:, j])[0])
+        idl.star[k, j] += 0.37
+        rep = tube_representation(tube, x)
+        assert not rep["pass"]
+        assert rep["star_residual"] > 0.1
+        assert abs(rep["star_residual"] - _dense_star_residual(tube, rep, x.grade)) < 1e-12
     assert corrupted == set(range(len(s3_center["tube"].ideals)))
 
 

@@ -312,3 +312,16 @@ def test_non_finite_numbers_are_rejected(path, value):
     stopped at load time."""
     with pytest.raises(DataError, match="finite"):
         category_from_dict(_replaced(ISING, path, value), "non-finite")
+
+
+@pytest.mark.parametrize("path, value", [
+    (("qdim", 2), "1.4142135623730951"),
+    (("qdim", 2), True),
+    (("F", 2, "matrix", 0, 0, 1), False),
+    (("F", 2, "matrix", 0, 0), [0.7071067811865476, 0.0, 0.5]),
+], ids=["qdim-string", "qdim-bool", "f-bool", "f-three-components"])
+def test_non_numbers_are_rejected(path, value):
+    """float() reads "1.5" and true, and complex(*entry[:2]) would drop a
+    third component, so each must be refused at load time."""
+    with pytest.raises(DataError, match="must hold numbers|must be \\[re, im\\]"):
+        category_from_dict(_replaced(ISING, path, value), "non-number")

@@ -7,10 +7,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import gct
+from gct import build_tube, category_from_dict, decompose
 
 GCT_PATH = os.path.dirname(os.path.dirname(gct.__file__))
 
@@ -53,3 +55,18 @@ def test_vec_z24_tube_runs_under_one_gigabyte(tmp_path):
              for b in d["blocks"]]
     assert ranks == [1] * 576
     assert peak_kb < 1024 * 1024
+
+
+@pytest.mark.scale
+def test_vec_z32_decompose_traces_under_16_mib():
+    # the projections and their sort keys live on each ideal's 32 positions,
+    # not on the 1024 of the grade
+    tube = build_tube(category_from_dict(_vec_zn(32)), verify=False)
+    tracemalloc.start()
+    try:
+        dec = decompose(tube, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.block_ranks() == [1] * 1024
+    assert peak < 16 * 2 ** 20
