@@ -130,7 +130,13 @@ class HalfBraiding:
         return second @ first
 
     def E_vobj(self, V) -> Mor:
-        """E extended over a sum of words (diagonal over the summands)."""
+        """E extended over a sum of words (diagonal over the summands).
+
+        Each summand's `E_word` block is placed straight into the sum: on
+        the source obj*V (obj-major) summand i holds the strided words i,
+        i + len(V), ...; on the target V'*obj (V-major) it holds the
+        contiguous words i*len(obj) .. (i+1)*len(obj) - 1.
+        """
         V = as_vobj(V)
         if len(V) == 1:
             return self.E_word(V[0])
@@ -139,29 +145,29 @@ class HalfBraiding:
     @memo
     def _E_sum(self, V: tuple) -> Mor:
         eng = self.eng
-        tgtV = self.tgt_vobj(V)
+        nv, no = len(V), len(self.obj)
         src = vobj_tensor(self.obj, V)
-        tgt = vobj_tensor(tgtV, self.obj)
-        acc = Mor(eng, src, tgt, {})
+        tgt = vobj_tensor(self.tgt_vobj(V), self.obj)
+        pieces = []
         for i, w in enumerate(V):
-            emb_s = eng.ltens(self.obj, _injection(eng, V, i))
-            emb_t = eng.rtens(_injection(eng, tgtV, i), self.obj)
-            acc = acc + (emb_t @ self.E_word(w) @ emb_s.H)
-        return acc
+            for c, B in self.E_word(w).blocks.items():
+                rows = eng.offsets(c, tgt)
+                pieces.append((c, slice(rows[i * no], rows[(i + 1) * no]),
+                               eng.strided_positions(c, src, i, nv), B))
+        return _placed(eng, src, tgt, pieces)
 
 
-def _injection(eng, V: tuple, i: int) -> Mor:
-    """Embedding of the i-th summand word into the sum object V."""
+def _placed(eng, src: tuple, tgt: tuple, pieces) -> Mor:
+    """The morphism src -> tgt with each block B of pieces (c, rows, cols, B)
+    at the given rows and columns of channel c, and zeros elsewhere."""
     blocks = {}
-    for c in range(eng.rank):
-        n = eng.vdim(c, V)
-        m = eng.dim(c, V[i])
-        if n and m:
-            offs = eng.offsets(c, V)
-            B = np.zeros((n, m), dtype=complex)
-            B[offs[i]:offs[i] + m, :] = np.eye(m)
-            blocks[c] = B
-    return Mor(eng, (V[i],), V, blocks)
+    for c, rows, cols, B in pieces:
+        big = blocks.get(c)
+        if big is None:
+            big = blocks[c] = np.zeros((eng.vdim(c, tgt), eng.vdim(c, src)),
+                                       dtype=complex)
+        big[rows, cols] = B
+    return Mor(eng, src, tgt, blocks)
 
 
 def unit_loop_E(eng, obj) -> Mor:
@@ -208,9 +214,33 @@ def verify_half_braiding(hb: HalfBraiding, tol: float = 1e-8) -> dict:
     channels where the two sides of E(pi) have different dimensions are
     reported in `non_square` (no unitary can exist there).  The verdict
     is memoised on the object per tolerance; callers get a copy.
+
+    Endpoints, missing loops, non-square channels and unitarity are read
+    off E as given.  The combined identity runs on the object's
+    simple-letter form: with u : + (c,) -> obj exactly the identity on
+    each channel, E'(pi) = (pi' x u)^* E(pi) (u x pi).  By naturality of
+    the associator both sides of the identity for E' are those for E
+    conjugated by the unitaries (xi' pi' x u)^* and u x eta, so every
+    channel's residual norm is the same; only the words are shorter (one
+    letter against the three of an induced object).  Objects whose words
+    are single letters are checked as they are.
     """
     got = _verify_half_braiding(hb, tol)
     return dict(got, non_square=list(got["non_square"]))
+
+
+def _simple_letter_form(hb: HalfBraiding) -> HalfBraiding:
+    """hb carried to the sum of its simple channels (see verify_half_braiding)."""
+    if all(len(w) == 1 for w in hb.obj):
+        return hb
+    eng = hb.eng
+    dims = eng.vdims(hb.obj)
+    obj = tuple((c,) for c in range(eng.rank) for _ in range(dims[c]))
+    u = Mor(eng, obj, hb.obj, {c: np.eye(n, dtype=complex)
+                               for c, n in enumerate(dims) if n})
+    E = {pi: eng.ltens(hb.tgt_label(pi), u).H @ hb.E[pi] @ eng.rtens(u, pi)
+         for pi in hb.loop_labels()}
+    return HalfBraiding(hb.cat, obj, hb.grade, E, action=hb.action)
 
 
 @memo
@@ -243,18 +273,19 @@ def _verify_half_braiding(hb: HalfBraiding, tol: float) -> dict:
             unit_defect = max(unit_defect,
                               float(np.max(np.abs(B.conj().T @ B - eye))),
                               float(np.max(np.abs(B @ B.conj().T - eye))))
+    sl = _simple_letter_form(hb)
     max_res = 0.0
     checked = 0
     for xi in loops:
-        Exi = hb.E[xi]
+        Exi = sl.E[xi]
         for pi in loops:
-            through = eng.ltens(hb.tgt_label(xi), hb.E[pi]) @ eng.rtens(Exi, pi)
+            through = eng.ltens(sl.tgt_label(xi), sl.E[pi]) @ eng.rtens(Exi, pi)
             for eta in loops:
                 for T in eng.onb(eta, ((xi, pi),)):
-                    Tg = T if hb.action is None else eng.transport(
-                        T, hb.grade, hb.action)
-                    lhs = eng.rtens(Tg, hb.obj) @ hb.E[eta]
-                    rhs = through @ eng.ltens(hb.obj, T)
+                    Tg = T if sl.action is None else eng.transport(
+                        T, sl.grade, sl.action)
+                    lhs = eng.rtens(Tg, sl.obj) @ sl.E[eta]
+                    rhs = through @ eng.ltens(sl.obj, T)
                     max_res = max(max_res, lhs.diff_norm(rhs))
                     checked += 1
     ok = (max_res < tol and unit_defect < tol and not non_square)
@@ -304,11 +335,17 @@ def hom_center(x: HalfBraiding, y: HalfBraiding, tol: float = 1e-9):
     """Dimension and basis of the center hom space x -> y.
 
     Solves E_y(pi) (T x pi) = (pi' x T) E_x(pi) over T in Hom(obj_x, obj_y)
-    for every loop simple pi.  Objects of different grades are orthogonal
-    by grade bookkeeping (the grade is part of the object's identity even
-    when the action is not faithful), so the solve runs only within a
-    grade and (0, []) is returned across grades.  The solution is memoised
-    on x per (y, tol), with y held weakly.
+    for every loop simple pi.  The unknowns are T's channel blocks T_d in
+    row-major order, and each equation is set up in Kronecker form,
+    vec(L T_d R) = (L kron R^T) vec(T_d), from the one-letter tensor
+    factors (`TreeEngine.tensor_factors`): T x pi contributes E_y's
+    columns at the re-indexed rows, pi' x T the factorization unitaries'
+    column groups against Phi E_x.  Each basis morphism is read off a
+    kernel column by reshaping.  Objects of different grades are
+    orthogonal by grade bookkeeping (the grade is part of the object's
+    identity even when the action is not faithful), so the solve runs only
+    within a grade and (0, []) is returned across grades.  The solution is
+    memoised on x per (y, tol), with y held weakly.
     """
     _same_context(x, y)
     if x.grade != y.grade:
@@ -316,26 +353,53 @@ def hom_center(x: HalfBraiding, y: HalfBraiding, tol: float = 1e-9):
     return _solve_hom_center(x, y, tol)
 
 
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.kron(A, B) for matrices, without its per-call overhead."""
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(
+        A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
+
+
+def _hom_system(x: HalfBraiding, y: HalfBraiding):
+    """The hom_center equations as one matrix over vec(T), and the
+    (channel, offset, shape) of each block T_d in vec(T)."""
+    eng = x.eng
+    layout, n_unknowns = [], 0
+    for d, (m, n) in enumerate(zip(eng.vdims(y.obj), eng.vdims(x.obj))):
+        if m and n:
+            layout.append((d, n_unknowns, (m, n)))
+            n_unknowns += m * n
+    where = {d: slice(off, off + m * n) for d, off, (m, n) in layout}
+    rows = []
+    for pi in x.loop_labels() if layout else ():
+        pip = x.tgt_label(pi)
+        dt = eng.vdims(vobj_tensor(((pip,),), y.obj))
+        ds = eng.vdims(vobj_tensor(x.obj, ((pi,),)))
+        Ey, Ex = y.E[pi].blocks, x.E[pi].blocks
+        for c, (mt, ns) in enumerate(zip(dt, ds)):
+            if not (mt and ns):
+                continue
+            S = np.zeros((mt * ns, n_unknowns), dtype=complex)
+            if c in Ey:
+                for d, L, R in eng.tensor_factors("right", pi, x.obj, y.obj, c):
+                    S[:, where[d]] += _kron(Ey[c] @ L, R.T)
+            if c in Ex:
+                for d, L, R in eng.tensor_factors("left", pip, x.obj, y.obj, c):
+                    S[:, where[d]] -= _kron(L, (R @ Ex[c]).T)
+            rows.append(S)
+    A = np.concatenate(rows, axis=0) if rows else np.zeros((0, n_unknowns), dtype=complex)
+    return A, layout
+
+
 @memo(weak=True)
 def _solve_hom_center(x: HalfBraiding, y: HalfBraiding, tol: float):
-    eng = x.eng
-    units = []
-    for c in range(x.cat.rank):
-        m, n = eng.vdim(c, y.obj), eng.vdim(c, x.obj)
-        for j in range(m):
-            for i in range(n):
-                units.append(eng.elementary(x.obj, y.obj, c, i, j))
-    if not units:
+    A, layout = _hom_system(x, y)
+    if not layout:
         return 0, []
-    rows = []
-    for pi in x.loop_labels():
-        cols = []
-        for T in units:
-            D = (y.E[pi] @ eng.rtens(T, pi)
-                 - eng.ltens(x.tgt_label(pi), T) @ x.E[pi])
-            cols.append(D.flat())
-        rows.append(np.stack(cols, axis=1))
-    return kernel_solve(np.concatenate(rows, axis=0), units, tol)
+    Z = null_space_abs(A, atol=tol)
+    basis = [Mor(x.eng, x.obj, y.obj,
+                 {d: Z[off:off + m * n, k].reshape(m, n) for d, off, (m, n) in layout})
+             for k in range(Z.shape[1])]
+    return Z.shape[1], basis
 
 
 def center_hom_residual(x: HalfBraiding, y: HalfBraiding, T: Mor) -> float:
@@ -472,9 +536,8 @@ def induce_object(cat: GradedCategory, mu: int, k: int = 0,
         pip = pi if action is None else action.on_label(grade, pi)
         src = vobj_tensor(obj, ((pi,),))
         tgt = vobj_tensor(((pip,),), obj)
-        acc = Mor(eng, src, tgt, {})
+        pieces = []
         for i, zeta in enumerate(loops_out):
-            inj_s = _injection(eng, src, i)
             for j, xi in enumerate(loops_out):
                 xibar = int(cat.dual[xi])
                 comp = None
@@ -486,8 +549,12 @@ def induce_object(cat: GradedCategory, mu: int, k: int = 0,
                     comp = term if comp is None else comp + term
                 if comp is None:
                     continue
-                acc = acc + (_injection(eng, tgt, j) @ comp @ inj_s.H)
-        E[pi] = acc
+                # word i of src to word j of tgt
+                for c, B in comp.blocks.items():
+                    rows, cols = eng.offsets(c, tgt), eng.offsets(c, src)
+                    pieces.append((c, slice(rows[j], rows[j + 1]),
+                                   slice(cols[i], cols[i + 1]), B))
+        E[pi] = _placed(eng, src, tgt, pieces)
     label = cat.label_name(mu)
     if action is None:
         name = f"ind[{cat.group.elements[k]}]({label})"

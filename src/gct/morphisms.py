@@ -341,8 +341,8 @@ class TreeEngine:
             sub = self._rtens_vobj(f, (w,))
             # scatter sub's blocks into the (·, j) summand slots
             for c, B in sub.blocks.items():
-                rows = self._strided_positions(c, tgt, j, nv)
-                cols = self._strided_positions(c, src, j, nv)
+                rows = self.strided_positions(c, tgt, j, nv)
+                cols = self.strided_positions(c, src, j, nv)
                 big = out.blocks.get(c)
                 if big is None:
                     big = np.zeros((self.vdim(c, tgt), self.vdim(c, src)), dtype=complex)
@@ -350,7 +350,7 @@ class TreeEngine:
                 big[rows[:, None], cols] = B
         return out
 
-    def _strided_positions(self, c: int, vobj: VObj, j: int, nv: int) -> np.ndarray:
+    def strided_positions(self, c: int, vobj: VObj, j: int, nv: int) -> np.ndarray:
         """Positions in Hom(c, vobj) of the words j, j + nv, j + 2 nv, ...
 
         Not cached: the Vec_S3 center asks for over 3 000 distinct arrays of
@@ -550,6 +550,44 @@ class TreeEngine:
                     out.blocks[c] = big
                 big[rows[i * nt]:rows[(i + 1) * nt], cols[i * ns]:cols[(i + 1) * ns]] = B
         return out
+
+    @memo
+    def tensor_factors(self, side: str, a: int, source: VObj, target: VObj,
+                       c: int) -> list:
+        """Channel c of a one-letter tensor with id_a as two-sided products.
+
+        For every f : source -> target, channel c of ``ltens(a, f)`` (side
+        "left") or of ``rtens(f, a)`` (side "right") is the sum of
+        L @ f.blocks[d] @ R over the returned triples (d, L, R).  On the
+        right L and R are 0/1 selections (the re-indexing); on the left
+        L = Phi_t^*[:, rows] and R = Phi_s[cols, :], the column and row
+        groups of the factorization unitaries where the d-slot sits.  With
+        vec(L X R) = (L kron R^T) vec(X) a linear solve over f can be set
+        up without building f from matrix units.  Memoised; callers must
+        not modify the returned matrices.
+        """
+        if side == "left":
+            src = tuple((a,) + w for w in source)
+            tgt = tuple((a,) + w for w in target)
+            if not (self.vdim(c, src) and self.vdim(c, tgt)):
+                return []
+            Lt = self._phi(a, target, c).conj().T
+            Rs = self._phi(a, source, c)
+            fp_s = self._factored_positions(a, source, c)
+            fp_t = self._factored_positions(a, target, c)
+            keys = sorted(fp_t.keys() & fp_s.keys())
+            return [(d, Lt[:, fp_t[(d, nu)]], Rs[fp_s[(d, nu)], :]) for d, nu in keys]
+        if side == "right":
+            nt = self.vdim(c, tuple(w + (a,) for w in target))
+            ns = self.vdim(c, tuple(w + (a,) for w in source))
+            if not (nt and ns):
+                return []
+            gp_s = self._grouped_positions(c, source, a)
+            gp_t = self._grouped_positions(c, target, a)
+            keys = sorted(gp_t.keys() & gp_s.keys())
+            return [(m, np.eye(nt)[:, gp_t[(m, mu)]], np.eye(ns)[gp_s[(m, mu)], :])
+                    for m, mu in keys]
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     # ---------------------------------------------------- unit insert / drop
 

@@ -20,7 +20,8 @@ from gct import (
     tube_representation,
     verify_half_braiding,
 )
-from gct.center import center_report_dict
+from gct.center import _hom_system, center_report_dict, kernel_solve
+from gct.morphisms import Mor, vobj_tensor
 from gct.tube import TubeBasisElement
 from test_tube import _dense_star, _private_ideals
 from gct.cli import _fusion_section
@@ -403,12 +404,24 @@ def test_moved_copy_name_follows_a_rename(z3_twisted):
 # -------------------------------------------------------- gauge freedom
 
 
+def _injection(eng, V, i):
+    """Embedding of the i-th summand word into the sum object V."""
+    blocks = {}
+    for c in range(eng.rank):
+        n, m = eng.vdim(c, V), eng.dim(c, V[i])
+        if n and m:
+            offs = eng.offsets(c, V)
+            B = np.zeros((n, m), dtype=complex)
+            B[offs[i]:offs[i] + m, :] = np.eye(m)
+            blocks[c] = B
+    return Mor(eng, (V[i],), V, blocks)
+
+
 def test_half_braiding_is_gauge_covariant(fib_center):
     x = next(s for s in fib_center["fam"] if len(s.obj) == 2)
     eng = x.eng
     rng = np.random.default_rng(5)
     phases = np.exp(2j * np.pi * rng.random(len(x.obj)))
-    from gct.center import _injection
     U = None
     for i, z in enumerate(phases):
         inj = _injection(eng, x.obj, i)
@@ -421,6 +434,197 @@ def test_half_braiding_is_gauge_covariant(fib_center):
     rep = verify_half_braiding(twisted)
     assert rep["pass"], rep
     assert hom_center(twisted, x)[0] == 1
+
+
+# ------------------------------------- hot paths against the routes they replace
+#
+# E over a sum, the hom_center system and the combined identity are built by
+# block placement, in Kronecker form and on the simple-letter form; the
+# routes they replaced are kept here as oracles.
+
+
+def _injection_E_sum(x, V):
+    """E over a sum of words through injections, one engine round-trip per
+    summand."""
+    eng = x.eng
+    tgtV = x.tgt_vobj(V)
+    acc = Mor(eng, vobj_tensor(x.obj, V), vobj_tensor(tgtV, x.obj), {})
+    for i, w in enumerate(V):
+        emb_s = eng.ltens(x.obj, _injection(eng, V, i))
+        emb_t = eng.rtens(_injection(eng, tgtV, i), x.obj)
+        acc = acc + (emb_t @ x.E_word(w) @ emb_s.H)
+    return acc
+
+
+def _unit_hom_system(x, y):
+    """The hom_center system with one column per matrix unit of
+    Hom(obj_x, obj_y), and those units."""
+    eng = x.eng
+    units = [eng.elementary(x.obj, y.obj, c, i, j) for c in range(eng.rank)
+             for j in range(eng.vdim(c, y.obj)) for i in range(eng.vdim(c, x.obj))]
+    if not units:
+        return None, units
+    rows = []
+    for pi in x.loop_labels():
+        cols = [(y.E[pi] @ eng.rtens(T, pi)
+                 - eng.ltens(x.tgt_label(pi), T) @ x.E[pi]).flat() for T in units]
+        rows.append(np.stack(cols, axis=1))
+    return np.concatenate(rows, axis=0), units
+
+
+def _unit_hom_dim(x, y):
+    if x.grade != y.grade:
+        return 0
+    ref, units = _unit_hom_system(x, y)
+    return kernel_solve(ref, units, 1e-9)[0] if units else 0
+
+
+def _word_basis_identity(hb):
+    """Worst residual and count of the combined identity on the object as
+    given."""
+    eng = hb.eng
+    loops = hb.loop_labels()
+    worst, checked = 0.0, 0
+    for xi in loops:
+        for pi in loops:
+            through = eng.ltens(hb.tgt_label(xi), hb.E[pi]) @ eng.rtens(hb.E[xi], pi)
+            for eta in loops:
+                for T in eng.onb(eta, ((xi, pi),)):
+                    Tg = T if hb.action is None else eng.transport(T, hb.grade, hb.action)
+                    lhs = eng.rtens(Tg, hb.obj) @ hb.E[eta]
+                    rhs = through @ eng.ltens(hb.obj, T)
+                    worst = max(worst, lhs.diff_norm(rhs))
+                    checked += 1
+    return worst, checked
+
+
+def _induced(tube):
+    """The objects extract_simples induces, over every grade of the tube."""
+    act = tube.action
+    return [induce_object(tube.cat, mu, k=g if act is not None else tube.cat.group.neutral,
+                          action=act)
+            for g in tube.grades for mu in tube.outer_by_grade[g]]
+
+
+@pytest.fixture(scope="module")
+def hot_path_cases(s3_center, ising_center, ising_full_simples, fib_center, z3_twisted):
+    """name -> (family, induced objects); exact is True where every F-move
+    is a permutation, so the replaced routes agree bit for bit."""
+    out = {}
+    for name, tube, fam in (("vec_s3", s3_center["tube"], s3_center["fam"]),
+                            ("ising", ising_center["tube"], ising_center["fam"]),
+                            ("ising_all",) + ising_full_simples,
+                            ("fib", fib_center["tube"], fib_center["fam"]),
+                            ("z3_twisted", z3_twisted["tube"], z3_twisted["fam"])):
+        out[name] = (list(fam), _induced(tube))
+    return out
+
+
+def _close(got, want, exact, tol):
+    return got == want if exact else abs(got - want) <= tol
+
+
+def test_E_sum_matches_the_injection_route(hot_path_cases):
+    for name, (fam, _) in hot_path_cases.items():
+        second = [y for y in fam if y.action is not None or y.grade == y.cat.group.neutral]
+        sums = [y.obj + z.obj for y in second for z in second]
+        sums += [tensor_half_braidings(y, z).obj + y.obj for y in second[:2] for z in second]
+        for x in fam:
+            for V in sums:
+                got, want = x.E_vobj(V), _injection_E_sum(x, V)
+                assert set(got.blocks) == set(want.blocks), (name, x.name)
+                assert _close(got.diff_norm(want), 0.0, name == "vec_s3", 1e-14), \
+                    (name, x.name, V, got.diff_norm(want))
+
+
+def _kernel_projector(Z):
+    return Z @ Z.conj().T
+
+
+def test_hom_system_matches_the_per_unit_route(hot_path_cases):
+    for name, (fam, induced) in hot_path_cases.items():
+        exact = name == "vec_s3"
+        pairs = [(x, y) for x in fam for y in fam if x.grade == y.grade]
+        pairs += [(t, t) for t in induced]
+        pairs += [(t, x) for t in induced[:2] for x in fam if x.grade == t.grade]
+        for x, y in pairs:
+            A, layout = _hom_system(x, y)
+            ref, units = _unit_hom_system(x, y)
+            if not units:
+                assert not layout and hom_center(x, y) == (0, [])
+                continue
+            assert A.shape == ref.shape
+            assert _close(float(np.max(np.abs(A - ref), initial=0.0)), 0.0, exact, 1e-14), name
+            n, basis = hom_center(x, y)
+            n_ref, basis_ref = kernel_solve(ref, units, 1e-9)
+            assert n == n_ref, (name, x.name, y.name)
+            if exact:
+                assert all(b.diff_norm(r) == 0.0 for b, r in zip(basis, basis_ref))
+            # a kernel basis is fixed only up to a unitary; its projector is not
+            flat = np.stack([b.flat() for b in basis], axis=1) if n else np.zeros((len(units), 0))
+            flat_ref = np.stack([r.flat() for r in basis_ref], axis=1) if n else flat
+            assert np.max(np.abs(_kernel_projector(flat) - _kernel_projector(flat_ref)),
+                          initial=0.0) < 1e-12
+        # the hom table of the family
+        table = [[hom_center(x, y)[0] for y in fam] for x in fam]
+        ref_table = [[_unit_hom_dim(x, y) for y in fam] for x in fam]
+        assert table == ref_table, name
+
+
+def test_combined_identity_matches_the_word_basis_route(hot_path_cases):
+    for name, (fam, induced) in hot_path_cases.items():
+        second = [y for y in fam if y.action is not None or y.grade == y.cat.group.neutral]
+        products = [tensor_half_braidings(x, y) for x in fam[:3] for y in second[:3]]
+        for hb in fam + induced + products:
+            rep = verify_half_braiding(hb)
+            worst, checked = _word_basis_identity(hb)
+            assert rep["pass"], (name, hb.name, rep)
+            assert rep["checked"] == checked
+            assert abs(rep["max_residual"] - worst) < 1e-12, (name, hb.name)
+
+
+def _with_entry_moved(hb, pi, by=0.37):
+    """A copy of hb whose E(pi) has its first nonzero block's [0, 0] entry
+    moved by `by`."""
+    Em = hb.E[pi]
+    c = next(c for c, B in sorted(Em.blocks.items()) if np.any(B))
+    B = Em.blocks[c].copy()
+    B[0, 0] += by
+    E = dict(hb.E)
+    E[pi] = Mor(Em.eng, Em.source, Em.target, {**Em.blocks, c: B})
+    return HalfBraiding(hb.cat, hb.obj, hb.grade, E, action=hb.action, name=hb.name + "!")
+
+
+def test_a_corrupted_entry_of_an_induced_object_fails_with_the_word_basis_residual(
+        hot_path_cases):
+    for name in ("vec_s3", "fib", "z3_twisted"):
+        for theta in hot_path_cases[name][1]:
+            assert len(theta.obj[0]) == 3
+            for pi in theta.loop_labels():
+                if pi == theta.cat.unit:
+                    continue
+                bad = _with_entry_moved(theta, pi)
+                rep = verify_half_braiding(bad)
+                worst, _ = _word_basis_identity(bad)
+                assert not rep["pass"]
+                assert rep["max_residual"] > 0.1, (name, theta.name, pi)
+                assert abs(rep["max_residual"] - worst) < 1e-12
+
+
+def test_a_corrupted_E_block_moves_both_hom_systems_alike(hot_path_cases):
+    for name in ("vec_s3", "fib", "ising_all"):
+        exact = name == "vec_s3"
+        fam, induced = hot_path_cases[name]
+        for y in fam + induced[:2]:
+            pi = next(p for p in y.loop_labels() if p != y.cat.unit)
+            bad = _with_entry_moved(y, pi)
+            for x in [y] + [z for z in fam if z.grade == y.grade]:
+                if _unit_hom_system(x, y)[0] is None:
+                    continue
+                moved = _hom_system(x, bad)[0] - _hom_system(x, y)[0]
+                ref = _unit_hom_system(x, bad)[0] - _unit_hom_system(x, y)[0]
+                assert np.max(np.abs(moved)) > 0.1 or (x is not y and not np.any(ref))
+                assert _close(float(np.max(np.abs(moved - ref))), 0.0, exact, 1e-14), name
 
 
 # ------------------------------------------------------- representations

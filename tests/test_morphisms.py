@@ -27,7 +27,7 @@ from gct import (
     tensor_half_braidings,
     verify_half_braiding,
 )
-from gct.morphisms import TreeEngine, as_vobj, vobj_tensor
+from gct.morphisms import Mor, TreeEngine, as_vobj, vobj_tensor
 
 RNG = np.random.default_rng(20240811)
 
@@ -101,6 +101,31 @@ def test_tensor_respects_composition(cats):
     assert right_tensor(fib, proj @ proj, (t,)).diff_norm(rt) < 1e-10
     lt = left_tensor(fib, (t,), proj)
     assert left_tensor(fib, (t,), proj @ proj).diff_norm(lt @ lt) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["fib", "ising", "vec_s3"])
+def test_tensor_factors_rebuild_ltens_and_rtens(cats, name):
+    """ltens(a, f) and rtens(f, a), channel by channel, as the sums of
+    L f_d R over `tensor_factors`, for random f between multi-word objects."""
+    cat = cats[name]
+    eng = TreeEngine(cat)
+    rng = np.random.default_rng(3)
+    r = cat.rank
+    objs = [((1 % r, r - 1), (0,)), ((r - 1,), (1 % r, 1 % r), (r - 1, 0, 1 % r))]
+    for source, target in itertools.product(objs, repeat=2):
+        blocks = {}
+        for d in range(r):
+            m, n = eng.vdim(d, target), eng.vdim(d, source)
+            if m and n:
+                blocks[d] = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        f = Mor(eng, source, target, blocks)
+        for a in range(r):
+            for side, want in (("left", eng.ltens(a, f)), ("right", eng.rtens(f, a))):
+                for c in range(r):
+                    got = sum((L @ f.blocks[d] @ R
+                               for d, L, R in eng.tensor_factors(side, a, source, target, c)),
+                              start=np.zeros_like(want.block(c)))
+                    assert np.max(np.abs(got - want.block(c)), initial=0.0) < 1e-12
 
 
 def test_adjoint_is_antimultiplicative_involution(cats):

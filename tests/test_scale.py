@@ -36,25 +36,45 @@ def _vec_zn(n):
     }
 
 
-@pytest.mark.scale
-def test_vec_z24_tube_runs_under_one_gigabyte(tmp_path):
-    src, report = tmp_path / "vec_z24.json", tmp_path / "tube.json"
-    src.write_text(json.dumps(_vec_zn(24)))
+def _run_gct(tmp_path, n, command):
+    """`gct COMMAND` on a generated Vec_Zn in a child with one BLAS thread;
+    returns the JSON report and the child's peak RSS in kB."""
+    src, report = tmp_path / f"vec_z{n}.json", tmp_path / f"{command}.json"
+    src.write_text(json.dumps(_vec_zn(n)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env.pop("GCT_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (GCT_PATH, env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-c", CHILD, "tube", str(src),
+    res = subprocess.run([sys.executable, "-c", CHILD, command, str(src),
                           "--seed", "1", "--json", str(report)],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     rc, peak_kb = map(int, res.stdout.splitlines()[-1].split())
     assert rc == 0
-    ranks = [b["rank"] for d in json.loads(report.read_text())["decompositions"].values()
-             for b in d["blocks"]]
+    return json.loads(report.read_text()), peak_kb
+
+
+@pytest.mark.scale
+def test_vec_z24_tube_runs_under_one_gigabyte(tmp_path):
+    rep, peak_kb = _run_gct(tmp_path, 24, "tube")
+    ranks = [b["rank"] for d in rep["decompositions"].values() for b in d["blocks"]]
     assert ranks == [1] * 576
     assert peak_kb < 1024 * 1024
+
+
+@pytest.mark.scale
+def test_vec_z6_center_has_36_invertible_simples(tmp_path):
+    # Z(Vec_Z6) is pointed: 36 simples of dimension 1, pairwise
+    # non-isomorphic, each with its full half-braiding check passed
+    rep, peak_kb = _run_gct(tmp_path, 6, "center")
+    simples = [s for g in rep["grades"].values() for s in g["simples"]]
+    assert rep["simple_count"] == len(simples) == 36
+    assert all(s["pass"] for s in simples)
+    assert all(abs(s["qdim"] - 1.0) < 1e-12 for s in simples)
+    names = [s["name"] for s in simples]
+    assert rep["hom_table"] == {a: {b: int(a == b) for b in names} for a in names}
+    assert peak_kb < 256 * 1024
 
 
 @pytest.mark.scale
