@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 
 from .fusion_core import InternalCheckError, ValidationError
-from .morphisms import Mor, vobj_tensor
+from .morphisms import Mor, residual_max, vobj_tensor
 from .center import (
     HalfBraiding,
     center_hom_residual,
@@ -62,7 +62,8 @@ def _unitarity_defect(m: Mor) -> float:
     worst = 0.0
     for B in m.blocks.values():
         if B.size:
-            worst = max(worst, float(np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1])))))
+            worst = residual_max(
+                worst, float(np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1])))))
     return worst
 
 
@@ -152,18 +153,18 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
         # unit rows; E(1,X) puts X in the constrained second slot
         if second_ok(x):
             left = build_G_braiding(unit_hb, x)
-            res["unit_rows"] = max(res["unit_rows"],
-                                   left.diff_norm(unit_loop_E(eng, x.obj).H))
+            res["unit_rows"] = residual_max(res["unit_rows"],
+                                            left.diff_norm(unit_loop_E(eng, x.obj).H))
         right = build_G_braiding(x, unit_hb)
-        res["unit_rows"] = max(res["unit_rows"],
-                               right.diff_norm(unit_loop_E(eng, x.obj)))
+        res["unit_rows"] = residual_max(res["unit_rows"],
+                                        right.diff_norm(unit_loop_E(eng, x.obj)))
         counts["unit_rows"] += 1
 
     for i, x in enumerate(fam):
         for j, y in enumerate(fam):
             if not second_ok(y):
                 continue
-            res["unitarity"] = max(res["unitarity"], _unitarity_defect(braid(i, j)))
+            res["unitarity"] = residual_max(res["unitarity"], _unitarity_defect(braid(i, j)))
             counts["unitarity"] += 1
 
     # multiplicativity in the second slot
@@ -176,7 +177,7 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
                 lhs = build_G_braiding(x, yz)
                 rhs = (eng.ltens(x.tgt_vobj(y.obj), braid(i, k))
                        @ eng.rtens(braid(i, j), z.obj))
-                res["mult_second"] = max(res["mult_second"], lhs.diff_norm(rhs))
+                res["mult_second"] = residual_max(res["mult_second"], lhs.diff_norm(rhs))
                 counts["mult_second"] += 1
 
     # multiplicativity in the first slot
@@ -193,7 +194,7 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
                          else build_G_braiding(x, moved))
                 rhs = (eng.rtens(first, xp.obj)
                        @ eng.ltens(x.obj, braid(j, k)))
-                res["mult_first"] = max(res["mult_first"], lhs.diff_norm(rhs))
+                res["mult_first"] = residual_max(res["mult_first"], lhs.diff_norm(rhs))
                 counts["mult_first"] += 1
 
     # naturality in either slot against each center hom T : fam[i] -> fam[j]
@@ -206,13 +207,13 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
                         Tg = T if act is None else eng.transport(T, z.grade, act)
                         lhs = eng.rtens(Tg, z.obj) @ braid(k, i)
                         rhs = braid(k, j) @ eng.ltens(z.obj, T)
-                        res["nat_second"] = max(res["nat_second"], lhs.diff_norm(rhs))
+                        res["nat_second"] = residual_max(res["nat_second"], lhs.diff_norm(rhs))
                         counts["nat_second"] += 1
                     if second_ok(z):  # T in the first slot
                         lhs = (eng.ltens(x.tgt_vobj(z.obj), T)
                                @ braid(i, k))
                         rhs = braid(j, k) @ eng.rtens(T, z.obj)
-                        res["nat_first"] = max(res["nat_first"], lhs.diff_norm(rhs))
+                        res["nat_first"] = residual_max(res["nat_first"], lhs.diff_norm(rhs))
                         counts["nat_first"] += 1
 
     # equivariance of the family under transport
@@ -223,12 +224,12 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
                     B = braid(i, j)
                     moved = build_G_braiding(g_action_on_center(x, k),
                                              g_action_on_center(y, k))
-                    res["equivariance"] = max(
+                    res["equivariance"] = residual_max(
                         res["equivariance"],
                         moved.diff_norm(eng.transport(B, k, act)))
                     counts["equivariance"] += 1
 
-    worst = max(res.values())
+    worst = residual_max(*res.values())
     out = dict(res)
     out.update({"counts": counts, "max_residual": worst, "tol": tol,
                 "pass": bool(worst < tol)})
@@ -261,24 +262,24 @@ def verify_reverse_braiding(simples: list, tol: float = 1e-8) -> dict:
             Fw = build_G_braiding(y, xm)
             src = vobj_tensor(x.obj, y.obj)
             back = Fw @ Rv
-            res["inversion"] = max(
+            res["inversion"] = residual_max(
                 res["inversion"], back.diff_norm(eng.identity(src)))
             xy = tensor_half_braidings(x, y)
             yxm = tensor_half_braidings(y, xm)
-            res["membership"] = max(
+            res["membership"] = residual_max(
                 res["membership"], center_hom_residual(xy, yxm, Rv))
             if act is not None or y.grade == grp.neutral:
                 gx = x.grade
                 ym = y if act is None else g_action_on_center(y, gx)
                 dbl = reverse_braiding(ym, x).H
-                res["double_reverse"] = max(
+                res["double_reverse"] = residual_max(
                     res["double_reverse"],
                     dbl.diff_norm(build_G_braiding(x, y)))
             n += 1
         Rv1 = reverse_braiding(x, unit_hb)
-        res["unit_rows"] = max(res["unit_rows"],
-                               Rv1.diff_norm(unit_loop_E(eng, x.obj)))
-    worst = max(res.values())
+        res["unit_rows"] = residual_max(res["unit_rows"],
+                                        Rv1.diff_norm(unit_loop_E(eng, x.obj)))
+    worst = residual_max(*res.values())
     out = dict(res)
     out.update({"checked": n, "tol": tol, "pass": bool(worst < tol)})
     return out
@@ -520,15 +521,15 @@ def verify_equivariant(X: EquivariantObject, tol: float = 1e-8) -> dict:
     for g in range(grp.order):
         cg = X.cocycle[g]
         moved = g_action_on_center(base, g)
-        res["intertwining"] = max(res["intertwining"],
-                                  center_hom_residual(base, moved, cg))
-        res["unitarity"] = max(res["unitarity"], _unitarity_defect(cg))
+        res["intertwining"] = residual_max(res["intertwining"],
+                                           center_hom_residual(base, moved, cg))
+        res["unitarity"] = residual_max(res["unitarity"], _unitarity_defect(cg))
         for h in range(grp.order):
             gh = grp.mul(g, h)
             comp = eng.transport(X.cocycle[h], g, act) @ cg
-            res["chain_rule"] = max(res["chain_rule"],
-                                    comp.diff_norm(X.cocycle[gh]))
-    worst = max(res.values())
+            res["chain_rule"] = residual_max(res["chain_rule"],
+                                             comp.diff_norm(X.cocycle[gh]))
+    worst = residual_max(*res.values())
     out = dict(res)
     out.update({"tol": tol, "pass": bool(worst < tol)})
     return out
@@ -602,13 +603,13 @@ def verify_equivariant_braiding(objs: list, tol: float = 1e-8) -> dict:
     for X in objs:
         for Y in objs:
             B = equivariant_braiding(X, Y)
-            res["unitarity"] = max(res["unitarity"], _unitarity_defect(B))
+            res["unitarity"] = residual_max(res["unitarity"], _unitarity_defect(B))
             XY = tensor_equivariant(X, Y)
             YX = tensor_equivariant(Y, X)
             for k in range(grp.order):
                 lhs = YX.cocycle[k] @ B
                 rhs = eng.transport(B, k, act) @ XY.cocycle[k]
-                res["membership"] = max(res["membership"], lhs.diff_norm(rhs))
+                res["membership"] = residual_max(res["membership"], lhs.diff_norm(rhs))
     for X in objs:
         for Y in objs:
             for Z in objs:
@@ -616,15 +617,15 @@ def verify_equivariant_braiding(objs: list, tol: float = 1e-8) -> dict:
                 lhs = equivariant_braiding(X, YZ)
                 rhs = (eng.ltens(Y.base.obj, equivariant_braiding(X, Z))
                        @ eng.rtens(equivariant_braiding(X, Y), Z.base.obj))
-                res["hexagon_second"] = max(res["hexagon_second"],
-                                            lhs.diff_norm(rhs))
+                res["hexagon_second"] = residual_max(res["hexagon_second"],
+                                                     lhs.diff_norm(rhs))
                 XY = tensor_equivariant(X, Y)
                 lhs2 = equivariant_braiding(XY, Z)
                 rhs2 = (eng.rtens(equivariant_braiding(X, Z), Y.base.obj)
                         @ eng.ltens(X.base.obj, equivariant_braiding(Y, Z)))
-                res["hexagon_first"] = max(res["hexagon_first"],
-                                           lhs2.diff_norm(rhs2))
-    worst = max(res.values())
+                res["hexagon_first"] = residual_max(res["hexagon_first"],
+                                                    lhs2.diff_norm(rhs2))
+    worst = residual_max(*res.values())
     out = dict(res)
     out.update({"tol": tol, "pass": bool(worst < tol)})
     return out

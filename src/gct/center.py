@@ -23,7 +23,6 @@ import dataclasses
 import types
 
 import numpy as np
-import scipy.linalg
 
 from ._memo import memo
 from .fusion_core import (
@@ -32,7 +31,7 @@ from .fusion_core import (
     InternalCheckError,
     ValidationError,
 )
-from .morphisms import Mor, as_vobj, engine_for, vobj_tensor
+from .morphisms import Mor, as_vobj, engine_for, residual_max, vobj_tensor
 from .tube import TubeAlgebra, TubeDecomposition, null_space_abs
 
 __all__ = [
@@ -270,9 +269,9 @@ def _verify_half_braiding(hb: HalfBraiding, tol: float) -> dict:
             B = Em.blocks.get(c)
             B = np.zeros((m, n), dtype=complex) if B is None else B
             eye = np.eye(n)
-            unit_defect = max(unit_defect,
-                              float(np.max(np.abs(B.conj().T @ B - eye))),
-                              float(np.max(np.abs(B @ B.conj().T - eye))))
+            unit_defect = residual_max(unit_defect,
+                                       float(np.max(np.abs(B.conj().T @ B - eye))),
+                                       float(np.max(np.abs(B @ B.conj().T - eye))))
     sl = _simple_letter_form(hb)
     max_res = 0.0
     checked = 0
@@ -286,7 +285,7 @@ def _verify_half_braiding(hb: HalfBraiding, tol: float) -> dict:
                         T, sl.grade, sl.action)
                     lhs = eng.rtens(Tg, sl.obj) @ sl.E[eta]
                     rhs = through @ eng.ltens(sl.obj, T)
-                    max_res = max(max_res, lhs.diff_norm(rhs))
+                    max_res = residual_max(max_res, lhs.diff_norm(rhs))
                     checked += 1
     ok = (max_res < tol and unit_defect < tol and not non_square)
     return {
@@ -410,7 +409,7 @@ def center_hom_residual(x: HalfBraiding, y: HalfBraiding, T: Mor) -> float:
     for pi in x.loop_labels():
         lhs = y.E[pi] @ eng.rtens(T, pi)
         rhs = eng.ltens(x.tgt_label(pi), T) @ x.E[pi]
-        worst = max(worst, lhs.diff_norm(rhs))
+        worst = residual_max(worst, lhs.diff_norm(rhs))
     return worst
 
 
@@ -650,8 +649,8 @@ def _cut_by_projection(theta: HalfBraiding, p: Mor | None,
             if B.shape[0] == B.shape[1] and B.shape[0]:
                 if np.linalg.norm(B) < tol:
                     continue
-                U, _ = scipy.linalg.polar(B)
-                snapped[c] = U
+                w, _, vh = np.linalg.svd(B, full_matrices=False)
+                snapped[c] = w @ vh     # the unitary polar factor of B
             else:
                 snapped[c] = B
         E[pi] = Mor(eng, cut.source, cut.target, snapped)
@@ -815,10 +814,10 @@ def tube_representation(tube: TubeAlgebra, hb: HalfBraiding,
             R = mats[idl.positions - sl.start]
             lhs = np.einsum("aij,bjk->abik", R, R)
             rhs = np.einsum("abc,cik->abik", idl.cube, R)
-            hom_res = max(hom_res, float(np.max(np.abs(lhs - rhs))))
+            hom_res = residual_max(hom_res, float(np.max(np.abs(lhs - rhs))))
             lhs = np.einsum("ik,ijl->kjl", idl.star, R)
             rhs = Winv @ R.conj().transpose(0, 2, 1) @ W
-            star_res = max(star_res, float(np.max(np.abs(lhs - rhs))))
+            star_res = residual_max(star_res, float(np.max(np.abs(lhs - rhs))))
     unit_mat = np.einsum("k,kij->ij", tube.unit_coords[sl], mats)
     unit_res = float(np.max(np.abs(unit_mat - np.eye(H)))) if H else 0.0
     ok = hom_res < tol and unit_res < tol and star_res < tol

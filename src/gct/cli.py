@@ -53,7 +53,7 @@ from .fusion_core import (
     verify_action,
     verify_pentagon,
 )
-from .morphisms import Mor, conjugate_solution, engine_for, vobj_tensor
+from .morphisms import Mor, conjugate_solution, engine_for, residual_max, vobj_tensor
 from .tube import (
     build_tube,
     build_twisted_tube,
@@ -188,7 +188,8 @@ def _ser_mor(f: Mor) -> dict:
     }
 
 
-def _deser_mor(eng, data: dict) -> Mor:
+def _deser_mor(eng, data: dict, where: str) -> Mor:
+    """A stored morphism; `where` names the report entry in error messages."""
     cat = eng.cat
     index = {name: i for i, name in enumerate(cat.labels)}
     try:
@@ -206,12 +207,18 @@ def _deser_mor(eng, data: dict) -> Mor:
         if cname not in index:
             raise DataError(f"schema mismatch: unknown channel label {cname!r}")
         c = index[cname]
-        M = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
+        try:
+            M = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
+        except (TypeError, IndexError, ValueError) as e:
+            raise DataError(f"schema mismatch in {where}, block {cname!r}: {e}") from None
         want = (eng.vdim(c, tgt), eng.vdim(c, src))
         if M.shape != want:
             raise DataError(
                 f"schema mismatch: block {cname!r} has shape {M.shape}, "
                 f"expected {want}")
+        if not np.all(np.isfinite(M)):
+            # a NaN residual compares false with every tolerance
+            raise DataError(f"{where}, block {cname!r} has a non-finite entry")
         blocks[c] = M
     return Mor(eng, src, tgt, blocks)
 
@@ -526,7 +533,7 @@ def cmd_braid_check(args) -> int:
             E = {}
             for pname, ser in sd["E"].items():
                 pi = tube.cat.labels.index(pname)
-                E[pi] = _deser_mor(eng, ser)
+                E[pi] = _deser_mor(eng, ser, f"simple {name!r}, E({pname})")
         except (KeyError, ValueError) as e:
             raise DataError(f"schema mismatch in simple {name!r}: {e}") from None
         X = HalfBraiding(tube.cat, obj, grade, E, action=act, name=name)
@@ -543,7 +550,7 @@ def cmd_braid_check(args) -> int:
             raise DataError(f"schema mismatch: braiding entry {key!r} does not "
                             f"name two family simples")
         i, j = pos[a], pos[b]
-        B = _deser_mor(eng, ser)
+        B = _deser_mor(eng, ser, f"braiding entry {key!r}")
         x, y = fam[i], fam[j]
         want_src = vobj_tensor(x.obj, y.obj)
         want_tgt = vobj_tensor(x.tgt_vobj(y.obj), x.obj)
@@ -563,19 +570,17 @@ def cmd_braid_check(args) -> int:
 
     sweep = verify_G_braiding(fam, tol, pairwise=pairwise)
     print("\nbraiding axioms on the supplied entries:")
-    bf_rows = []
-    for bf, keys in BF_GROUPS:
-        worst = max(sweep[k] for k in keys)
-        bf_rows.append([bf, "+".join(keys), _fmt(worst),
-                        "ok" if worst < tol else "FAIL"])
-    _print_table(["axiom", "checks", "residual", "status"], bf_rows)
+    axioms = {bf: residual_max(*(sweep[k] for k in keys)) for bf, keys in BF_GROUPS}
+    _print_table(["axiom", "checks", "residual", "status"],
+                 [[bf, "+".join(keys), _fmt(axioms[bf]),
+                   "ok" if axioms[bf] < tol else "FAIL"] for bf, keys in BF_GROUPS])
 
     ok = half_ok and sweep["pass"]
     seed = _resolve_seed(args)
     payload = _header(args, seed, tol)
     payload.update({
         "halfbraiding_residuals": {x.name: float(r[1]) for x, r in zip(fam, rows)},
-        "axioms": {bf: max(sweep[k] for k in keys) for bf, keys in BF_GROUPS},
+        "axioms": axioms,
         "sweep": sweep,
         "pass": ok,
     })

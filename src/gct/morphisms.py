@@ -44,10 +44,24 @@ __all__ = [
     "conjugate_solution",
     "frobenius_transpose",
     "ConjugatePair",
+    "residual_max",
 ]
 
 Word = tuple  # tuple[int, ...]
 VObj = tuple  # tuple[Word, ...]
+
+
+def residual_max(*residuals: float) -> float:
+    """The largest residual, or NaN if any of them is NaN.
+
+    A NaN residual compares false with every tolerance, and Python's max
+    drops a NaN that is not its first argument (max(0.0, nan) is 0.0), so
+    every fold of residuals that decides a verdict goes through here.
+    """
+    for r in residuals:
+        if r != r:
+            return r
+    return max(residuals)
 
 
 def engine_for(cat: GradedCategory) -> "TreeEngine":
@@ -156,7 +170,8 @@ class Mor:
         if other.source != self.source or other.target != self.target:
             raise InternalCheckError("comparing morphisms with different endpoints")
         chans = set(self.blocks) | set(other.blocks)
-        return max((float(np.linalg.norm(self.block(c) - other.block(c))) for c in chans), default=0.0)
+        return residual_max(0.0, *(float(np.linalg.norm(self.block(c) - other.block(c)))
+                                   for c in chans))
 
     def scalar(self) -> complex:
         """The unique coefficient of a morphism between two 1-dimensional homs."""

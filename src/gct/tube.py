@@ -62,7 +62,6 @@ import itertools
 import math
 
 import numpy as np
-import scipy.linalg
 
 from ._memo import memo
 from .fusion_core import (
@@ -691,7 +690,7 @@ def null_space_abs(A: np.ndarray, atol: float = 1e-9) -> np.ndarray:
     """
     if A.size == 0:
         return np.eye(A.shape[1], dtype=complex)
-    _, s, vh = scipy.linalg.svd(A)
+    _, s, vh = np.linalg.svd(A)
     return _kernel_columns(A.shape, s, vh, atol)
 
 
@@ -790,7 +789,7 @@ def _decompose_ideal(tube: TubeAlgebra, ideal: TubeIdeal, seed: int,
     # system is n^2 x n, so the economy SVD's vh is already complete.
     M = np.subtract(C.transpose(1, 2, 0), C.transpose(0, 2, 1),
                     order="C").reshape(n * n, n)
-    s, vh = scipy.linalg.svd(M, full_matrices=False)[1:]
+    s, vh = np.linalg.svd(M, full_matrices=False)[1:]
     Z = _kernel_columns(M.shape, s, vh, 1e-9)
     nc = Z.shape[1]
     if nc == 0:
@@ -800,8 +799,8 @@ def _decompose_ideal(tube: TubeAlgebra, ideal: TubeIdeal, seed: int,
     Gh = (G + G.conj().T) / 2
     cond = float(np.linalg.cond(Gh))
     try:
-        U = scipy.linalg.cholesky(Gh)
-    except scipy.linalg.LinAlgError as exc:
+        U = np.linalg.cholesky(Gh).conj().T     # Gh = U^H U, U upper triangular
+    except np.linalg.LinAlgError as exc:
         raise InternalCheckError(
             f"trace form not positive definite on {where} "
             f"(cond {cond:.3e})") from exc
@@ -829,7 +828,7 @@ def _decompose_ideal(tube: TubeAlgebra, ideal: TubeIdeal, seed: int,
         if herm_dev > 1e-6 * max(1.0, float(np.max(np.abs(Mh)))):
             last_reason = f"probe not Hermitian in the trace form ({herm_dev:.2e})"
             continue
-        w, V = scipy.linalg.eigh((Mh + Mh.conj().T) / 2)
+        w, V = np.linalg.eigh((Mh + Mh.conj().T) / 2)
         scale = max(1.0, float(np.max(np.abs(w))))
         clusters = []
         start = 0

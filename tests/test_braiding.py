@@ -16,9 +16,10 @@ from gct import (
     reverse_braiding,
     tensor_half_braidings,
     verify_G_braiding,
+    verify_reverse_braiding,
 )
 from gct.fusion_core import ValidationError
-from gct.morphisms import vobj_tensor
+from gct.morphisms import Mor, residual_max, vobj_tensor
 
 
 FORWARD_KEYS = ("unit_rows", "unitarity", "mult_second", "nat_second",
@@ -113,6 +114,59 @@ def test_missing_pairwise_entries_raise(fib_center):
     only_one = {(1, 1): build_G_braiding(fam[1], fam[1])}
     with pytest.raises(ValidationError):
         verify_G_braiding(fam, pairwise=only_one)
+
+
+def _with_entry(f: Mor, value) -> Mor:
+    """A copy of f whose first nonempty block has `value` at [0, 0]."""
+    blocks = {c: B.copy() for c, B in f.blocks.items()}
+    c = next(c for c, B in blocks.items() if B.size)
+    blocks[c][0, 0] = value
+    return Mor(f.eng, f.source, f.target, blocks)
+
+
+def test_residual_max_keeps_a_nan():
+    nan = float("nan")
+    assert residual_max(0.0, 1.0, 0.5) == 1.0
+    for args in ((0.0, nan), (nan, 0.0), (0.0, nan, 1.0), (1.0, 0.0, nan)):
+        assert np.isnan(residual_max(*args)), args
+
+
+def test_diff_norm_sees_a_nan_in_any_channel(fib_center):
+    f = build_G_braiding(fib_center["fam"][3], fib_center["fam"][3])
+    assert len([B for B in f.blocks.values() if B.size]) > 1
+    for c in f.blocks:
+        blocks = {k: B.copy() for k, B in f.blocks.items()}
+        blocks[c][0, 0] = np.nan
+        bad = Mor(f.eng, f.source, f.target, blocks)
+        assert np.isnan(bad.diff_norm(f)) and np.isnan(f.diff_norm(bad)), c
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_supplied_braiding_fails_the_sweep(fib_center, value):
+    """Python's max(0.0, nan) is 0.0: a fold with it read a NaN residual as
+    a pass.  An inf entry turns into NaN residuals as well (inf - inf)."""
+    fam = fib_center["fam"]
+    pairwise = {(i, j): build_G_braiding(x, y)
+                for (i, x), (j, y) in itertools.product(
+                    enumerate(fam), enumerate(fam))}
+    pairwise[(3, 3)] = _with_entry(pairwise[(3, 3)], value)
+    rep = verify_G_braiding(fam, pairwise=pairwise)
+    assert not rep["pass"]
+    assert np.isnan(rep["max_residual"])
+
+
+def test_non_finite_half_braiding_fails_the_reverse_sweep(fib_center):
+    fam = fib_center["fam"]
+    good = fam[-1]
+    E = dict(good.E)
+    pi = max(E)
+    E[pi] = _with_entry(E[pi], np.nan)
+    bad = HalfBraiding(good.cat, good.obj, good.grade, E, name=good.name)
+    rep = verify_reverse_braiding(fam[:-1] + [bad])
+    assert not rep["pass"]
+    assert any(np.isnan(rep[k]) for k in ("inversion", "membership",
+                                           "double_reverse", "unit_rows"))
 
 
 def test_braiding_respects_hom_multiplicities(z2_center):

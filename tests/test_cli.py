@@ -131,6 +131,33 @@ def test_memory_exhaustion_is_a_clean_io_error(monkeypatch, capsys):
                    "(Unable to allocate 2.85 GiB for an array)\n")
 
 
+def test_a_trace_form_that_is_not_positive_exits_3(monkeypatch, capsys):
+    build = gct.cli._build_any_tube
+
+    def negated_trace(args, cat):
+        tube = build(args, cat)
+        tube.trace_vector = -tube.trace_vector
+        return tube
+
+    monkeypatch.setattr(gct.cli, "_build_any_tube", negated_trace)
+    assert gct.cli.main(["tube", bundled_path("fib")]) == gct.cli.EXIT_INTERNAL == 3
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert err.startswith("internal error: trace form not positive definite")
+    assert err.count("\n") == 1
+
+
+def test_import_loads_no_scipy():
+    """gct runs on numpy alone; scipy is a test-only dependency."""
+    probe = ("import sys, gct.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=GCT_PATH)
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
 def test_malformed_schema_is_data_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "rank": 2}))
@@ -366,6 +393,48 @@ def test_braid_check_flags_a_corrupted_half_braiding(ising_report, tmp_path, z, 
     lines = res.stdout.splitlines()
     assert next(ln.split() for ln in lines if ln.split()[:1] == [name])[-1] == row
     assert any(ln.startswith("BF") and ln.endswith("FAIL") for ln in lines)
+
+
+@pytest.fixture(scope="module")
+def fib_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "fib_center.json"
+    res = run_cli("center", bundled_path("fib"), "--json", str(out))
+    assert res.returncode == 0, res.stderr
+    return out
+
+
+def _one_line_error(res, *words):
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert all(w in res.stderr for w in words), res.stderr
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_braid_check_refuses_a_non_finite_braiding_entry(fib_report, tmp_path, value):
+    data = json.loads(fib_report.read_text())
+    data["braiding"]["e:3|e:3"]["blocks"]["1"][0][0][0] = value
+    bad = tmp_path / "non_finite.json"
+    bad.write_text(json.dumps(data))
+    _one_line_error(run_cli("braid-check", str(bad)), "'e:3|e:3'", "non-finite")
+
+
+def test_braid_check_refuses_a_non_finite_half_braiding(fib_report, tmp_path):
+    data = json.loads(fib_report.read_text())
+    E = data["simple_data"]["e:3"]["E"]["t"]["blocks"]
+    E[next(iter(E))][0][0][1] = float("nan")
+    bad = tmp_path / "non_finite.json"
+    bad.write_text(json.dumps(data))
+    _one_line_error(run_cli("braid-check", str(bad)), "'e:3'", "E(t)", "non-finite")
+
+
+@pytest.mark.parametrize("entry", ["1.0", [1.0], None], ids=["string", "short", "null"])
+def test_braid_check_refuses_a_malformed_matrix_entry(fib_report, tmp_path, entry):
+    data = json.loads(fib_report.read_text())
+    data["braiding"]["e:3|e:3"]["blocks"]["1"][0][0] = entry
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(data))
+    _one_line_error(run_cli("braid-check", str(bad)), "schema mismatch", "'e:3|e:3'")
 
 
 def test_braid_check_rejects_empty_map(ising_report, tmp_path):

@@ -37,6 +37,7 @@ from gct.tube import (
     _left_mult,
     _projection_residual,
     decomposition_dict,
+    null_space_abs,
     tube_dump_dict,
 )
 from test_fusion_core import _random_unitary_f, _rep_a4_ring, _rep_a4_category
@@ -318,6 +319,42 @@ def test_decompose_refuses_a_corrupted_projection_system(monkeypatch, fib_center
     monkeypatch.setattr(gct.tube, "_projection_residual", corrupted)
     with pytest.raises(InternalCheckError, match="projection system residual"):
         decompose(fib_center["tube"], 0)
+
+
+def test_a_trace_form_that_is_not_positive_is_an_internal_error():
+    tube = build_tube(load_category(bundled_path("fib")))
+    tube.trace_vector = -tube.trace_vector     # a negative definite Gram form
+    with pytest.raises(InternalCheckError,
+                       match="trace form not positive definite on outer labels"):
+        decompose(tube, 0)
+
+
+def _complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_null_space_abs_keeps_its_absolute_floor():
+    """A matrix that is zero up to roundoff has every vector in its kernel,
+    although each of its singular values is far above a relative cut."""
+    A = 1e-13 * _complex_normal(np.random.default_rng(3), 6, 4)
+    assert np.linalg.matrix_rank(A) == 4
+    N = null_space_abs(A)
+    assert N.shape == (4, 4)
+    assert np.abs(N.conj().T @ N - np.eye(4)).max() < 1e-12
+    assert null_space_abs(1e6 * A).shape == (4, 0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_null_space_abs_spans_the_kernel_of_scipy(seed):
+    rng = np.random.default_rng(seed)
+    m, n = (int(k) for k in rng.integers(1, 9, size=2))
+    r = int(rng.integers(0, min(m, n) + 1))
+    A = _complex_normal(rng, m, r) @ _complex_normal(rng, r, n)
+    ours, ref = null_space_abs(A), scipy.linalg.null_space(A)
+    assert ours.shape == ref.shape == (n, n - r)
+    # one subspace: the same orthogonal projector
+    assert np.abs(ours @ ours.conj().T - ref @ ref.conj().T).max() < 1e-10
+    assert np.abs(ours.conj().T @ ours - np.eye(n - r)).max() < 1e-12
 
 
 def _gate_mismatches(got, ref, path="dec"):
