@@ -134,9 +134,9 @@ class HalfBraiding:
         Each summand's `E_word` block is placed straight into the sum: on
         the source obj*V (obj-major) summand i holds the strided words i,
         i + len(V), ...; on the target V'*obj (V-major) it holds the
-        contiguous words i*len(obj) .. (i+1)*len(obj) - 1.
+        contiguous words i*len(obj) .. (i+1)*len(obj) - 1.  V must be
+        normalised (see `as_vobj`).
         """
-        V = as_vobj(V)
         if len(V) == 1:
             return self.E_word(V[0])
         return self._E_sum(V)
@@ -152,8 +152,15 @@ class HalfBraiding:
             for c, B in self.E_word(w).blocks.items():
                 rows = eng.offsets(c, tgt)
                 pieces.append((c, slice(rows[i * no], rows[(i + 1) * no]),
-                               eng.strided_positions(c, src, i, nv), B))
+                               _strided_positions(eng, c, src, i, nv), B))
         return _placed(eng, src, tgt, pieces)
+
+
+def _strided_positions(eng, c: int, vobj: tuple, j: int, nv: int) -> np.ndarray:
+    """Positions in Hom(c, vobj) of the words j, j + nv, j + 2 nv, ..."""
+    offs = eng.offsets(c, vobj)
+    return np.asarray([p for k in range(j, len(vobj), nv)
+                       for p in range(offs[k], offs[k + 1])], dtype=int)
 
 
 def _placed(eng, src: tuple, tgt: tuple, pieces) -> Mor:

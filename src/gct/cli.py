@@ -325,10 +325,10 @@ def cmd_verify(args) -> int:
     funit = 0.0
     for mat in cat.F.values():
         M = np.asarray(mat)
-        funit = max(funit, float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[1])))))
+        funit = residual_max(funit, float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[1])))))
     # the conjugate equations presuppose associativity: without it their
     # solve can fail, and a residual would mean nothing
-    conj = (max(conjugate_solution(cat, a).residual for a in range(cat.rank))
+    conj = (residual_max(*(conjugate_solution(cat, a).residual for a in range(cat.rank)))
             if pent["pass"] else None)
 
     rows = [

@@ -577,6 +577,19 @@ _MOVES = (
 )
 
 
+def residual_max(*residuals: float) -> float:
+    """The largest residual, or NaN if any of them is NaN.
+
+    A NaN residual compares false with every tolerance, and Python's max
+    drops a NaN that is not its first argument (max(0.0, nan) is 0.0), so
+    every fold of residuals that decides a verdict goes through here.
+    """
+    for r in residuals:
+        if r != r:
+            return r
+    return max(residuals)
+
+
 def _tree_basis(N, sym: list, tree) -> list:
     """Labels of one tree in lexicographic order (u outermost, i outside v).
     ``sym`` holds a, b, c, d, t; its u and v slots are scratch."""
@@ -620,7 +633,7 @@ def _pentagon_residual(cat: GradedCategory, a: int, b: int, c: int, d: int) -> f
         m45, m51, m43, m32, m21 = (_move_matrix(cat, sym, bases[r], bases[s], *rest)
                                    for r, s, *rest in _MOVES)
         diff = m51 @ m45 - m21 @ m32 @ m43
-        worst = max(worst, float(np.abs(diff).max()))
+        worst = residual_max(worst, float(np.abs(diff).max()))
     return worst
 
 
@@ -637,7 +650,8 @@ def verify_pentagon(cat: GradedCategory, tol: float = 1e-12) -> dict:
     worst_at: tuple[str, ...] | None = None
     for a, b, c, d in itertools.product(range(cat.rank), repeat=4):
         res = _pentagon_residual(cat, a, b, c, d)
-        if res > worst:
+        # a NaN residual is worse than any number, and the first one stays
+        if res > worst or (res != res and worst == worst):
             worst = res
             worst_at = tuple(cat.labels[k] for k in (a, b, c, d))
     return {"max_residual": worst, "worst_at": worst_at, "tol": tol, "pass": worst <= tol}

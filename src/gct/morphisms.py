@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._memo import memo
-from .fusion_core import GradedCategory, GroupAction, InternalCheckError
+from .fusion_core import GradedCategory, GroupAction, InternalCheckError, residual_max
 
 __all__ = [
     "Word",
@@ -49,19 +49,6 @@ __all__ = [
 
 Word = tuple  # tuple[int, ...]
 VObj = tuple  # tuple[Word, ...]
-
-
-def residual_max(*residuals: float) -> float:
-    """The largest residual, or NaN if any of them is NaN.
-
-    A NaN residual compares false with every tolerance, and Python's max
-    drops a NaN that is not its first argument (max(0.0, nan) is 0.0), so
-    every fold of residuals that decides a verdict goes through here.
-    """
-    for r in residuals:
-        if r != r:
-            return r
-    return max(residuals)
 
 
 def engine_for(cat: GradedCategory) -> "TreeEngine":
@@ -164,7 +151,7 @@ class Mor:
         return np.concatenate(parts)
 
     def norm(self) -> float:
-        return max((float(np.linalg.norm(B)) for B in self.blocks.values()), default=0.0)
+        return residual_max(0.0, *(float(np.linalg.norm(B)) for B in self.blocks.values()))
 
     def diff_norm(self, other: "Mor") -> float:
         if other.source != self.source or other.target != self.target:
@@ -195,6 +182,26 @@ class ConjugatePair:
     Rbar: Mor
     fs_indicator: int
     residual: float
+
+
+@dataclass(eq=False, slots=True)
+class _TensorPlan:
+    """A tensor with id_V on every morphism S -> T, as placements.
+
+    ``left`` tells id_V (x) f from f (x) id_V.  Each block f_d is raveled
+    and written into one buffer of ``size`` entries at ``place[d]``, an
+    index array with one row per group where f_d lands.  Channel c of the
+    result is Phi_t^* @ buf[at:at + mt * ms].reshape(mt, ms) @ Phi_s for
+    each entry (c, mask, at, mt, ms, Phi_t, Phi_s) of ``chans``, or that
+    slice itself when the Phis are None; it is present when f has a block
+    d with bit d set in mask.
+    """
+
+    V: VObj
+    left: bool
+    place: list
+    chans: list
+    size: int
 
 
 class TreeEngine:
@@ -290,93 +297,16 @@ class TreeEngine:
             out.append(Mor(self, ((c,),), V, {c: B}))
         return out
 
-    # ---------------------------------------------------------- right tensor
-
-    @memo
-    def _grouped_positions(self, c: int, vobj: VObj, pi: int) -> dict:
-        """Positions in Hom(c, vobj*pi) grouped by (m, mu), ordered like Hom(m, vobj)."""
-        N = self.cat.N
-        out = {}
-        pos = 0
-        for w in vobj:
-            for m in range(self.rank):
-                nm = N[m, pi, c]
-                if nm == 0:
-                    continue
-                dm = self.dim(m, w)
-                for pidx in range(dm):
-                    for mu in range(nm):
-                        out.setdefault((m, mu), []).append(pos)
-                        pos += 1
-        return {k: np.asarray(v, dtype=int) for k, v in out.items()}
-
-    def _rtens_simple(self, f: Mor, pi: int) -> Mor:
-        src = tuple(w + (pi,) for w in f.source)
-        tgt = tuple(w + (pi,) for w in f.target)
-        N = self.cat.N
-        dt, ds = self.vdims(tgt), self.vdims(src)
-        blocks = {}
-        for c in range(self.rank):
-            nt, ns = dt[c], ds[c]
-            if nt == 0 or ns == 0:
-                continue
-            gp_s = self._grouped_positions(c, f.source, pi)
-            gp_t = self._grouped_positions(c, f.target, pi)
-            B = np.zeros((nt, ns), dtype=complex)
-            got = False
-            for m, Bm in f.blocks.items():
-                for mu in range(N[m, pi, c]):
-                    rows = gp_t.get((m, mu))
-                    cols = gp_s.get((m, mu))
-                    if rows is None or cols is None:
-                        continue
-                    B[rows[:, None], cols] = Bm
-                    got = True
-            if got:
-                blocks[c] = B
-        return Mor(self, src, tgt, blocks)
-
-    def rtens(self, f: Mor, x) -> Mor:
-        """f tensor id_x for x a simple, word, or object."""
-        if isinstance(x, (int, np.integer)):
-            return self._rtens_simple(f, int(x))
-        return self._rtens_vobj(f, as_vobj(x))
-
-    def _rtens_vobj(self, f: Mor, V: VObj) -> Mor:
-        if len(V) == 1:
-            out = f
-            for letter in V[0]:
-                out = self._rtens_simple(out, letter)
-            return out
-        src = vobj_tensor(f.source, V)
-        tgt = vobj_tensor(f.target, V)
-        out = Mor(self, src, tgt, {})
-        nv = len(V)
-        for j, w in enumerate(V):
-            sub = self._rtens_vobj(f, (w,))
-            # scatter sub's blocks into the (·, j) summand slots
-            for c, B in sub.blocks.items():
-                rows = self.strided_positions(c, tgt, j, nv)
-                cols = self.strided_positions(c, src, j, nv)
-                big = out.blocks.get(c)
-                if big is None:
-                    big = np.zeros((self.vdim(c, tgt), self.vdim(c, src)), dtype=complex)
-                    out.blocks[c] = big
-                big[rows[:, None], cols] = B
-        return out
-
-    def strided_positions(self, c: int, vobj: VObj, j: int, nv: int) -> np.ndarray:
-        """Positions in Hom(c, vobj) of the words j, j + nv, j + 2 nv, ...
-
-        Not cached: the Vec_S3 center asks for over 3 000 distinct arrays of
-        about one entry each, and caching them cost about 0.9 MB of peak
-        memory for a few per cent of its wall time.
-        """
-        offs = self.offsets(c, vobj)
-        return np.asarray([p for k in range(j, len(vobj), nv)
-                           for p in range(offs[k], offs[k + 1])], dtype=int)
-
-    # ----------------------------------------------------------- left tensor
+    # ---------------------------------------------------------- tensor plans
+    #
+    # Channel c of f (x) id_V and of id_V (x) f, for f : S -> T, places every
+    # block f_d at groups of positions keyed by tuples (d, ...), each group
+    # ordered like Hom(d, S) on the columns and like Hom(d, T) on the rows.  On the
+    # right the groups are positions in the tree basis itself; on the left
+    # they are positions in a factored basis, reached from the tree basis by
+    # the unitary Phi(V, X, c).  Both are one-sided, built for X = S and
+    # X = T whatever f is, and `_tensor_plan` pairs their groups once per
+    # (V, S, T), so a call places each block of f once.
 
     @memo
     def factor_unitary(self, a: int, w: Word) -> dict:
@@ -465,144 +395,243 @@ class TreeEngine:
                     out.append((d, p, nu))
         return out
 
-    def _ltens_simple(self, a: int, f: Mor) -> Mor:
-        src = tuple((a,) + w for w in f.source)
-        tgt = tuple((a,) + w for w in f.target)
-        N = self.cat.N
-        ds, dt = self.vdims(src), self.vdims(tgt)
-        blocks = {}
-        for c in range(self.rank):
-            if ds[c] == 0 or dt[c] == 0:
-                continue
-            Phi_s = self._phi(a, f.source, c)
-            Phi_t = self._phi(a, f.target, c)
-            fp_s = self._factored_positions(a, f.source, c)
-            fp_t = self._factored_positions(a, f.target, c)
-            # middle operator: f acting on the d-slot of the factored basis
-            D = np.zeros((Phi_t.shape[0], Phi_s.shape[0]), dtype=complex)
-            got = False
-            for d, Bd in f.blocks.items():
-                for nu in range(N[a, d, c]):
-                    rows = fp_t.get((d, nu))
-                    cols = fp_s.get((d, nu))
-                    if rows is not None and cols is not None:
-                        D[rows[:, None], cols] = Bd
-                        got = True
-            if got:
-                blocks[c] = Phi_t.conj().T @ D @ Phi_s
-        return Mor(self, src, tgt, blocks)
+    def _right_groups(self, X: VObj, V: VObj) -> dict:
+        """Per channel c: (n, None, groups) of (.) (x) id_V on the object X.
 
-    @memo
-    def _phi(self, a: int, vobj: VObj, c: int) -> np.ndarray:
-        """Block-diagonal factorization unitary for a whole object.
-
-        For a one-word object this is the memoised factorization unitary
-        itself; callers must not modify it.
+        n = dim Hom(c, X V), and groups maps keys (d, ...) to the tuple of
+        positions in Hom(c, X V) where f_d lands, ordered like Hom(d, X).
+        One letter b sends the path (m, p, mu) of Hom(c, Y b) to the key
+        (m, mu); a word composes its letters from the right, and a sum of
+        words places each word's groups on its words of X V (every len(V)-th
+        one).  Only channels with Hom(c, X V) nonzero are present.  The None
+        stands where `_left_side` keeps its unitary.  Not memoised: a piece
+        is read once per plan built, and kept it would cost more memory than
+        rebuilding it costs time.
         """
-        if len(vobj) == 1:
-            return self.factor_unitary(a, vobj[0])[c]
-        mats = []
-        for w in vobj:
-            U = self.factor_unitary(a, w).get(c)
-            n = self.dim(c, (a,) + w)
-            if U is None:
-                U = np.zeros((0, 0), dtype=complex)
-            if U.shape != (n, n):  # pragma: no cover
-                raise InternalCheckError("factorization unitary has wrong shape")
-            mats.append(U)
-        total = sum(m.shape[0] for m in mats)
-        out = np.zeros((total, total), dtype=complex)
-        pos = 0
-        for m in mats:
-            k = m.shape[0]
-            out[pos:pos + k, pos:pos + k] = m
-            pos += k
+        if len(V) > 1:
+            XV = vobj_tensor(X, V)
+            parts = [self._right_groups(X, (v,)) for v in V]
+            out = {}
+            for c in np.flatnonzero(self.vdims(XV)).tolist():
+                offs, groups = self.offsets(c, XV), {}
+                for j, part in enumerate(parts):
+                    if c in part:
+                        pos = [p for k in range(j, len(XV), len(V))
+                               for p in range(offs[k], offs[k + 1])]
+                        for key, q in part[c][2].items():
+                            groups[key + (j,)] = tuple(pos[i] for i in q)
+                out[c] = (offs[-1], None, groups)
+            return out
+        prefix, b = V[0][:-1], V[0][-1]
+        Y = vobj_tensor(X, (prefix,)) if prefix else X
+        ones, pos = self._letter_groups(Y, lambda m: self.cat.fusion_channels(m, b))
+        if prefix:
+            inner = self._right_groups(X, (prefix,))
+            ones = {c: {key + step: tuple(p[i] for i in q)
+                        for step, p in one.items() for key, q in inner[step[0]][2].items()}
+                    for c, one in ones.items()}
+        return {c: (pos[c], None, one) for c, one in ones.items()}
+
+    def _left_side(self, V: VObj, X: VObj) -> dict:
+        """Per channel c: (n, Phi, groups) of id_V (x) (.) on the object X.
+
+        n = dim Hom(c, V X), Phi is the unitary from the tree basis of
+        Hom(c, V X) to a factored basis, and groups maps each key (d, ...)
+        to the tuple of positions of the d-slot in it, ordered like
+        Hom(d, X).  For one letter a, Phi is block diagonal over the words w
+        of X with blocks ``factor_unitary(a, w)[c]``, and the factored basis
+        runs (w, d, path of Hom(d, w), nu < N[a, d, c]) with key (d, nu).  A
+        word a w' peels its first letter, then applies Phi(w', X, e) inside
+        each slot (e, nu): Phi = U Phi(a, w' X, c), with U those blocks
+        placed on the slots.  These are the one-letter F-moves of tensoring
+        letter by letter, composed.  A sum of words is block diagonal.  Only
+        channels with Hom(c, V X) nonzero are present.  Not memoised (the
+        F-moves come from the memoised `factor_unitary`); callers must not
+        modify the returned arrays.
+        """
+        if len(V) > 1:
+            VX, nx = vobj_tensor(V, X), len(X)
+            parts = [self._left_side((v,), X) for v in V]
+            out = {}
+            for c in np.flatnonzero(self.vdims(VX)).tolist():
+                offs = self.offsets(c, VX)
+                Phi = np.zeros((offs[-1], offs[-1]), dtype=complex)
+                groups = {}
+                for i, part in enumerate(parts):
+                    if c in part:
+                        lo, hi = offs[i * nx], offs[(i + 1) * nx]
+                        _, P, g = part[c]
+                        Phi[lo:hi, lo:hi] = P
+                        for key, p in g.items():
+                            groups[key + (i,)] = tuple(lo + k for k in p)
+                out[c] = (offs[-1], Phi, groups)
+            return out
+        a, tail = V[0][0], V[0][1:]
+        if tail:
+            inner = self._left_side((tail,), X)
+            out = {}
+            for c, (n, Phi, one) in self._left_side(((a,),), vobj_tensor((tail,), X)).items():
+                U = np.zeros_like(Phi)
+                groups = {}
+                for step, p in one.items():
+                    _, P, g = inner[step[0]]
+                    idx = np.array(p)
+                    U[idx[:, None], idx] = P
+                    for key, q in g.items():
+                        groups[key + step] = tuple(p[i] for i in q)
+                out[c] = (n, U @ Phi, groups)
+            return out
+        units = [self.factor_unitary(a, w) for w in X]
+        groups, pos = self._letter_groups(X, lambda d: self.cat.fusion_channels(a, d))
+        out = {}
+        for c, g in groups.items():
+            if len(X) == 1:
+                Phi = units[0][c]
+            else:
+                offs = self.offsets(c, vobj_tensor(V, X))
+                Phi = np.zeros((offs[-1], offs[-1]), dtype=complex)
+                for k, U in enumerate(units):
+                    if c in U:
+                        Phi[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = U[c]
+            out[c] = (pos[c], Phi, g)
         return out
 
+    def _letter_groups(self, X: VObj, channels) -> tuple:
+        """Per channel c, the positions of a one-letter tensor on X grouped
+        by (d, k), each ordered like Hom(d, X); and the dims.
+
+        ``channels(d)`` lists (c, n) for the channels c of d with the letter
+        (in either order).  Positions run (word of X, d, path of Hom(d,
+        word), k < n), the tree order of Hom(c, X b) and the factored order
+        of Hom(c, a X) alike.
+        """
+        groups: dict = {}
+        pos = [0] * self.rank
+        for w in X:
+            for d, dd in enumerate(self.word_dims(w)):
+                if dd:
+                    for c, n in channels(d):
+                        g = groups.setdefault(c, {})
+                        for k in range(n):
+                            g[d, k] = g.get((d, k), ()) + tuple(range(pos[c] + k, pos[c] + dd * n, n))
+                        pos[c] += dd * n
+        return groups, pos
+
+    def _sides(self, side: str, V: VObj, S: VObj, T: VObj) -> tuple:
+        """The one-sided pieces (per channel) of a tensor with id_V on S and T."""
+        if side == "left":
+            return self._left_side(V, S), self._left_side(V, T)
+        if side == "right":
+            return self._right_groups(S, V), self._right_groups(T, V)
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+    @staticmethod
+    def _pairs(ps, pt) -> tuple:
+        """(nt, ns, Phi_t, Phi_s, {key: (rows, cols)}) for one channel.
+
+        The channel of the tensor of f : S -> T is the nt x ns matrix
+        Phi_t^* D Phi_s, where D holds f_d at rows x cols for each key
+        (d, ...) the two sides share; on the right both Phis are None (the
+        identity).
+        """
+        ns, Ps, gs = ps
+        nt, Pt, gt = pt
+        return nt, ns, Pt, Ps, {k: (gt[k], cols) for k, cols in gs.items() if k in gt}
+
     @memo
-    def _factored_positions(self, a: int, vobj: VObj, c: int) -> dict:
-        """Positions in the factored basis of Hom(c, a*vobj) grouped by
-        (d, nu), each ordered like Hom(d, vobj)."""
-        N = self.cat.N
+    def _tensor_plan(self, side: str, x, S: VObj, T: VObj) -> _TensorPlan:
+        """The plan of ``ltens(x, .)`` (side "left") or ``rtens(., x)``
+        (side "right") on morphisms S -> T.  The raw x is normalised here,
+        once per key."""
+        V = as_vobj(x)
+        ps, pt = self._sides(side, V, S, T)
+        chans, place, at = [], {}, 0
+        for c in sorted(ps.keys() & pt.keys()):
+            mt, ms, Pt, Ps, pairs = self._pairs(ps[c], pt[c])
+            if not pairs:
+                continue
+            mask = 0
+            for (d, *_), (rows, cols) in pairs.items():
+                place.setdefault(d, []).append([at + r * ms + k for r in rows for k in cols])
+                mask |= 1 << d
+            chans.append((c, mask, at, mt, ms, Pt, Ps))
+            at += mt * ms
+        return _TensorPlan(V, side == "left", [(d, np.array(idx, dtype=np.intp))
+                                               for d, idx in place.items()], chans, at)
+
+    def _run_plan(self, plan: _TensorPlan, f: Mor) -> Mor:
+        blocks = f.blocks
+        buf = np.zeros(plan.size, dtype=complex)
+        got = 0
+        for d, idx in plan.place:
+            B = blocks.get(d)
+            if B is not None:
+                buf[idx] = B.ravel()
+                got |= 1 << d
         out = {}
-        pos = 0
-        for w in vobj:
-            dims = self.word_dims(w)
-            for d in range(self.rank):
-                nnu = N[a, d, c]
-                if nnu == 0:
-                    continue
-                for p in range(dims[d]):
-                    for nu in range(nnu):
-                        out.setdefault((d, nu), []).append(pos)
-                        pos += 1
-        return {k: np.asarray(v, dtype=int) for k, v in out.items()}
+        for c, mask, at, mt, ms, Pt, Ps in plan.chans:
+            if got & mask:
+                B = buf[at:at + mt * ms].reshape(mt, ms)
+                out[c] = B if Pt is None else Pt.conj().T @ B @ Ps
+        V, S, T = plan.V, f.source, f.target
+        if plan.left:
+            return Mor(self, vobj_tensor(V, S), vobj_tensor(V, T), out)
+        return Mor(self, vobj_tensor(S, V), vobj_tensor(T, V), out)
+
+    def rtens(self, f: Mor, x) -> Mor:
+        """f tensor id_x for x a simple, word, or object.
+
+        A pure re-indexing: channel c places each block f_d at the row and
+        column groups that `_right_groups` gives on X = f.target and
+        X = f.source.  The plan is memoised per (x, f.source, f.target) and
+        normalises x on its miss, so a call is one placement per block of f.
+        """
+        return self._run_plan(self._tensor_plan("right", x, f.source, f.target), f)
 
     def ltens(self, x, f: Mor) -> Mor:
-        """id_x tensor f for x a simple, word, or object."""
-        if isinstance(x, (int, np.integer)):
-            return self._ltens_simple(int(x), f)
-        return self._ltens_vobj(as_vobj(x), f)
+        """id_x tensor f for x a simple, word, or object.
 
-    def _ltens_vobj(self, V: VObj, f: Mor) -> Mor:
-        if len(V) == 1:
-            out = f
-            for letter in reversed(V[0]):
-                out = self._ltens_simple(letter, out)
-            return out
-        src = vobj_tensor(V, f.source)
-        tgt = vobj_tensor(V, f.target)
-        out = Mor(self, src, tgt, {})
-        ns, nt = len(f.source), len(f.target)
-        for i, w in enumerate(V):
-            sub = self._ltens_vobj((w,), f)
-            # summand i occupies the contiguous words i*n .. (i+1)*n - 1
-            for c, B in sub.blocks.items():
-                rows, cols = self.offsets(c, tgt), self.offsets(c, src)
-                big = out.blocks.get(c)
-                if big is None:
-                    big = np.zeros((self.vdim(c, tgt), self.vdim(c, src)), dtype=complex)
-                    out.blocks[c] = big
-                big[rows[i * nt]:rows[(i + 1) * nt], cols[i * ns]:cols[(i + 1) * ns]] = B
-        return out
+        Channel c is Phi_t^* D(f) Phi_s: D(f) places each block f_d at the
+        factored positions that `_left_side` gives on X = f.target and
+        X = f.source, and Phi_t = Phi(x, f.target, c), Phi_s =
+        Phi(x, f.source, c) are its factorization unitaries, composed from
+        `factor_unitary` (memoised per letter and word).  The plan is
+        memoised per (x, f.source, f.target) and normalises x on its miss,
+        so a call is one placement and two small products per channel.
+        """
+        return self._run_plan(self._tensor_plan("left", x, f.source, f.target), f)
 
-    @memo
     def tensor_factors(self, side: str, a: int, source: VObj, target: VObj,
                        c: int) -> list:
         """Channel c of a one-letter tensor with id_a as two-sided products.
 
         For every f : source -> target, channel c of ``ltens(a, f)`` (side
         "left") or of ``rtens(f, a)`` (side "right") is the sum of
-        L @ f.blocks[d] @ R over the returned triples (d, L, R).  On the
-        right L and R are 0/1 selections (the re-indexing); on the left
+        L @ f.blocks[d] @ R over the returned triples (d, L, R), read off
+        the one-sided pieces a tensor plan is built from: on the right L and
+        R are 0/1 selections (the re-indexing); on the left
         L = Phi_t^*[:, rows] and R = Phi_s[cols, :], the column and row
         groups of the factorization unitaries where the d-slot sits.  With
-        vec(L X R) = (L kron R^T) vec(X) a linear solve over f can be set
-        up without building f from matrix units.  Memoised; callers must
-        not modify the returned matrices.
+        vec(L X R) = (L kron R^T) vec(X) a linear solve over f can be set up
+        without building f from matrix units.  Memoised per (side, a,
+        source, target) for all channels; callers must not modify the
+        returned matrices.
         """
-        if side == "left":
-            src = tuple((a,) + w for w in source)
-            tgt = tuple((a,) + w for w in target)
-            if not (self.vdim(c, src) and self.vdim(c, tgt)):
-                return []
-            Lt = self._phi(a, target, c).conj().T
-            Rs = self._phi(a, source, c)
-            fp_s = self._factored_positions(a, source, c)
-            fp_t = self._factored_positions(a, target, c)
-            keys = sorted(fp_t.keys() & fp_s.keys())
-            return [(d, Lt[:, fp_t[(d, nu)]], Rs[fp_s[(d, nu)], :]) for d, nu in keys]
-        if side == "right":
-            nt = self.vdim(c, tuple(w + (a,) for w in target))
-            ns = self.vdim(c, tuple(w + (a,) for w in source))
-            if not (nt and ns):
-                return []
-            gp_s = self._grouped_positions(c, source, a)
-            gp_t = self._grouped_positions(c, target, a)
-            keys = sorted(gp_t.keys() & gp_s.keys())
-            return [(m, np.eye(nt)[:, gp_t[(m, mu)]], np.eye(ns)[gp_s[(m, mu)], :])
-                    for m, mu in keys]
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return self._tensor_factors(side, a, source, target).get(c, [])
+
+    @memo
+    def _tensor_factors(self, side: str, a: int, source: VObj, target: VObj) -> dict:
+        ps, pt = self._sides(side, ((a,),), source, target)
+        out = {}
+        for c in ps.keys() & pt.keys():
+            nt, ns, Pt, Ps, pairs = self._pairs(ps[c], pt[c])
+            pairs = [(k[0], list(rows), list(cols)) for k, (rows, cols) in sorted(pairs.items())]
+            if side == "left":
+                Lt = Pt.conj().T
+                out[c] = [(d, Lt[:, rows], Ps[cols, :]) for d, rows, cols in pairs]
+            else:
+                out[c] = [(d, np.eye(nt)[:, rows], np.eye(ns)[cols, :]) for d, rows, cols in pairs]
+        return out
 
     # ---------------------------------------------------- unit insert / drop
 
@@ -778,7 +807,7 @@ class TreeEngine:
         ).diff_norm(idabar)
         n1 = abs((R.H @ R).scalar() - d)
         n2 = abs((Rbar.H @ Rbar).scalar() - d)
-        return max(z1, z2, n1, n2)
+        return residual_max(z1, z2, n1, n2)
 
     @memo
     def word_R(self, w: Word) -> tuple[Mor, Mor]:

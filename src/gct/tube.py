@@ -72,7 +72,7 @@ from .fusion_core import (
     trivially_graded,
     verify_action,
 )
-from .morphisms import Mor, engine_for
+from .morphisms import Mor, engine_for, residual_max
 
 __all__ = [
     "TubeBasisElement",
@@ -574,7 +574,7 @@ def _pattern_violation(tube: TubeAlgebra) -> float:
         off &= idl.star != 0
         for A, mask in ((idl.cube, hit), (idl.star, off)):
             if mask.any():
-                worst = max(worst, float(np.abs(A[mask]).max()))
+                worst = residual_max(worst, float(np.abs(A[mask]).max()))
     return worst
 
 
@@ -614,7 +614,7 @@ def _block_associativity(tube: TubeAlgebra, ideal: TubeIdeal) -> float:
                     im = C[np.ix_(Ipq, Iqs, Ips)].transpose(1, 0, 2)
                     rhs = (jk @ im.reshape(f, a * e)).reshape(b, d, a, e)
                     rhs = rhs.transpose(2, 0, 1, 3).reshape(a * b, d * e)
-                    worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+                    worst = residual_max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
@@ -651,9 +651,9 @@ def verify_algebra(tube: TubeAlgebra, tol: float = 1e-8) -> dict:
             float(np.max(np.abs(S @ np.conj(S) - eye))),
             _star_anti_mult(C, S),
             float(np.max(np.abs(G - G.conj().T))),
-            float(max(np.max(np.abs(_left_mult(C, u) - eye)),
-                      np.max(np.abs((u @ C).T - eye))))))
-    assoc, invol, anti, gram_herm, unit_res = map(max, zip(*rows))
+            residual_max(float(np.max(np.abs(_left_mult(C, u) - eye))),
+                         float(np.max(np.abs((u @ C).T - eye))))))
+    assoc, invol, anti, gram_herm, unit_res = (residual_max(*col) for col in zip(*rows))
     eigs = np.concatenate(eigs)
     min_eig = float(eigs.min())
     max_eig = float(eigs.max())
@@ -856,7 +856,7 @@ def _decompose_ideal(tube: TubeAlgebra, ideal: TubeIdeal, seed: int,
 
         zs = np.stack(projs, axis=1)
         dev = _projection_residual(C, S, M, unit, zs)
-        if dev > 1e-6:
+        if not dev <= 1e-6:  # a NaN residual is a failed probe too
             last_reason = f"projection system residual {dev:.2e}"
             continue
 
@@ -900,10 +900,10 @@ def _projection_residual(C: np.ndarray, S: np.ndarray, M: np.ndarray,
     prods = zs.T @ (zs.T @ C.reshape(ng, ng * ng)).reshape(nc, ng, ng)   # [a, b, k]
     own = np.arange(nc)
     prods[own, own] -= zs.T
-    return max(float(np.linalg.norm(zs.sum(axis=1) - unit)),
-               float(np.max(np.linalg.norm(S @ np.conj(zs) - zs, axis=0))),
-               float(np.max(np.abs(M @ zs))),
-               float(np.max(np.linalg.norm(prods, axis=2))))
+    return residual_max(float(np.linalg.norm(zs.sum(axis=1) - unit)),
+                        float(np.max(np.linalg.norm(S @ np.conj(zs) - zs, axis=0))),
+                        float(np.max(np.abs(M @ zs))),
+                        float(np.max(np.linalg.norm(prods, axis=2))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gct
@@ -198,6 +199,68 @@ def test_wrongly_typed_field_is_data_error(tmp_path, field, value):
     assert res.returncode == 2
     assert res.stderr.startswith("error:")
     assert "Traceback" not in res.stderr
+
+
+def _held_bytes(value, seen) -> int:
+    """Bytes of the arrays reachable from a memo value, each counted once,
+    plus 8 bytes per int of every all-int tuple (what an index array takes)."""
+    import dataclasses
+
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, tuple) and value and all(isinstance(v, int) for v in value):
+        return 8 * len(value)
+    if isinstance(value, dict):
+        parts = value.values()
+    elif isinstance(value, (tuple, list, frozenset)):
+        parts = value
+    elif dataclasses.is_dataclass(value):
+        parts = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    else:
+        return 0
+    return sum(_held_bytes(v, seen) for v in parts)
+
+
+def test_center_tensor_plans_stay_small(monkeypatch, tmp_path):
+    """After `gct center vec_s3.json` the engine's tensor plans (with the
+    unitaries they hold) and the tensor factors read off the same pieces
+    hold < 2 MB."""
+    from gct import load_category
+
+    loaded = []
+    monkeypatch.setattr(gct.cli, "load_category",
+                        lambda path: loaded.append(load_category(path)) or loaded[-1])
+    out = tmp_path / "s3.json"
+    assert gct.cli.main(["center", bundled_path("vec_s3"), "--json", str(out)]) == 0
+    eng = loaded[0]._engine
+    seen: set = set()
+    held = {name: _held_bytes(getattr(eng, "_memo_" + name), seen)
+            for name in ("tensor_plan", "tensor_factors")}
+    assert len(eng._memo_tensor_plan) > 2000
+    assert sum(held.values()) < 2 * 2**20, held
+
+
+def test_verify_fails_a_nan_f_block(monkeypatch, capsys):
+    """A NaN in the last F block, put there after loading, reads as a
+    failed F-unitarity row and a failed verify, not as residual 0."""
+    from gct import load_category
+
+    def load_with_nan(path):
+        cat = load_category(path)
+        key = sorted(cat.F)[-1]
+        bad = cat.F[key].copy()
+        bad[0, 0] = np.nan
+        cat.F[key] = bad
+        return cat
+
+    monkeypatch.setattr(gct.cli, "load_category", load_with_nan)
+    assert gct.cli.main(["verify", bundled_path("ising")]) != 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("F-unitarity"))
+    assert "nan" in row and row.split()[-1] == "FAIL"
 
 
 def test_verify_reports_a_broken_pentagon_as_a_data_failure(tmp_path):

@@ -325,3 +325,19 @@ def test_non_numbers_are_rejected(path, value):
     third component, so each must be refused at load time."""
     with pytest.raises(DataError, match="must hold numbers|must be \\[re, im\\]"):
         category_from_dict(_replaced(ISING, path, value), "non-number")
+
+
+def test_a_nan_f_entry_fails_the_pentagon():
+    """A NaN put into one F block after loading (the loader refuses it)
+    makes that quadruple's residual NaN and the pentagon fail: the folds
+    over channels and quadruples do not drop it as max(0.0, nan) does."""
+    cat = load_category(bundled_path("fib"))
+    t = cat.labels.index("t")
+    key = (t, t, t, t)
+    bad = cat.F[key].copy()
+    bad[1, 1] = np.nan
+    cat.F[key] = bad
+    got = fusion_core._pentagon_residual(cat, t, t, t, t)
+    assert got != got
+    rep = verify_pentagon(cat)
+    assert rep["max_residual"] != rep["max_residual"] and not rep["pass"]

@@ -27,7 +27,10 @@ from gct import (
     tensor_half_braidings,
     verify_half_braiding,
 )
-from gct.morphisms import Mor, TreeEngine, as_vobj, vobj_tensor
+from gct.fusion_core import build_crossed_extension
+from gct.morphisms import Mor, TreeEngine, as_vobj, residual_max, vobj_tensor
+
+from test_fusion_core import _random_unitary_f, _rep_a4_category, _rep_a4_ring
 
 RNG = np.random.default_rng(20240811)
 
@@ -126,6 +129,236 @@ def test_tensor_factors_rebuild_ltens_and_rtens(cats, name):
                                for d, L, R in eng.tensor_factors(side, a, source, target, c)),
                               start=np.zeros_like(want.block(c)))
                     assert np.max(np.abs(got - want.block(c)), initial=0.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The letter-by-letter tensor route that the tensor plans replaced, kept as
+# their oracle: id_a (x) f is Phi_t^* D Phi_s one letter a at a time, with
+# Phi the block diagonal of the per-word factorization unitaries; f (x) id_b
+# re-indexes one letter b at a time; a sum of words is tensored word by word
+# and scattered into the summand slots.
+
+
+def _oracle_phi(eng, a, V, c):
+    empty = np.zeros((0, 0), dtype=complex)
+    return scipy.linalg.block_diag(*[eng.factor_unitary(a, w).get(c, empty) for w in V])
+
+
+def _oracle_groups(eng, V, mult):
+    """Positions grouped by (d, k): for each word of V, each d, each path of
+    Hom(d, word) and each k < mult(d), one position, in that order."""
+    out, pos = {}, 0
+    for w in V:
+        dims = eng.word_dims(w)
+        for d in range(eng.rank):
+            for _ in range(dims[d]):
+                for k in range(mult(d)):
+                    out.setdefault((d, k), []).append(pos)
+                    pos += 1
+    return out
+
+
+def _oracle_ltens_letter(eng, a, f):
+    N = eng.cat.N
+    src = tuple((a,) + w for w in f.source)
+    tgt = tuple((a,) + w for w in f.target)
+    blocks = {}
+    for c in range(eng.rank):
+        if not (eng.vdim(c, src) and eng.vdim(c, tgt)):
+            continue
+        Ps, Pt = _oracle_phi(eng, a, f.source, c), _oracle_phi(eng, a, f.target, c)
+        gs = _oracle_groups(eng, f.source, lambda d: N[a, d, c])
+        gt = _oracle_groups(eng, f.target, lambda d: N[a, d, c])
+        D = np.zeros((Pt.shape[0], Ps.shape[0]), dtype=complex)
+        got = False
+        for (d, nu), cols in gs.items():
+            if d in f.blocks and (d, nu) in gt:
+                D[np.ix_(gt[(d, nu)], cols)] = f.blocks[d]
+                got = True
+        if got:
+            blocks[c] = Pt.conj().T @ D @ Ps
+    return Mor(eng, src, tgt, blocks)
+
+
+def _oracle_rtens_letter(eng, f, b):
+    N = eng.cat.N
+    src = tuple(w + (b,) for w in f.source)
+    tgt = tuple(w + (b,) for w in f.target)
+    blocks = {}
+    for c in range(eng.rank):
+        nt, ns = eng.vdim(c, tgt), eng.vdim(c, src)
+        if not (nt and ns):
+            continue
+        gs = _oracle_groups(eng, f.source, lambda m: N[m, b, c])
+        gt = _oracle_groups(eng, f.target, lambda m: N[m, b, c])
+        B = np.zeros((nt, ns), dtype=complex)
+        got = False
+        for (m, mu), cols in gs.items():
+            if m in f.blocks and (m, mu) in gt:
+                B[np.ix_(gt[(m, mu)], cols)] = f.blocks[m]
+                got = True
+        if got:
+            blocks[c] = B
+    return Mor(eng, src, tgt, blocks)
+
+
+def _oracle_tensor(eng, side, x, f):
+    """ltens(x, f) (side "left") or rtens(f, x) (side "right") the old way."""
+    V = as_vobj(x)
+    if len(V) == 1:
+        out = f
+        for letter in (reversed(V[0]) if side == "left" else V[0]):
+            out = (_oracle_ltens_letter(eng, letter, out) if side == "left"
+                   else _oracle_rtens_letter(eng, out, letter))
+        return out
+    if side == "left":
+        src, tgt = vobj_tensor(V, f.source), vobj_tensor(V, f.target)
+    else:
+        src, tgt = vobj_tensor(f.source, V), vobj_tensor(f.target, V)
+    blocks = {}
+    for i, w in enumerate(V):
+        sub = _oracle_tensor(eng, side, (w,), f)
+        for c, B in sub.blocks.items():
+            ro, co = eng.offsets(c, tgt), eng.offsets(c, src)
+            if side == "left":
+                # summand i holds the contiguous words i*n .. (i+1)*n - 1
+                nt, ns = len(f.target), len(f.source)
+                rows = list(range(ro[i * nt], ro[(i + 1) * nt]))
+                cols = list(range(co[i * ns], co[(i + 1) * ns]))
+            else:
+                # summand i holds the words i, i + len(V), i + 2 len(V), ...
+                rows = [p for k in range(i, len(tgt), len(V)) for p in range(ro[k], ro[k + 1])]
+                cols = [p for k in range(i, len(src), len(V)) for p in range(co[k], co[k + 1])]
+            big = blocks.setdefault(c, np.zeros((eng.vdim(c, tgt), eng.vdim(c, src)), dtype=complex))
+            big[np.ix_(rows, cols)] = B
+    return Mor(eng, src, tgt, blocks)
+
+
+def _oracle_category(cats, name):
+    if name == "vec_z3^Z2":
+        return build_crossed_extension(cats["vec_z3"], "inversion")
+    if name == "rep_a4":
+        # N = 2 on 3 x 3 -> 3, and random unitary F: no pentagon, generic numbers
+        return _rep_a4_category(_random_unitary_f(_rep_a4_ring(), seed=5))
+    return cats[name]
+
+
+def _random_mor(eng, rng, source, target):
+    """A random morphism source -> target with every channel present."""
+    blocks = {}
+    for d in range(eng.rank):
+        m, n = eng.vdim(d, target), eng.vdim(d, source)
+        if m and n:
+            blocks[d] = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    return Mor(eng, source, target, blocks)
+
+
+def _tensor_cases(cat):
+    r = cat.rank
+    a, b, z = 1 % r, r - 1, 0
+    objs = [((a,), (b, a)), ((b,), (a, a), (b, z, a)), ((a, b),)]
+    xs = [a, np.int64(b), (b,), (a, b), (b, a, a), ((a,), (b, a)), ((a, b), (z,), (b,))]
+    return objs, xs
+
+
+@pytest.mark.parametrize("name", ["fib", "ising", "vec_s3", "vec_z3^Z2", "rep_a4"])
+def test_tensor_plans_match_the_letter_by_letter_route(cats, name):
+    """ltens and rtens against the oracle above, for random morphisms between
+    multi-word, multi-letter objects, with x a simple, a word or a sum of
+    words, and with one channel of f absent where the endpoints allow it:
+    the same endpoints, the same channels present, and the same blocks to
+    1e-14 (exactly on vec_s3, whose F-moves are all trivial)."""
+    cat = _oracle_category(cats, name)
+    eng = TreeEngine(cat)
+    rng = np.random.default_rng(11)
+    objs, xs = _tensor_cases(cat)
+    worst, n_cmp, dropped = 0.0, 0, 0
+    for source, target in itertools.product(objs, repeat=2):
+        full = _random_mor(eng, rng, source, target)
+        drop = sorted(full.blocks)[:1] if len(full.blocks) > 1 else []
+        dropped += len(drop)
+        for f in (full, Mor(eng, source, target, {d: B for d, B in full.blocks.items()
+                                                  if d not in drop})):
+            for x in xs:
+                for side in ("left", "right"):
+                    got = eng.ltens(x, f) if side == "left" else eng.rtens(f, x)
+                    want = _oracle_tensor(eng, side, x, f)
+                    assert (got.source, got.target) == (want.source, want.target)
+                    assert got.blocks.keys() == want.blocks.keys(), (side, x, source, target)
+                    for c, B in want.blocks.items():
+                        worst = residual_max(worst, float(np.max(np.abs(got.blocks[c] - B))))
+                    n_cmp += 1
+    assert dropped and n_cmp == len(objs) ** 2 * 2 * len(xs) * 2
+    if name == "vec_s3":
+        assert worst == 0.0
+    else:
+        assert worst < 1e-14, worst
+
+
+def test_raw_objects_are_normalised_once_per_plan(cats, fib_center, monkeypatch):
+    """ltens and rtens accept a simple, an np.int64 letter, a word or a sum of
+    words, and normalise it only when their plan is built: a repeated call
+    runs as_vobj no more, and E_vobj reaches ltens and rtens without it."""
+    import gct.center
+    import gct.morphisms
+
+    cat = cats["fib"]
+    t = cat.labels.index("t")
+    eng = TreeEngine(cat)
+    f = _random_mor(eng, np.random.default_rng(2), ((t,), (t, t)), ((t, t), (0,)))
+    seen = []
+    real = gct.morphisms.as_vobj
+    monkeypatch.setattr(gct.morphisms, "as_vobj", lambda x: seen.append(x) or real(x))
+    monkeypatch.setattr(gct.center, "as_vobj", gct.morphisms.as_vobj)
+    for x, V in ((t, ((t,),)), (np.int64(t), ((t,),)), ((np.int64(t), 0), ((t, 0),)),
+                 (((t,), (0, t)), ((t,), (0, t)))):
+        for side in ("left", "right"):
+            seen.clear()
+            got = [eng.ltens(x, f) if side == "left" else eng.rtens(f, x) for _ in range(3)]
+            assert len(seen) <= 1, (x, side, seen)
+            want = _oracle_tensor(eng, side, V, f)
+            for g in got:
+                assert (g.source, g.target) == (want.source, want.target)
+                assert all(type(a) is int for w in g.source + g.target for a in w)
+                assert g.blocks.keys() == want.blocks.keys()
+                assert all(np.allclose(g.blocks[c], B, atol=1e-14) for c, B in want.blocks.items())
+    fam = fib_center["fam"]
+    sums = [y.obj + z.obj for y in fam for z in fam]
+    seen.clear()
+    for x in fam:
+        for V in sums:
+            x.E_vobj(V)
+    assert seen == []
+    # the public boundary still normalises
+    assert hom_dim(cat, t, np.int64(t)) == hom_dim(cat, t, ((t,),)) == 1
+    assert onb(cat, t, (np.int64(t),))[0].target == ((t,),)
+
+
+def test_mor_norm_keeps_a_nan_block():
+    """Mor.norm is the largest block norm, and a NaN in any block is NaN
+    (max(0.0, nan) is 0.0, which would read as a zero morphism)."""
+    eng = TreeEngine(load_category(bundled_path("vec_z3")))
+    for c in range(3):
+        blocks = {d: np.ones((1, 1), dtype=complex) for d in range(3)}
+        assert Mor(eng, ((0,), (1,), (2,)), ((0,), (1,), (2,)), blocks).norm() == 1.0
+        blocks[c] = np.full((1, 1), np.nan, dtype=complex)
+        got = Mor(eng, ((0,), (1,), (2,)), ((0,), (1,), (2,)), blocks).norm()
+        assert got != got, c
+
+
+def test_conjugate_residual_keeps_a_nan(cats, monkeypatch):
+    """The four conjugate-equation residuals are folded NaN-aware: a NaN in
+    R after a clean first zig-zag reads NaN, not the other three's max."""
+    fib = cats["fib"]
+    t = fib.labels.index("t")
+    eng = TreeEngine(fib)
+    pair = eng.conjugates(t)
+    assert eng.conjugate_residual(t, pair.R, pair.Rbar) < 1e-12
+    monkeypatch.setattr(TreeEngine, "_zig", lambda self, Rbar, R, a: self.identity(a))
+    bad = Mor(eng, pair.R.source, pair.R.target,
+              {c: np.full_like(B, np.nan) for c, B in pair.R.blocks.items()})
+    got = eng.conjugate_residual(t, bad, pair.Rbar)
+    assert got != got
 
 
 def test_adjoint_is_antimultiplicative_involution(cats):
@@ -271,10 +504,11 @@ def test_cached_dims_and_offsets_match_path_counts(cats, name):
 
 @pytest.mark.parametrize("name", ["fib", "ising", "vec_s3", "vec_z2", "vec_z3"])
 def test_phi_is_the_block_diagonal_of_word_unitaries(cats, name):
-    """Phi(a, V, c) against scipy's block_diag of the per-word factorization
+    """Phi(a, V, c) of the one-letter left tensor plan against scipy's
+    block_diag of the per-word factorization
     unitaries, for every a and c and every object made of one word of
     length <= 2, of a simple and such a word (either order), or of three
-    simples; one-word Phi is the cached unitary itself."""
+    simples; one-word Phi is the memoised unitary itself."""
     cat = cats[name]
     eng = TreeEngine(cat)  # fresh caches
     simples = [(b,) for b in range(cat.rank)]
@@ -292,9 +526,8 @@ def test_phi_is_the_block_diagonal_of_word_unitaries(cats, name):
                     continue
                 want = scipy.linalg.block_diag(
                     *[eng.factor_unitary(a, w).get(c, empty) for w in V])
-                got = eng._phi(a, V, c)
+                got = eng._left_side(((a,),), V)[c][1]
                 assert got.shape == want.shape and np.array_equal(got, want)
-                assert eng._phi(a, V, c) is got
                 if len(V) == 1:
                     assert got is eng.factor_unitary(a, V[0])[c]
                 checked += 1

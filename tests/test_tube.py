@@ -259,6 +259,47 @@ def _projection_system(bundle):
     return C, _dense_star(tube)[sl, sl], M, tube.unit_coords[sl], zs
 
 
+@pytest.mark.parametrize("fixture", ["s3_center", "fib_center"])
+def test_projection_residual_keeps_a_nan(request, fixture, monkeypatch):
+    """A NaN in the commutator matrix makes the projection residual NaN,
+    whichever of its four terms comes first; and `decompose` treats a NaN
+    residual as a failed probe, never as a pass."""
+    C, S, M, unit, zs = _projection_system(request.getfixturevalue(fixture))
+    bad = M.copy()
+    bad[0, 0] = np.nan
+    got = _projection_residual(C, S, bad, unit, zs)
+    assert got != got
+    tube = request.getfixturevalue(fixture)["tube"]
+    monkeypatch.setattr(gct.tube, "_projection_residual", lambda *a: float("nan"))
+    with pytest.raises(InternalCheckError, match="projection system residual nan"):
+        decompose(tube, 0, max_retries=2)
+
+
+def test_pattern_gate_keeps_a_nan():
+    """A NaN off the pattern of a cube or of a star block reads as a NaN
+    pattern violation, which fails verify_algebra's gate (it needs 0.0)."""
+    for where in ("cube", "star"):
+        tube = build_tube(load_category(bundled_path("fib")))
+        assert verify_algebra(tube)["pattern_violation_max"] == 0.0
+        r = tube.cat.rank
+        for idl in tube.ideals:
+            s, t = tube.source_of[idl.positions], tube.target_of[idl.positions]
+            if where == "cube":
+                key_ij = np.where(t[:, None] == s, s[:, None] * r + t, -1)
+                off = np.argwhere(key_ij[:, :, None] != s * r + t)
+            else:
+                off = np.argwhere((s * r + t)[:, None] != t * r + s)
+            if off.size:
+                arr = getattr(idl, where).copy()
+                arr[tuple(off[0])] = np.nan
+                setattr(idl, where, arr)
+                break
+        else:
+            pytest.fail(f"no off-pattern {where} entry")
+        got = gct.tube._pattern_violation(tube)
+        assert got != got, where
+
+
 def _corrupt_scaled(zs, M):
     zs[:, -1] *= 1.01                 # no longer idempotent
 
