@@ -14,7 +14,8 @@ braid-check  re-verify the braiding entries of a previously written report
              file against the crossed-braiding axioms
 
 Exit codes: 0 success, 1 I/O error or memory exhausted, 2 bad or failing
-input data, 3 internal invariant breach.  JSON output (``--json path``) is
+input data (every command that builds refuses a category that fails the
+pentagon), 3 internal invariant breach.  JSON output (``--json path``) is
 byte-reproducible for a fixed input file, seed and tool version.
 """
 
@@ -95,6 +96,18 @@ def _resolve_seed(args) -> int:
         except ValueError:
             raise DataError(f"GCT_SEED is not an integer: {env!r}") from None
     return DEFAULT_SEED
+
+
+def _load_associative(path: str) -> GradedCategory:
+    """The category in `path`, refused as bad data unless its F-symbols
+    satisfy the pentagon, which every tube, center and braiding presupposes."""
+    cat = load_category(path)
+    pent = verify_pentagon(cat, tol=PENTAGON_TOL)
+    if not pent["pass"]:
+        raise ValidationError(
+            f"pentagon violated: residual {_fmt(pent['max_residual'])} at "
+            f"({', '.join(pent['worst_at'])}), tol {_fmt(PENTAGON_TOL)}")
+    return cat
 
 
 def _parse_grade(cat: GradedCategory, spec: str) -> int:
@@ -378,7 +391,7 @@ def _build_any_tube(args, cat: GradedCategory):
 
 
 def cmd_tube(args) -> int:
-    cat = load_category(args.input)
+    cat = _load_associative(args.input)
     tube = _build_any_tube(args, cat)
     seed = _resolve_seed(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
@@ -430,7 +443,7 @@ def _center_payload(args, tube, seed: int, tol: float):
 
 
 def cmd_center(args) -> int:
-    cat = load_category(args.input)
+    cat = _load_associative(args.input)
     tube = build_tube(cat, _subcat_labels(cat, args.subcat))
     seed = _resolve_seed(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
@@ -453,7 +466,7 @@ def cmd_gcenter(args) -> int:
     if not args.action:
         raise DataError("gcenter requires --action (use --action trivial for "
                         "the identity action)")
-    cat = load_category(args.input)
+    cat = _load_associative(args.input)
     cat2, act = _twisted_setup(cat, args.action)
     tube = build_twisted_tube(cat2, act)
     seed = _resolve_seed(args)
@@ -513,7 +526,7 @@ def cmd_braid_check(args) -> int:
         raise DataError("braiding map has missing entries: it is empty")
 
     # rebuild the category context the report was produced in
-    cat = load_category(data["input"])
+    cat = _load_associative(data["input"])
     if data["command"] == "gcenter":
         cat2, act = _twisted_setup(cat, data.get("action"))
         tube = build_twisted_tube(cat2, act)

