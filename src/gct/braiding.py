@@ -98,6 +98,17 @@ def reverse_braiding(x: HalfBraiding, y: HalfBraiding) -> Mor:
     return y.E_vobj(arg).H
 
 
+def _by_object(members: list) -> list:
+    """One (index, weight) pair per distinct object among `members`, a list
+    of (index, half-braiding) pairs: the index of its first member and the
+    number of members that share it."""
+    groups: dict = {}
+    for j, y in members:
+        first, weight = groups.get(y.obj, (j, 0))
+        groups[y.obj] = (first, weight + 1)
+    return list(groups.values())
+
+
 def verify_G_braiding(simples: list, tol: float = 1e-8,
                       pairwise: dict | None = None) -> dict:
     """Crossed-braiding axiom sweep over a family of center simples.
@@ -108,12 +119,26 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
     and - in the twisted flavour - equivariance of the whole family under
     transport by every group element.
 
+    A computed braiding E(X, Y) reads Y only through its object, and many
+    members share one.  So, computed, each identity is evaluated once per
+    distinct tuple of the inputs it reads: the first slot always by member
+    (its E-data), the second by object.  Unitarity is keyed by
+    (X, obj Y); multiplicativity in the second slot by (X, obj Y, obj Z),
+    its left side being E_X over obj Y obj Z; multiplicativity in the
+    first slot by (X, X', obj Y); naturality with T : X -> X' in the first
+    slot by (X, X', T, obj Z); equivariance by (g, X, obj Y).  Naturality
+    with T in the second slot and the unit rows stay per member.  Each
+    residual enters the maximum once and each count once per member tuple
+    it stands for, so the counts are those of the full per-triple sweep.
+
     `pairwise` optionally supplies the braiding morphisms for pairs of
     family members, keyed by their (first, second) indices in `simples`;
     identities involving the unit or tensor/transported objects are still
     built from the half-braiding data, so the sweep cross-examines the
     supplied morphisms instead of merely recomputing them.  A missing
-    entry for a pair the sweep needs raises ValidationError.
+    entry for a pair the sweep needs raises ValidationError.  Supplied
+    entries are never keyed by object: two members that share one may be
+    supplied different entries, so every identity runs per member tuple.
 
     The sweep does not check the half-braidings themselves.  With the
     braidings built from the same data, a corrupted E(pi) for a loop pi
@@ -144,6 +169,11 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
                     f"({fam[i].name!r}, {fam[j].name!r})") from None
         return build_G_braiding(fam[i], fam[j])
 
+    # (index, weight) pairs that stand for the second-slot members: one per
+    # object when the braidings are computed, one per member when supplied
+    seconds = [(j, y) for j, y in enumerate(fam) if second_ok(y)]
+    seconds = _by_object(seconds) if pairwise is None else [(j, 1) for j, _ in seconds]
+
     res = {k: 0.0 for k in ("unit_rows", "unitarity", "mult_second",
                             "nat_second", "mult_first", "nat_first",
                             "equivariance")}
@@ -160,74 +190,69 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
                                         right.diff_norm(unit_loop_E(eng, x.obj)))
         counts["unit_rows"] += 1
 
-    for i, x in enumerate(fam):
-        for j, y in enumerate(fam):
-            if not second_ok(y):
-                continue
+    for i in range(len(fam)):
+        for j, w in seconds:
             res["unitarity"] = residual_max(res["unitarity"], _unitarity_defect(braid(i, j)))
-            counts["unitarity"] += 1
+            counts["unitarity"] += w
 
     # multiplicativity in the second slot
-    for j, y in enumerate(fam):
-        for k, z in enumerate(fam):
-            if not (second_ok(y) and second_ok(z)):
-                continue
-            yz = tensor_half_braidings(y, z)
+    for j, wj in seconds:
+        y = fam[j]
+        for k, wk in seconds:
+            z = fam[k]
+            yz = vobj_tensor(y.obj, z.obj)
             for i, x in enumerate(fam):
-                lhs = build_G_braiding(x, yz)
+                lhs = x.E_vobj(yz)
                 rhs = (eng.ltens(x.tgt_vobj(y.obj), braid(i, k))
                        @ eng.rtens(braid(i, j), z.obj))
                 res["mult_second"] = residual_max(res["mult_second"], lhs.diff_norm(rhs))
-                counts["mult_second"] += 1
+                counts["mult_second"] += wj * wk
 
     # multiplicativity in the first slot
     for i, x in enumerate(fam):
         for j, xp in enumerate(fam):
             xx = tensor_half_braidings(x, xp)
-            for k, y in enumerate(fam):
-                if not second_ok(y):
-                    continue
-                lhs = build_G_braiding(xx, y)
-                moved = (y if act is None
-                         else g_action_on_center(y, xp.grade))
+            for k, w in seconds:
+                y = fam[k]
+                lhs = xx.E_vobj(y.obj)
                 first = (braid(i, k) if act is None
-                         else build_G_braiding(x, moved))
+                         else x.E_vobj(eng._moved_vobj(act, xp.grade, y.obj)))
                 rhs = (eng.rtens(first, xp.obj)
                        @ eng.ltens(x.obj, braid(j, k)))
                 res["mult_first"] = residual_max(res["mult_first"], lhs.diff_norm(rhs))
-                counts["mult_first"] += 1
+                counts["mult_first"] += w
 
     # naturality in either slot against each center hom T : fam[i] -> fam[j]
     for i, x in enumerate(fam):
         for j, xp in enumerate(fam):
-            basis = hom_center(x, xp)[1]
-            for k, z in enumerate(fam):
-                for T in basis:
-                    if second_ok(x) and second_ok(xp):  # T in the second slot
+            for T in hom_center(x, xp)[1]:
+                if second_ok(x) and second_ok(xp):  # T in the second slot
+                    for k, z in enumerate(fam):
                         Tg = T if act is None else eng.transport(T, z.grade, act)
                         lhs = eng.rtens(Tg, z.obj) @ braid(k, i)
                         rhs = braid(k, j) @ eng.ltens(z.obj, T)
                         res["nat_second"] = residual_max(res["nat_second"], lhs.diff_norm(rhs))
                         counts["nat_second"] += 1
-                    if second_ok(z):  # T in the first slot
-                        lhs = (eng.ltens(x.tgt_vobj(z.obj), T)
-                               @ braid(i, k))
-                        rhs = braid(j, k) @ eng.rtens(T, z.obj)
-                        res["nat_first"] = residual_max(res["nat_first"], lhs.diff_norm(rhs))
-                        counts["nat_first"] += 1
+                for k, w in seconds:  # T in the first slot
+                    z = fam[k]
+                    lhs = (eng.ltens(x.tgt_vobj(z.obj), T)
+                           @ braid(i, k))
+                    rhs = braid(j, k) @ eng.rtens(T, z.obj)
+                    res["nat_first"] = residual_max(res["nat_first"], lhs.diff_norm(rhs))
+                    counts["nat_first"] += w
 
     # equivariance of the family under transport
     if act is not None:
         for k in range(grp.order):
             for i, x in enumerate(fam):
-                for j, y in enumerate(fam):
+                xk = g_action_on_center(x, k)
+                for j, w in seconds:
                     B = braid(i, j)
-                    moved = build_G_braiding(g_action_on_center(x, k),
-                                             g_action_on_center(y, k))
+                    lhs = xk.E_vobj(eng._moved_vobj(act, k, fam[j].obj))
                     res["equivariance"] = residual_max(
                         res["equivariance"],
-                        moved.diff_norm(eng.transport(B, k, act)))
-                    counts["equivariance"] += 1
+                        lhs.diff_norm(eng.transport(B, k, act)))
+                    counts["equivariance"] += w
 
     worst = residual_max(*res.values())
     out = dict(res)
@@ -237,7 +262,14 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
 
 
 def verify_reverse_braiding(simples: list, tol: float = 1e-8) -> dict:
-    """Reverse-braiding checks: inversion, membership, double reverse."""
+    """Reverse-braiding checks: inversion, membership, double reverse.
+
+    Over every pair (X, Y) with X a valid first slot.  Membership, that
+    the reverse braiding is a center morphism, is checked per pair.  The
+    others read one slot only through its object, so each runs once per
+    distinct input: inversion per (Y, obj X), the double reverse per
+    (X, obj Y) and the unit rows per obj X.  `checked` counts pairs.
+    """
     if not simples:
         raise ValidationError("empty family")
     x0 = simples[0]
@@ -249,26 +281,29 @@ def verify_reverse_braiding(simples: list, tol: float = 1e-8) -> dict:
     def first_ok(x):
         return act is not None or x.grade == grp.neutral
 
+    firsts = [(i, x) for i, x in enumerate(fam) if first_ok(x)]
+    # the members that stand for their object; a valid first slot is also
+    # a valid second slot of the double reverse
+    reps = {i for i, _ in _by_object(firsts)}
+
     res = {"inversion": 0.0, "membership": 0.0, "double_reverse": 0.0,
            "unit_rows": 0.0}
     n = 0
-    for x in fam:
-        if not first_ok(x):
-            continue
-        for y in fam:
+    for i, x in firsts:
+        for j, y in enumerate(fam):
             Rv = reverse_braiding(x, y)
             hinv = grp.inv(y.grade)
             xm = x if act is None else g_action_on_center(x, hinv)
-            Fw = build_G_braiding(y, xm)
-            src = vobj_tensor(x.obj, y.obj)
-            back = Fw @ Rv
-            res["inversion"] = residual_max(
-                res["inversion"], back.diff_norm(eng.identity(src)))
+            if i in reps:
+                back = build_G_braiding(y, xm) @ Rv
+                res["inversion"] = residual_max(
+                    res["inversion"],
+                    back.diff_norm(eng.identity(vobj_tensor(x.obj, y.obj))))
             xy = tensor_half_braidings(x, y)
             yxm = tensor_half_braidings(y, xm)
             res["membership"] = residual_max(
                 res["membership"], center_hom_residual(xy, yxm, Rv))
-            if act is not None or y.grade == grp.neutral:
+            if j in reps:
                 gx = x.grade
                 ym = y if act is None else g_action_on_center(y, gx)
                 dbl = reverse_braiding(ym, x).H
@@ -276,9 +311,10 @@ def verify_reverse_braiding(simples: list, tol: float = 1e-8) -> dict:
                     res["double_reverse"],
                     dbl.diff_norm(build_G_braiding(x, y)))
             n += 1
-        Rv1 = reverse_braiding(x, unit_hb)
-        res["unit_rows"] = residual_max(res["unit_rows"],
-                                        Rv1.diff_norm(unit_loop_E(eng, x.obj)))
+        if i in reps:
+            Rv1 = reverse_braiding(x, unit_hb)
+            res["unit_rows"] = residual_max(res["unit_rows"],
+                                            Rv1.diff_norm(unit_loop_E(eng, x.obj)))
     worst = residual_max(*res.values())
     out = dict(res)
     out.update({"checked": n, "tol": tol, "pass": bool(worst < tol)})

@@ -270,7 +270,7 @@ def _fusion_section(fam: list[HalfBraiding]) -> dict:
                     entry[z.name] = n
                 s += n * qd[z.name]
             row[y.name] = entry
-            worst = max(worst, abs(s - qd[x.name] * qd[y.name]))
+            worst = residual_max(worst, abs(s - qd[x.name] * qd[y.name]))
         table[x.name] = row
     return {"table": table, "qdims": qd, "closure_residual": worst}
 
@@ -319,8 +319,9 @@ def _print_center_tables(rep: dict, fusion: dict, braiding: dict) -> None:
     print()
     summ = braiding["summary"]
     rows = [[key, _fmt(summ[key])] for _, keys in BF_GROUPS for key in keys]
-    rows.append(["reverse", _fmt(max(v for k, v in braiding["reverse"].items()
-                                     if isinstance(v, float) and k != "tol"))])
+    reverse = [v for k, v in braiding["reverse"].items()
+               if isinstance(v, float) and k != "tol"]
+    rows.append(["reverse", _fmt(residual_max(*reverse))])
     rows.append(["fusion closure", _fmt(fusion["closure_residual"])])
     _print_table(["braiding check", "residual"], rows)
 

@@ -786,8 +786,8 @@ def verify_action(cat: GradedCategory, name: str | GroupAction | None = None) ->
         if not np.array_equal(cat.N[np.ix_(p, p, p)], cat.N):
             failures.append(f"action of {G.elements[g]} does not preserve fusion multiplicities")
         dev = float(np.abs(cat.qdim[p] - cat.qdim).max())
-        max_dev = max(max_dev, dev)
-        if dev > ATOL:
+        max_dev = residual_max(max_dev, dev)
+        if not dev <= ATOL:
             failures.append(f"action of {G.elements[g]} does not preserve quantum dimensions")
         if not np.array_equal(cat.dual[p], p[cat.dual]):
             failures.append(f"action of {G.elements[g]} does not commute with duals")
@@ -803,8 +803,8 @@ def verify_action(cat: GradedCategory, name: str | GroupAction | None = None) ->
             rperm = _channel_perm(cat.left_channels(a, b, c, d), lpos, p)
             cperm = _channel_perm(cat.right_channels(a, b, c, d), rpos, p)
             dev = float(np.abs(dst[np.ix_(rperm, cperm)] - src).max()) if src.size else 0.0
-            max_dev = max(max_dev, dev)
-            if dev > ATOL:
+            max_dev = residual_max(max_dev, dev)
+            if not dev <= ATOL:
                 failures.append(
                     f"action of {G.elements[g]} changes the F block at {_key_names(cat, (a, b, c, d))}"
                 )

@@ -59,6 +59,11 @@ def ising_center(cats):
 
 
 @pytest.fixture(scope="session")
+def ising_full_center(cats):
+    return _center(build_tube(cats["ising"], subcat=[0, 1, 2]))
+
+
+@pytest.fixture(scope="session")
 def s3_center(cats):
     return _center(build_tube(cats["vec_s3"]))
 
@@ -66,6 +71,12 @@ def s3_center(cats):
 @pytest.fixture(scope="session")
 def z3_twisted(cats):
     return _center(build_twisted_tube(cats["vec_z3"], "inversion"))
+
+
+@pytest.fixture(scope="session")
+def z3_trivial(cats):
+    from gct.cli import _twisted_setup
+    return _center(build_twisted_tube(*_twisted_setup(cats["vec_z3"], "trivial")))
 
 
 @pytest.fixture(scope="session")

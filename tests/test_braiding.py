@@ -13,11 +13,16 @@ import pytest
 from gct import (
     HalfBraiding,
     build_G_braiding,
+    g_action_on_center,
+    hom_center,
+    identity_half_braiding,
     reverse_braiding,
     tensor_half_braidings,
     verify_G_braiding,
     verify_reverse_braiding,
 )
+from gct.braiding import _unitarity_defect
+from gct.center import center_hom_residual, unit_loop_E
 from gct.fusion_core import ValidationError
 from gct.morphisms import Mor, residual_max, vobj_tensor
 
@@ -211,3 +216,163 @@ def test_cached_products_do_not_mask_a_corrupted_member(fib_center):
     cold = [HalfBraiding(x.cat, x.obj, x.grade, dict(x.E), action=x.action,
                          name=x.name) for x in family]
     assert verify_G_braiding(cold) == rep
+
+
+def _per_triple_sweep(simples):
+    """Both sweeps as plain loops over every member pair and triple: the
+    reference that evaluates each identity once per member tuple.  Returns
+    the forward and the reverse report."""
+    x0 = simples[0]
+    cat, eng, act = x0.cat, x0.eng, x0.action
+    grp = cat.group
+    unit_hb = identity_half_braiding(cat, action=act)
+    fam = [unit_hb] + list(simples)
+
+    def second_ok(y):
+        return act is not None or y.grade == grp.neutral
+
+    def braid(i, j):
+        return build_G_braiding(fam[i], fam[j])
+
+    res = {k: 0.0 for k in FORWARD_KEYS}
+    counts = {k: 0 for k in res}
+    for x in fam:
+        if second_ok(x):
+            left = build_G_braiding(unit_hb, x)
+            res["unit_rows"] = residual_max(res["unit_rows"],
+                                            left.diff_norm(unit_loop_E(eng, x.obj).H))
+        right = build_G_braiding(x, unit_hb)
+        res["unit_rows"] = residual_max(res["unit_rows"],
+                                        right.diff_norm(unit_loop_E(eng, x.obj)))
+        counts["unit_rows"] += 1
+    for i, x in enumerate(fam):
+        for j, y in enumerate(fam):
+            if second_ok(y):
+                res["unitarity"] = residual_max(res["unitarity"],
+                                                _unitarity_defect(braid(i, j)))
+                counts["unitarity"] += 1
+    for j, y in enumerate(fam):
+        for k, z in enumerate(fam):
+            if not (second_ok(y) and second_ok(z)):
+                continue
+            yz = tensor_half_braidings(y, z)
+            for i, x in enumerate(fam):
+                lhs = build_G_braiding(x, yz)
+                rhs = (eng.ltens(x.tgt_vobj(y.obj), braid(i, k))
+                       @ eng.rtens(braid(i, j), z.obj))
+                res["mult_second"] = residual_max(res["mult_second"], lhs.diff_norm(rhs))
+                counts["mult_second"] += 1
+    for i, x in enumerate(fam):
+        for j, xp in enumerate(fam):
+            xx = tensor_half_braidings(x, xp)
+            for k, y in enumerate(fam):
+                if not second_ok(y):
+                    continue
+                lhs = build_G_braiding(xx, y)
+                first = (braid(i, k) if act is None else
+                         build_G_braiding(x, g_action_on_center(y, xp.grade)))
+                rhs = eng.rtens(first, xp.obj) @ eng.ltens(x.obj, braid(j, k))
+                res["mult_first"] = residual_max(res["mult_first"], lhs.diff_norm(rhs))
+                counts["mult_first"] += 1
+    for i, x in enumerate(fam):
+        for j, xp in enumerate(fam):
+            basis = hom_center(x, xp)[1]
+            for k, z in enumerate(fam):
+                for T in basis:
+                    if second_ok(x) and second_ok(xp):
+                        Tg = T if act is None else eng.transport(T, z.grade, act)
+                        lhs = eng.rtens(Tg, z.obj) @ braid(k, i)
+                        rhs = braid(k, j) @ eng.ltens(z.obj, T)
+                        res["nat_second"] = residual_max(res["nat_second"], lhs.diff_norm(rhs))
+                        counts["nat_second"] += 1
+                    if second_ok(z):
+                        lhs = eng.ltens(x.tgt_vobj(z.obj), T) @ braid(i, k)
+                        rhs = braid(j, k) @ eng.rtens(T, z.obj)
+                        res["nat_first"] = residual_max(res["nat_first"], lhs.diff_norm(rhs))
+                        counts["nat_first"] += 1
+    if act is not None:
+        for k in range(grp.order):
+            for i, x in enumerate(fam):
+                for j, y in enumerate(fam):
+                    moved = build_G_braiding(g_action_on_center(x, k),
+                                             g_action_on_center(y, k))
+                    res["equivariance"] = residual_max(
+                        res["equivariance"],
+                        moved.diff_norm(eng.transport(braid(i, j), k, act)))
+                    counts["equivariance"] += 1
+    worst = residual_max(*res.values())
+    forward = dict(res)
+    forward.update({"counts": counts, "max_residual": worst, "tol": 1e-8,
+                    "pass": bool(worst < 1e-8)})
+
+    rev = {"inversion": 0.0, "membership": 0.0, "double_reverse": 0.0,
+           "unit_rows": 0.0}
+    n = 0
+    for x in fam:
+        if act is None and x.grade != grp.neutral:
+            continue
+        for y in fam:
+            Rv = reverse_braiding(x, y)
+            xm = x if act is None else g_action_on_center(x, grp.inv(y.grade))
+            back = build_G_braiding(y, xm) @ Rv
+            rev["inversion"] = residual_max(
+                rev["inversion"],
+                back.diff_norm(eng.identity(vobj_tensor(x.obj, y.obj))))
+            rev["membership"] = residual_max(rev["membership"], center_hom_residual(
+                tensor_half_braidings(x, y), tensor_half_braidings(y, xm), Rv))
+            if act is not None or y.grade == grp.neutral:
+                ym = y if act is None else g_action_on_center(y, x.grade)
+                rev["double_reverse"] = residual_max(
+                    rev["double_reverse"],
+                    reverse_braiding(ym, x).H.diff_norm(build_G_braiding(x, y)))
+            n += 1
+        rev["unit_rows"] = residual_max(rev["unit_rows"], reverse_braiding(
+            x, unit_hb).diff_norm(unit_loop_E(eng, x.obj)))
+    worst = residual_max(*rev.values())
+    reverse = dict(rev)
+    reverse.update({"checked": n, "tol": 1e-8, "pass": bool(worst < 1e-8)})
+    return forward, reverse
+
+
+def _supplied(fam):
+    """Copies of every braiding the sweep reads from a supplied map."""
+    out = {}
+    for (i, x), (j, y) in itertools.product(enumerate(fam), repeat=2):
+        if x.action is not None or y.grade == y.cat.group.neutral:
+            f = build_G_braiding(x, y)
+            out[(i, j)] = Mor(f.eng, f.source, f.target,
+                              {c: B.copy() for c, B in f.blocks.items()})
+    return out
+
+
+@pytest.mark.parametrize("family", ["fib_center", "z2_center", "s3_center",
+                                    "ising_center", "ising_full_center",
+                                    "z3_twisted", "z3_trivial"])
+def test_sweeps_equal_the_per_triple_oracle(request, family):
+    """Keyed by object, the sweeps give every residual and count of the
+    per-triple loops, float for float.  The supplied copies equal the
+    computed entries bit for bit, so the supplied-mode sweep, which reads
+    every entry per member pair, must give the same report."""
+    fam = request.getfixturevalue(family)["fam"]
+    assert len({x.obj for x in fam}) < len(fam)  # some members share an object
+    forward, reverse = _per_triple_sweep(fam)
+    assert verify_G_braiding(fam) == forward
+    assert verify_G_braiding(fam, pairwise=_supplied(fam)) == forward
+    assert verify_reverse_braiding(fam) == reverse
+
+
+def test_supplied_entries_are_read_per_member(s3_center):
+    """e:2, e:3 and e:4 of Z(Vec_S3) share the object (1) + (2).  A supplied
+    map keyed by object would read only e:2's entries and miss a sign
+    flip on e:3's."""
+    fam = s3_center["fam"]
+    names = [x.name for x in fam]
+    shared = [x.obj for x in fam if x.name in ("e:2", "e:3", "e:4")]
+    assert shared == [((1,), (2,))] * 3
+    pairwise = _supplied(fam)
+    assert verify_G_braiding(fam, pairwise=pairwise)["pass"]
+    key = (names.index("e:6"), names.index("e:3"))
+    pairwise[key] = -1.0 * pairwise[key]
+    rep = verify_G_braiding(fam, pairwise=pairwise)
+    assert not rep["pass"]
+    assert rep["mult_second"] > 0.5

@@ -263,6 +263,27 @@ def test_verify_fails_a_nan_f_block(monkeypatch, capsys):
     assert "nan" in row and row.split()[-1] == "FAIL"
 
 
+def test_center_tables_show_a_nan_closure_and_reverse_residual(fib_center, braid_reports,
+                                                               capsys):
+    """Python's max(0.0, nan) is 0.0, so a NaN put into the fusion closure
+    or a reverse residual read as a finite cell, not as nan."""
+    from gct import HalfBraiding
+    fam = fib_center["fam"]
+    last = fam[-1]
+    bad = HalfBraiding(last.cat, last.obj, last.grade, dict(last.E), name=last.name)
+    bad.qdim = lambda: float("nan")
+    fusion = gct.cli._fusion_section(fam[:-1] + [bad])
+    assert np.isnan(fusion["closure_residual"])
+    reverse = dict(braid_reports["fib"]["reverse"], membership=float("nan"))
+    gct.cli._print_center_tables({"grades": {}}, fusion,
+                                 {"summary": braid_reports["fib"]["forward"],
+                                  "reverse": reverse})
+    cells = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines()
+                 if line.strip())
+    assert cells["reverse"] == "nan"
+    assert cells["fusion closure"] == "nan"
+
+
 def test_verify_reports_a_broken_pentagon_as_a_data_failure(tmp_path):
     """ising.json with no F entries (every block then the identity) breaks
     the pentagon.  verify prints the FAIL row and exits with the data-error

@@ -93,6 +93,21 @@ def test_action_inversion_is_strict(cats):
     assert rep["max_deviation"] == 0.0
 
 
+@pytest.mark.parametrize("where", ["qdim", "F"])
+def test_a_nan_fails_the_action_check(where):
+    """Python's max(0.0, nan) is 0.0 and nan > tol is false, so a NaN
+    deviation read as a strict action."""
+    cat = load_category(bundled_path("vec_z3"))
+    if where == "qdim":
+        cat.qdim[1] = np.nan
+    else:
+        cat.f_block(1, 1, 1, 0)[0, 0] = np.nan  # the block every reader shares
+    rep = verify_action(cat, "inversion")
+    assert not rep["pass"]
+    assert np.isnan(rep["max_deviation"])
+    assert rep["failures"]
+
+
 def test_unknown_action_name(cats):
     with pytest.raises(DataError):
         cats["vec_z3"].action("flip")
@@ -252,27 +267,37 @@ def _reference_pentagon(N, F, a, b, c, d):
           F^{avd}_t[(y,l1,m3),(z,k2,n3)] F^{bcd}_z[(v,k1,k2),(w,n1,n2)]
 
     with channels of F^{pqr}_s listed as (e, mu, nu) and (f, kappa, lam)."""
+    N = N.tolist()  # python ints index faster than numpy scalars
     R = range(len(N))
+    blocks = {}  # (p, q, r, s) -> (F block, left position, right position)
 
     def entry(p, q, r, s, left, right):
-        lch = [(e, mu, nu) for e in R for mu in range(N[p, q, e]) for nu in range(N[e, r, s])]
-        rch = [(f, ka, la) for f in R for ka in range(N[q, r, f]) for la in range(N[p, f, s])]
-        mat = F.get((p, q, r, s), np.eye(len(lch)))
-        return mat[lch.index(left), rch.index(right)]
+        got = blocks.get((p, q, r, s))
+        if got is None:
+            lch = [(e, mu, nu) for e in R for mu in range(N[p][q][e]) for nu in range(N[e][r][s])]
+            rch = [(f, ka, la) for f in R for ka in range(N[q][r][f]) for la in range(N[p][f][s])]
+            got = blocks[p, q, r, s] = (F.get((p, q, r, s), np.eye(len(lch))),
+                                        {ch: k for k, ch in enumerate(lch)},
+                                        {ch: k for k, ch in enumerate(rch)})
+        mat, lpos, rpos = got
+        return mat[lpos[left], rpos[right]]
 
     worst = 0.0
     for t, x, y, w, z in itertools.product(R, repeat=5):
+        if not (N[a][b][x] and N[x][c][y] and N[y][d][t] and N[c][d][w]
+                and N[b][w][z] and N[a][z][t]):
+            continue  # no multiplicity indices to sum over
         for m1, m2, m3, n1, n2, n3 in itertools.product(
-                range(N[a, b, x]), range(N[x, c, y]), range(N[y, d, t]),
-                range(N[c, d, w]), range(N[b, w, z]), range(N[a, z, t])):
+                range(N[a][b][x]), range(N[x][c][y]), range(N[y][d][t]),
+                range(N[c][d][w]), range(N[b][w][z]), range(N[a][z][t])):
             one = sum(entry(x, c, d, t, (y, m2, m3), (w, n1, r))
                       * entry(a, b, w, t, (x, m1, r), (z, n2, n3))
-                      for r in range(N[x, w, t]))
+                      for r in range(N[x][w][t]))
             two = sum(entry(a, b, c, y, (x, m1, m2), (v, k1, l1))
                       * entry(a, v, d, t, (y, l1, m3), (z, k2, n3))
                       * entry(b, c, d, z, (v, k1, k2), (w, n1, n2))
-                      for v in R for k1 in range(N[b, c, v]) for l1 in range(N[a, v, y])
-                      for k2 in range(N[v, d, z]))
+                      for v in R for k1 in range(N[b][c][v]) for l1 in range(N[a][v][y])
+                      for k2 in range(N[v][d][z]))
             worst = max(worst, abs(one - two))
     return worst
 

@@ -74,6 +74,13 @@ def test_vec_z6_center_has_36_invertible_simples(tmp_path):
     assert all(abs(s["qdim"] - 1.0) < 1e-12 for s in simples)
     names = [s["name"] for s in simples]
     assert rep["hom_table"] == {a: {b: int(a == b) for b in names} for a in names}
+    # the sweep keys the second slot by object (6 of them), but its counts
+    # still cover every member pair and triple, the unit included
+    summary = rep["braiding_summary"]
+    assert summary["pass"]
+    counts = summary["counts"]
+    assert counts["mult_second"] == counts["mult_first"] == 37 ** 3
+    assert counts["unitarity"] == 37 ** 2
     assert peak_kb < 256 * 1024
 
 
