@@ -177,12 +177,9 @@ def _placed(eng, src: tuple, tgt: tuple, pieces) -> Mor:
 
 
 def unit_loop_E(eng, obj) -> Mor:
-    """The canonical morphism obj*unit -> unit*obj (a pure re-indexing)."""
-    obj = as_vobj(obj)
-    u = eng.cat.unit
-    grown = tuple(w + (u,) for w in obj)
-    out = eng.identity(grown)
-    out = eng._word_end_drop(out, "target")
+    """The canonical morphism obj*unit -> unit*obj: the identity of obj with
+    both endpoints relabelled."""
+    out = eng.insert_units(eng.identity(obj), "source", (-1,))
     return eng.insert_units(out, "target", (0,))
 
 
@@ -441,10 +438,10 @@ def conjugate_half_braiding(x: HalfBraiding) -> HalfBraiding:
     for pi in x.loop_labels():
         arg = pi if x.action is None else x.action.on_label(ginv, pi)
         A = vobj_tensor(objbar, ((pi,),))
-        s1 = eng._word_end_drop(eng.ltens(A, Rbar), "source")
+        s1 = eng.drop_units(eng.ltens(A, Rbar), "source", (-1,))
         s2 = eng.rtens(eng.ltens(objbar, x.E[arg].H), objbar)
-        s3 = eng._word_start_drop(
-            eng.rtens(R.H, vobj_tensor(((arg,),), objbar)), "target")
+        s3 = eng.drop_units(
+            eng.rtens(R.H, vobj_tensor(((arg,),), objbar)), "target", (0,))
         E2[pi] = s3 @ s2 @ s1
     return HalfBraiding(cat, objbar, ginv, E2, action=x.action,
                         name=f"conj({x.name})" if x.name else "")
@@ -764,7 +761,7 @@ def _psi_apply(tube: TubeAlgebra, hb: HalfBraiding, elt, B: Mor, v: Mor) -> Mor:
     s2 = eng.rtens(B, (xbar,))
     s3 = eng.rtens(eng.ltens((xp,), v), (xbar,))
     s4 = eng.rtens(hb.E[x].H, (xbar,))
-    s5 = eng._word_end_drop(eng.ltens(hb.obj, pair.Rbar.H), "target")
+    s5 = eng.drop_units(eng.ltens(hb.obj, pair.Rbar.H), "target", (-1,))
     return s5 @ (s4 @ (s3 @ (s2 @ s1)))
 
 

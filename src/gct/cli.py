@@ -523,8 +523,6 @@ def cmd_braid_check(args) -> int:
             raise DataError(f"schema mismatch: report lacks {key!r}")
     if data["tool"] != "gct" or data["command"] not in ("center", "gcenter"):
         raise DataError("schema mismatch: not a center/gcenter report")
-    if not data["braiding"]:
-        raise DataError("braiding map has missing entries: it is empty")
 
     # rebuild the category context the report was produced in
     cat = _load_associative(data["input"])

@@ -11,9 +11,16 @@ The basis of Hom(c, w) is enumerated by *paths*: for each letter of w after
 the first, the pair (simple reached before fusing that letter, multiplicity
 index), lexicographically.  With this convention
 
-* tensoring on the right by a simple is a pure re-indexing (no F data), and
+* tensoring on the right by a simple is a pure re-indexing (no F data),
 * tensoring on the left uses cached factorization unitaries built from
-  F-blocks, one recoupling per letter.
+  F-blocks, one recoupling per letter, and
+* inserting or dropping unit letters changes no block, only an endpoint.
+  A unit letter at position k > 0 adds the path step (m, 0), and its m is
+  the m of the next step, or the channel when the unit is the last letter;
+  a unit at position 0 fixes the next step to (unit, 0).  Either way the
+  step is determined by the others, so removing it keeps the order of the
+  paths.  This is the strict-unit convention of the bends through conjugate
+  pairs (Longo-Rehren 1995, Mueger 2003).
 
 Everything downstream (tube algebras, half-braidings) is phrased through
 this module, so its unitarity invariants are what the test-suite leans on.
@@ -635,110 +642,45 @@ class TreeEngine:
 
     # ---------------------------------------------------- unit insert / drop
 
-    def _drop_word(self, w: Word, dels: tuple) -> Word:
+    def _drop_word(self, w: Word, positions: tuple) -> Word:
+        """w without its unit letters at positions, negative ones from its end."""
+        dels = {k + len(w) if k < 0 else k for k in positions}
         for k in dels:
-            if w[k] != self.unit:
+            if not 0 <= k < len(w) or w[k] != self.unit:
                 raise InternalCheckError(f"cannot drop non-unit letter at position {k} of {w}")
         kept = tuple(t for i, t in enumerate(w) if i not in dels)
         if not kept:
             raise InternalCheckError("cannot drop every letter of a word")
         return kept
 
-    @memo
-    def _drop_perm(self, c: int, w: Word, dels: tuple) -> np.ndarray:
-        """Index map paths(c, w) -> paths(c, w with unit letters at dels removed)."""
-        new_w = self._drop_word(w, dels)
-        first_kept = next(i for i in range(len(w)) if i not in dels)
-        tgt_index = self.path_index(c, new_w)
-        perm = np.zeros(len(self.paths(c, w)), dtype=int)
-        for i, p in enumerate(self.paths(c, w)):
-            sig = tuple(
-                p[k - 1]
-                for k in range(1, len(w))
-                if k not in dels and k != first_kept
-            )
-            perm[i] = tgt_index[sig]
-        if len(set(perm.tolist())) != len(perm):  # pragma: no cover
-            raise InternalCheckError(f"unit dropping is not a bijection for word {w} at {dels}")
-        return perm
+    def _grow_word(self, w: Word, positions: tuple) -> Word:
+        """w with unit letters at positions of the result, negative ones from its end."""
+        n = len(w) + len(positions)
+        out = list(w)
+        for k in sorted(k + n if k < 0 else k for k in positions):
+            out.insert(k, self.unit)
+        return tuple(out)
 
-    def _vobj_drop_perm(self, c: int, vobj: VObj, specs: list) -> np.ndarray:
-        offs_new = self.offsets(c, tuple(self._drop_word(w, d) for w, d in zip(vobj, specs)))
-        parts = []
-        for k, (w, d) in enumerate(zip(vobj, specs)):
-            parts.append(self._drop_perm(c, w, d) + offs_new[k])
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
-
-    def _drop_units_specs(self, f: Mor, where: str, specs: list) -> Mor:
+    def _relabel(self, f: Mor, where: str, word) -> Mor:
         if where == "source":
-            new_src = tuple(self._drop_word(w, d) for w, d in zip(f.source, specs))
-            blocks = {}
-            for c, B in f.blocks.items():
-                perm = self._vobj_drop_perm(c, f.source, specs)
-                nB = np.empty_like(B)
-                nB[:, perm] = B
-                blocks[c] = nB
-            return Mor(self, new_src, f.target, blocks)
+            return Mor(self, tuple(map(word, f.source)), f.target, f.blocks)
         if where == "target":
-            new_tgt = tuple(self._drop_word(w, d) for w, d in zip(f.target, specs))
-            blocks = {}
-            for c, B in f.blocks.items():
-                perm = self._vobj_drop_perm(c, f.target, specs)
-                nB = np.empty_like(B)
-                nB[perm, :] = B
-                blocks[c] = nB
-            return Mor(self, f.source, new_tgt, blocks)
+            return Mor(self, f.source, tuple(map(word, f.target)), f.blocks)
         raise ValueError(f"where must be 'source' or 'target', got {where!r}")
 
     def drop_units(self, f: Mor, where: str, positions: tuple) -> Mor:
-        """Remove unit letters at the given positions of every word on one side.
+        """Remove the unit letters at `positions` of every word on one side.
 
-        The same positions are dropped from each word of the chosen endpoint;
-        this is the canonical unit isomorphism, a pure re-indexing.
+        A negative position counts from the end of each word.  This is the
+        canonical unit isomorphism, and it keeps every block of f (see the
+        module docstring).
         """
-        if not positions:
-            return f
-        positions = tuple(sorted(positions))
-        vobj = f.source if where == "source" else f.target
-        return self._drop_units_specs(f, where, [positions] * len(vobj))
-
-    def _word_end_drop(self, f: Mor, where: str) -> Mor:
-        """Drop the (unit) last letter of every word on one side."""
-        vobj = f.source if where == "source" else f.target
-        return self._drop_units_specs(f, where, [(len(w) - 1,) for w in vobj])
-
-    def _word_start_drop(self, f: Mor, where: str) -> Mor:
-        """Drop the (unit) first letter of every word on one side."""
-        vobj = f.source if where == "source" else f.target
-        return self._drop_units_specs(f, where, [(0,)] * len(vobj))
+        return self._relabel(f, where, lambda w: self._drop_word(w, positions))
 
     def insert_units(self, f: Mor, where: str, positions: tuple) -> Mor:
-        """Insert unit letters so they sit at `positions` of every new word."""
-        if not positions:
-            return f
-        positions = tuple(sorted(positions))
-
-        def grow(w: Word) -> Word:
-            out = list(w)
-            for k in positions:
-                out.insert(k, self.unit)
-            return tuple(out)
-
-        if where == "source":
-            new_src = tuple(grow(w) for w in f.source)
-            blocks = {}
-            for c, B in f.blocks.items():
-                perm = self._vobj_drop_perm(c, new_src, [positions] * len(new_src))
-                blocks[c] = B[:, perm]
-            return Mor(self, new_src, f.target, blocks)
-        if where == "target":
-            new_tgt = tuple(grow(w) for w in f.target)
-            blocks = {}
-            for c, B in f.blocks.items():
-                perm = self._vobj_drop_perm(c, new_tgt, [positions] * len(new_tgt))
-                blocks[c] = B[perm, :]
-            return Mor(self, f.source, new_tgt, blocks)
-        raise ValueError(f"where must be 'source' or 'target', got {where!r}")
+        """Insert unit letters so they sit at `positions` of every new word;
+        the inverse of `drop_units`, it keeps every block of f."""
+        return self._relabel(f, where, lambda w: self._grow_word(w, positions))
 
     def strip_word(self, w: Word) -> Word:
         out = tuple(t for t in w if t != self.unit)
@@ -939,9 +881,9 @@ class TreeEngine:
         ybar = tuple(self.cat.dual_word(w) for w in y)
         Rx, _ = self.vobj_R(x)
         _, Rbary = self.vobj_R(y)
-        first = self._word_end_drop(self.ltens(xbar, Rbary), "source")   # xbar -> xbar y ybar
-        second = self.rtens(self.ltens(xbar, T.H), ybar)                 # -> xbar x ybar
-        third = self._word_start_drop(self.rtens(Rx.H, ybar), "target")  # -> ybar
+        first = self.drop_units(self.ltens(xbar, Rbary), "source", (-1,))  # xbar -> xbar y ybar
+        second = self.rtens(self.ltens(xbar, T.H), ybar)                   # -> xbar x ybar
+        third = self.drop_units(self.rtens(Rx.H, ybar), "target", (0,))    # -> ybar
         return third @ second @ first
 
     def hat(self, T: Mor) -> Mor:

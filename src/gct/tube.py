@@ -244,7 +244,9 @@ class TubeAlgebra:
     # ------------------------------------------------------------ fills
 
     def _fill_unit_and_trace(self) -> None:
-        eng = self.eng
+        """The unit is the sum of the unit loops on each outer p, which are
+        identities of p with unit letters relabelled in (coefficient 1, see
+        `gct.morphisms`); the trace reads each with weight d(p)."""
         u = self.cat.unit
         if u not in self.loop_labels:
             raise InternalCheckError("loop labels do not contain the unit")
@@ -252,17 +254,12 @@ class TubeAlgebra:
         self.trace_vector = np.zeros(self.dim, dtype=complex)
         for g in self.grades:
             for p in self.outer_by_grade[g]:
-                one = eng.identity((p,))
-                one = eng.insert_units(one, "source", (1,))
-                one = eng.insert_units(one, "target", (0,))
-                kappa = complex(one.blocks[p][0, 0])
-                elt = TubeBasisElement(g, u, p, p, p, 0, 0)
-                k = self.index.get(elt)
-                if k is None or abs(kappa) < 1e-12:
+                k = self.index.get(TubeBasisElement(g, u, p, p, p, 0, 0))
+                if k is None:
                     raise InternalCheckError(
                         f"unit loop element missing for {self.cat.label_name(p)}")
-                self.unit_coords[k] = kappa
-                self.trace_vector[k] = float(self.cat.qdim[p]) / kappa
+                self.unit_coords[k] = 1.0
+                self.trace_vector[k] = float(self.cat.qdim[p])
 
     def _fill_constants(self) -> None:
         """Every chained block of the constants from three F-blocks per

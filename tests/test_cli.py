@@ -572,6 +572,18 @@ def test_braid_check_rejects_empty_map(ising_report, tmp_path):
     assert "missing" in res.stderr.lower() or "empty" in res.stderr.lower()
 
 
+def test_braid_check_passes_a_report_with_no_pairs_to_check(tmp_path):
+    """`center --grade 1` on Ising holds only the two odd simples, and the
+    plain flavour braids only into a degree-neutral second slot, so its
+    braiding map is empty with nothing missing, and braid-check passes it."""
+    out = tmp_path / "grade1.json"
+    res = run_cli("center", bundled_path("ising"), "--grade", "1", "--json", str(out))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(out.read_text())["braiding"] == {}
+    res = run_cli("braid-check", str(out))
+    assert res.returncode == 0, res.stderr
+
+
 def test_braid_check_rejects_non_report(tmp_path):
     notrep = tmp_path / "notreport.json"
     notrep.write_text(json.dumps({"hello": "world"}))

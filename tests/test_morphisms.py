@@ -27,7 +27,7 @@ from gct import (
     tensor_half_braidings,
     verify_half_braiding,
 )
-from gct.fusion_core import build_crossed_extension
+from gct.fusion_core import InternalCheckError, build_crossed_extension
 from gct.morphisms import Mor, TreeEngine, as_vobj, residual_max, vobj_tensor
 
 from test_fusion_core import _random_unitary_f, _rep_a4_category, _rep_a4_ring
@@ -479,6 +479,143 @@ def test_vobj_helpers():
     assert as_vobj((1, 2)) == ((1, 2),)
     assert as_vobj(((1,), (2, 0))) == ((1,), (2, 0))
     assert vobj_tensor(((1,), (2,)), ((0,),)) == ((1, 0), (2, 0))
+
+
+# -- unit letters: the path-signature re-indexing as the oracle of the relabel
+
+
+def _oracle_drop_perm(eng, c, w, dels):
+    """Index map paths(c, w) -> paths(c, w without its unit letters at dels):
+    a path's signature is its steps at the kept letters after the first kept
+    one, and it is looked up among the paths of the shorter word."""
+    assert all(w[k] == eng.unit for k in dels)
+    first_kept = next(i for i in range(len(w)) if i not in dels)
+    tgt_index = eng.path_index(c, tuple(t for i, t in enumerate(w) if i not in dels))
+    perm = [tgt_index[tuple(p[k - 1] for k in range(1, len(w))
+                            if k not in dels and k != first_kept)]
+            for p in eng.paths(c, w)]
+    assert sorted(perm) == list(range(len(perm)))
+    return np.array(perm, dtype=int)
+
+
+def _oracle_vobj_perm(eng, c, vobj, positions):
+    """The oracle's index map on an object, word by word, with a negative
+    position counted from the end of each word."""
+    specs = [tuple(sorted(k % len(w) for k in positions)) for w in vobj]
+    short = tuple(tuple(t for i, t in enumerate(w) if i not in d) for w, d in zip(vobj, specs))
+    offs = eng.offsets(c, short)
+    parts = [_oracle_drop_perm(eng, c, w, d) + offs[k]
+             for k, (w, d) in enumerate(zip(vobj, specs))]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
+
+
+def _oracle_drop(eng, f, where, positions):
+    """drop_units by the oracle's re-indexing of every block of f."""
+    long = f.source if where == "source" else f.target
+    blocks = {}
+    for c, B in f.blocks.items():
+        perm = _oracle_vobj_perm(eng, c, long, positions)
+        nB = np.empty_like(B)
+        if where == "source":
+            nB[:, perm] = B
+        else:
+            nB[perm, :] = B
+        blocks[c] = nB
+    short = tuple(tuple(t for i, t in enumerate(w) if i not in {k % len(w) for k in positions})
+                  for w in long)
+    if where == "source":
+        return Mor(eng, short, f.target, blocks)
+    return Mor(eng, f.source, short, blocks)
+
+
+@pytest.mark.parametrize("name", ["fib", "ising", "vec_s3", "vec_z2", "vec_z3", "rep_a4"])
+def test_dropping_unit_letters_keeps_the_path_order(cats, name):
+    """For every channel, every word of up to 4 letters and every set of
+    its unit positions that leaves a letter, the path-signature map is the
+    identity: why drop_units and insert_units keep every block as it is.
+    The case counts pin the enumeration (channels with Hom(c, w) nonzero)."""
+    cat = _oracle_category(cats, name)
+    eng = TreeEngine(cat)
+    cases = 0
+    for n in range(1, 5):
+        for w in itertools.product(range(cat.rank), repeat=n):
+            units = [k for k, t in enumerate(w) if t == cat.unit]
+            for r in range(1, len(units) + (len(units) < n)):
+                for dels in itertools.combinations(units, r):
+                    for c in range(cat.rank):
+                        if eng.dim(c, w):
+                            perm = _oracle_drop_perm(eng, c, w, dels)
+                            assert np.array_equal(perm, np.arange(len(perm))), (c, w, dels)
+                            cases += 1
+    assert cases == {"fib": 111, "ising": 249, "vec_s3": 1242, "vec_z2": 86,
+                     "vec_z3": 216, "rep_a4": 583}[name]
+
+
+@pytest.mark.parametrize("name", ["fib", "ising", "vec_s3", "vec_z3^Z2", "rep_a4"])
+def test_unit_relabels_match_the_oracle_on_sums_of_words(cats, name):
+    """drop_units and insert_units, on either endpoint of a random morphism
+    between sums of words of different lengths, equal the oracle's
+    re-indexing: the same endpoints and the same blocks, exactly."""
+    cat = _oracle_category(cats, name)
+    eng = TreeEngine(cat)
+    u, a, b = cat.unit, 1 % cat.rank, cat.rank - 1
+    rng = np.random.default_rng(3)
+    cases = [
+        (((a, u, b), (u, u, a), (b, u, a, u)), (1,)),
+        (((a, u), (b, a, u), (u, a, b, u)), (-1,)),
+        (((u, a, u), (u, b, u), (u, a, b, u)), (0, -1)),
+        (((u, a, b), (u, u)), (0,)),
+    ]
+    other = ((a, b), (b,), (a, a, b))
+    for long, positions in cases:
+        f = _random_mor(eng, rng, long, other)
+        assert f.blocks
+        for g, where in ((f, "source"), (f.H, "target")):
+            got, want = eng.drop_units(g, where, positions), _oracle_drop(eng, g, where, positions)
+            assert (got.source, got.target) == (want.source, want.target)
+            assert got.blocks.keys() == want.blocks.keys()
+            for c, B in want.blocks.items():
+                assert np.array_equal(got.blocks[c], B)
+            # insert_units is the inverse: the oracle's drop of its result is g
+            back = eng.insert_units(got, where, positions)
+            assert (back.source, back.target) == (g.source, g.target)
+            again = _oracle_drop(eng, back, where, positions)
+            for c, B in got.blocks.items():
+                assert np.array_equal(again.blocks[c], B)
+
+
+def test_unit_relabels_refuse_what_is_no_unit_isomorphism(cats):
+    """Dropping a non-unit letter, a position past the end, or every letter
+    of a word raises; position -1 drops the last letter of words of
+    different lengths; and insert followed by drop gives back f."""
+    cat = cats["ising"]
+    eng = TreeEngine(cat)
+    u, s = cat.unit, cat.labels.index("sigma")
+    f = eng.identity(((s, u), (s, s, u)))
+    for positions in ((0,), (1,), (-2,), (2,)):
+        with pytest.raises(InternalCheckError):
+            eng.drop_units(f, "source", positions)
+    for w in (((u,),), ((u, u),)):
+        with pytest.raises(InternalCheckError, match="every letter"):
+            eng.drop_units(eng.identity(w), "target", tuple(range(len(w[0]))))
+    with pytest.raises(InternalCheckError, match="every letter"):
+        eng.drop_units(eng.identity(((u, u),)), "source", (0, -1))
+    g = eng.drop_units(f, "target", (-1,))
+    assert (g.source, g.target) == (f.source, ((s,), (s, s)))
+    assert all(g.blocks[c] is B for c, B in f.blocks.items())
+    h = eng.identity(((s,), (s, s)))
+    for positions in ((0,), (1,), (-1,), (0, 2), (0, -1), (1, -1)):
+        for where in ("source", "target"):
+            grown = eng.insert_units(h, where, positions)
+            assert (grown.source if where == "source" else grown.target) != h.source
+            back = eng.drop_units(grown, where, positions)
+            assert (back.source, back.target) == (h.source, h.target)
+            assert back.blocks.keys() == h.blocks.keys()
+            assert all(back.blocks[c] is B for c, B in h.blocks.items())
+    assert eng.insert_units(h, "source", (-1,)).source == ((s, u), (s, s, u))
+    assert eng.insert_units(h, "source", (0, -1)).source == ((u, s, u), (u, s, s, u))
+    with pytest.raises(ValueError):
+        eng.drop_units(f, "middle", (1,))
 
 
 @pytest.mark.parametrize("name", ["fib", "ising", "vec_s3", "vec_z2", "vec_z3"])

@@ -1,0 +1,96 @@
+"""Run the fixed list of CLI runs that make up the report gate.
+
+Usage: python3 tools/report_gate.py OUTDIR
+
+Runs `verify`, `tube` and `center` on every bundled category, the
+`--subcat all`, `--grade` and `--action` variants, `tube` and `verify` on a
+generated Vec_Z8 (from perfbench/gen_vec_zn.py), and `braid-check` of every
+center report.  Every run uses seed 1 and one BLAS thread, and runs the gct
+of the checkout this script lives in.  For each run, OUTDIR/<run>/ holds
+`exit_code`, `stdout`, `stderr` and `report.json` (when the run wrote one).
+The inputs are copied to OUTDIR/inputs and every path is relative to OUTDIR,
+so the outputs of two checkouts can be compared with `diff -r`.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BUNDLED = ("fib", "ising", "vec_s3", "vec_z2", "vec_z3")
+
+# (run name, command, input name, extra arguments)
+RUNS = (
+    [(f"{cmd}-{name}", cmd, name, ()) for name in BUNDLED
+     for cmd in ("verify", "tube", "center")]
+    + [
+        ("tube-ising-subcat-all", "tube", "ising", ("--subcat", "all")),
+        ("center-ising-subcat-all", "center", "ising", ("--subcat", "all")),
+        ("center-ising-grade-1", "center", "ising", ("--grade", "1")),
+        ("center-vec_z2-subcat-all", "center", "vec_z2", ("--subcat", "all")),
+        ("tube-vec_z3-inversion", "tube", "vec_z3", ("--action", "inversion")),
+        ("gcenter-vec_z3-inversion", "gcenter", "vec_z3", ("--action", "inversion")),
+        ("gcenter-vec_z3-trivial", "gcenter", "vec_z3", ("--action", "trivial")),
+        ("gcenter-vec_z2-trivial", "gcenter", "vec_z2", ("--action", "trivial")),
+        ("verify-vec_z8", "verify", "vec_z8", ()),
+        ("tube-vec_z8", "tube", "vec_z8", ()),
+    ]
+)
+
+
+def _write_inputs(out: str) -> None:
+    os.makedirs(os.path.join(out, "inputs"), exist_ok=True)
+    for name in BUNDLED:
+        shutil.copyfile(os.path.join(ROOT, "src", "gct", "data", name + ".json"),
+                        os.path.join(out, "inputs", name + ".json"))
+    spec = importlib.util.spec_from_file_location(
+        "gen_vec_zn", os.path.join(ROOT, "perfbench", "gen_vec_zn.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.write_vec_zn(8, os.path.join(out, "inputs", "vec_z8.json"))
+
+
+def _run(out: str, env: dict, run: str, args: list) -> int:
+    """One gct run in OUTDIR; its report goes to <run>/report.json."""
+    os.makedirs(os.path.join(out, run), exist_ok=True)
+    report = os.path.join(run, "report.json")
+    res = subprocess.run([sys.executable, "-m", "gct.cli", *args, "--seed", "1",
+                          "--json", report],
+                         cwd=out, env=env, capture_output=True, text=True)
+    for name, text in (("exit_code", f"{res.returncode}\n"),
+                       ("stdout", res.stdout), ("stderr", res.stderr)):
+        with open(os.path.join(out, run, name), "w") as fh:
+            fh.write(text)
+    return res.returncode
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    out = os.path.abspath(argv[0])
+    _write_inputs(out)
+    env = dict(os.environ)
+    env.pop("GCT_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    reports = []
+    for run, cmd, name, extra in RUNS:
+        code = _run(out, env, run, [cmd, os.path.join("inputs", name + ".json"), *extra])
+        print(f"{code}  {run}")
+        if cmd in ("center", "gcenter") and os.path.exists(os.path.join(out, run, "report.json")):
+            reports.append(run)
+    for run in reports:
+        check = f"braid-check-{run}"
+        code = _run(out, env, check, ["braid-check", os.path.join(run, "report.json")])
+        print(f"{code}  {check}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
