@@ -32,6 +32,7 @@ from .center import (
 )
 
 __all__ = [
+    "braidable",
     "build_G_braiding",
     "verify_G_braiding",
     "reverse_braiding",
@@ -67,16 +68,20 @@ def _unitarity_defect(m: Mor) -> float:
     return worst
 
 
-def _check_second_slot(x: HalfBraiding, y: HalfBraiding) -> None:
-    if x.action is None and y.grade != x.cat.group.neutral:
-        raise ValidationError(
-            "plain-flavour braiding needs a degree-neutral second slot "
-            "(the half-braiding only knows neutral loop labels)")
+def braidable(y: HalfBraiding) -> bool:
+    """Whether a half-braiding of y's context extends over y: always in the
+    twisted flavour, and for a degree-neutral y in the plain flavour, where
+    a half-braiding only knows the neutral loop labels.  This is the second
+    slot of the crossed braiding and the first of the reverse one."""
+    return y.action is not None or y.grade == y.cat.group.neutral
 
 
 def build_G_braiding(x: HalfBraiding, y: HalfBraiding) -> Mor:
     """Crossed braiding X Y -> g[Y] X from X's half-braiding."""
-    _check_second_slot(x, y)
+    if not braidable(y):
+        raise ValidationError(
+            "plain-flavour braiding needs a degree-neutral second slot "
+            "(the half-braiding only knows neutral loop labels)")
     return x.E_vobj(y.obj)
 
 
@@ -87,11 +92,11 @@ def reverse_braiding(x: HalfBraiding, y: HalfBraiding) -> Mor:
     X pulled back along h; with unitary E-data it inverts the forward
     braiding on the matching slots.
     """
+    if not braidable(x):
+        raise ValidationError(
+            "plain-flavour reverse braiding needs a degree-neutral first slot")
     hinv = y.cat.group.inv(y.grade)
     if y.action is None:
-        if x.grade != x.cat.group.neutral:
-            raise ValidationError(
-                "plain-flavour reverse braiding needs a degree-neutral first slot")
         arg = x.obj
     else:
         arg = tuple(y.action.on_word(hinv, w) for w in x.obj)
@@ -156,9 +161,6 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
     unit_hb = identity_half_braiding(cat, action=act)
     fam = [unit_hb] + list(simples)
 
-    def second_ok(y):
-        return act is not None or y.grade == grp.neutral
-
     def braid(i, j):
         if pairwise is not None and i > 0 and j > 0:
             try:
@@ -171,7 +173,7 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
 
     # (index, weight) pairs that stand for the second-slot members: one per
     # object when the braidings are computed, one per member when supplied
-    seconds = [(j, y) for j, y in enumerate(fam) if second_ok(y)]
+    seconds = [(j, y) for j, y in enumerate(fam) if braidable(y)]
     seconds = _by_object(seconds) if pairwise is None else [(j, 1) for j, _ in seconds]
 
     res = {k: 0.0 for k in ("unit_rows", "unitarity", "mult_second",
@@ -181,7 +183,7 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
 
     for x in fam:
         # unit rows; E(1,X) puts X in the constrained second slot
-        if second_ok(x):
+        if braidable(x):
             left = build_G_braiding(unit_hb, x)
             res["unit_rows"] = residual_max(res["unit_rows"],
                                             left.diff_norm(unit_loop_E(eng, x.obj).H))
@@ -226,7 +228,7 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
     for i, x in enumerate(fam):
         for j, xp in enumerate(fam):
             for T in hom_center(x, xp)[1]:
-                if second_ok(x) and second_ok(xp):  # T in the second slot
+                if braidable(x) and braidable(xp):  # T in the second slot
                     for k, z in enumerate(fam):
                         Tg = T if act is None else eng.transport(T, z.grade, act)
                         lhs = eng.rtens(Tg, z.obj) @ braid(k, i)
@@ -281,10 +283,7 @@ def verify_reverse_braiding(simples: list, tol: float = 1e-8) -> dict:
     unit_hb = identity_half_braiding(cat, action=act)
     fam = [unit_hb] + list(simples)
 
-    def first_ok(x):
-        return act is not None or x.grade == grp.neutral
-
-    firsts = [(i, x) for i, x in enumerate(fam) if first_ok(x)]
+    firsts = [(i, x) for i, x in enumerate(fam) if braidable(x)]
     # the members that stand for their object; a valid first slot is also
     # a valid second slot of the double reverse
     reps = {i for i, _ in _by_object(firsts)}

@@ -85,8 +85,9 @@ class HalfBraiding:
     # -- structure ----------------------------------------------------------
 
     def loop_labels(self) -> list[int]:
-        if self.action is not None:
-            return list(range(self.cat.rank))
+        """The loops pi of E: the category's neutral sector.  A twisted
+        context's category is neutrally graded, so there every label is a
+        loop."""
         return self.cat.neutral_sector()
 
     def tgt_label(self, pi: int) -> int:
@@ -186,17 +187,16 @@ def unit_loop_E(eng, obj) -> Mor:
 def identity_half_braiding(cat: GradedCategory,
                            action: GroupAction | None = None) -> HalfBraiding:
     """The unit object of the center: E is the unit re-shuffle everywhere."""
-    eng = engine_for(cat)
-    obj = ((cat.unit,),)
-    g = cat.group.neutral
+    unit = HalfBraiding(cat, ((cat.unit,),), cat.group.neutral, {},
+                        action=action, name="unit")
+    eng = unit.eng
     E = {}
-    loops = list(range(cat.rank)) if action is not None else cat.neutral_sector()
-    for pi in loops:
+    for pi in unit.loop_labels():
         one = eng.identity((pi,))
         one = eng.insert_units(one, "source", (0,))
         one = eng.insert_units(one, "target", (1,))
         E[pi] = one
-    return HalfBraiding(cat, obj, g, E, action=action, name="unit")
+    return dataclasses.replace(unit, E=E)
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +532,17 @@ def induce_object(cat: GradedCategory, mu: int, k: int = 0,
         grade = k
         tl = {xi: action.on_label(k, xi) for xi in loops_out}
     obj = tuple((tl[xi], mu, int(cat.dual[xi])) for xi in loops_out)
-    loop_dom = list(range(cat.rank)) if action is not None else cat.neutral_sector()
+    label = cat.label_name(mu)
+    if action is None:
+        name = f"ind[{cat.group.elements[k]}]({label})"
+    else:
+        name = f"ind^{cat.group.elements[k]}({label})"
+    theta = HalfBraiding(cat, obj, grade, {}, action=action, name=name)
 
     E = {}
-    for pi in loop_dom:
-        pip = pi if action is None else action.on_label(grade, pi)
+    for pi in theta.loop_labels():
         src = vobj_tensor(obj, ((pi,),))
-        tgt = vobj_tensor(((pip,),), obj)
+        tgt = vobj_tensor(((theta.tgt_label(pi),),), obj)
         pieces = []
         for i, zeta in enumerate(loops_out):
             for j, xi in enumerate(loops_out):
@@ -558,12 +562,7 @@ def induce_object(cat: GradedCategory, mu: int, k: int = 0,
                     pieces.append((c, slice(rows[j], rows[j + 1]),
                                    slice(cols[i], cols[i + 1]), B))
         E[pi] = _placed(eng, src, tgt, pieces)
-    label = cat.label_name(mu)
-    if action is None:
-        name = f"ind[{cat.group.elements[k]}]({label})"
-    else:
-        name = f"ind^{cat.group.elements[k]}({label})"
-    return HalfBraiding(cat, obj, grade, E, action=action, name=name)
+    return dataclasses.replace(theta, E=E)
 
 
 # ---------------------------------------------------------------------------

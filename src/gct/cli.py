@@ -29,6 +29,7 @@ import sys
 import numpy as np
 
 from .braiding import (
+    braidable,
     build_G_braiding,
     equivariant_count,
     verify_G_braiding,
@@ -51,6 +52,7 @@ from .fusion_core import (
     build_crossed_extension,
     load_category,
     neutrally_graded,
+    trivially_graded,
     verify_action,
     verify_pentagon,
 )
@@ -70,6 +72,7 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_SEED = 7
+SUBCATS = ("degree0", "all")
 DEFAULT_TOL = 1e-8
 PENTAGON_TOL = 1e-12
 
@@ -125,13 +128,18 @@ def _parse_grade(cat: GradedCategory, spec: str) -> int:
     return g
 
 
-def _subcat_labels(cat: GradedCategory, spec: str):
-    """Resolve --subcat into the loop-label argument of build_tube."""
-    if spec == "degree0":
-        return None
-    if spec == "all":
-        return list(range(cat.rank))
-    return [s for s in spec.split(",") if s]
+def _context(cat: GradedCategory, subcat: str, action_name: str | None):
+    """The category and action (None in the plain flavour) of a tube or
+    center; its loops are the category's neutral sector.
+
+    ``--subcat all`` regrades the category trivially when its neutral
+    sector is not every label, so that every label is a loop.
+    """
+    if action_name:
+        return _twisted_setup(cat, action_name)
+    if subcat == "all" and len(cat.neutral_sector()) != cat.rank:
+        cat = trivially_graded(cat)
+    return cat, None
 
 
 def _twisted_setup(cat: GradedCategory, action_name: str):
@@ -276,13 +284,11 @@ def _fusion_section(fam: list[HalfBraiding]) -> dict:
 
 
 def _braiding_section(fam: list[HalfBraiding], tol: float) -> dict:
-    act = fam[0].action
-    grp = fam[0].cat.group
     entries = {}
     for x in fam:
         for y in fam:
-            if act is None and y.grade != grp.neutral:
-                continue  # plain flavour: braiding needs a neutral second slot
+            if not braidable(y):
+                continue
             entries[f"{x.name}|{y.name}"] = _ser_mor(build_G_braiding(x, y))
     summary = verify_G_braiding(fam, tol)
     reverse = verify_reverse_braiding(fam, tol)
@@ -384,16 +390,9 @@ def cmd_verify(args) -> int:
     return EXIT_PASS
 
 
-def _build_any_tube(args, cat: GradedCategory):
-    if getattr(args, "action", None):
-        cat2, act = _twisted_setup(cat, args.action)
-        return build_twisted_tube(cat2, act)
-    return build_tube(cat, _subcat_labels(cat, args.subcat))
-
-
 def cmd_tube(args) -> int:
-    cat = _load_associative(args.input)
-    tube = _build_any_tube(args, cat)
+    cat, act = _context(_load_associative(args.input), args.subcat, args.action)
+    tube = build_tube(cat) if act is None else build_twisted_tube(cat, act)
     seed = _resolve_seed(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
 
@@ -444,8 +443,8 @@ def _center_payload(args, tube, seed: int, tol: float):
 
 
 def cmd_center(args) -> int:
-    cat = _load_associative(args.input)
-    tube = build_tube(cat, _subcat_labels(cat, args.subcat))
+    cat, _ = _context(_load_associative(args.input), args.subcat, None)
+    tube = build_tube(cat)
     seed = _resolve_seed(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
 
@@ -467,8 +466,7 @@ def cmd_gcenter(args) -> int:
     if not args.action:
         raise DataError("gcenter requires --action (use --action trivial for "
                         "the identity action)")
-    cat = _load_associative(args.input)
-    cat2, act = _twisted_setup(cat, args.action)
+    cat2, act = _context(_load_associative(args.input), args.subcat, args.action)
     tube = build_twisted_tube(cat2, act)
     seed = _resolve_seed(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
@@ -525,15 +523,17 @@ def cmd_braid_check(args) -> int:
         raise DataError("schema mismatch: not a center/gcenter report")
 
     # rebuild the category context the report was produced in
-    cat = _load_associative(data["input"])
+    subcat = data.get("subcat") or "degree0"
+    if subcat not in SUBCATS:
+        raise DataError(f"schema mismatch: unknown subcat {subcat!r}")
+    action_name = None
     if data["command"] == "gcenter":
-        cat2, act = _twisted_setup(cat, data.get("action"))
-        tube = build_twisted_tube(cat2, act)
-    else:
-        act = None
-        tube = build_tube(cat, _subcat_labels(cat, data.get("subcat") or "degree0"))
-    eng = engine_for(tube.cat)
-    grp = tube.cat.group
+        action_name = data.get("action")
+        if not action_name:
+            raise DataError("schema mismatch: gcenter report names no action")
+    cat, act = _context(_load_associative(data["input"]), subcat, action_name)
+    eng = engine_for(cat)
+    grp = cat.group
     tol = args.tol if args.tol is not None else float(data.get("tol", DEFAULT_TOL))
 
     fam = []
@@ -544,11 +544,11 @@ def cmd_braid_check(args) -> int:
             obj = tuple(tuple(int(a) for a in w) for w in sd["object_words"])
             E = {}
             for pname, ser in sd["E"].items():
-                pi = tube.cat.labels.index(pname)
+                pi = cat.labels.index(pname)
                 E[pi] = _deser_mor(eng, ser, f"simple {name!r}, E({pname})")
         except (KeyError, ValueError) as e:
             raise DataError(f"schema mismatch in simple {name!r}: {e}") from None
-        X = HalfBraiding(tube.cat, obj, grade, E, action=act, name=name)
+        X = HalfBraiding(cat, obj, grade, E, action=act, name=name)
         if sorted(E) != sorted(X.loop_labels()):
             raise DataError(f"schema mismatch: simple {name!r} lacks E-data "
                             f"for some loops")
@@ -623,9 +623,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("input", help="category file (JSON), or a report file "
                                      "for braid-check")
-        p.add_argument("--subcat", default="degree0",
-                       help="loop labels: all, degree0, or a comma list "
-                            "(default degree0)")
+        p.add_argument("--subcat", default="degree0", choices=SUBCATS,
+                       help="loop labels: degree0, the neutral sector "
+                            "(default), or all")
         p.add_argument("--grade", default=None,
                        help="restrict to one grade (group element name or index)")
         p.add_argument("--action", default=None,

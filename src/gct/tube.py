@@ -2,10 +2,15 @@
 
 A tube element with loop label x and outer strands (a, b) is a morphism
 T : a x -> x' b, where x' is the loop label on the outgoing side: x' = x
-for the plain flavour (`build_tube`, loops drawn from a fusion/dual-closed
-set of degree-neutral simples, outer strands of a fixed degree), and
-x' = g[x] for the twisted flavour (`build_twisted_tube`, loops and strands
-from a trivially graded category, twisted by a strict group action).
+for the plain flavour (`build_tube`) and x' = g[x] for the twisted flavour
+(`build_twisted_tube`, twisted by a strict group action).  Either way the
+tube is fixed by its category and its action: the loops are the category's
+degree-neutral simples, and the outer strands of grade g are the simples of
+degree g in the plain flavour and every simple in the twisted one, whose
+category is neutrally graded, so that there every simple is a loop.  The
+loader checks deg(c) = deg(a) deg(b) on every channel a b -> c, a neutral
+unit and deg(abar) = deg(a)^-1, so the neutral sector is closed under
+fusion and duals.
 
 Products splice two loops through an orthonormal channel basis of the
 fused loop; the star bends the loop around with a conjugate pair.  The
@@ -69,7 +74,6 @@ from .fusion_core import (
     GroupAction,
     InternalCheckError,
     ValidationError,
-    trivially_graded,
     verify_action,
 )
 from .morphisms import Mor, engine_for, residual_max
@@ -142,15 +146,15 @@ class TubeAlgebra:
       of each basis element, as arrays.
     """
 
-    def __init__(self, cat: GradedCategory, loop_labels, outer_by_grade,
-                 action: GroupAction | None = None, kind: str = "relative"):
+    def __init__(self, cat: GradedCategory, action: GroupAction | None = None):
         self.cat = cat
         self.eng = engine_for(cat)
-        self.kind = kind
+        self.kind = "relative" if action is None else "twisted"
         self.action = action
-        self.loop_labels = tuple(int(x) for x in loop_labels)
-        self.outer_by_grade = {int(g): tuple(int(a) for a in v)
-                               for g, v in outer_by_grade.items()}
+        self.loop_labels = tuple(cat.neutral_sector())
+        every = tuple(range(cat.rank))
+        self.outer_by_grade = {g: tuple(cat.sector(g)) if action is None else every
+                               for g in range(cat.group.order)}
         self.grades = tuple(sorted(self.outer_by_grade))
         self._enumerate()
         self._fill_unit_and_trace()
@@ -248,8 +252,6 @@ class TubeAlgebra:
         identities of p with unit letters relabelled in (coefficient 1, see
         `gct.morphisms`); the trace reads each with weight d(p)."""
         u = self.cat.unit
-        if u not in self.loop_labels:
-            raise InternalCheckError("loop labels do not contain the unit")
         self.unit_coords = np.zeros(self.dim, dtype=complex)
         self.trace_vector = np.zeros(self.dim, dtype=complex)
         for g in self.grades:
@@ -469,65 +471,21 @@ def _find(root: dict, p):
 # builders
 
 
-def _resolve_labels(cat: GradedCategory, labels) -> list[int]:
-    out = []
-    for a in labels:
-        if isinstance(a, str):
-            if a not in cat.labels:
-                raise ValidationError(f"unknown label {a!r}")
-            out.append(cat.labels.index(a))
-        else:
-            out.append(int(a))
-    return sorted(set(out))
-
-
-def _check_loop_closure(cat: GradedCategory, loops: list[int]) -> None:
-    ls = set(loops)
-    if cat.unit not in ls:
-        raise ValidationError("loop set must contain the unit")
-    for a in loops:
-        if int(cat.dual[a]) not in ls:
-            raise ValidationError(
-                f"loop set not closed under duals: missing dual of {cat.label_name(a)}")
-    for a in loops:
-        for b in loops:
-            for c in np.nonzero(cat.N[a, b])[0]:
-                if int(c) not in ls:
-                    raise ValidationError(
-                        "loop set not closed under fusion: "
-                        f"{cat.label_name(a)} x {cat.label_name(b)} hits "
-                        f"{cat.label_name(int(c))}")
-
-
-def build_tube(cat: GradedCategory, subcat=None, verify: bool = True,
-               tol: float = 1e-8) -> TubeAlgebra:
-    """Tube algebra with loops in `subcat` and outer strands graded by `cat`.
-
-    `subcat` may be a list of label names/indices, or None for the full
-    degree-neutral sector.  Passing every label of a nontrivially graded
-    category regrades it trivially first, which yields the full (ungraded)
-    tube algebra of the underlying category.
+def build_tube(cat: GradedCategory, verify: bool = True) -> TubeAlgebra:
+    """Tube algebra of `cat` relative to its neutral sector: the loops are
+    the degree-neutral simples and the outer strands of grade g the simples
+    of degree g.  The full (ungraded) tube of the underlying category is
+    ``build_tube(trivially_graded(cat))``, where every simple is a loop.
     """
-    neutral = cat.neutral_sector()
-    loops = list(neutral) if subcat is None else _resolve_labels(cat, subcat)
-    if set(loops) == set(range(cat.rank)) and len(neutral) != cat.rank:
-        cat = trivially_graded(cat)
-        loops = list(range(cat.rank))
-    if not set(loops) <= set(cat.neutral_sector()):
-        raise ValidationError(
-            "loop labels must be degree-neutral (or the full label set)")
-    _check_loop_closure(cat, loops)
-    outer = {g: cat.sector(g) for g in range(cat.group.order)}
-    tube = TubeAlgebra(cat, sorted(loops), outer, action=None, kind="relative")
+    tube = TubeAlgebra(cat)
     if verify:
-        rep = verify_algebra(tube, tol)
+        rep = verify_algebra(tube)
         if not rep["pass"]:
             raise InternalCheckError(f"tube algebra axioms fail: {rep}")
     return tube
 
 
-def build_twisted_tube(d0: GradedCategory, action, verify: bool = True,
-                       tol: float = 1e-8) -> TubeAlgebra:
+def build_twisted_tube(d0: GradedCategory, action, verify: bool = True) -> TubeAlgebra:
     """Group-twisted tube algebra of a trivially graded category.
 
     `action` is an action name bundled with `d0` (or a GroupAction, which
@@ -541,11 +499,9 @@ def build_twisted_tube(d0: GradedCategory, action, verify: bool = True,
     rep = verify_action(d0, act)
     if not rep["pass"]:
         raise ValidationError(f"action {act.name!r} is not strict: {rep}")
-    outer = {g: list(range(d0.rank)) for g in range(d0.group.order)}
-    tube = TubeAlgebra(d0, list(range(d0.rank)), outer, action=act,
-                       kind="twisted")
+    tube = TubeAlgebra(d0, act)
     if verify:
-        rep2 = verify_algebra(tube, tol)
+        rep2 = verify_algebra(tube)
         if not rep2["pass"]:
             raise InternalCheckError(f"twisted tube algebra axioms fail: {rep2}")
     return tube
@@ -726,8 +682,7 @@ class TubeDecomposition:
 
 
 def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
-              cluster_tol: float = 1e-6, tol: float = 1e-8,
-              max_retries: int = 8) -> TubeDecomposition:
+              cluster_tol: float = 1e-6, max_retries: int = 8) -> TubeDecomposition:
     """Block structure of one graded component.
 
     The grade splits into its ideals (see the module docstring).  For each

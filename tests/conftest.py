@@ -18,6 +18,7 @@ from gct import (
     decompose,
     extract_simples,
     load_category,
+    trivially_graded,
     verify_G_braiding,
     verify_reverse_braiding,
 )
@@ -49,8 +50,7 @@ def fib_center(cats):
 
 @pytest.fixture(scope="session")
 def z2_center(cats):
-    cat = cats["vec_z2"]
-    return _center(build_tube(cat, subcat=list(range(cat.rank))))
+    return _center(build_tube(trivially_graded(cats["vec_z2"])))
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +60,7 @@ def ising_center(cats):
 
 @pytest.fixture(scope="session")
 def ising_full_center(cats):
-    return _center(build_tube(cats["ising"], subcat=[0, 1, 2]))
+    return _center(build_tube(trivially_graded(cats["ising"])))
 
 
 @pytest.fixture(scope="session")

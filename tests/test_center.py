@@ -17,6 +17,7 @@ from gct import (
     identity_half_braiding,
     induce_object,
     tensor_half_braidings,
+    trivially_graded,
     tube_representation,
     verify_half_braiding,
 )
@@ -678,7 +679,7 @@ def _dense_star_residual(tube, rep, g):
 
 @pytest.fixture(scope="module")
 def ising_full_simples(cats):
-    tube = build_tube(cats["ising"], subcat=[0, 1, 2])
+    tube = build_tube(trivially_graded(cats["ising"]))
     return tube, extract_simples(tube, decompose(tube, 0))
 
 

@@ -104,13 +104,6 @@ def test_center_grade_filter():
     assert "u" in res.stdout
 
 
-def test_explicit_subcat_equals_degree0():
-    a = run_cli("tube", bundled_path("ising"), "--subcat", "1,psi")
-    b = run_cli("tube", bundled_path("ising"))
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-
-
 # ------------------------------------------------------------- exit codes
 
 
@@ -133,14 +126,14 @@ def test_memory_exhaustion_is_a_clean_io_error(monkeypatch, capsys):
 
 
 def test_a_trace_form_that_is_not_positive_exits_3(monkeypatch, capsys):
-    build = gct.cli._build_any_tube
+    build = gct.cli.build_tube
 
-    def negated_trace(args, cat):
-        tube = build(args, cat)
+    def negated_trace(cat):
+        tube = build(cat)
         tube.trace_vector = -tube.trace_vector
         return tube
 
-    monkeypatch.setattr(gct.cli, "_build_any_tube", negated_trace)
+    monkeypatch.setattr(gct.cli, "build_tube", negated_trace)
     assert gct.cli.main(["tube", bundled_path("fib")]) == gct.cli.EXIT_INTERNAL == 3
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
@@ -375,6 +368,30 @@ def test_unclosed_subcat_rejected():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("name, subcat", [("ising", "1"), ("vec_z3", "0"),
+                                          ("vec_s3", "e,r,rr")])
+def test_label_list_subcat_is_refused(name, subcat):
+    """A loop set other than the neutral sector or every label is refused
+    as a usage error; braiding with it is not defined."""
+    res = run_cli("center", bundled_path(name), "--subcat", subcat)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    (line,) = [s for s in res.stderr.splitlines() if "error" in s]
+    assert "argument --subcat: invalid choice" in line
+
+
+def test_braid_check_refuses_a_label_list_subcat(ising_report, tmp_path, capsys):
+    report = json.loads(ising_report.read_text())
+    report["subcat"] = "1,psi"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert gct.cli.main(["braid-check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: schema mismatch: unknown subcat '1,psi'"]
+
+
 # ----------------------------------------------------------- determinism
 
 
@@ -418,12 +435,13 @@ def test_center_payload_is_the_same_on_warm_caches(name):
     verdicts, homs, products).  All of it must give the same JSON."""
     from gct import build_tube, load_category
     from gct.cli import (_braiding_section, _build_parser, _center_payload,
-                         _fusion_section, _subcat_labels)
+                         _context, _fusion_section)
 
     path = bundled_path(name)
     args = _build_parser().parse_args(["center", path, "--subcat", "all"])
-    cat = load_category(path)  # a fresh engine, so the first run is cold
-    tube = build_tube(cat, _subcat_labels(cat, args.subcat))
+    # a fresh engine, so the first run is cold
+    cat, _ = _context(load_category(path), args.subcat, None)
+    tube = build_tube(cat)
     tol = 1e-8
 
     def dump(obj):

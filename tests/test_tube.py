@@ -21,6 +21,7 @@ from gct import (
     category_from_dict,
     decompose,
     load_category,
+    trivially_graded,
     twisted_untwisted_iso,
     verify_algebra,
     verify_pentagon,
@@ -119,7 +120,7 @@ def _set_constant(tube, i, j, k, value):
 
 
 def test_corrupted_constant_is_caught(cats):
-    tube = build_tube(cats["vec_z2"], subcat=[0, 1])
+    tube = build_tube(trivially_graded(cats["vec_z2"]))
     rep = verify_algebra(tube)
     assert rep["pass"]
     # b_0 (the unit loop at outer 0) times b_2 (loop 1 at outer 0) is b_2
@@ -176,7 +177,7 @@ def _chains(tube, i, j, k):
 
 @pytest.fixture(scope="module")
 def ising_full_tube(cats):
-    return build_tube(cats["ising"], subcat=[0, 1, 2])
+    return build_tube(trivially_graded(cats["ising"]))
 
 
 def _private_ideals(tube):
@@ -739,7 +740,7 @@ def test_sum_of_squared_ranks_exhausts_each_component(fib_center, z2_center,
 def test_full_ising_tube_has_nine_blocks(cats):
     # the double of the Ising fusion rules has 9 simples, one with a
     # two-dimensional loop representation
-    tube = build_tube(cats["ising"], subcat=[0, 1, 2])
+    tube = build_tube(trivially_graded(cats["ising"]))
     assert tube.dim == 12
     assert tube.grades == (0,)
     dec = decompose(tube, 0)
@@ -754,15 +755,7 @@ def test_empty_component_decomposes_to_nothing(cats):
     assert dec.blocks == []
 
 
-# ------------------------------------------------------------- subcat rules
-
-
-def test_loop_set_must_be_closed(cats):
-    ising = cats["ising"]
-    with pytest.raises(ValidationError):
-        build_tube(ising, subcat=[2])          # sigma alone is not closed
-    with pytest.raises(ValidationError):
-        build_tube(ising, subcat=[0, 2])
+# ------------------------------------------------------------ twisted tubes
 
 
 def test_twisted_tube_needs_trivial_grading(cats):
@@ -775,7 +768,7 @@ def test_trivial_group_twisted_tube_is_the_plain_one(cats):
     fib = cats["fib"]
     ident = GroupAction("id", np.arange(fib.rank)[None, :])
     tw = build_twisted_tube(fib, ident)
-    plain = build_tube(fib, subcat=[0, 1])
+    plain = build_tube(fib)
     assert tw.dim == plain.dim
     assert np.allclose(_dense_constants(tw), _dense_constants(plain), atol=1e-12)
     assert np.allclose(_dense_star(tw), _dense_star(plain), atol=1e-12)
@@ -846,7 +839,7 @@ def test_iso_deviation_reads_entries_stored_on_either_side(z3_ext_tube, z3_twist
 
 
 def test_decomposition_is_deterministic(cats):
-    tube = build_tube(cats["vec_z2"], subcat=[0, 1])
+    tube = build_tube(trivially_graded(cats["vec_z2"]))
     a = decompose(tube, 0, seed=7)
     b = decompose(tube, 0, seed=7)
     assert a.block_ranks() == b.block_ranks()
@@ -930,11 +923,11 @@ def test_a_flipped_f_entry_moves_both_fills_alike(ising_full_tube):
     (block,) = [b for b in data["F"] if b["abcd"] == [1, 2, 1, 2]]
     block["matrix"][0][0][0] *= -1
     cat = category_from_dict(data, "ising_flipped")
-    tube = build_tube(cat, subcat=[0, 1, 2], verify=False)
+    tube = build_tube(trivially_graded(cat), verify=False)
     assert tube.basis == ising_full_tube.basis
     assert np.max(np.abs(_dense_constants(tube) - _dense_constants(ising_full_tube))) > 1
     _assert_constants_are_spliced(tube)
     assert not verify_algebra(tube)["pass"]
     with pytest.raises(InternalCheckError, match="axioms fail"):
-        build_tube(cat, subcat=[0, 1, 2])
+        build_tube(trivially_graded(cat))
 

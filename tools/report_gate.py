@@ -3,9 +3,9 @@
 Usage: python3 tools/report_gate.py OUTDIR
 
 Runs `verify`, `tube` and `center` on every bundled category, the
-`--subcat all`, `--grade` and `--action` variants, `tube` and `verify` on a
-generated Vec_Z8 (from perfbench/gen_vec_zn.py), and `braid-check` of every
-center report.  Every run uses seed 1 and one BLAS thread, and runs the gct
+`--subcat all`, `--grade` and `--action` variants, `tube` and `center` with
+the refused `--subcat 1` on ising, `tube` and `verify` on a generated Vec_Z8
+(from perfbench/gen_vec_zn.py), and `braid-check` of every center report.  Every run uses seed 1 and one BLAS thread, and runs the gct
 of the checkout this script lives in.  For each run, OUTDIR/<run>/ holds
 `exit_code`, `stdout`, `stderr` and `report.json` (when the run wrote one).
 The inputs are copied to OUTDIR/inputs and every path is relative to OUTDIR,
@@ -30,6 +30,8 @@ RUNS = (
     + [
         ("tube-ising-subcat-all", "tube", "ising", ("--subcat", "all")),
         ("center-ising-subcat-all", "center", "ising", ("--subcat", "all")),
+        ("tube-ising-subcat-1", "tube", "ising", ("--subcat", "1")),
+        ("center-ising-subcat-1", "center", "ising", ("--subcat", "1")),
         ("center-ising-grade-1", "center", "ising", ("--grade", "1")),
         ("center-vec_z2-subcat-all", "center", "vec_z2", ("--subcat", "all")),
         ("tube-vec_z3-inversion", "tube", "vec_z3", ("--action", "inversion")),
