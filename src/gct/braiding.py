@@ -52,12 +52,6 @@ __all__ = [
 ]
 
 
-def _moved_obj(x: HalfBraiding, k: int) -> tuple:
-    if x.action is None:
-        return x.obj
-    return tuple(x.action.on_word(k, w) for w in x.obj)
-
-
 def _unitarity_defect(m: Mor) -> float:
     """Worst entry of B^* B - 1 over the nonempty channel blocks B of m."""
     worst = 0.0
@@ -96,26 +90,29 @@ def reverse_braiding(x: HalfBraiding, y: HalfBraiding) -> Mor:
         raise ValidationError(
             "plain-flavour reverse braiding needs a degree-neutral first slot")
     hinv = y.cat.group.inv(y.grade)
-    if y.action is None:
-        arg = x.obj
-    else:
-        arg = tuple(y.action.on_word(hinv, w) for w in x.obj)
+    arg = x.obj if y.action is None else y.eng._moved_vobj(y.action, hinv, x.obj)
     return y.E_vobj(arg).H
 
 
-def _by_object(members: list) -> list:
-    """One (index, weight) pair per distinct object among `members`, a list
-    of (index, half-braiding) pairs: the index of its first member and the
-    number of members that share it."""
+def _keyed(members: list, key) -> list:
+    """One (index, weight) pair per distinct key(index) among the indices
+    `members`: the first index with that key and how many share it."""
     groups: dict = {}
-    for j, y in members:
-        first, weight = groups.get(y.obj, (j, 0))
-        groups[y.obj] = (first, weight + 1)
+    for j in members:
+        k = key(j)
+        first, weight = groups.get(k, (j, 0))
+        groups[k] = (first, weight + 1)
     return list(groups.values())
 
 
-def verify_G_braiding(simples: list, tol: float = 1e-8,
-                      pairwise: dict | None = None) -> dict:
+def _value(f: Mor) -> tuple:
+    """All a sweep reads of f: its endpoints and the bytes of its blocks,
+    whose shapes the endpoints fix."""
+    return (f.source, f.target,
+            tuple((c, B.tobytes()) for c, B in sorted(f.blocks.items())))
+
+
+def verify_G_braiding(simples: list, pairwise: dict, tol: float = 1e-8) -> dict:
     """Crossed-braiding axiom sweep over a family of center simples.
 
     Checks, for all pairs/triples from `simples` (plus the unit object):
@@ -124,26 +121,21 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
     and - in the twisted flavour - equivariance of the whole family under
     transport by every group element.
 
-    A computed braiding E(X, Y) reads Y only through its object, and many
-    members share one.  So, computed, each identity is evaluated once per
-    distinct tuple of the inputs it reads: the first slot always by member
-    (its E-data), the second by object.  Unitarity is keyed by
-    (X, obj Y); multiplicativity in the second slot by (X, obj Y, obj Z),
-    its left side being E_X over obj Y obj Z; multiplicativity in the
-    first slot by (X, X', obj Y); naturality with T : X -> X' in the first
-    slot by (X, X', T, obj Z); equivariance by (g, X, obj Y).  Naturality
-    with T in the second slot and the unit rows stay per member.  Each
-    residual enters the maximum once and each count once per member tuple
-    it stands for, so the counts are those of the full per-triple sweep.
+    `pairwise` holds the braidings of member pairs, keyed by their
+    (first, second) indices in `simples`; a missing entry the sweep needs
+    raises ValidationError.  Only the unit row and column, and the tensor
+    and transported objects the identities compare against, are built from
+    half-braiding data, so the sweep checks the stored maps themselves.
 
-    `pairwise` optionally supplies the braiding morphisms for pairs of
-    family members, keyed by their (first, second) indices in `simples`;
-    identities involving the unit or tensor/transported objects are still
-    built from the half-braiding data, so the sweep cross-examines the
-    supplied morphisms instead of merely recomputing them.  A missing
-    entry for a pair the sweep needs raises ValidationError.  Supplied
-    entries are never keyed by object: two members that share one may be
-    supplied different entries, so every identity runs per member tuple.
+    Every identity but naturality in the second slot and the unit rows
+    reads its second slot Y only through obj Y and Y's column, the entries
+    E(X, Y) over every first slot X, the unit included.  So each runs once
+    per key (obj Y, the value of each entry of the column), the first slot
+    per member: unitarity per (X, key Y), multiplicativity per
+    (X, key Y, key Z) in the second slot and (X, X', key Y) in the first,
+    naturality with T : X -> X' in the first slot per (X, X', T, key Z),
+    equivariance per (g, X, key Y).  Members with equal keys give equal
+    inputs, so every residual and count is that of the per-member sweep.
 
     The sweep does not check the half-braidings themselves.  With the
     braidings built from the same data, a corrupted E(pi) for a loop pi
@@ -162,7 +154,7 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
     fam = [unit_hb] + list(simples)
 
     def braid(i, j):
-        if pairwise is not None and i > 0 and j > 0:
+        if i and j:
             try:
                 return pairwise[(i - 1, j - 1)]
             except KeyError:
@@ -171,10 +163,11 @@ def verify_G_braiding(simples: list, tol: float = 1e-8,
                     f"({fam[i].name!r}, {fam[j].name!r})") from None
         return build_G_braiding(fam[i], fam[j])
 
-    # (index, weight) pairs that stand for the second-slot members: one per
-    # object when the braidings are computed, one per member when supplied
-    seconds = [(j, y) for j, y in enumerate(fam) if braidable(y)]
-    seconds = _by_object(seconds) if pairwise is None else [(j, 1) for j, _ in seconds]
+    def column(j):
+        return fam[j].obj, tuple(_value(braid(i, j)) for i in range(len(fam)))
+
+    # (index, weight) pairs that stand for the second-slot members
+    seconds = _keyed([j for j, y in enumerate(fam) if braidable(y)], column)
 
     res = {k: 0.0 for k in ("unit_rows", "unitarity", "mult_second",
                             "nat_second", "mult_first", "nat_first",
@@ -286,7 +279,7 @@ def verify_reverse_braiding(simples: list, tol: float = 1e-8) -> dict:
     firsts = [(i, x) for i, x in enumerate(fam) if braidable(x)]
     # the members that stand for their object; a valid first slot is also
     # a valid second slot of the double reverse
-    reps = {i for i, _ in _by_object(firsts)}
+    reps = {i for i, _ in _keyed([i for i, _ in firsts], lambda i: fam[i].obj)}
 
     res = {"inversion": 0.0, "membership": 0.0, "double_reverse": 0.0,
            "unit_rows": 0.0}
@@ -391,7 +384,7 @@ def regular_equivariant(x: HalfBraiding) -> EquivariantObject:
     nblk = len(x.obj)
     cocycle = {}
     for g in range(grp.order):
-        tgt_obj = _moved_obj(base, g)
+        tgt_obj = eng._moved_vobj(x.action, g, base.obj)
         blocks: dict = {}
         for h in range(grp.order):
             gh = grp.mul(g, h)
@@ -523,7 +516,7 @@ def conjugate_equivariant(X: EquivariantObject) -> EquivariantObject:
     R, Rbar = eng.vobj_R(base.obj)
     cocycle = {}
     for g in range(grp.order):
-        gobj = _moved_obj(base, g)
+        gobj = eng._moved_vobj(act, g, base.obj)
         gobjbar = tuple(base.cat.dual_word(w) for w in gobj)
         Rg = eng.transport(Rbar, g, act)
         s1 = eng.drop_units(eng.ltens(cbar.obj, Rg), "source", (-1,))
@@ -539,9 +532,10 @@ def tensor_equivariant(X: EquivariantObject, Y: EquivariantObject) -> Equivarian
     base = tensor_half_braidings(X.base, Y.base)
     eng = base.eng
     grp = base.cat.group
+    act = base.action
     cocycle = {}
     for g in range(grp.order):
-        cocycle[g] = (eng.ltens(_moved_obj(X.base, g), Y.cocycle[g])
+        cocycle[g] = (eng.ltens(eng._moved_vobj(act, g, X.base.obj), Y.cocycle[g])
                       @ eng.rtens(X.cocycle[g], Y.base.obj))
     name = f"{X.name}*{Y.name}" if X.name and Y.name else ""
     return EquivariantObject(base, cocycle, name=name)

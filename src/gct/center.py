@@ -489,12 +489,11 @@ def _moved_copy(x: HalfBraiding, k: int) -> HalfBraiding:
     grp = x.cat.group
     act = x.action
     kinv = grp.inv(k)
-    obj2 = tuple(act.on_word(k, w) for w in x.obj)
     grade2 = grp.mul(grp.mul(k, x.grade), kinv)
     E2 = {}
     for pi in x.loop_labels():
         E2[pi] = x.eng.transport(x.E[act.on_label(kinv, pi)], k, act)
-    return HalfBraiding(x.cat, obj2, grade2, E2, action=act)
+    return HalfBraiding(x.cat, x.eng._moved_vobj(act, k, x.obj), grade2, E2, action=act)
 
 
 # ---------------------------------------------------------------------------

@@ -284,13 +284,12 @@ def _fusion_section(fam: list[HalfBraiding]) -> dict:
 
 
 def _braiding_section(fam: list[HalfBraiding], tol: float) -> dict:
-    entries = {}
-    for x in fam:
-        for y in fam:
-            if not braidable(y):
-                continue
-            entries[f"{x.name}|{y.name}"] = _ser_mor(build_G_braiding(x, y))
-    summary = verify_G_braiding(fam, tol)
+    pairwise = {(i, j): build_G_braiding(x, y)
+                for i, x in enumerate(fam) for j, y in enumerate(fam)
+                if braidable(y)}
+    entries = {f"{fam[i].name}|{fam[j].name}": _ser_mor(B)
+               for (i, j), B in pairwise.items()}
+    summary = verify_G_braiding(fam, pairwise, tol)
     reverse = verify_reverse_braiding(fam, tol)
     return {"entries": entries, "summary": summary, "reverse": reverse}
 
@@ -463,10 +462,7 @@ def cmd_center(args) -> int:
 
 
 def cmd_gcenter(args) -> int:
-    if not args.action:
-        raise DataError("gcenter requires --action (use --action trivial for "
-                        "the identity action)")
-    cat2, act = _context(_load_associative(args.input), args.subcat, args.action)
+    cat2, act = _twisted_setup(_load_associative(args.input), args.action)
     tube = build_twisted_tube(cat2, act)
     seed = _resolve_seed(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
@@ -580,7 +576,7 @@ def cmd_braid_check(args) -> int:
     _print_table(["simple", "residual", "status"], rows)
     half_ok = all(r[2] == "ok" for r in rows)
 
-    sweep = verify_G_braiding(fam, tol, pairwise=pairwise)
+    sweep = verify_G_braiding(fam, pairwise, tol)
     print("\nbraiding axioms on the supplied entries:")
     axioms = {bf: residual_max(*(sweep[k] for k in keys)) for bf, keys in BF_GROUPS}
     _print_table(["axiom", "checks", "residual", "status"],
@@ -619,17 +615,25 @@ def _build_parser() -> argparse.ArgumentParser:
         ("gcenter", cmd_gcenter, "twisted center under a group action"),
         ("braid-check", cmd_braid_check, "re-verify braiding data from a report"),
     ]
+    # the options a command reads besides --tol, --seed and --json
+    reads = {"tube": ("subcat", "action", "grade"), "center": ("subcat", "grade"),
+             "gcenter": ("action", "grade")}
     for name, func, help_ in specs:
         p = sub.add_parser(name, help=help_)
         p.add_argument("input", help="category file (JSON), or a report file "
                                      "for braid-check")
-        p.add_argument("--subcat", default="degree0", choices=SUBCATS,
-                       help="loop labels: degree0, the neutral sector "
-                            "(default), or all")
-        p.add_argument("--grade", default=None,
-                       help="restrict to one grade (group element name or index)")
-        p.add_argument("--action", default=None,
-                       help="action name bundled with the file, or 'trivial'")
+        # a context comes from --subcat or --action; gcenter needs an action
+        context = p.add_mutually_exclusive_group(required=name == "gcenter")
+        if "subcat" in reads.get(name, ()):
+            context.add_argument("--subcat", default="degree0", choices=SUBCATS,
+                                 help="loop labels: degree0, the neutral sector "
+                                      "(default), or all")
+        if "action" in reads.get(name, ()):
+            context.add_argument("--action",
+                                 help="action name bundled with the file, or 'trivial'")
+        if "grade" in reads.get(name, ()):
+            p.add_argument("--grade", default=None,
+                           help="restrict to one grade (group element name or index)")
         p.add_argument("--tol", type=float, default=None,
                        help="verification tolerance (default 1e-8)")
         p.add_argument("--seed", type=int, default=None,

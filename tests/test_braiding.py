@@ -2,7 +2,7 @@
 
 The heavy pairwise sweeps run once per session (braid_reports fixture);
 the tests here read those reports and add targeted structural checks plus
-fault injection against the pairwise-override path.
+fault injection into the braiding entries the sweep reads.
 """
 
 import itertools
@@ -21,6 +21,7 @@ from gct import (
     verify_G_braiding,
     verify_reverse_braiding,
 )
+from conftest import _supplied
 from gct.braiding import _unitarity_defect
 from gct.center import center_hom_residual, unit_loop_E
 from gct.fusion_core import ValidationError
@@ -207,7 +208,7 @@ def test_cached_products_do_not_mask_a_corrupted_member(fib_center):
     bad = HalfBraiding(good.cat, good.obj, good.grade, E, name=good.name)
     assert tensor_half_braidings(fam[1], bad) is not tensor_half_braidings(fam[1], good)
     family = fam[:k] + [bad] + fam[k + 1:]
-    rep = verify_G_braiding(family)
+    rep = verify_G_braiding(family, _supplied(family))
     assert not rep["pass"]
     assert rep["max_residual"] > 0.5
     assert rep["unit_rows"] > 0.5
@@ -215,13 +216,14 @@ def test_cached_products_do_not_mask_a_corrupted_member(fib_center):
     # the same report from copies that have no products cached yet
     cold = [HalfBraiding(x.cat, x.obj, x.grade, dict(x.E), action=x.action,
                          name=x.name) for x in family]
-    assert verify_G_braiding(cold) == rep
+    assert verify_G_braiding(cold, _supplied(cold)) == rep
 
 
-def _per_triple_sweep(simples):
+def _per_triple_sweep(simples, pairwise):
     """Both sweeps as plain loops over every member pair and triple: the
-    reference that evaluates each identity once per member tuple.  Returns
-    the forward and the reverse report."""
+    reference that evaluates each identity once per member tuple.  The
+    forward sweep reads member pairs from `pairwise`, as
+    `verify_G_braiding` does.  Returns the forward and the reverse report."""
     x0 = simples[0]
     cat, eng, act = x0.cat, x0.eng, x0.action
     grp = cat.group
@@ -232,6 +234,8 @@ def _per_triple_sweep(simples):
         return act is not None or y.grade == grp.neutral
 
     def braid(i, j):
+        if i and j:
+            return pairwise[(i - 1, j - 1)]
         return build_G_braiding(fam[i], fam[j])
 
     res = {k: 0.0 for k in FORWARD_KEYS}
@@ -334,30 +338,18 @@ def _per_triple_sweep(simples):
     return forward, reverse
 
 
-def _supplied(fam):
-    """Copies of every braiding the sweep reads from a supplied map."""
-    out = {}
-    for (i, x), (j, y) in itertools.product(enumerate(fam), repeat=2):
-        if x.action is not None or y.grade == y.cat.group.neutral:
-            f = build_G_braiding(x, y)
-            out[(i, j)] = Mor(f.eng, f.source, f.target,
-                              {c: B.copy() for c, B in f.blocks.items()})
-    return out
-
-
 @pytest.mark.parametrize("family", ["fib_center", "z2_center", "s3_center",
                                     "ising_center", "ising_full_center",
                                     "z3_twisted", "z3_trivial"])
 def test_sweeps_equal_the_per_triple_oracle(request, family):
-    """Keyed by object, the sweeps give every residual and count of the
-    per-triple loops, float for float.  The supplied copies equal the
-    computed entries bit for bit, so the supplied-mode sweep, which reads
-    every entry per member pair, must give the same report."""
+    """Keyed by (object, column) in the second slot and by object in the
+    reverse sweep, the sweeps give every residual and count of the
+    per-triple loops, float for float."""
     fam = request.getfixturevalue(family)["fam"]
     assert len({x.obj for x in fam}) < len(fam)  # some members share an object
-    forward, reverse = _per_triple_sweep(fam)
-    assert verify_G_braiding(fam) == forward
-    assert verify_G_braiding(fam, pairwise=_supplied(fam)) == forward
+    pairwise = _supplied(fam)
+    forward, reverse = _per_triple_sweep(fam, pairwise)
+    assert verify_G_braiding(fam, pairwise=pairwise) == forward
     assert verify_reverse_braiding(fam) == reverse
 
 
@@ -376,3 +368,22 @@ def test_supplied_entries_are_read_per_member(s3_center):
     rep = verify_G_braiding(fam, pairwise=pairwise)
     assert not rep["pass"]
     assert rep["mult_second"] > 0.5
+
+
+def test_a_one_ulp_entry_keys_its_own_column(s3_center, braid_reports):
+    """e:3 shares its object with e:2 and e:4.  One of its entries, nudged
+    by one ulp, gives it a column of its own, and the sweep must still
+    equal the per-triple loops float for float.  A sweep that keyed the
+    second slot by object alone would read e:2's column for e:3 and lose
+    the nudge in both multiplicativities."""
+    fam = s3_center["fam"]
+    names = [x.name for x in fam]
+    pairwise = _supplied(fam)
+    key = (names.index("e:0"), names.index("e:3"))
+    f = pairwise[key]
+    c = next(c for c, B in f.blocks.items() if B.size)
+    B = f.blocks[c]
+    B[0, 0] = complex(np.nextafter(B[0, 0].real, np.inf), B[0, 0].imag)
+    forward, _ = _per_triple_sweep(fam, pairwise)
+    assert forward != braid_reports["vec_s3"]["forward"]
+    assert verify_G_braiding(fam, pairwise) == forward

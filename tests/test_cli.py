@@ -37,6 +37,15 @@ def ising_report(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def ising_all_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "ising_all_center.json"
+    res = run_cli("center", bundled_path("ising"), "--subcat", "all",
+                  "--json", str(out))
+    assert res.returncode == 0, res.stderr
+    return out
+
+
+@pytest.fixture(scope="module")
 def z3_gcenter_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "z3_gcenter.json"
     res = run_cli("gcenter", bundled_path("vec_z3"), "--action", "inversion",
@@ -381,6 +390,21 @@ def test_label_list_subcat_is_refused(name, subcat):
     assert "argument --subcat: invalid choice" in line
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["center", "vec_z3", "--action", "inversion"], "--action inversion"),
+    (["gcenter", "vec_z3", "--action", "inversion", "--subcat", "all"], "--subcat all"),
+    (["verify", "ising", "--grade", "zz"], "--grade zz"),
+])
+def test_an_option_the_command_does_not_read_is_refused(argv, option):
+    command, name, *rest = argv
+    res = run_cli(command, bundled_path(name), *rest)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    (line,) = [s for s in res.stderr.splitlines() if "error" in s]
+    assert line.endswith(f"unrecognized arguments: {option}")
+
+
 def test_braid_check_refuses_a_label_list_subcat(ising_report, tmp_path, capsys):
     report = json.loads(ising_report.read_text())
     report["subcat"] = "1,psi"
@@ -491,6 +515,19 @@ def test_braid_check_roundtrip(ising_report):
 def test_braid_check_roundtrip_twisted(z3_gcenter_report):
     res = run_cli("braid-check", str(z3_gcenter_report))
     assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("report", ["fib_report", "ising_all_report",
+                                    "z3_gcenter_report"])
+def test_braid_check_reaches_the_verdict_of_the_report(request, report, tmp_path):
+    """`center`/`gcenter` sweep the entries they serialise, and braid-check
+    sweeps them again from the file: one sweep, one verdict."""
+    path = request.getfixturevalue(report)
+    out = tmp_path / "check.json"
+    res = run_cli("braid-check", str(path), "--json", str(out))
+    assert res.returncode == 0, res.stderr
+    sweep = json.loads(out.read_text())["sweep"]
+    assert sweep == json.loads(path.read_text())["braiding_summary"]
 
 
 def test_braid_check_flags_sign_flip(ising_report, tmp_path):

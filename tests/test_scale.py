@@ -12,6 +12,7 @@ import tracemalloc
 import pytest
 
 import gct
+import gct.cli
 from gct import build_tube, category_from_dict, decompose, verify_pentagon
 
 GCT_PATH = os.path.dirname(os.path.dirname(gct.__file__))
@@ -82,6 +83,12 @@ def test_vec_z6_center_has_36_invertible_simples(tmp_path):
     assert counts["mult_second"] == counts["mult_first"] == 37 ** 3
     assert counts["unitarity"] == 37 ** 2
     assert peak_kb < 256 * 1024
+    # braid-check sweeps the stored entries to the same verdict
+    check = tmp_path / "braid-check.json"
+    assert gct.cli.main(["braid-check", str(tmp_path / "center.json"), "--seed", "1",
+                         "--json", str(check)]) == 0
+    rechecked = json.loads(check.read_text())
+    assert rechecked["pass"] and rechecked["sweep"] == summary
 
 
 @pytest.mark.scale
