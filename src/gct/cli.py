@@ -166,14 +166,16 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _header(args, seed: int, tol: float) -> dict:
+    action = getattr(args, "action", None)
     return {
         "tool": "gct",
         "command": args.command,
         "input": args.input,
         "seed": int(seed),
         "tol": float(tol),
-        "subcat": getattr(args, "subcat", None),
-        "action": getattr(args, "action", None),
+        # --action excludes --subcat, so a twisted run reads no subcat
+        "subcat": None if action else getattr(args, "subcat", None),
+        "action": action,
         "grade": getattr(args, "grade", None),
     }
 
@@ -615,32 +617,32 @@ def _build_parser() -> argparse.ArgumentParser:
         ("gcenter", cmd_gcenter, "twisted center under a group action"),
         ("braid-check", cmd_braid_check, "re-verify braiding data from a report"),
     ]
-    # the options a command reads besides --tol, --seed and --json
-    reads = {"tube": ("subcat", "action", "grade"), "center": ("subcat", "grade"),
-             "gcenter": ("action", "grade")}
     for name, func, help_ in specs:
         p = sub.add_parser(name, help=help_)
         p.add_argument("input", help="category file (JSON), or a report file "
                                      "for braid-check")
-        # a context comes from --subcat or --action; gcenter needs an action
-        context = p.add_mutually_exclusive_group(required=name == "gcenter")
-        if "subcat" in reads.get(name, ()):
-            context.add_argument("--subcat", default="degree0", choices=SUBCATS,
-                                 help="loop labels: degree0, the neutral sector "
-                                      "(default), or all")
-        if "action" in reads.get(name, ()):
-            context.add_argument("--action",
-                                 help="action name bundled with the file, or 'trivial'")
-        if "grade" in reads.get(name, ()):
-            p.add_argument("--grade", default=None,
-                           help="restrict to one grade (group element name or index)")
+        p.set_defaults(func=func)
+    # each command takes only the options it reads; a tube's context comes
+    # from --subcat or --action, a twisted center's from --action
+    tube, center, gcenter = (sub.choices[n] for n in ("tube", "center", "gcenter"))
+    context = tube.add_mutually_exclusive_group()
+    for p in (context, center):
+        p.add_argument("--subcat", default="degree0", choices=SUBCATS,
+                       help="loop labels: degree0, the neutral sector "
+                            "(default), or all")
+    for p, required in ((context, False), (gcenter, True)):
+        p.add_argument("--action", required=required,
+                       help="action name bundled with the file, or 'trivial'")
+    for p in (tube, center, gcenter):
+        p.add_argument("--grade", default=None,
+                       help="restrict to one grade (group element name or index)")
+    for p in sub.choices.values():
         p.add_argument("--tol", type=float, default=None,
                        help="verification tolerance (default 1e-8)")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: GCT_SEED env var, else 7)")
         p.add_argument("--json", default=None, metavar="PATH",
                        help="write a machine-readable report to PATH")
-        p.set_defaults(func=func)
     return parser
 
 

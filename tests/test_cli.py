@@ -405,6 +405,39 @@ def test_an_option_the_command_does_not_read_is_refused(argv, option):
     assert line.endswith(f"unrecognized arguments: {option}")
 
 
+@pytest.mark.parametrize("command", ["verify", "tube", "center", "gcenter", "braid-check"])
+def test_every_subcommand_prints_its_help(command):
+    res = run_cli(command, "--help")
+    assert res.returncode == 0
+    assert res.stdout.startswith(f"usage: gct {command} ")
+    assert res.stderr == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify"], "the following arguments are required: input"),
+    (["braid-check"], "the following arguments are required: input"),
+    (["verify", "f.json", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+    (["tube", "f.json", "--subcat", "all", "--action", "inversion"],
+     "argument --action: not allowed with argument --subcat"),
+])
+def test_a_subcommand_usage_error_exits_2(argv, message):
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    (line,) = [s for s in res.stderr.splitlines() if "error" in s]
+    assert line == f"gct {argv[0]}: error: {message}"
+
+
+def test_a_twisted_tube_report_records_no_subcat(tmp_path):
+    path = tmp_path / "tube.json"
+    res = run_cli("tube", bundled_path("vec_z3"), "--action", "inversion",
+                  "--json", str(path))
+    assert res.returncode == 0, res.stderr
+    data = json.loads(path.read_text())
+    assert data["subcat"] is None and data["action"] == "inversion"
+
+
 def test_braid_check_refuses_a_label_list_subcat(ising_report, tmp_path, capsys):
     report = json.loads(ising_report.read_text())
     report["subcat"] = "1,psi"
