@@ -9,6 +9,7 @@ skeletal data.
 from .braiding import (
     EquivariantObject,
     build_G_braiding,
+    certify,
     conjugate_equivariant,
     equivariant_braiding,
     equivariant_count,

@@ -29,6 +29,7 @@ from .center import (
     kernel_solve,
     tensor_half_braidings,
     unit_loop_E,
+    verify_half_braiding,
 )
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "verify_G_braiding",
     "reverse_braiding",
     "verify_reverse_braiding",
+    "certify",
     "EquivariantObject",
     "direct_sum_half_braidings",
     "regular_equivariant",
@@ -142,8 +144,8 @@ def verify_G_braiding(simples: list, pairwise: dict, tol: float = 1e-8) -> dict:
     other than the unit goes unseen: multiplicativity holds for any E,
     because `E_vobj` extends E by the same rule the check uses, and
     naturality ranges only over the scalar endomorphisms of simples.
-    `verify_half_braiding` is the check that covers E; run it on every
-    member first, as the CLI and ``braid-check`` do.
+    `verify_half_braiding` is the check that covers E; `certify` runs it
+    on every member.
     """
     if not simples:
         raise ValidationError("empty family")
@@ -257,38 +259,30 @@ def verify_G_braiding(simples: list, pairwise: dict, tol: float = 1e-8) -> dict:
 
 
 def verify_reverse_braiding(simples: list, tol: float = 1e-8) -> dict:
-    """Reverse-braiding checks: inversion, membership, double reverse.
+    """Reverse-braiding checks: inversion and membership.
 
     Over every pair (X, Y) with X a valid first slot.  Membership, that
-    the reverse braiding is a center morphism, is checked per pair.  The
-    others read one slot only through its object, so each runs once per
-    distinct input: inversion per (Y, obj X), the double reverse per
-    (X, obj Y) and the unit rows per obj X.  `checked` counts pairs.
-    The double reverse and the unit rows hold by construction (E(X, obj Y)
-    against the adjoint of its own adjoint; two unit relabels of one
-    identity), so both read 0; their keys stay in the report.
+    the reverse braiding is a center morphism, is checked per pair.
+    Inversion reads X only through its object, so it runs once per
+    (Y, obj X).  `checked` counts pairs.
     """
     if not simples:
         raise ValidationError("empty family")
     x0 = simples[0]
     cat, eng, act = x0.cat, x0.eng, x0.action
     grp = cat.group
-    unit_hb = identity_half_braiding(cat, action=act)
-    fam = [unit_hb] + list(simples)
+    fam = [identity_half_braiding(cat, action=act)] + list(simples)
 
     firsts = [(i, x) for i, x in enumerate(fam) if braidable(x)]
-    # the members that stand for their object; a valid first slot is also
-    # a valid second slot of the double reverse
+    # the members that stand for their object
     reps = {i for i, _ in _keyed([i for i, _ in firsts], lambda i: fam[i].obj)}
 
-    res = {"inversion": 0.0, "membership": 0.0, "double_reverse": 0.0,
-           "unit_rows": 0.0}
+    res = {"inversion": 0.0, "membership": 0.0}
     n = 0
     for i, x in firsts:
-        for j, y in enumerate(fam):
+        for y in fam:
             Rv = reverse_braiding(x, y)
-            hinv = grp.inv(y.grade)
-            xm = x if act is None else g_action_on_center(x, hinv)
+            xm = x if act is None else g_action_on_center(x, grp.inv(y.grade))
             if i in reps:
                 back = build_G_braiding(y, xm) @ Rv
                 res["inversion"] = residual_max(
@@ -298,22 +292,58 @@ def verify_reverse_braiding(simples: list, tol: float = 1e-8) -> dict:
             yxm = tensor_half_braidings(y, xm)
             res["membership"] = residual_max(
                 res["membership"], center_hom_residual(xy, yxm, Rv))
-            if j in reps:
-                gx = x.grade
-                ym = y if act is None else g_action_on_center(y, gx)
-                dbl = reverse_braiding(ym, x).H
-                res["double_reverse"] = residual_max(
-                    res["double_reverse"],
-                    dbl.diff_norm(build_G_braiding(x, y)))
             n += 1
-        if i in reps:
-            Rv1 = reverse_braiding(x, unit_hb)
-            res["unit_rows"] = residual_max(res["unit_rows"],
-                                            Rv1.diff_norm(unit_loop_E(eng, x.obj)))
     worst = residual_max(*res.values())
     out = dict(res)
     out.update({"checked": n, "tol": tol, "pass": bool(worst < tol)})
     return out
+
+
+def _closure_residual(simples: list, table: dict) -> float:
+    """Worst |sum_z N_xy^z d_z - d_x d_y| over the member pairs of the
+    fusion table {x: {y: {z: N_xy^z}}}, keyed by member name.  It vanishes
+    on a fusion-closed family."""
+    qd = {x.name: x.qdim() for x in simples}
+    return residual_max(0.0, *(abs(sum(table[x][y].get(z, 0) * qd[z] for z in qd)
+                                   - qd[x] * qd[y]) for x in qd for y in qd))
+
+
+def _family_gate(simples: list, gate: float, full: bool) -> dict:
+    """Schur orthogonality, dim Hom(X, Y) = [X is Y] over the member pairs,
+    and sum_X d_X^2 against the dimension of the center: dim C_e dim C for
+    Z_{C_e}(C) (Gelaki-Naidu-Nikshych 2009), (dim C)^2 for the full
+    center, |G| times that for a twisted center.  The sum gates only a
+    `full` family."""
+    schur = max(abs(hom_center(x, y)[0] - (x is y)) for x in simples for y in simples)
+    cat = simples[0].cat
+    d2 = cat.qdim ** 2
+    want = float(d2[cat.neutral_sector()].sum() * d2.sum())
+    if simples[0].action is not None:
+        want *= cat.group.order
+    dim_sum = float(sum(x.qdim() ** 2 for x in simples))
+    res = abs(dim_sum - want)
+    return {"schur_defect": schur, "dim_sum": dim_sum, "center_dim": want,
+            "dim_residual": res, "tol": gate,
+            "pass": bool(schur == 0 and (not full or res < gate))}
+
+
+def certify(simples: list, pairwise: dict, fusion_table: dict, tol: float,
+            full: bool) -> dict:
+    """The one verdict on a center family: `verify_half_braiding` on every
+    member, both sweeps (`pairwise` as in `verify_G_braiding`), the closure
+    residual of `fusion_table` and the family gate.  The closure identity
+    and the dimension sum hold only for the whole center, so they gate,
+    at max(tol, 1e-6), only a `full` family, not one grade of it."""
+    gate = max(tol, 1e-6)
+    half = [verify_half_braiding(x, tol) for x in simples]
+    forward = verify_G_braiding(simples, pairwise, tol)
+    reverse = verify_reverse_braiding(simples, tol)
+    closure = _closure_residual(simples, fusion_table)
+    family = _family_gate(simples, gate, full)
+    ok = (all(h["pass"] for h in half) and forward["pass"] and reverse["pass"]
+          and family["pass"] and (not full or closure < gate))
+    return {"half": half, "forward": forward, "reverse": reverse,
+            "closure_residual": closure, "family": family, "pass": bool(ok)}
 
 
 # ---------------------------------------------------------------------------

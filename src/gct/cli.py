@@ -23,25 +23,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 
 import numpy as np
 
-from .braiding import (
-    braidable,
-    build_G_braiding,
-    equivariant_count,
-    verify_G_braiding,
-    verify_reverse_braiding,
-)
+from .braiding import braidable, build_G_braiding, certify, equivariant_count
 from .center import (
     HalfBraiding,
     center_report_dict,
     extract_simples,
     hom_center,
     tensor_half_braidings,
-    verify_half_braiding,
 )
 from .fusion_core import (
     DataError,
@@ -191,6 +185,10 @@ def _fmt(x: float) -> str:
     return f"{x:.3e}"
 
 
+def _status(ok: bool | None) -> str:
+    return "skipped" if ok is None else "ok" if ok else "FAIL"
+
+
 # ---------------------------------------------------------------------------
 # morphism (de)serialization for report files
 
@@ -261,39 +259,27 @@ def _extract_family(tube, grades, seed: int, tol: float):
 
 
 def _fusion_section(fam: list[HalfBraiding]) -> dict:
-    """Fusion multiplicities of the center family, with the dimension check
-
-    sum_k N_ij^k d_k = d_i d_j  (valid because the family is fusion-closed).
-    """
-    qd = {x.name: x.qdim() for x in fam}
+    """Fusion multiplicities N_xy^z of the center family and its quantum
+    dimensions; `certify` reads the table's closure residual."""
     table: dict = {}
-    worst = 0.0
     for x in fam:
         row = {}
         for y in fam:
             t = tensor_half_braidings(x, y)
-            s = 0.0
-            entry = {}
-            for z in fam:
-                n = hom_center(t, z)[0]
-                if n:
-                    entry[z.name] = n
-                s += n * qd[z.name]
-            row[y.name] = entry
-            worst = residual_max(worst, abs(s - qd[x.name] * qd[y.name]))
+            row[y.name] = {z.name: n for z in fam if (n := hom_center(t, z)[0])}
         table[x.name] = row
-    return {"table": table, "qdims": qd, "closure_residual": worst}
+    return {"table": table, "qdims": {x.name: x.qdim() for x in fam}}
 
 
-def _braiding_section(fam: list[HalfBraiding], tol: float) -> dict:
+def _braiding_section(fam: list[HalfBraiding]):
+    """The braidings of member pairs, keyed by their indices in `fam`, and
+    the report entries that serialise them."""
     pairwise = {(i, j): build_G_braiding(x, y)
                 for i, x in enumerate(fam) for j, y in enumerate(fam)
                 if braidable(y)}
     entries = {f"{fam[i].name}|{fam[j].name}": _ser_mor(B)
                for (i, j), B in pairwise.items()}
-    summary = verify_G_braiding(fam, pairwise, tol)
-    reverse = verify_reverse_braiding(fam, tol)
-    return {"entries": entries, "summary": summary, "reverse": reverse}
+    return pairwise, entries
 
 
 def _simple_data_section(fam: list[HalfBraiding]) -> dict:
@@ -309,7 +295,7 @@ def _simple_data_section(fam: list[HalfBraiding]) -> dict:
     return out
 
 
-def _print_center_tables(rep: dict, fusion: dict, braiding: dict) -> None:
+def _print_center_tables(rep: dict, verdict: dict) -> None:
     for gname, gdata in rep["grades"].items():
         print(f"grade {gname}: dim {gdata['dim']}, "
               f"blocks {gdata['block_ranks']}, "
@@ -324,12 +310,12 @@ def _print_center_tables(rep: dict, fusion: dict, braiding: dict) -> None:
     print()
     _print_table(["simple", "grade", "object", "qdim", "residual", "status"], rows)
     print()
-    summ = braiding["summary"]
+    summ, rev, family = verdict["forward"], verdict["reverse"], verdict["family"]
     rows = [[key, _fmt(summ[key])] for _, keys in BF_GROUPS for key in keys]
-    reverse = [v for k, v in braiding["reverse"].items()
-               if isinstance(v, float) and k != "tol"]
-    rows.append(["reverse", _fmt(residual_max(*reverse))])
-    rows.append(["fusion closure", _fmt(fusion["closure_residual"])])
+    rows.append(["reverse", _fmt(residual_max(rev["inversion"], rev["membership"]))])
+    rows.append(["fusion closure", _fmt(verdict["closure_residual"])])
+    rows.append(["family schur", _fmt(family["schur_defect"])])
+    rows.append(["family dim", _fmt(family["dim_residual"])])
     _print_table(["braiding check", "residual"], rows)
 
 
@@ -424,23 +410,20 @@ def _center_payload(args, tube, seed: int, tol: float):
     decs, simples, fam = _extract_family(tube, grades, seed, tol)
     rep = center_report_dict(tube, decs, simples, tol)
     fusion = _fusion_section(fam)
-    braiding = _braiding_section(fam, tol)
+    pairwise, entries = _braiding_section(fam)
+    verdict = certify(fam, pairwise, fusion["table"], tol, args.grade is None)
+    fusion["closure_residual"] = verdict["closure_residual"]
     payload = _header(args, seed, tol)
     payload.update(rep)
-    payload["input"] = args.input
     payload["family"] = [x.name for x in fam]
     payload["simple_data"] = _simple_data_section(fam)
     payload["fusion"] = fusion
-    payload["braiding"] = braiding["entries"]
-    payload["braiding_summary"] = braiding["summary"]
-    payload["reverse_summary"] = braiding["reverse"]
-    ok = (all(s["pass"] for gd in rep["grades"].values() for s in gd["simples"])
-          and braiding["summary"]["pass"] and braiding["reverse"]["pass"])
-    # the dimension-closure identity only holds for the full, fusion-closed
-    # family, so it does not gate a grade-filtered run
-    if args.grade is None:
-        ok = ok and fusion["closure_residual"] < max(tol, 1e-6)
-    return payload, rep, fusion, braiding, fam, ok
+    payload["braiding"] = entries
+    payload["braiding_summary"] = verdict["forward"]
+    payload["reverse_summary"] = verdict["reverse"]
+    payload["family_gate"] = verdict["family"]
+    payload["pass"] = verdict["pass"]
+    return payload, verdict, fam
 
 
 def cmd_center(args) -> int:
@@ -449,15 +432,13 @@ def cmd_center(args) -> int:
     seed = _resolve_seed(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
 
-    payload, rep, fusion, braiding, fam, ok = _center_payload(
-        args, tube, seed, tol)
+    payload, verdict, _ = _center_payload(args, tube, seed, tol)
     print(f"relative center of {tube.cat.name} over loops "
           f"{[tube.cat.label_name(x) for x in tube.loop_labels]}: "
           f"{payload['simple_count']} simples")
-    _print_center_tables(rep, fusion, braiding)
-    payload["pass"] = ok
+    _print_center_tables(payload, verdict)
     _write_json(args.json, payload)
-    if not ok:
+    if not payload["pass"]:
         print("FAIL: extracted center data is inconsistent", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_PASS
@@ -469,11 +450,10 @@ def cmd_gcenter(args) -> int:
     seed = _resolve_seed(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
 
-    payload, rep, fusion, braiding, fam, ok = _center_payload(
-        args, tube, seed, tol)
+    payload, verdict, fam = _center_payload(args, tube, seed, tol)
     print(f"twisted center of {cat2.name} under the order-{cat2.group.order} "
           f"action {act.name!r}: {payload['simple_count']} simples")
-    _print_center_tables(rep, fusion, braiding)
+    _print_center_tables(payload, verdict)
 
     # compare against the plain tube of the crossed extension
     ext = build_crossed_extension(cat2, act)
@@ -483,7 +463,8 @@ def cmd_gcenter(args) -> int:
     print(f"\ncrossed-extension comparison ({ext.name}): "
           f"max deviation {_fmt(iso['max_deviation'])} "
           f"[{'ok' if iso['pass'] else 'FAIL'}]")
-    ok = ok and iso["pass"]
+    # the tubes are not in the report, so this is the one check outside certify
+    payload["pass"] = verdict["pass"] and iso["pass"]
 
     # equivariant count only makes sense over the full family
     if not args.grade:
@@ -500,9 +481,8 @@ def cmd_gcenter(args) -> int:
               f"(from {len(cnt['orbits'])} orbits; assumes vanishing "
               f"stabilizer obstruction)")
 
-    payload["pass"] = ok
     _write_json(args.json, payload)
-    if not ok:
+    if not payload["pass"]:
         print("FAIL: twisted-center data is inconsistent", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_PASS
@@ -569,34 +549,48 @@ def cmd_braid_check(args) -> int:
                             f"wrong endpoints for its simples")
         pairwise[(i, j)] = B
 
-    rows = []
-    for x in fam:
-        chk = verify_half_braiding(x, tol)
-        rows.append([x.name, _fmt(chk["max_residual"]),
-                     "ok" if chk["pass"] else "FAIL"])
+    try:
+        table = data["fusion"]["table"]
+        fusion = {x: {y: {z: operator.index(n) for z, n in table[x][y].items()}
+                      for y in pos} for x in pos}
+    except (KeyError, TypeError, AttributeError) as e:
+        raise DataError(f"schema mismatch in the fusion table: {e!r}") from None
+    full = data.get("grade") is None
+    verdict = certify(fam, pairwise, fusion, tol, full)
+    half, sweep = verdict["half"], verdict["forward"]
+    rev, closure, family = verdict["reverse"], verdict["closure_residual"], verdict["family"]
     print("half-braiding data:")
-    _print_table(["simple", "residual", "status"], rows)
-    half_ok = all(r[2] == "ok" for r in rows)
+    _print_table(["simple", "residual", "status"],
+                 [[x.name, _fmt(h["max_residual"]), _status(h["pass"])]
+                  for x, h in zip(fam, half)])
 
-    sweep = verify_G_braiding(fam, pairwise, tol)
     print("\nbraiding axioms on the supplied entries:")
     axioms = {bf: residual_max(*(sweep[k] for k in keys)) for bf, keys in BF_GROUPS}
+    rows = [[bf, "+".join(keys), axioms[bf], axioms[bf] < tol] for bf, keys in BF_GROUPS]
+    # the gates past the sweep, under names as short as the BF ones
+    gate, schur, dim = family["tol"], family["schur_defect"], family["dim_residual"]
+    rows += [["rev", "inversion+membership",
+              residual_max(rev["inversion"], rev["membership"]), rev["pass"]],
+             ["fus", "closure_residual", closure, closure < gate if full else None],
+             ["Schur", "schur_defect", schur, schur == 0],
+             ["dim", "dim_residual", dim, dim < gate if full else None]]
     _print_table(["axiom", "checks", "residual", "status"],
-                 [[bf, "+".join(keys), _fmt(axioms[bf]),
-                   "ok" if axioms[bf] < tol else "FAIL"] for bf, keys in BF_GROUPS])
+                 [[a, keys, _fmt(v), _status(ok)] for a, keys, v, ok in rows])
 
-    ok = half_ok and sweep["pass"]
     seed = _resolve_seed(args)
     payload = _header(args, seed, tol)
     payload.update({
-        "halfbraiding_residuals": {x.name: float(r[1]) for x, r in zip(fam, rows)},
+        "halfbraiding_residuals": {x.name: h["max_residual"] for x, h in zip(fam, half)},
         "axioms": axioms,
         "sweep": sweep,
-        "pass": ok,
+        "reverse": rev,
+        "closure_residual": closure,
+        "family_gate": family,
+        "pass": verdict["pass"],
     })
     _write_json(args.json, payload)
-    if not ok:
-        print("FAIL: supplied braiding data violates the axioms", file=sys.stderr)
+    if not verdict["pass"]:
+        print("FAIL: the report fails the center checks", file=sys.stderr)
         return EXIT_DATA
     return EXIT_PASS
 

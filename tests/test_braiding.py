@@ -22,7 +22,7 @@ from gct import (
     verify_reverse_braiding,
 )
 from conftest import _supplied
-from gct.braiding import _unitarity_defect
+from gct.braiding import _family_gate, _unitarity_defect
 from gct.center import center_hom_residual, unit_loop_E
 from gct.fusion_core import ValidationError
 from gct.morphisms import Mor, residual_max, vobj_tensor
@@ -51,8 +51,8 @@ def test_reverse_sweep_passes(braid_reports, key):
     assert rep["pass"], rep
     assert rep["inversion"] < 1e-8
     assert rep["membership"] < 1e-8
-    assert rep["double_reverse"] < 1e-8
     assert rep["checked"] > 0
+    assert set(rep) == {"inversion", "membership", "checked", "tol", "pass"}
 
 
 def test_braiding_endpoints_and_unitarity(fib_center):
@@ -171,8 +171,7 @@ def test_non_finite_half_braiding_fails_the_reverse_sweep(fib_center):
     bad = HalfBraiding(good.cat, good.obj, good.grade, E, name=good.name)
     rep = verify_reverse_braiding(fam[:-1] + [bad])
     assert not rep["pass"]
-    assert any(np.isnan(rep[k]) for k in ("inversion", "membership",
-                                           "double_reverse", "unit_rows"))
+    assert any(np.isnan(rep[k]) for k in ("inversion", "membership"))
 
 
 def test_braiding_respects_hom_multiplicities(z2_center):
@@ -309,8 +308,7 @@ def _per_triple_sweep(simples, pairwise):
     forward.update({"counts": counts, "max_residual": worst, "tol": 1e-8,
                     "pass": bool(worst < 1e-8)})
 
-    rev = {"inversion": 0.0, "membership": 0.0, "double_reverse": 0.0,
-           "unit_rows": 0.0}
+    rev = {"inversion": 0.0, "membership": 0.0}
     n = 0
     for x in fam:
         if act is None and x.grade != grp.neutral:
@@ -324,14 +322,7 @@ def _per_triple_sweep(simples, pairwise):
                 back.diff_norm(eng.identity(vobj_tensor(x.obj, y.obj))))
             rev["membership"] = residual_max(rev["membership"], center_hom_residual(
                 tensor_half_braidings(x, y), tensor_half_braidings(y, xm), Rv))
-            if act is not None or y.grade == grp.neutral:
-                ym = y if act is None else g_action_on_center(y, x.grade)
-                rev["double_reverse"] = residual_max(
-                    rev["double_reverse"],
-                    reverse_braiding(ym, x).H.diff_norm(build_G_braiding(x, y)))
             n += 1
-        rev["unit_rows"] = residual_max(rev["unit_rows"], reverse_braiding(
-            x, unit_hb).diff_norm(unit_loop_E(eng, x.obj)))
     worst = residual_max(*rev.values())
     reverse = dict(rev)
     reverse.update({"checked": n, "tol": 1e-8, "pass": bool(worst < 1e-8)})
@@ -387,3 +378,26 @@ def test_a_one_ulp_entry_keys_its_own_column(s3_center, braid_reports):
     forward, _ = _per_triple_sweep(fam, pairwise)
     assert forward != braid_reports["vec_s3"]["forward"]
     assert verify_G_braiding(fam, pairwise) == forward
+
+
+def test_family_gate_reads_schur_and_the_center_dimension(fib_center, z3_twisted):
+    """dim Z(Fib) = (1 + phi^2)^2 from the golden ratio, and the twisted
+    center of Vec_Z3 under Z2 has dimension 3 * 2 * 3.  A family short of
+    one simple passes only when it is not meant to be full, and a twin of
+    a member breaks Schur orthogonality."""
+    fam = fib_center["fam"]
+    phi = (1 + 5 ** 0.5) / 2
+    gate = _family_gate(fam, 1e-6, True)
+    assert gate["pass"] and gate["schur_defect"] == 0
+    assert gate["center_dim"] == pytest.approx((1 + phi ** 2) ** 2, abs=1e-12)
+    assert gate["dim_residual"] < 1e-9
+    short = _family_gate(fam[:-1], 1e-6, True)
+    assert not short["pass"] and short["schur_defect"] == 0
+    assert short["dim_residual"] > 1.0
+    assert _family_gate(fam[:-1], 1e-6, False)["pass"]
+    x = fam[0]
+    twin = HalfBraiding(x.cat, x.obj, x.grade, dict(x.E), name="twin")
+    twice = _family_gate(fam + [twin], 1e-6, False)
+    assert not twice["pass"] and twice["schur_defect"] == 1
+    twisted = _family_gate(z3_twisted["fam"], 1e-6, True)
+    assert twisted["pass"] and twisted["center_dim"] == 18.0

@@ -270,16 +270,18 @@ def test_center_tables_show_a_nan_closure_and_reverse_residual(fib_center, braid
     """Python's max(0.0, nan) is 0.0, so a NaN put into the fusion closure
     or a reverse residual read as a finite cell, not as nan."""
     from gct import HalfBraiding
+    from gct.braiding import _closure_residual, _family_gate
     fam = fib_center["fam"]
     last = fam[-1]
     bad = HalfBraiding(last.cat, last.obj, last.grade, dict(last.E), name=last.name)
     bad.qdim = lambda: float("nan")
-    fusion = gct.cli._fusion_section(fam[:-1] + [bad])
-    assert np.isnan(fusion["closure_residual"])
+    closure = _closure_residual(fam[:-1] + [bad], gct.cli._fusion_section(fam)["table"])
+    assert np.isnan(closure)
     reverse = dict(braid_reports["fib"]["reverse"], membership=float("nan"))
-    gct.cli._print_center_tables({"grades": {}}, fusion,
-                                 {"summary": braid_reports["fib"]["forward"],
-                                  "reverse": reverse})
+    gct.cli._print_center_tables({"grades": {}},
+                                 {"forward": braid_reports["fib"]["forward"],
+                                  "reverse": reverse, "closure_residual": closure,
+                                  "family": _family_gate(fam, 1e-6, True)})
     cells = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines()
                  if line.strip())
     assert cells["reverse"] == "nan"
@@ -491,6 +493,7 @@ def test_center_payload_is_the_same_on_warm_caches(name):
     run's family then meets every memo on its objects (E-extensions,
     verdicts, homs, products).  All of it must give the same JSON."""
     from gct import build_tube, load_category
+    from gct.braiding import certify
     from gct.cli import (_braiding_section, _build_parser, _center_payload,
                          _context, _fusion_section)
 
@@ -504,12 +507,15 @@ def test_center_payload_is_the_same_on_warm_caches(name):
     def dump(obj):
         return json.dumps(obj, sort_keys=True)
 
-    first, _, fusion, braiding, fam, ok = _center_payload(args, tube, 7, tol)
-    assert ok
+    first, verdict, fam = _center_payload(args, tube, 7, tol)
+    assert first["pass"]
     second = _center_payload(args, tube, 7, tol)[0]
     assert dump(second) == dump(first)
-    assert dump(_fusion_section(fam)) == dump(fusion)
-    assert dump(_braiding_section(fam, tol)) == dump(braiding)
+    table = _fusion_section(fam)["table"]
+    assert dump(table) == dump(first["fusion"]["table"])
+    pairwise, entries = _braiding_section(fam)
+    assert dump(entries) == dump(first["braiding"])
+    assert dump(certify(fam, pairwise, table, tol, True)) == dump(verdict)
 
 
 def test_seed_env_var_is_honoured(tmp_path):
@@ -559,8 +565,26 @@ def test_braid_check_reaches_the_verdict_of_the_report(request, report, tmp_path
     out = tmp_path / "check.json"
     res = run_cli("braid-check", str(path), "--json", str(out))
     assert res.returncode == 0, res.stderr
-    sweep = json.loads(out.read_text())["sweep"]
-    assert sweep == json.loads(path.read_text())["braiding_summary"]
+    check, data = json.loads(out.read_text()), json.loads(path.read_text())
+    assert check["sweep"] == data["braiding_summary"]
+    assert check["reverse"] == data["reverse_summary"]
+    assert check["family_gate"] == data["family_gate"]
+    assert check["closure_residual"] == data["fusion"]["closure_residual"]
+    assert check["pass"] is data["pass"] is True
+
+
+def test_braid_check_stores_the_exact_half_braiding_residuals(fib_report, tmp_path):
+    """Not the 4 significant digits of the printed cell: the residuals equal
+    those of the center report's simples, float for float."""
+    out = tmp_path / "check.json"
+    res = run_cli("braid-check", str(fib_report), "--json", str(out))
+    assert res.returncode == 0, res.stderr
+    got = json.loads(out.read_text())["halfbraiding_residuals"]
+    data = json.loads(fib_report.read_text())
+    want = {s["name"]: s["residual"] for gd in data["grades"].values()
+            for s in gd["simples"]}
+    assert got == want
+    assert any(r != float(f"{r:.3e}") for r in got.values())
 
 
 def test_braid_check_flags_sign_flip(ising_report, tmp_path):
@@ -677,3 +701,43 @@ def test_braid_check_rejects_non_report(tmp_path):
     notrep.write_text(json.dumps({"hello": "world"}))
     res = run_cli("braid-check", str(notrep))
     assert res.returncode == 2
+
+
+def _gate_tool():
+    """tools/report_gate.py, whose MUTATIONS edit a center report."""
+    import importlib.util
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "report_gate.py")
+    spec = importlib.util.spec_from_file_location("report_gate", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("edit,args,schur,dim", [
+    ("_dropped", (), "ok", "FAIL"),
+    ("_duplicated", (), "FAIL", "FAIL"),
+    ("_duplicated", ("e:1", "e:0"), "FAIL", "ok"),
+], ids=["dropped", "duplicated", "twin"])
+def test_braid_check_refuses_a_family_that_is_not_the_center(fib_report, tmp_path,
+                                                             edit, args, schur, dim):
+    """Z(Fib) with e:3 dropped from the family, its data and every entry
+    that names it; with e:3's data and entries replaced by e:0's; and with
+    e:1's replaced by those of e:0, which has the same object and
+    dimension.  Every stored map still passes the sweep.  The dimensions
+    sum to less than dim Z(Fib) in the first two, and a copy breaks Schur
+    orthogonality; the twin keeps every dimension and the fusion closure,
+    so only Schur sees it."""
+    data = json.loads(fib_report.read_text())
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(getattr(_gate_tool(), edit)(data, *args)))
+    out = tmp_path / "check.json"
+    res = run_cli("braid-check", str(bad), "--json", str(out))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    check = json.loads(out.read_text())
+    assert check["pass"] is False and check["sweep"]["pass"] is True
+    assert check["family_gate"]["schur_defect"] == (schur == "FAIL")
+    assert (check["family_gate"]["dim_residual"] > 1.0) == (dim == "FAIL")
+    rows = {ln.split()[0]: ln.split()[-1] for ln in res.stdout.splitlines()[-4:]}
+    assert (rows["Schur"], rows["dim"]) == (schur, dim)

@@ -6,8 +6,10 @@ Runs `verify`, `tube` and `center` on every bundled category, the
 `--subcat all`, `--grade` and `--action` variants, `tube` and `center` with
 the refused `--subcat 1` on ising, the refused `center --action inversion` on
 vec_z3 and `verify --grade zz` on ising, `tube` and `verify` on a generated
-Vec_Z8 (from perfbench/gen_vec_zn.py), and `braid-check` of every center
-report.  Every run uses seed 1 and one BLAS thread, and runs the gct of the
+Vec_Z8 (from perfbench/gen_vec_zn.py), `braid-check` of every center
+report, and `braid-check` of two edits of the fib center report: one with
+the simple e:3 dropped, one with e:3's data and entries replaced by e:0's
+(see `MUTATIONS`).  Every run uses seed 1 and one BLAS thread, and runs the gct of the
 checkout this script lives in.  For each run, OUTDIR/<run>/ holds
 `exit_code`, `stdout`, `stderr` and `report.json` (when the run wrote one).
 The inputs are copied to OUTDIR/inputs and every path is relative to OUTDIR,
@@ -17,6 +19,7 @@ so the outputs of two checkouts can be compared with `diff -r`.
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -45,6 +48,43 @@ RUNS = (
         ("verify-vec_z8", "verify", "vec_z8", ()),
         ("tube-vec_z8", "tube", "vec_z8", ()),
     ]
+)
+
+
+def _dropped(node, name: str = "e:3"):
+    """A copy of a report with every entry that names simple `name` left
+    out: dict keys (pair keys `x|y` included), list items and list items
+    that are dicts with that "name"."""
+    if isinstance(node, dict):
+        return {k: _dropped(v, name) for k, v in node.items()
+                if name not in k.split("|")}
+    if isinstance(node, list):
+        return [_dropped(v, name) for v in node if v != name
+                and not (isinstance(v, dict) and v.get("name") == name)]
+    return node
+
+
+def _duplicated(report: dict, name: str = "e:3", source: str = "e:0") -> dict:
+    """A copy of a report whose simple `name` carries the data of `source`:
+    its E-data, and every braiding entry and fusion-table entry of a pair
+    that names it holds the one of the pair with `source` in its place."""
+    out = json.loads(json.dumps(report))
+    swap = {name: source}
+    out["simple_data"][name] = out["simple_data"][source]
+    for key in out["braiding"]:
+        a, b = key.split("|")
+        out["braiding"][key] = report["braiding"][f"{swap.get(a, a)}|{swap.get(b, b)}"]
+    table = out["fusion"]["table"]
+    for a in table:
+        for b in table[a]:
+            table[a][b] = report["fusion"]["table"][swap.get(a, a)][swap.get(b, b)]
+    return out
+
+
+# (run name, center run whose report is edited, edit)
+MUTATIONS = (
+    ("braid-check-center-fib-dropped", "center-fib", _dropped),
+    ("braid-check-center-fib-duplicated", "center-fib", _duplicated),
 )
 
 
@@ -94,6 +134,15 @@ def main(argv: list) -> int:
     for run in reports:
         check = f"braid-check-{run}"
         code = _run(out, env, check, ["braid-check", os.path.join(run, "report.json")])
+        print(f"{code}  {check}")
+    for check, run, edit in MUTATIONS:
+        with open(os.path.join(out, run, "report.json")) as fh:
+            report = json.load(fh)
+        os.makedirs(os.path.join(out, check), exist_ok=True)
+        edited = os.path.join(check, "input.json")
+        with open(os.path.join(out, edited), "w") as fh:
+            json.dump(edit(report), fh, indent=1, sort_keys=True)
+        code = _run(out, env, check, ["braid-check", edited])
         print(f"{code}  {check}")
     return 0
 
