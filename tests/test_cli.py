@@ -674,6 +674,20 @@ def test_braid_check_refuses_a_malformed_matrix_entry(fib_report, tmp_path, entr
     _one_line_error(run_cli("braid-check", str(bad)), "schema mismatch", "'e:3|e:3'")
 
 
+@pytest.mark.parametrize("edit", ["missing", "string", "float"])
+def test_braid_check_refuses_a_malformed_fusion_table(fib_report, tmp_path, edit):
+    """The closure residual is read off the stored fusion table, so a
+    missing table or a multiplicity that is no integer is refused."""
+    data = json.loads(fib_report.read_text())
+    if edit == "missing":
+        del data["fusion"]
+    else:
+        data["fusion"]["table"]["e:2"]["e:2"]["e:2"] = "1" if edit == "string" else 1.0
+    bad = tmp_path / "fusion.json"
+    bad.write_text(json.dumps(data))
+    _one_line_error(run_cli("braid-check", str(bad)), "schema mismatch in the fusion table")
+
+
 def test_braid_check_rejects_empty_map(ising_report, tmp_path):
     data = json.loads(ising_report.read_text())
     data["braiding"] = {}

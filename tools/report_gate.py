@@ -7,10 +7,9 @@ Runs `verify`, `tube` and `center` on every bundled category, the
 the refused `--subcat 1` on ising, the refused `center --action inversion` on
 vec_z3 and `verify --grade zz` on ising, `tube` and `verify` on a generated
 Vec_Z8 (from perfbench/gen_vec_zn.py), `braid-check` of every center
-report, and `braid-check` of two edits of the fib center report: one with
-the simple e:3 dropped, one with e:3's data and entries replaced by e:0's
-(see `MUTATIONS`).  Every run uses seed 1 and one BLAS thread, and runs the gct of the
-checkout this script lives in.  For each run, OUTDIR/<run>/ holds
+report, and `braid-check` of two edits of the fib center report (see
+`MUTATIONS`).  Every run uses seed 1 and one BLAS thread, and runs the gct
+of the checkout this script lives in.  For each run, OUTDIR/<run>/ holds
 `exit_code`, `stdout`, `stderr` and `report.json` (when the run wrote one).
 The inputs are copied to OUTDIR/inputs and every path is relative to OUTDIR,
 so the outputs of two checkouts can be compared with `diff -r`.
@@ -52,9 +51,9 @@ RUNS = (
 
 
 def _dropped(node, name: str = "e:3"):
-    """A copy of a report with every entry that names simple `name` left
-    out: dict keys (pair keys `x|y` included), list items and list items
-    that are dicts with that "name"."""
+    """A copy of a report without simple `name`: every dict key that names
+    it (pair keys `x|y` included) goes, and every list item that is the
+    name or a dict with that "name"."""
     if isinstance(node, dict):
         return {k: _dropped(v, name) for k, v in node.items()
                 if name not in k.split("|")}
@@ -81,7 +80,8 @@ def _duplicated(report: dict, name: str = "e:3", source: str = "e:0") -> dict:
     return out
 
 
-# (run name, center run whose report is edited, edit)
+# (run name, center run whose report is edited, edit); braid-check must
+# refuse both: e:3 dropped, and e:3 carrying the data of e:0
 MUTATIONS = (
     ("braid-check-center-fib-dropped", "center-fib", _dropped),
     ("braid-check-center-fib-duplicated", "center-fib", _duplicated),
