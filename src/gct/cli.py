@@ -388,14 +388,16 @@ def cmd_tube(args) -> int:
     rows, dumps = [], {}
     for g in grades:
         dec = decompose(tube, g, seed=seed)
+        ranks = dec.block_ranks()
         rows.append([tube.grade_name(g), dec.dim, dec.center_dim,
-                     dec.block_ranks(), len(dec.blocks)])
+                     ", ".join(f"{ranks.count(r)} of rank {r}" for r in sorted(set(ranks)))
+                     or "-", len(dec.blocks)])
         dumps[tube.grade_name(g)] = decomposition_dict(dec, tube)
 
     print(f"tube algebra of {tube.cat.name} ({tube.kind}), "
           f"loops {[tube.cat.label_name(x) for x in tube.loop_labels]}, "
           f"dim {tube.dim}")
-    _print_table(["grade", "dim", "center", "block ranks", "simples"], rows)
+    _print_table(["grade", "dim", "center", "blocks", "simples"], rows)
 
     payload = _header(args, seed, tol)
     payload.update(tube_dump_dict(tube, seed=seed, tol=tol))
@@ -557,6 +559,7 @@ def cmd_braid_check(args) -> int:
         raise DataError(f"schema mismatch in the fusion table: {e!r}") from None
     full = data.get("grade") is None
     verdict = certify(fam, pairwise, fusion, tol, full)
+    stale = _stale_fields(data, fam)
     half, sweep = verdict["half"], verdict["forward"]
     rev, closure, family = verdict["reverse"], verdict["closure_residual"], verdict["family"]
     print("half-braiding data:")
@@ -576,6 +579,9 @@ def cmd_braid_check(args) -> int:
              ["dim", "dim_residual", dim, dim < gate if full else None]]
     _print_table(["axiom", "checks", "residual", "status"],
                  [[a, keys, _fmt(v), _status(ok)] for a, keys, v, ok in rows])
+    if stale:
+        print("\nreport fields that differ from the rebuilt family:")
+        _print_table(["field", "differing", "first (stored != rebuilt)"], stale)
 
     seed = _resolve_seed(args)
     payload = _header(args, seed, tol)
@@ -586,13 +592,58 @@ def cmd_braid_check(args) -> int:
         "reverse": rev,
         "closure_residual": closure,
         "family_gate": family,
-        "pass": verdict["pass"],
+        "pass": verdict["pass"] and not stale,
     })
+    if stale:
+        payload["stale_fields"] = {field: n for field, n, _ in stale}
     _write_json(args.json, payload)
-    if not verdict["pass"]:
+    if not payload["pass"]:
         print("FAIL: the report fails the center checks", file=sys.stderr)
         return EXIT_DATA
     return EXIT_PASS
+
+
+def _stale_fields(data: dict, fam: list[HalfBraiding]) -> list:
+    """The stored fields that `certify` does not read, against the rebuilt
+    family: `hom_table` against the family gate's Schur entries (memo hits
+    after `certify`), `fusion.qdims` and each simple's name, qdim and
+    object under `grades`.  One row [field, differing leaves, the first of
+    them] per field that differs."""
+    rebuilt = {
+        "hom_table": {x.name: {y.name: hom_center(x, y)[0] for y in fam} for x in fam},
+        "fusion.qdims": {x.name: x.qdim() for x in fam},
+        "grades": [{"name": x.name, "qdim": x.qdim(),
+                    "object": {x.cat.label_name(a): n
+                               for a, n in sorted(x.multiplicities().items())}}
+                   for x in fam],
+    }
+    try:
+        stored = {
+            "hom_table": data["hom_table"],
+            "fusion.qdims": data["fusion"]["qdims"],
+            "grades": [{key: s[key] for key in ("name", "qdim", "object")}
+                       for gd in data["grades"].values() for s in gd["simples"]],
+        }
+    except (KeyError, TypeError, AttributeError) as e:
+        raise DataError(f"schema mismatch in the stored center data: {e!r}") from None
+    rows = []
+    for field, want in rebuilt.items():
+        got, want = dict(_leaves(stored[field])), dict(_leaves(want))
+        bad = sorted(p for p in got.keys() | want.keys()
+                     if p not in got or p not in want or got[p] != want[p])
+        if bad:
+            rows.append([field, len(bad),
+                         f"{bad[0]}: {got.get(bad[0], '-')} != {want.get(bad[0], '-')}"])
+    return rows
+
+
+def _leaves(node, path: str = ""):
+    """(path, value) for every leaf of nested dicts and lists."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, f"{path}/{key}")
+    else:
+        yield path, node
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,11 @@ class GradedCategory:
         out = self.F.get(key)
         return np.eye(nl, dtype=complex) if out is None else out
 
+    @memo
+    def f_entries(self) -> "_Pentagon":
+        """Every F entry, addressed by fusion vertices (see `_Pentagon`)."""
+        return _Pentagon(self)
+
     # -- misc ---------------------------------------------------------------
 
     def dims_product(self, word: tuple[int, ...]) -> float:

@@ -21,15 +21,21 @@ rtens(T'^*, c) ltens(x', Y) rtens(X, y) ltens(a, T), summed over T in
 onb(z, x y) with T' its transport (which keeps the multiplicity index of
 T).  Both rtens factors are re-indexings and each ltens is one F-move, so
 on each output channel d the constants are read in closed form off three
-F-blocks: F^{a x y}_d, F^{x' b y}_d and F^{x' y' c}_d.  `_fill_constants`
-evaluates each chained block C[x: a -> b, y: b -> c, z: a -> c] this way,
-batched over blocks of one shape, and builds no morphism.  The constants
-read F only through these blocks, so they equal the splice on any F data,
-also data that fail the pentagon; the splice itself is kept only as the
-oracle of the tests.  The star is still bent from morphisms, one
-`star_mor` per basis element.  `decompose` computes the block structure
-(minimal central projections, block ranks, corner multiplicities) of one
-graded component.
+F-blocks: F^{a x y}_d, F^{x' b y}_d and F^{x' y' c}_d.  The star of X is
+(xbar' a Rbar^*)(xbar' X^* xbar)(R b xbar) with R : 1 -> xbar' x' and
+Rbar : 1 -> x xbar from `conjugates(x)` (R transported in the twisted
+flavour); on channel d of b xbar it is r conj(rbar) times entries of
+F^{xbar' a x}_b, F^{xbar' x' b}_b and F^{d x xbar}_d, with r and rbar the
+coefficients of R and Rbar.  Both fills expand every term over the basis
+with array arithmetic, gather its F entries by fusion vertices from the
+category's F-entry table (`GradedCategory.f_entries`) and sum them into the
+ideals; they build no morphism.  The constants read F only through their
+blocks, so they equal the splice on any F data, also data that fail the
+pentagon.  The star moves F once where the tree engine's bend factors
+xbar' a x xbar letter by letter, so the two agree up to rounding where the
+pentagon holds.  The splice and the bend are kept only as the oracles of
+the tests.  `decompose` computes the block structure (minimal central
+projections, block ranks, corner multiplicities) of one graded component.
 
 Each graded component is a direct sum of two-sided *-ideals, one per
 connected component of its outer-label graph, in which an element p -> r
@@ -63,17 +69,18 @@ sides.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
 
-from ._memo import memo
 from .fusion_core import (
     GradedCategory,
     GroupAction,
     InternalCheckError,
     ValidationError,
+    _before,
+    _fan,
+    _runs,
     verify_action,
 )
 from .morphisms import Mor, engine_for, residual_max
@@ -183,15 +190,14 @@ class TubeAlgebra:
                     for r in outers:
                         for c, m in channels:
                             n = int(N[tl, r, c])
-                            basis.extend(TubeBasisElement(g, x, p, r, c, i, j)
+                            basis.extend((g, x, p, r, c, i, j)
                                          for i in range(m) for j in range(n))
         basis.sort()
-        self.basis = basis
+        self.basis = [TubeBasisElement(*e) for e in basis]
         self.dim = len(basis)
-        self.index = {e: k for k, e in enumerate(basis)}
-        self.grade_of = np.array([e.grade for e in basis], dtype=int)
-        self.source_of = np.array([e.source_outer for e in basis], dtype=int)
-        self.target_of = np.array([e.target_outer for e in basis], dtype=int)
+        self.index = {e: k for k, e in enumerate(self.basis)}
+        self._fields = np.array(basis, dtype=int).reshape(-1, 7).T
+        self.grade_of, _, self.source_of, self.target_of = self._fields[:4]
         self._find_ideals()
 
     def _find_ideals(self) -> None:
@@ -229,22 +235,6 @@ class TubeAlgebra:
     def grade_name(self, g: int) -> str:
         return self.cat.group.elements[g]
 
-    # ------------------------------------------------------------- star
-
-    def star_mor(self, g: int, X: Mor) -> Mor:
-        """Bend the loop of X : (a x,) -> (x' b,) into (b xbar,) -> (xbar' a,)."""
-        eng = self.eng
-        a, x = X.source[0]
-        b = X.target[0][1]
-        xbar = int(self.cat.dual[x])
-        pair = eng.conjugates(x)
-        R = pair.R if self.action is None else eng.transport(pair.R, g, self.action)
-        xpbar = self.tloop(g, xbar)
-        s1 = eng.drop_units(eng.rtens(R, (b, xbar)), "source", (0,))
-        s2 = eng.rtens(eng.ltens(xpbar, X.H), xbar)
-        s3 = eng.drop_units(eng.ltens((xpbar, a), pair.Rbar.H), "target", (2,))
-        return s3 @ (s2 @ s1)
-
     # ------------------------------------------------------------ fills
 
     def _fill_unit_and_trace(self) -> None:
@@ -263,125 +253,102 @@ class TubeAlgebra:
                 self.unit_coords[k] = 1.0
                 self.trace_vector[k] = float(self.cat.qdim[p])
 
+    def _elements(self) -> tuple:
+        """Per basis element X : a x -> x' b on channel c: its grade, x, x',
+        a, b, c, its vertices (a x -> c; col) and (x' b -> c; row) in the
+        category's F-entry table, and the code of its run (grade, x, a, b),
+        which ascends with the basis."""
+        R, F = self.cat.rank, self.cat.f_entries()
+        g, x, a, b, c, col, row = self._fields
+        xp = x if self.action is None else self.action.perm[g, x]
+        run = ((g * R + x) * R + a) * R + b
+        return g, x, xp, a, b, c, F.at[a, x, c] + col, F.at[xp, b, c] + row, run
+
     def _fill_constants(self) -> None:
-        """Every chained block of the constants from three F-blocks per
-        output channel (see the module docstring).  The basis elements of one
-        (grade, loop, source, target) form a run of consecutive indices, and
-        a block is C[run x: a -> b, run y: b -> c, the runs z: a -> c], all
-        in the ideal of a.  The blocks that start with one loop x are
-        evaluated together, one numpy contraction for all blocks of one
-        shape, and scattered into the ideals' cubes, which are consecutive
-        parts of one array."""
-        sizes = np.array([idl.positions.size for idl in self.ideals])
-        starts = np.concatenate(([0], np.cumsum(sizes ** 3)))
-        local = np.empty(self.dim, dtype=int)
-        for idl in self.ideals:
-            local[idl.positions] = np.arange(idl.positions.size)
-        flat = np.zeros(starts[-1], dtype=complex)
-        runs: dict = {}
-        for k, e in enumerate(self.basis):
-            key = (e.grade, e.loop, e.source_outer, e.target_outer)
-            runs[key] = range(runs[key].start if key in runs else k, k + 1)
-        leaving: dict = {}
-        for (g, y, b, c), sy in runs.items():
-            leaving.setdefault((g, b), []).append((y, c, sy))
-        fsums = _FSums(self.cat)
-        # runs come in basis order, so those of one (grade, loop) are adjacent
-        for (g, x), firsts in itertools.groupby(runs.items(), lambda kv: kv[0][:2]):
-            by_shape: dict = {}
-            for (_, _, a, b), sx in firsts:
-                for y, c, sy in leaving[g, b]:
-                    blk = self._chained_block(fsums, runs, g, x, y, a, b, c, sx, sy)
-                    if blk is not None:
-                        rA, _, _, cB, R = blk[:5]
-                        shape = (len(rA), len(rA[0]), len(cB), len(cB[0]),
-                                 len(R), len(R[0]))
-                        by_shape.setdefault(shape, []).append(blk)
-            for blks in by_shape.values():
-                X, Y, O, vals = _block_values(fsums.flat(), blks)
-                r = self.ideal_of[X[:, :1, None, None]]
-                m = sizes[r]
-                where = (local[X][:, :, None, None] * m
-                         + local[Y][:, None, :, None]) * m + local[O][:, None, None, :]
-                np.put(flat, starts[r] + where, vals)
-        for idl, at, m in zip(self.ideals, starts, sizes):
-            idl.cube = flat[at:at + m ** 3].reshape(m, m, m)
-
-    def _chained_block(self, fsums: _FSums, runs: dict, g: int, x: int,
-                       y: int, a: int, b: int, c: int, sx: range,
-                       sy: range) -> tuple | None:
-        """Where b_X b_Y reads its three F-blocks, for X in Hom(a x, x' b) on
-        the run sx and Y in Hom(b y, y' c) on sy; None if it reaches no
-        element z: a -> c.
-
-        The splice is rtens(T'^*, c) ltens(x', Y) rtens(X, y) ltens(a, T),
-        summed over T in onb(z, x y), with T' the transport of T to
-        Hom(z', x' y'), which keeps its multiplicity index t.  Both rtens
-        factors are re-indexings.  On channel d, ltens(a, T) is column
-        (z, t, .) of A = F^{a x y}_d (right to left coordinates) and
-        ltens(x', Y) is D E_Y B^*, with B = F^{x' b y}_d, D = F^{x' y' c}_d
-        and E_Y the matrix unit of Y on right channels; T'^* reads row
-        (z', t, .) of D.  Returns flat positions into `fsums`, as lists of
-        lists cut to one length: the rows of A [X, nu] and the columns of A
-        [o, t] that T pairs with the rows of D [o, t]; the rows of B [X, nu]
-        that rtens(X, y) pairs with those of A; the columns of B [Y, lam]
-        that E_Y pairs with the columns of D [Y, lam]; then the basis
-        positions of X, Y and the output elements o.
-        """
-        xp, yp = self.tloop(g, x), self.tloop(g, y)
-        rowA, colA, padA = fsums.positions(a, x, y)
-        rowB, colB, padB = fsums.positions(xp, b, y)
-        rowD, colD, padD = fsums.positions(xp, yp, c)
-        R, P, out = [], [], []
-        for z, nt in self.cat.fusion_channels(x, y):
-            so = runs.get((g, z, a, c))
-            if so is None:
-                continue
-            zp = self.tloop(g, z)
-            for e in self.basis[so.start:so.stop]:
-                R.append([rowD[e.channel, zp, t, e.row] for t in range(nt)])
-                P.append([colA[e.channel, z, t, e.col] for t in range(nt)])
-            out.extend(so)
-        if not out:
-            return None
-        Xs = self.basis[sx.start:sx.stop]
-        Ys = self.basis[sy.start:sy.stop]
-        # rtens(X, y) sends row (d, ch, col, nu) of A to row (d, ch, row, nu) of B
-        rA = [[rowA[d, e.channel, e.col, nu] for d, nu in self._pairs(e.channel, y)]
-              for e in Xs]
-        rB = [[rowB[d, e.channel, e.row, nu] for d, nu in self._pairs(e.channel, y)]
-              for e in Xs]
-        # E_Y sends column (d, ch, col, lam) of B to column (d, ch, row, lam) of D
-        cB = [[colB[d, e.channel, e.col, lam] for d, lam in self._pairs(xp, e.channel)]
-              for e in Ys]
-        cD = [[colD[d, e.channel, e.row, lam] for d, lam in self._pairs(xp, e.channel)]
-              for e in Ys]
-        return (_padded(rA, padA[0]), _padded(P, padA[1]),
-                _padded(rB, padB[0]), _padded(cB, padB[1]),
-                _padded(R, padD[0]), _padded(cD, padD[1]), sx, sy, out)
-
-    @memo
-    def _pairs(self, u: int, v: int) -> list:
-        """(d, k) for every channel d of u v and k < N[u, v, d]."""
-        return [(d, k) for d, m in self.cat.fusion_channels(u, v) for k in range(m)]
+        """c[i, j, k] for b_i = X : a x -> x' b, b_j = Y : b y -> y' c and
+        b_k : a z -> z' c on channel d, from three F-blocks (see the module
+        docstring): the sum over nu, lam and t of
+        F^{a x y}_d[(c_i, col_i, nu), (z, t, col_k)]
+        conj(F^{x' b y}_d[(c_i, row_i, nu), (c_j, col_j, lam)])
+        F^{x' y' c}_d[(z', t, row_k), (c_j, row_j, lam)], every term one
+        gather of the F-entry table."""
+        cat, F = self.cat, self.cat.f_entries()
+        N, R = cat.N, cat.rank
+        g, x, xp, a, b, c, vin, vout, run = self._elements()
+        # every chained pair: the elements leaving b in the grade of i
+        key = g * R + a
+        order = np.argsort(key, kind="stable")
+        i, j = _fan(np.searchsorted(key[order], np.arange(cat.group.order * R + 1)),
+                    g * R + b)
+        j = order[j]
+        # every channel (x y -> z; t), then every element z: a -> c
+        p, t = _fan(F.by_pq, x[i] * R + x[j])
+        i, j = i[p], j[p]
+        p, k = _members(run, ((g[i] * R + F.s[t]) * R + a[i]) * R + b[j])
+        i, j, t = i[p], j[p], t[p]
+        d = c[k]
+        nlam = N[xp[i], c[j], d]
+        p, nu = _runs(N[c[i], x[j], d] * nlam)
+        nu, lam = np.divmod(nu, nlam[p])
+        i, j, k, t, d = i[p], j[p], k[p], t[p], d[p]
+        cy = F.at[c[i], x[j], d] + nu
+        xc = F.at[xp[i], c[j], d] + lam
+        zt = F.at[xp[i], xp[j], xp[k]] + F.mu[t]
+        self._store("cube", (i, j, k), np.einsum(
+            "i,i,i->i", F.entry(vin[i], cy, t, vin[k]),
+            np.conj(F.entry(vout[i], cy, vin[j], xc)), F.entry(zt, vout[k], vout[j], xc)))
 
     def _fill_star(self) -> None:
-        """Each ideal's star block, one `star_mor` per basis element.  The
-        star of p -> r runs r -> p, so it stays in the ideal."""
-        for idl in self.ideals:
-            I = idl.positions
-            S = np.zeros((I.size, I.size), dtype=complex)
-            for col, k in enumerate(I.tolist()):
-                e = self.basis[k]
-                Zm = self.star_mor(e.grade, self.element_mor(k))
-                xbar = int(self.cat.dual[e.loop])
-                for c, B in Zm.blocks.items():
-                    for j, i in np.argwhere(np.abs(B) > 0):
-                        elt = TubeBasisElement(
-                            e.grade, xbar, e.target_outer, e.source_outer,
-                            c, int(i), int(j))
-                        S[np.searchsorted(I, self.index[elt]), col] += B[j, i]
-            idl.star = S
+        """S[k, j] for b_j = X : a x -> x' b on channel c and b_k : b xbar ->
+        xbar' a on channel d: the bend of X through the conjugate pair
+        R : 1 -> xbar' x' (transported in the twisted flavour) and
+        Rbar : 1 -> x xbar of x, in closed form.  With r and rbar their
+        coefficients, it is r conj(rbar) times the sum over nu and lam of
+        F^{xbar' a x}_b[(d, row_k, nu), (c, col_j, lam)]
+        conj(F^{xbar' x' b}_b[(1, 0, 0), (c, row_j, lam)])
+        conj(F^{d x xbar}_d[(b, nu, col_k), (1, 0, 0)]).  One `conjugates`
+        solve per loop; the star of p -> r runs r -> p, so it stays in the
+        ideal."""
+        cat, F = self.cat, self.cat.f_entries()
+        N, R, u = cat.N, cat.rank, cat.unit
+        g, x, xp, a, b, c, vin, vout, run = self._elements()
+        coef = np.zeros(R, dtype=complex)
+        for y in self.loop_labels:
+            pair = self.eng.conjugates(y)
+            coef[y] = pair.R.blocks[u][0, 0] * np.conj(pair.Rbar.blocks[u][0, 0])
+        xb = cat.dual[x]
+        xbp = xb if self.action is None else self.action.perm[g, xb]
+        j, k = _members(run, ((g * R + xb) * R + b) * R + a)
+        d = c[k]
+        nlam = N[xbp[j], c[j], b[j]]
+        p, nu = _runs(N[d, x[j], b[j]] * nlam)
+        nu, lam = np.divmod(nu, nlam[p])
+        j, k, d = j[p], k[p], d[p]
+        db = F.at[d, x[j], b[j]] + nu
+        xc = F.at[xbp[j], c[j], b[j]] + lam
+        bend = F.entry(F.at[xbp[j], xp[j], u], F.at[u, b[j], b[j]], vout[j], xc)
+        cap = F.entry(db, vin[k], F.at[x[j], xb[j], u], F.at[d, u, d])
+        self._store("star", (k, j), coef[x[j]] * np.einsum(
+            "i,i,i->i", F.entry(vout[k], db, vin[j], xc), np.conj(bend), np.conj(cap)))
+
+    def _store(self, field: str, index: tuple, terms: np.ndarray) -> None:
+        """Sum the terms into the ideals' arrays `field` ("cube" or "star"),
+        each term at its basis indices `index`, all in one ideal; the
+        arrays are consecutive parts of one buffer."""
+        sizes = np.bincount(self.ideal_of, minlength=len(self.ideals))
+        local = np.empty(self.dim, dtype=int)
+        local[np.argsort(self.ideal_of, kind="stable")] = _runs(sizes)[1]
+        span = sizes ** len(index)
+        starts = _before(span)
+        r = self.ideal_of[index[0]]
+        pos = 0
+        for k in index:
+            pos = pos * sizes[r] + local[k]
+        flat = np.zeros(int(span.sum()), dtype=complex)
+        flat.real = np.bincount(starts[r] + pos, terms.real, flat.size)
+        flat.imag = np.bincount(starts[r] + pos, terms.imag, flat.size)
+        for idl, at, n in zip(self.ideals, starts, sizes):
+            setattr(idl, field, flat[at:at + n ** len(index)].reshape((n,) * len(index)))
 
 
 def _gram(C: np.ndarray, S: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -396,69 +363,11 @@ def _left_mult(C: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x @ C.reshape(n, n * n)).reshape(n, n).T
 
 
-def _padded(rows: list, pad: int) -> list:
-    """Lists of positions cut to one length, the short ones filled with
-    `pad`, the position of a zero."""
-    lengths = list(map(len, rows))
-    width = max(lengths)
-    if min(lengths) == width:
-        return rows
-    return [r + [pad] * (width - len(r)) for r in rows]
-
-
-def _block_values(F: np.ndarray, blks: list) -> tuple:
-    """The basis positions X, Y, O and the values of a list of chained
-    blocks of one shape, as `TubeAlgebra._chained_block` describes them:
-    c[X, Y, o] = sum over nu, lam, t of A[X nu, o t] conj(B[X nu, Y lam])
-    D[o t, Y lam]."""
-    rA, P, rB, cB, R, cD, X, Y, O = (np.array(part) for part in zip(*blks))
-    a = F[rA[:, :, :, None, None] + P[:, None, None]]          # [k, X, nu, o, t]
-    b = F[rB[:, :, :, None, None] + cB[:, None, None]]         # [k, X, nu, Y, lam]
-    d = F[R[:, :, :, None, None] + cD[:, None, None]]          # [k, o, t, Y, lam]
-    return X, Y, O, np.einsum("kxnot,kxnyl,kotyl->kxyo", a, np.conj(b), d)
-
-
-class _FSums:
-    """F^{u v w}_d over every channel d of a triple, as one block-diagonal
-    matrix with a zero row and column appended, the triples stored flat one
-    after another, each when first asked for."""
-
-    def __init__(self, cat: GradedCategory):
-        self.cat = cat
-        self.parts: list = []
-        self.size = 0
-
-    @memo
-    def positions(self, u: int, v: int, w: int) -> tuple:
-        """The flat offset of the row of each (d, left channel) of the
-        triple, the column of each (d, right channel), and the pair (zero
-        row, zero column) that padding reads."""
-        cat = self.cat
-        ds = sorted({d for e, _ in cat.fusion_channels(u, v)
-                     for d, _ in cat.fusion_channels(e, w)})
-        blocks = [cat.f_block(u, v, w, d) for d in ds]
-        size = sum(len(fb) for fb in blocks)
-        width = size + 1
-        M = np.zeros((width, width), dtype=complex)
-        rows, cols = {}, {}
-        at = 0
-        for d, fb in zip(ds, blocks):
-            M[at:at + len(fb), at:at + len(fb)] = fb
-            for i, ch in enumerate(cat.left_channels(u, v, w, d)):
-                rows[(d, *ch)] = self.size + (at + i) * width
-            for i, ch in enumerate(cat.right_channels(u, v, w, d)):
-                cols[(d, *ch)] = at + i
-            at += len(fb)
-        pads = (self.size + size * width, size)
-        self.parts.append(M.ravel())
-        self.size += M.size
-        return rows, cols, pads
-
-    def flat(self) -> np.ndarray:
-        """Every triple stored so far, as one array."""
-        if len(self.parts) > 1:
-            self.parts = [np.concatenate(self.parts)]
-        return self.parts[0]
+def _members(run: np.ndarray, key: np.ndarray) -> tuple:
+    """(owner, k) for every basis element k whose run code is key[owner]."""
+    lo = np.searchsorted(run, key)
+    owner, k = _runs(np.searchsorted(run, key, "right") - lo)
+    return owner, lo[owner] + k
 
 
 def _find(root: dict, p):

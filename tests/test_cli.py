@@ -753,5 +753,40 @@ def test_braid_check_refuses_a_family_that_is_not_the_center(fib_report, tmp_pat
     assert check["pass"] is False and check["sweep"]["pass"] is True
     assert check["family_gate"]["schur_defect"] == (schur == "FAIL")
     assert (check["family_gate"]["dim_residual"] > 1.0) == (dim == "FAIL")
-    rows = {ln.split()[0]: ln.split()[-1] for ln in res.stdout.splitlines()[-4:]}
+    rows = {ln.split()[0]: ln.split()[-1] for ln in res.stdout.splitlines() if ln.strip()}
     assert (rows["Schur"], rows["dim"]) == (schur, dim)
+
+
+def _grades_edit(key, value):
+    def edit(report):
+        out = json.loads(json.dumps(report))
+        out["grades"]["e"]["simples"][2][key] = value
+        return out
+    return edit
+
+
+@pytest.mark.parametrize("edit,field,count", [
+    (_gate_tool()._hom_table_of_twos, "hom_table", 16),
+    (_gate_tool()._zero_qdims, "fusion.qdims", 4),
+    (_grades_edit("name", "e:9"), "grades", 1),
+    (_grades_edit("qdim", 0.0), "grades", 1),
+    (_grades_edit("object", {"1": 2, "t": 1}), "grades", 2),
+], ids=["hom-table-2", "qdims-0", "name", "qdim", "object"])
+def test_braid_check_refuses_stored_fields_that_are_not_the_family(fib_report, tmp_path,
+                                                                   edit, field, count):
+    """The stored hom table, quantum dimensions and per-simple name, qdim
+    and object are compared with the rebuilt family: each edit passes every
+    gate of `certify`, and braid-check still exits 2 with a row naming the
+    field and the number of leaves that differ."""
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(edit(json.loads(fib_report.read_text()))))
+    out = tmp_path / "check.json"
+    res = run_cli("braid-check", str(bad), "--json", str(out))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    check = json.loads(out.read_text())
+    assert check["pass"] is False
+    assert check["sweep"]["pass"] and check["reverse"]["pass"] and check["family_gate"]["pass"]
+    assert check["stale_fields"] == {field: count}
+    row = res.stdout.splitlines()[-1].split()
+    assert row[:2] == [field, str(count)]

@@ -1,25 +1,35 @@
-"""Run the fixed list of CLI runs that make up the report gate.
+"""Run the fixed list of CLI runs that make up the report gate, or compare
+the outputs of two gate runs.
 
 Usage: python3 tools/report_gate.py OUTDIR
+       python3 tools/report_gate.py --diff OLD NEW
 
 Runs `verify`, `tube` and `center` on every bundled category, the
 `--subcat all`, `--grade` and `--action` variants, `tube` and `center` with
 the refused `--subcat 1` on ising, the refused `center --action inversion` on
 vec_z3 and `verify --grade zz` on ising, `tube` and `verify` on a generated
 Vec_Z8 (from perfbench/gen_vec_zn.py), `braid-check` of every center
-report, and `braid-check` of two edits of the fib center report (see
+report, and `braid-check` of four edits of the fib center report (see
 `MUTATIONS`).  Every run uses seed 1 and one BLAS thread, and runs the gct
 of the checkout this script lives in.  For each run, OUTDIR/<run>/ holds
 `exit_code`, `stdout`, `stderr` and `report.json` (when the run wrote one).
 The inputs are copied to OUTDIR/inputs and every path is relative to OUTDIR,
-so the outputs of two checkouts can be compared with `diff -r`.
+so the outputs of two checkouts can be compared.
+
+`--diff OLD NEW` compares two such directories run by run.  For each run
+that differs it prints the exit codes, the stdout and stderr lines that
+differ, the JSON paths of `report.json` whose leaves differ (list indices
+written as `*`, with the number of leaves), and the largest |delta| over
+the numeric leaves present on both sides.
 """
 
 from __future__ import annotations
 
+import difflib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -80,11 +90,31 @@ def _duplicated(report: dict, name: str = "e:3", source: str = "e:0") -> dict:
     return out
 
 
+def _hom_table_of_twos(report: dict) -> dict:
+    """A copy of a report with every `hom_table` entry set to 2."""
+    out = json.loads(json.dumps(report))
+    for row in out["hom_table"].values():
+        for key in row:
+            row[key] = 2
+    return out
+
+
+def _zero_qdims(report: dict) -> dict:
+    """A copy of a report with every `fusion.qdims` value set to 0."""
+    out = json.loads(json.dumps(report))
+    for key in out["fusion"]["qdims"]:
+        out["fusion"]["qdims"][key] = 0
+    return out
+
+
 # (run name, center run whose report is edited, edit); braid-check must
-# refuse both: e:3 dropped, and e:3 carrying the data of e:0
+# refuse all four: e:3 dropped, e:3 carrying the data of e:0, and the
+# stored hom table and quantum dimensions that no longer match the family
 MUTATIONS = (
     ("braid-check-center-fib-dropped", "center-fib", _dropped),
     ("braid-check-center-fib-duplicated", "center-fib", _duplicated),
+    ("braid-check-center-fib-hom-table-2", "center-fib", _hom_table_of_twos),
+    ("braid-check-center-fib-qdims-0", "center-fib", _zero_qdims),
 )
 
 
@@ -114,7 +144,75 @@ def _run(out: str, env: dict, run: str, args: list) -> int:
     return res.returncode
 
 
+def _leaves(node, path: str = ""):
+    """(path, value) for every leaf of nested dicts and lists; list indices
+    are kept in the path."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, f"{path}/{key}")
+    else:
+        yield path, node
+
+
+def _read(run_dir: str, name: str):
+    path = os.path.join(run_dir, name)
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        return json.load(fh) if name == "report.json" else fh.read()
+
+
+def _diff_run(old: str, new: str) -> list:
+    """The lines describing how one run's outputs differ, empty when they
+    are identical."""
+    out = []
+    a, b = _read(old, "exit_code"), _read(new, "exit_code")
+    if a != b:
+        out.append(f"exit {(a or '-').strip()} -> {(b or '-').strip()}")
+    for name in ("stdout", "stderr"):
+        a, b = (_read(old, name) or "").splitlines(), (_read(new, name) or "").splitlines()
+        if a != b:
+            out += [f"{name}: {line}" for line in difflib.unified_diff(a, b, lineterm="", n=0)
+                    if line[:1] in "+-" and line[:3] not in ("---", "+++")]
+    a, b = _read(old, "report.json"), _read(new, "report.json")
+    if a != b:
+        a, b = dict(_leaves(a)), dict(_leaves(b))
+        paths: dict = {}
+        delta = 0.0
+        for p in sorted(a.keys() | b.keys()):
+            if p in a and p in b and a[p] == b[p] and type(a[p]) is type(b[p]):
+                continue
+            key = re.sub(r"/\d+(?=/|$)", "/*", p)
+            paths[key] = paths.get(key, 0) + 1
+            if all(isinstance(d.get(p), (int, float)) and not isinstance(d.get(p), bool)
+                   for d in (a, b)):
+                delta = max(delta, abs(a[p] - b[p]))
+        out += [f"json {p} ({n} leaves)" for p, n in paths.items()]
+        out.append(f"json max |delta| {delta:.3e}")
+    return out
+
+
+def diff(old: str, new: str) -> int:
+    """Print, run by run, how the gate outputs NEW differ from OLD."""
+    runs = sorted({d for top in (old, new) for d in os.listdir(top)
+                   if d != "inputs" and os.path.isdir(os.path.join(top, d))})
+    same = 0
+    for run in runs:
+        if not all(os.path.isdir(os.path.join(top, run)) for top in (old, new)):
+            print(f"{run}\n  only in {old if os.path.isdir(os.path.join(old, run)) else new}")
+            continue
+        lines = _diff_run(os.path.join(old, run), os.path.join(new, run))
+        if lines:
+            print("\n  ".join([run, *lines]))
+        else:
+            same += 1
+    print(f"{same} of {len(runs)} runs identical")
+    return 0
+
+
 def main(argv: list) -> int:
+    if len(argv) == 3 and argv[0] == "--diff":
+        return diff(*map(os.path.abspath, argv[1:]))
     if len(argv) != 1:
         sys.exit(__doc__)
     out = os.path.abspath(argv[0])
