@@ -593,7 +593,7 @@ def test_star_entry_off_the_reversed_pattern_is_caught_by_the_gate(s3_tube):
     assert bad["pattern_violation_max"] == 1e-30
 
 
-# largest |closed form - star_mor| where the one-F-move closed form and the
+# the bound on |closed form - _star_mor| where the one-F-move closed form and the
 # engine's three-letter route round differently; every other fixture is exact
 _STAR_ROUNDING = {"fib_center": 1e-13, "ising_full_tube": 1e-13, "z3_omega_tube": 1e-13}
 
