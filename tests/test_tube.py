@@ -622,9 +622,9 @@ def test_star_blocks_match_star_mor(request, fixture):
 
 def test_the_build_runs_no_tensor_plan_but_the_conjugate_solves(monkeypatch):
     """The constants and the star are read off the F-entry table: building a
-    tube calls ltens, rtens and `_run_plan` only inside one `conjugates(x)`
-    per loop x, so on a fresh category it makes exactly the calls that those
-    solves make on another fresh copy."""
+    tube, plain or twisted, calls ltens, rtens and `_run_plan` only inside one
+    `conjugates(x)` per loop x, so on a fresh category it makes exactly the
+    calls that those solves make on another fresh copy."""
     from gct.morphisms import TreeEngine, engine_for
     counts = {}
     for name in ("ltens", "rtens", "_run_plan"):
@@ -632,14 +632,17 @@ def test_the_build_runs_no_tensor_plan_but_the_conjugate_solves(monkeypatch):
             counts[_name] = counts.get(_name, 0) + 1
             return _orig(self, *args)
         monkeypatch.setattr(TreeEngine, name, counted)
-    for make in (lambda: trivially_graded(load_category(bundled_path("ising"))),
-                 lambda: load_category(bundled_path("fib")),
-                 lambda: category_from_dict(_vec_zn(3, omega=1), name="vec_z3_omega")):
+    for make, action in ((lambda: trivially_graded(load_category(bundled_path("ising"))), None),
+                         (lambda: load_category(bundled_path("fib")), None),
+                         (lambda: category_from_dict(_vec_zn(3, omega=1), name="vec_z3_omega"),
+                          None),
+                         (lambda: load_category(bundled_path("vec_z3")), "inversion")):
         cat = make()
         for x in cat.neutral_sector():
             engine_for(cat).conjugates(x)
         solves, counts = counts, {}
-        gct.tube.TubeAlgebra(make())
+        cat = make()
+        gct.tube.TubeAlgebra(cat, action and cat.action(action))
         assert counts == solves and solves["_run_plan"] > 0
         counts = {}
 
