@@ -21,6 +21,7 @@ from .fusion_core import InternalCheckError, ValidationError
 from .morphisms import Mor, residual_max, vobj_tensor
 from .center import (
     HalfBraiding,
+    _placed,
     center_hom_residual,
     conjugate_half_braiding,
     g_action_on_center,
@@ -364,28 +365,17 @@ def direct_sum_half_braidings(parts: list) -> HalfBraiding:
         offs.append(offs[-1] + len(p.obj))
     E = {}
     for pi in x0.loop_labels():
-        pip = x0.tgt_label(pi)
         src = vobj_tensor(obj, ((pi,),))
-        tgt = vobj_tensor(((pip,),), obj)
-        acc = Mor(eng, src, tgt, {})
+        tgt = vobj_tensor(((x0.tgt_label(pi),),), obj)
+        pieces = []
         for p, off in zip(parts, offs):
-            Ep = p.E[pi]
-            blocks = {}
-            for c in range(eng.rank):
-                m, nn = eng.vdim(c, tgt), eng.vdim(c, src)
-                if not (m and nn):
+            for c in sorted(p.E[pi].blocks):
+                B = p.E[pi].blocks[c]
+                if not np.any(B):
                     continue
-                B = Ep.block(c)
-                if not B.size or not np.any(B):
-                    continue
-                big = np.zeros((m, nn), dtype=complex)
-                ro = eng.offsets(c, tgt)
-                co = eng.offsets(c, src)
-                big[ro[off]:ro[off] + B.shape[0],
-                    co[off]:co[off] + B.shape[1]] = B
-                blocks[c] = big
-            acc = acc + Mor(eng, src, tgt, blocks)
-        E[pi] = acc
+                ro, co = eng.offsets(c, tgt)[off], eng.offsets(c, src)[off]
+                pieces.append((c, slice(ro, ro + B.shape[0]), slice(co, co + B.shape[1]), B))
+        E[pi] = _placed(eng, src, tgt, pieces)
     return HalfBraiding(x0.cat, obj, x0.grade, E, action=x0.action)
 
 
@@ -415,20 +405,15 @@ def regular_equivariant(x: HalfBraiding) -> EquivariantObject:
     cocycle = {}
     for g in range(grp.order):
         tgt_obj = eng._moved_vobj(x.action, g, base.obj)
-        blocks: dict = {}
+        pieces = []
         for h in range(grp.order):
             gh = grp.mul(g, h)
             # summand h of g[base] is g[h[x]] = (gh)[x]: route base summand gh there
-            idf = eng.identity(parts[gh].obj)
-            for c, B in idf.blocks.items():
-                m = eng.vdim(c, tgt_obj)
-                nn = eng.vdim(c, base.obj)
-                big = blocks.setdefault(c, np.zeros((m, nn), dtype=complex))
-                ro = eng.offsets(c, tgt_obj)
-                co = eng.offsets(c, base.obj)
-                big[ro[h * nblk]:ro[h * nblk] + B.shape[0],
-                    co[gh * nblk]:co[gh * nblk] + B.shape[1]] = B
-        cocycle[g] = Mor(eng, base.obj, tgt_obj, blocks)
+            for c, B in eng.identity(parts[gh].obj).blocks.items():
+                ro = eng.offsets(c, tgt_obj)[h * nblk]
+                co = eng.offsets(c, base.obj)[gh * nblk]
+                pieces.append((c, slice(ro, ro + B.shape[0]), slice(co, co + B.shape[1]), B))
+        cocycle[g] = _placed(eng, base.obj, tgt_obj, pieces)
     return EquivariantObject(base, cocycle, name=f"reg({x.name})" if x.name else "reg")
 
 

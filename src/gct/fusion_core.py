@@ -7,13 +7,16 @@ labels; label names are only for I/O and error messages.
 
 F-matrix convention
 -------------------
-``f_block(a, b, c, d)`` is the matrix of the identity between the two
+``F[(a, b, c, d)]`` is the matrix of the identity between the two
 parenthesisations of Hom(d, abc): rows are indexed by left-nested channels
 (e, mu, nu) with mu < N[a,b,e], nu < N[e,c,d], columns by right-nested
 channels (f, kappa, lam) with kappa < N[b,c,f], lam < N[a,f,d], both in
 lexicographic order.  It converts right-nested coordinates into left-nested
 ones.  Blocks with a unit among a, b, c must be the identity; blocks not
-listed in a data file default to the identity.
+listed in a data file default to the identity.  The loader checks the
+dict; every other reader takes its entries from the category's F-entry
+table (``GradedCategory.f_entries``, see `_Pentagon`), which addresses
+each entry by its four fusion vertices.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -254,27 +257,6 @@ class GradedCategory:
         ]
 
     @memo
-    def left_index(self, a: int, b: int, c: int, d: int) -> dict:
-        """Row position of every left channel in the F block."""
-        return {ch: i for i, ch in enumerate(self.left_channels(a, b, c, d))}
-
-    @memo
-    def right_index(self, a: int, b: int, c: int, d: int) -> dict:
-        """Column position of every right channel in the F block."""
-        return {ch: i for i, ch in enumerate(self.right_channels(a, b, c, d))}
-
-    @memo
-    def f_block(self, a: int, b: int, c: int, d: int) -> np.ndarray:
-        """Transition matrix from right-nested to left-nested coordinates."""
-        key = (a, b, c, d)
-        nl = len(self.left_channels(a, b, c, d))
-        nr = len(self.right_channels(a, b, c, d))
-        if nl != nr:  # pragma: no cover - guarded by load-time associativity check
-            raise InternalCheckError(f"associativity broken at F block {key}: {nl} != {nr}")
-        out = self.F.get(key)
-        return np.eye(nl, dtype=complex) if out is None else out
-
-    @memo
     def f_entries(self) -> "_Pentagon":
         """Every F entry, addressed by fusion vertices (see `_Pentagon`)."""
         return _Pentagon(self)
@@ -471,13 +453,13 @@ def _key_names(cat: GradedCategory, key: tuple[int, ...]) -> str:
 def _validate(cat: GradedCategory) -> None:
     rank, N, dual, u = cat.rank, cat.N, cat.dual, cat.unit
 
-    # associativity of the fusion ring, reported at the first bad triple
-    for a, b, c in itertools.product(range(rank), repeat=3):
-        lhs = N[a, b] @ N[:, c, :]  # sum_e N[a,b,e] N[e,c,:]
-        rhs = N[b, c] @ N[a]  # sum_f N[b,c,f] N[a,f,:]
-        if not np.array_equal(lhs, rhs):
+    # associativity of the fusion ring, reported at the first bad triple:
+    # per first label a, sum_e N[a,b,e] N[e,c,:] against sum_f N[b,c,f] N[a,f,:]
+    for a in range(rank):
+        bad = np.argwhere((N[a] @ N.reshape(rank, -1)).reshape(N.shape) != N @ N[a])
+        if len(bad):
             raise ValidationError(
-                f"associativity violated at {_key_names(cat, (a, b, c))}"
+                f"associativity violated at {_key_names(cat, (a, *bad[0, :2].tolist()))}"
             )
 
     # duals
@@ -667,7 +649,8 @@ class _Pentagon:
         qrank = np.empty_like(q)
         qrank[qorder] = np.arange(len(q)) - tq[q[qorder]]
         self.cg = (_before(tq[s + 1] - tq[s])[tri], qrank[tri])
-        off = _before(dims * dims)
+        self.blocks, self.dims = blocks, dims
+        self.off = off = _before(dims * dims)
         self.rfirst, self.cfirst = rfirst, cfirst
         self.rbase, self.rdim = off[rblock], dims[rblock]
         # blocks absent from cat.F are the identity
@@ -680,14 +663,47 @@ class _Pentagon:
             owner, k = _runs(dims[b] * dims[b])
             self.buf[off[b][owner] + k] = np.concatenate([np.ravel(m) for m in cat.F.values()])
 
-    def entry(self, r0, r1, c0, c1) -> np.ndarray:
-        """The F entries with row vertices r0, r1 and column vertices c0, c1."""
+    def position(self, r0, r1, c0, c1) -> np.ndarray:
+        """Buffer position of the F entries with row vertices r0, r1 and
+        column vertices c0, c1."""
         mu, mult = self.mu, self.mult
         g = self.rg[0][r0] + self.rg[1][r1]
         h = self.cg[0][c0] + self.cg[1][c1]
         row = self.rfirst[g] + mu[r0] * mult[r1] + mu[r1]
         col = self.cfirst[h] + mu[c0] * mult[c1] + mu[c1]
-        return self.buf[self.rbase[g] + row * self.rdim[g] + col]
+        return self.rbase[g] + row * self.rdim[g] + col
+
+    def entry(self, r0, r1, c0, c1) -> np.ndarray:
+        """The F entries with row vertices r0, r1 and column vertices c0, c1."""
+        return self.buf[self.position(r0, r1, c0, c1)]
+
+    @memo
+    def vertices(self) -> np.ndarray:
+        """The vertices (r0, r1, c0, c1) of every entry, as four rows in
+        buffer order: each row pair (a b -> e; mu), (e c -> d; nu) with every
+        column pair (b c -> f; kappa), (a f -> d; lam) of its block."""
+        R, p, q, s = self.R, self.p, self.q, self.s
+        r0, r1 = _fan(self.by_p, s)
+        i, c0 = _fan(self.by_pq, q[r0] * R + q[r1])
+        r0, r1 = r0[i], r1[i]
+        a, f, d = p[r0], s[c0], s[r1]
+        i, lam = _runs(self.N[a, f, d])
+        r0, r1, c0 = r0[i], r1[i], c0[i]
+        c1 = self.at[a[i], f[i], d[i]] + lam
+        out = np.empty((4, len(self.buf)), dtype=int)
+        out[:, self.position(r0, r1, c0, c1)] = r0, r1, c0, c1
+        return out
+
+    def moved(self, perm: np.ndarray) -> np.ndarray:
+        """Each vertex (p, q, s; mu) sent to (perm[p], perm[q], perm[s]; mu)
+        by a label permutation that preserves N (over the last axis of perm)."""
+        return self.at[perm[..., self.p], perm[..., self.q], perm[..., self.s]] + self.mu
+
+    def block(self, a: int, b: int, c: int, d: int) -> np.ndarray:
+        """F^{abc}_d as a matrix, a view of the buffer."""
+        i = np.searchsorted(self.blocks, ((a * self.R + b) * self.R + c) * self.R + d)
+        n = self.dims[i]
+        return self.buf[self.off[i]:self.off[i] + n * n].reshape(n, n)
 
     def residuals(self, a0: int, a1: int) -> tuple[np.ndarray, np.ndarray]:
         """|route 1 - route 2| of every instance whose label a lies in
@@ -728,6 +744,11 @@ class _Pentagon:
         return np.abs(one - two), quad
 
 
+def _quadruple(code, R: int) -> tuple:
+    """(a, b, c, d) of the code ((a R + b) R + c) R + d, or of an array of them."""
+    return tuple(code // R ** k % R for k in (3, 2, 1, 0))
+
+
 def _sums(owner: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     """The terms summed per owner, in their order; n owners."""
     return np.bincount(owner, terms.real, n) + 1j * np.bincount(owner, terms.imag, n)
@@ -746,7 +767,7 @@ def verify_pentagon(cat: GradedCategory, tol: float = 1e-12) -> dict:
     this check passes, and so does `build_crossed_extension`.
     """
     N, R = cat.N, cat.rank
-    pent = _Pentagon(cat)
+    pent = cat.f_entries()
     trees = N.sum(1) @ (N.sum(1) @ N.sum((1, 2)))  # left trees under each a
     before = np.cumsum(trees) - trees
     cuts = [*np.flatnonzero(np.diff(before // _PENTAGON_CHUNK, prepend=-1)).tolist(), R]
@@ -760,8 +781,7 @@ def verify_pentagon(cat: GradedCategory, tol: float = 1e-12) -> dict:
         top = float(res.max(initial=0.0))
         if top > worst:
             worst, code = top, int(quad[res == top].min())
-    worst_at = None if code is None else tuple(
-        cat.labels[code // R ** k % R] for k in (3, 2, 1, 0))
+    worst_at = None if code is None else tuple(cat.labels[k] for k in _quadruple(code, R))
     return {"max_residual": worst, "worst_at": worst_at, "tol": tol, "pass": worst <= tol}
 
 
@@ -788,7 +808,8 @@ def verify_action(cat: GradedCategory, name: str | GroupAction | None = None) ->
         if sorted(p) != list(range(cat.rank)):
             failures.append(f"action of {G.elements[g]} is not a permutation")
             continue
-        if not np.array_equal(cat.N[np.ix_(p, p, p)], cat.N):
+        fusion_kept = np.array_equal(cat.N[np.ix_(p, p, p)], cat.N)
+        if not fusion_kept:
             failures.append(f"action of {G.elements[g]} does not preserve fusion multiplicities")
         dev = float(np.abs(cat.qdim[p] - cat.qdim).max())
         max_dev = residual_max(max_dev, dev)
@@ -800,34 +821,18 @@ def verify_action(cat: GradedCategory, name: str | GroupAction | None = None) ->
             if cat.deg[p[a]] != G.conj(g, int(cat.deg[a])):
                 failures.append(f"action of {G.elements[g]} does not conjugate the grading at {cat.labels[a]}")
                 break
-        # F invariance, entrywise through the induced channel relabelling
-        for (a, b, c, d) in _admissible_quadruples(cat):
-            q = (p[a], p[b], p[c], p[d])
-            src, dst = cat.f_block(a, b, c, d), cat.f_block(*q)
-            lpos, rpos = cat.left_index(*q), cat.right_index(*q)
-            rperm = _channel_perm(cat.left_channels(a, b, c, d), lpos, p)
-            cperm = _channel_perm(cat.right_channels(a, b, c, d), rpos, p)
-            dev = float(np.abs(dst[np.ix_(rperm, cperm)] - src).max()) if src.size else 0.0
-            max_dev = residual_max(max_dev, dev)
-            if not dev <= ATOL:
-                failures.append(
-                    f"action of {G.elements[g]} changes the F block at {_key_names(cat, (a, b, c, d))}"
-                )
-                break
+        if not fusion_kept:
+            continue  # its vertices have no images to read F at
+        # F invariance: every entry against the entry at its moved vertices
+        F = cat.f_entries()
+        dev = np.abs(F.entry(*F.moved(p)[F.vertices()]) - F.buf)
+        max_dev = residual_max(max_dev, float(dev.max(initial=0.0)))
+        bad = np.flatnonzero(~(dev <= ATOL))
+        if len(bad):
+            block = int(F.blocks[np.searchsorted(F.off, bad[0], "right") - 1])
+            failures.append(f"action of {G.elements[g]} changes the F block at "
+                            f"{_key_names(cat, _quadruple(block, cat.rank))}")
     return {"action": act.name, "max_deviation": max_dev, "failures": failures, "pass": not failures}
-
-
-def _admissible_quadruples(cat: GradedCategory):
-    """Every (a, b, c, d) with Hom(d, abc) nonzero, in lexicographic order."""
-    dims = np.einsum("abe,ecd->abcd", cat.N, cat.N)
-    return [tuple(key) for key in np.argwhere(dims).tolist()]
-
-
-def _channel_perm(src_channels, pos: dict, p) -> list[int]:
-    try:
-        return [pos[(int(p[e]), mu, nu)] for (e, mu, nu) in src_channels]
-    except KeyError:  # pragma: no cover - implies N not preserved, caught earlier
-        raise InternalCheckError("channel sets not matched by the action") from None
 
 
 # ---------------------------------------------------------------------------
@@ -941,41 +946,20 @@ def build_crossed_extension(d0: GradedCategory,
                 if v:
                     N[lab(g, a), lab(h, b), lab(gh, c)] = v
 
-    F: dict[tuple[int, int, int, int], np.ndarray] = {}
-    # shell category used only for channel enumeration while building F
-    base = GradedCategory(
-        labels=labels, dual=dual, qdim=qdim, N=N,
-        group=G, deg=deg, F={}, name=d0.name + "-crossed",
-    )
-    for g, h, k in itertools.product(range(nG), repeat=3):
-        ghk = G.mul(G.mul(g, h), k)
-        hk = G.mul(h, k)
-        t_a = G.inv(hk)
-        t_b = G.inv(k)
-        for a, b, c in itertools.product(range(r0), repeat=3):
-            a0 = act.on_label(t_a, a)
-            b0 = act.on_label(t_b, b)
-            for d in range(r0):
-                base_block = d0.f_block(a0, b0, c, d)
-                if base_block.size == 0:
-                    continue
-                A, B, C = lab(g, a), lab(h, b), lab(k, c)
-                Dd = lab(ghk, d)
-                lch = base.left_channels(A, B, C, Dd)
-                rch = base.right_channels(A, B, C, Dd)
-                lpos, rpos = d0.left_index(a0, b0, c, d), d0.right_index(a0, b0, c, d)
-                mat = np.zeros((len(lch), len(rch)), dtype=complex)
-                for i, (E, mu, nu) in enumerate(lch):
-                    e0 = act.on_label(t_b, E % r0)
-                    for j, (Ff, kap, lamb) in enumerate(rch):
-                        f0 = Ff % r0
-                        mat[i, j] = base_block[lpos[(e0, mu, nu)], rpos[(f0, kap, lamb)]]
-                F[(A, B, C, Dd)] = mat
-
-    out = GradedCategory(
-        labels=labels, dual=dual, qdim=qdim, N=N, group=G, deg=deg, F=F,
-        name=d0.name + "-crossed",
-    )
+    # F, gathered from the base table: the entry at vertices (r0, r1, c0, c1)
+    # is the base entry at (k^-1 beta(r0), beta(r1), beta(c0), beta(c1)), with
+    # beta(A B -> E; mu) = (h^-1[a], b -> e; mu) for h = deg B, and k = deg C
+    # of its block, C being the second letter of r1
+    shell = GradedCategory(labels=labels, dual=dual, qdim=qdim, N=N, group=G,
+                           deg=deg, F={}, name=d0.name + "-crossed")
+    base, ext = d0.f_entries(), _Pentagon(shell)
+    beta = base.at[act.perm[G.inverse[deg[ext.q]], ext.p % r0], ext.q % r0, ext.s % r0] + ext.mu
+    V = ext.vertices()
+    row0, *rest = beta[V]
+    buf = base.entry(base.moved(act.perm)[G.inverse[deg[ext.q[V[1]]]], row0], *rest)
+    keys = zip(*(x.tolist() for x in _quadruple(ext.blocks, rank)))
+    out = replace(shell, F={key: m.reshape(n, n) for key, m, n
+                            in zip(keys, np.split(buf, ext.off[1:]), ext.dims)})
     rep = verify_pentagon(out)
     if not rep["pass"]:
         raise InternalCheckError(

@@ -330,12 +330,14 @@ class TreeEngine:
             # paths of (a,) + w are the left channels of F^{a w0 w1}_c and
             # the factored basis its right channels: one F-block, adjoint
             dims = N[a, w[0]] @ N[:, w[1]]
-            return {c: self.cat.f_block(a, w[0], w[1], c).conj().T
+            F = self.cat.f_entries()
+            return {c: F.block(a, w[0], w[1], c).conj().T
                     for c in np.flatnonzero(dims).tolist()}
 
         out = {}
         prefix, b = w[:-1], w[-1]
         U_pre = self.factor_unitary(a, prefix)
+        F = self.cat.f_entries()
         for c in range(self.rank):
             src_paths = self.paths(c, (a,) + w)
             if not src_paths:
@@ -367,15 +369,17 @@ class TreeEngine:
                             continue
                         for mu in range(nmu):
                             T1[i_inter[(m, e, pp, nu, mu)], src_index[q + ((m, mu),)]] += val
-            # F-move on (a, e, b; c) for each prefix path
+            # F-move on (a, e, b; c) for each prefix path: column (m, nu, mu)
+            # reads the row (a e -> m; nu), (m b -> c; mu) of F^{a e b}_c
             tgt_labels = self._factored_labels(a, w, None, channel=c)
             i_tgt = {lab: i for i, lab in enumerate(tgt_labels)}
             T2 = np.zeros((len(tgt_labels), len(inter)), dtype=complex)
             for col, (m, e, pp, nu, mu) in enumerate(inter):
-                fb = self.cat.f_block(a, e, b, c)
-                row_l = self.cat.left_index(a, e, b, c)[(m, nu, mu)]
-                for col_r, (d, kap, lam) in enumerate(self.cat.right_channels(a, e, b, c)):
-                    val = np.conj(fb[row_l, col_r])
+                right = self.cat.right_channels(a, e, b, c)
+                f, kappa, lam = np.array(right).T
+                vals = np.conj(F.entry(F.at[a, e, m] + nu, F.at[m, b, c] + mu,
+                                       F.at[e, b, f] + kappa, F.at[a, f, c] + lam))
+                for (d, kap, lam), val in zip(right, vals):
                     if val == 0:
                         continue
                     T2[i_tgt[(d, pp + ((e, kap),), lam)], col] += val
@@ -720,9 +724,8 @@ class TreeEngine:
                     f"Frobenius-Schur indicator of {cat.labels[a]} is not a sign: {kappa}"
                 )
             # independent read from the F data: d(a) * unit entry of F^{a abar a}_a
-            lpos, rpos = cat.left_index(a, abar, a, a), cat.right_index(a, abar, a, a)
-            fb = cat.f_block(a, abar, a, a)
-            kf = d * fb[lpos[(self.unit, 0, 0)], rpos[(self.unit, 0, 0)]]
+            F, u = cat.f_entries(), self.unit
+            kf = d * F.entry(F.at[a, abar, u], F.at[u, a, a], F.at[abar, a, u], F.at[a, u, a])
             if abs(kf - fs) > 1e-8:
                 raise InternalCheckError(
                     f"Frobenius-Schur indicator mismatch for {cat.labels[a]}: "

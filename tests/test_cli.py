@@ -364,6 +364,23 @@ def test_axiom_violation_is_data_error(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("cmd", [("verify",), ("gcenter", "--action", "inversion")])
+def test_an_action_that_breaks_the_fusion_rules_is_a_data_error(tmp_path, cmd):
+    """Swapping the unit 0 with 1 does not preserve N; the action check
+    names that and skips F invariance, whose vertices then have no
+    images, instead of failing inside it with exit 3."""
+    with open(bundled_path("vec_z3")) as fh:
+        d = json.load(fh)
+    d["action"]["perm"]["i"] = [1, 0, 2]
+    bad = tmp_path / "swapped.json"
+    bad.write_text(json.dumps(d))
+    res = run_cli(cmd[0], str(bad), *cmd[1:])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stdout + res.stderr
+    assert res.stderr == ("error: action 'inversion' is not strict: action of i "
+                          "does not preserve fusion multiplicities\n")
+
+
 def test_unknown_subcat_label(tmp_path):
     res = run_cli("tube", bundled_path("ising"), "--subcat", "1,ghost")
     assert res.returncode == 2

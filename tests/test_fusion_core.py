@@ -13,6 +13,7 @@ import gct
 from gct import fusion_core
 from gct import (
     DataError,
+    GradedCategory,
     GroupData,
     ValidationError,
     build_crossed_extension,
@@ -26,6 +27,8 @@ from gct import (
     verify_action,
     verify_pentagon,
 )
+from gct.cli import _twisted_setup
+from gct.fusion_core import GroupAction, neutrally_graded
 
 from conftest import BUNDLED
 
@@ -101,7 +104,7 @@ def test_a_nan_fails_the_action_check(where):
     if where == "qdim":
         cat.qdim[1] = np.nan
     else:
-        cat.f_block(1, 1, 1, 0)[0, 0] = np.nan  # the block every reader shares
+        cat.f_entries().block(1, 1, 1, 0)[0, 0] = np.nan  # the table every reader shares
     rep = verify_action(cat, "inversion")
     assert not rep["pass"]
     assert np.isnan(rep["max_deviation"])
@@ -181,6 +184,16 @@ def _tree_basis(N, sym: list, tree) -> list:
     return out
 
 
+def _f_block(cat, key) -> tuple:
+    """F^{abc}_d read from cat.F on its own (the identity where the dict is
+    silent), with the positions of its left and right channels."""
+    lch, rch = cat.left_channels(*key), cat.right_channels(*key)
+    block = cat.F.get(key)
+    if block is None:
+        block = np.eye(len(lch), dtype=complex)
+    return block, {ch: i for i, ch in enumerate(lch)}, {ch: i for i, ch in enumerate(rch)}
+
+
 def _move_matrix(cat, sym: list, rows: list, cols: list, key, rs, cs) -> np.ndarray:
     """One F-move; each entry is one entry of one F block."""
     rl, cl = ([p for p in range(5) if p not in spec] for spec in (rs, cs))
@@ -191,8 +204,7 @@ def _move_matrix(cat, sym: list, rows: list, cols: list, key, rs, cs) -> np.ndar
     for row, lab in enumerate(rows):
         sym[_U], sym[_V] = lab[0], lab[2]
         fkey = tuple(sym[p] for p in key)
-        fb = cat.f_block(*fkey)
-        lpos, rpos = cat.left_index(*fkey), cat.right_index(*fkey)
+        fb, lpos, rpos = _f_block(cat, fkey)
         left = lpos[tuple(lab[p] for p in rl)]
         for col, right in by_spectator.get((lab[rs[0]], lab[rs[1]]), ()):
             out[row, col] = fb[left, rpos[right]]
@@ -330,6 +342,25 @@ def test_pentagon_residual_with_multiplicities():
     rep = verify_pentagon(cat)
     assert rep["max_residual"] == pytest.approx(worst, abs=1e-14)
     assert worst > 0.1 and not rep["pass"]
+
+
+def _vec_zn(n, omega=0):
+    """Vec_Z_n; with omega = p, twisted by the 3-cocycle
+    F^{abc} = exp(2 pi i p a floor((b + c) / n) / n), whose F entries, conjugate
+    pairs and star are complex."""
+    data = {
+        "rank": n,
+        "labels": [str(a) for a in range(n)],
+        "dual": [(-a) % n for a in range(n)],
+        "qdim": [1.0] * n,
+        "N": [[a, b, (a + b) % n, 1] for a in range(n) for b in range(n)],
+    }
+    if omega:
+        data["F"] = [{"abcd": [a, b, c, (a + b + c) % n], "rows": [[(a + b) % n, 0, 0]],
+                      "cols": [[(b + c) % n, 0, 0]], "matrix": [[[w.real, w.imag]]]}
+                     for a, b, c in itertools.product(range(n), repeat=3)
+                     for w in [np.exp(2j * np.pi * omega * a * ((b + c) // n) / n)]]
+    return data
 
 
 def _vec_z8():
@@ -500,3 +531,167 @@ def test_a_nan_f_entry_fails_the_pentagon():
     rep = verify_pentagon(cat)
     assert rep["max_residual"] != rep["max_residual"] and not rep["pass"]
     assert rep["worst_at"] == _oracle_report(cat)[1]
+
+
+# ---------------------------------------------------------------------------
+# actions and the crossed extension, against the per-block loops that
+# verify_action's F check and build_crossed_extension's F ran before they
+# gathered from the F-entry table; the loops read F from cat.F on their own
+
+
+def _action_oracle(cat, act) -> list:
+    """Per g: the largest deviation of an F block from its image under g,
+    and the first block in lexicographic order that g changes (or None)."""
+    dims = np.einsum("abe,ecd->abcd", cat.N, cat.N)
+    keys = [tuple(key) for key in np.argwhere(dims).tolist()]
+    out = []
+    for p in act.perm:
+        worst, first = 0.0, None
+        for key in keys:
+            src = _f_block(cat, key)[0]
+            dst, lpos, rpos = _f_block(cat, tuple(int(p[x]) for x in key))
+            rows = [lpos[(int(p[e]), mu, nu)] for e, mu, nu in cat.left_channels(*key)]
+            cols = [rpos[(int(p[f]), ka, la)] for f, ka, la in cat.right_channels(*key)]
+            dev = float(np.abs(dst[np.ix_(rows, cols)] - src).max())
+            worst = fusion_core.residual_max(worst, dev)
+            if first is None and not dev <= fusion_core.ATOL:
+                first = key
+        out.append((worst, first))
+    return out
+
+
+def _extension_oracle(d0, act, ext) -> dict:
+    """The F dict of the crossed extension ext of d0 under act: each letter
+    transported through the inverse of the degrees to its right."""
+    G, r0 = d0.group, d0.rank
+    F = {}
+    for g, h, k in itertools.product(range(G.order), repeat=3):
+        ghk = G.mul(G.mul(g, h), k)
+        t_a, t_b = G.inv(G.mul(h, k)), G.inv(k)
+        for a, b, c, d in itertools.product(range(r0), repeat=4):
+            block, lpos, rpos = _f_block(d0, (act.on_label(t_a, a), act.on_label(t_b, b), c, d))
+            if block.size == 0:
+                continue
+            key = (g * r0 + a, h * r0 + b, k * r0 + c, ghk * r0 + d)
+            F[key] = np.array(
+                [[block[lpos[(act.on_label(t_b, e % r0), mu, nu)], rpos[(f % r0, ka, la)]]
+                  for f, ka, la in ext.right_channels(*key)]
+                 for e, mu, nu in ext.left_channels(*key)], dtype=complex)
+    return F
+
+
+_ROTATION = [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]  # Z3 on Z2 x Z2, fixing 0
+
+
+def _vec_z2z2(symmetric=True) -> GradedCategory:
+    """Vec_{Z2 x Z2} twisted by (-1)^T for a trilinear form T, with Z3
+    rotating the three nonzero labels.  T sums a1 b2 c2 over the rotation's
+    orbit, so the action is strict and its F entries are signs; with
+    symmetric=False, T = a1 b2 c2 and the rotation changes F."""
+    def t(a, b, c):
+        return sum((m[a] & 1) * (m[b] >> 1) * (m[c] >> 1)
+                   for m in _ROTATION[:3 if symmetric else 1])
+
+    return category_from_dict({
+        "rank": 4, "labels": ["0", "a", "b", "c"], "dual": [0, 1, 2, 3], "qdim": [1.0] * 4,
+        "group": {"elements": ["e", "r", "rr"], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+        "N": [[a, b, a ^ b, 1] for a in range(4) for b in range(4)],
+        "F": [{"abcd": [a, b, c, a ^ b ^ c], "matrix": [[[(-1.0) ** t(a, b, c), 0.0]]]}
+              for a, b, c in itertools.product(range(4), repeat=3)],
+        **({"action": {"name": "rotation", "perm": dict(zip(["e", "r", "rr"], _ROTATION))}}
+           if symmetric else {}),
+    }, "vec_z2z2")
+
+
+def _rotated(cat):
+    """cat with the Z3 rotation attached, whether or not it is strict."""
+    return neutrally_graded(cat, cat.group, {"rotation": GroupAction("rotation", np.array(_ROTATION))})
+
+
+def _z3_omega_inverted():
+    """Vec_Z3 with the cocycle of `_vec_zn(3, omega=1)`, regraded by Z2
+    acting by inversion, which changes its F."""
+    cat = category_from_dict(_vec_zn(3, omega=1), "vec_z3_omega")
+    z2 = GroupData(("e", "i"), np.array([[0, 1], [1, 0]]))
+    return neutrally_graded(cat, z2, {"inversion": GroupAction(
+        "inversion", np.array([[0, 1, 2], [0, 2, 1]]))})
+
+
+ACTION_CASES = {
+    "vec_z3-inversion": lambda: _twisted_setup(load_category(bundled_path("vec_z3")), "inversion"),
+    "vec_z3-trivial": lambda: _twisted_setup(load_category(bundled_path("vec_z3")), "trivial"),
+    "vec_z2-trivial": lambda: _twisted_setup(load_category(bundled_path("vec_z2")), "trivial"),
+    "vec_z2z2-rotation": lambda: _twisted_setup(_vec_z2z2(), "rotation"),
+}
+FAILING_ACTIONS = {
+    "vec_z3_omega-inversion": lambda: (_z3_omega_inverted(), "inversion"),
+    "vec_z2z2-asymmetric-rotation": lambda: (_rotated(_vec_z2z2(symmetric=False)), "rotation"),
+}
+
+
+@pytest.mark.parametrize("name", [*ACTION_CASES, *FAILING_ACTIONS])
+def test_verify_action_matches_the_per_block_loop(name):
+    """The one gather per group element finds the oracle's largest
+    deviation and, per g, names the oracle's first changed block."""
+    cat, act = {**ACTION_CASES, **FAILING_ACTIONS}[name]()
+    act = cat.action(act)
+    rep = verify_action(cat, act)
+    want = _action_oracle(cat, act)
+    assert rep["max_deviation"] == fusion_core.residual_max(0.0, *(w for w, _ in want))
+    changed = [f for f in rep["failures"] if "changes the F block" in f]
+    assert changed == [
+        f"action of {cat.group.elements[g]} changes the F block at "
+        f"({', '.join(cat.labels[x] for x in first)})"
+        for g, (_, first) in enumerate(want) if first is not None]
+    assert rep["pass"] == (name in ACTION_CASES)
+
+
+def test_an_action_that_changes_f_fails_with_its_first_block():
+    """Inversion sends F^{111}_0 = 1 to F^{222}_0 = exp(4 pi i / 3), so it
+    is not strict on this cocycle; every changed entry moves by
+    |exp(2 pi i k / 3) - 1| = sqrt 3."""
+    rep = verify_action(_z3_omega_inverted(), "inversion")
+    assert not rep["pass"]
+    assert rep["failures"] == ["action of i changes the F block at (1, 1, 1, 0)"]
+    assert abs(rep["max_deviation"] - np.sqrt(3)) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ACTION_CASES)
+def test_crossed_extension_gathers_the_per_block_loop(name):
+    """The extension's F, gathered from the base table, equals the loop's
+    entry for entry, block by block; the rotation case is the one with
+    F entries other than 1 and an element k with k != k^-1."""
+    d0, act = ACTION_CASES[name]()
+    ext = build_crossed_extension(d0, act)
+    want = _extension_oracle(d0, act, ext)
+    assert ext.F.keys() == want.keys()
+    for key, block in want.items():
+        assert np.array_equal(ext.F[key], block), key
+
+
+@pytest.mark.parametrize("name", ["ising", "vec_z3-crossed", "rep_a4_random", "vec_z2z2"])
+def test_the_table_lists_every_entry_once(name):
+    """`vertices` names each buffer position exactly once, by four vertices
+    that fit one block: (a b -> e), (e c -> d) and (b c -> f), (a f -> d)."""
+    cat = _vec_z2z2() if name == "vec_z2z2" else ORACLE_INPUTS[name]()
+    F = cat.f_entries()
+    r0, r1, c0, c1 = V = F.vertices()
+    p, q, s = F.p, F.q, F.s
+    assert np.array_equal(F.position(*V), np.arange(len(F.buf)))
+    assert np.unique(V, axis=1).shape == V.shape
+    assert np.array_equal(s[r0], p[r1]) and np.array_equal(q[r0], p[c0])
+    assert np.array_equal(q[r1], q[c0]) and np.array_equal(p[r0], p[c1])
+    assert np.array_equal(s[c0], q[c1]) and np.array_equal(s[r1], s[c1])
+    R = cat.rank
+    code = ((p[r0] * R + q[r0]) * R + q[r1]) * R + s[r1]
+    assert np.array_equal(code, np.repeat(F.blocks, F.dims * F.dims))
+    assert np.array_equal(F.entry(*V), F.buf)
+
+
+def test_associativity_failure_names_the_first_bad_triple():
+    """Vec_Z3 with 1 x 1 = 1 instead of 2: (1, 1, 2) is the first triple,
+    in lexicographic order, where (1 1) 2 and 1 (1 2) differ."""
+    data = _vec_zn(3)
+    data["N"] = [[a, b, 1 if (a, b) == (1, 1) else c, v] for a, b, c, v in data["N"]]
+    with pytest.raises(ValidationError, match=r"^associativity violated at \(1, 1, 2\)$"):
+        category_from_dict(data, "vec_z3_broken")

@@ -7,7 +7,6 @@ there and from the known simple counts of the small doubles.
 
 import copy
 import dataclasses
-import itertools
 import json
 
 import numpy as np
@@ -42,7 +41,7 @@ from gct.tube import (
     null_space_abs,
     tube_dump_dict,
 )
-from test_fusion_core import _random_unitary_f, _rep_a4_ring, _rep_a4_category
+from test_fusion_core import _random_unitary_f, _rep_a4_ring, _rep_a4_category, _vec_zn
 from test_oracles import tube_dim_oracle
 
 
@@ -730,25 +729,6 @@ def test_corruption_in_the_last_ideal_matches_dense(s3_tube):
     assert abs(bad["associativity"] - _dense_residuals(tube)[0]) < 1e-12
     _set_constant(tube, *_off_pattern_entry(tube, tube.ideals[-1]), 1e-30)
     assert verify_algebra(tube)["pattern_violation_max"] == 1e-30
-
-
-def _vec_zn(n, omega=0):
-    """Vec_Z_n; with omega = p, twisted by the 3-cocycle
-    F^{abc} = exp(2 pi i p a floor((b + c) / n) / n), whose F entries, conjugate
-    pairs and star are complex."""
-    data = {
-        "rank": n,
-        "labels": [str(a) for a in range(n)],
-        "dual": [(-a) % n for a in range(n)],
-        "qdim": [1.0] * n,
-        "N": [[a, b, (a + b) % n, 1] for a in range(n) for b in range(n)],
-    }
-    if omega:
-        data["F"] = [{"abcd": [a, b, c, (a + b + c) % n], "rows": [[(a + b) % n, 0, 0]],
-                      "cols": [[(b + c) % n, 0, 0]], "matrix": [[[w.real, w.imag]]]}
-                     for a, b, c in itertools.product(range(n), repeat=3)
-                     for w in [np.exp(2j * np.pi * omega * a * ((b + c) // n) / n)]]
-    return data
 
 
 @pytest.fixture(scope="module")
