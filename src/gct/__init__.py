@@ -55,16 +55,7 @@ from .fusion_core import (
     verify_action,
     verify_pentagon,
 )
-from .morphisms import (
-    Mor,
-    conjugate_solution,
-    engine_for,
-    frobenius_transpose,
-    hom_dim,
-    left_tensor,
-    onb,
-    right_tensor,
-)
+from .morphisms import Mor, engine_for
 from .tube import (
     TubeAlgebra,
     TubeBasisElement,

@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from .fusion_core import InternalCheckError, ValidationError
+from .fusion_core import InternalCheckError, ValidationError, fusion_ring_failure, unit_candidates
 from .morphisms import Mor, residual_max, vobj_tensor
 from .center import (
     HalfBraiding,
@@ -309,13 +309,41 @@ def _closure_residual(simples: list, table: dict) -> float:
                                    - qd[x] * qd[y]) for x in qd for y in qd))
 
 
-def _family_gate(simples: list, gate: float, full: bool) -> dict:
-    """Schur orthogonality, dim Hom(X, Y) = [X is Y] over the member pairs,
-    and sum_X d_X^2 against the dimension of the center: dim C_e dim C for
-    Z_{C_e}(C) (Gelaki-Naidu-Nikshych 2009), (dim C)^2 for the full
-    center, |G| times that for a twisted center.  The sum gates only a
-    `full` family."""
-    schur = max(abs(hom_center(x, y)[0] - (x is y)) for x in simples for y in simples)
+def _ring_failure(simples: list, table: dict, gate: float) -> str | None:
+    """The first fusion-ring axiom that the integer fusion table of a whole
+    center fails, or None.  The unit is the one member whose row and
+    column are the identity, and the dual of x the member y with
+    N_xy^unit = 1; past `fusion_ring_failure`, d_xbar = d_x within `gate`,
+    and N_xy = N_yx for a neutral x, whose braiding gives X Y = Y X."""
+    names = [x.name for x in simples]
+    k = len(names)
+    N = np.array([[[table[x][y].get(z, 0) for z in names] for y in names]
+                  for x in names], dtype=np.int64).reshape(k, k, k)
+    units = unit_candidates(N)
+    if len(units) != 1:
+        return f"unit axiom violated: found {len(units)} candidate unit objects"
+    dual = np.argmax(N[:, :, units[0]] == 1, axis=1)
+    failure = fusion_ring_failure(N, units[0], dual, names)
+    if failure:
+        return failure
+    d = np.array([x.qdim() for x in simples])
+    (bad,) = np.nonzero(~(np.abs(d[dual] - d) < gate))
+    if len(bad):
+        return f"duality violated at {names[bad[0]]}: d_xbar != d_x"
+    neutral = [i for i, x in enumerate(simples) if x.grade == x.cat.group.neutral]
+    bad = np.argwhere((N[neutral] != N[:, neutral].transpose(1, 0, 2)).any(axis=2))
+    if len(bad):
+        return f"commutativity violated at ({names[neutral[bad[0, 0]]]}, {names[bad[0, 1]]})"
+    return None
+
+
+def _family_gate(simples: list, homs: list, gate: float, full: bool) -> dict:
+    """Schur orthogonality, dim Hom(X, Y) = [X is Y] over the member pairs
+    (`homs[i][j]` = dim Hom(simples[i], simples[j])), and sum_X d_X^2
+    against the dimension of the center: dim C_e dim C for Z_{C_e}(C)
+    (Gelaki-Naidu-Nikshych 2009), (dim C)^2 for the full center, |G|
+    times that for a twisted center.  The sum gates only a `full` family."""
+    schur = max(abs(n - (i == j)) for i, row in enumerate(homs) for j, n in enumerate(row))
     cat = simples[0].cat
     d2 = cat.qdim ** 2
     want = float(d2[cat.neutral_sector()].sum() * d2.sum())
@@ -332,19 +360,24 @@ def certify(simples: list, pairwise: dict, fusion_table: dict, tol: float,
             full: bool) -> dict:
     """The one verdict on a center family: `verify_half_braiding` on every
     member, both sweeps (`pairwise` as in `verify_G_braiding`), the closure
-    residual of `fusion_table` and the family gate.  The closure identity
-    and the dimension sum hold only for the whole center, so they gate,
-    at max(tol, 1e-6), only a `full` family, not one grade of it."""
+    residual of `fusion_table`, the family gate on the hom table `hom`
+    (dim Hom(x, y) over the member pairs) and the fusion-ring axioms
+    (`ring`, the first failure or None).  The closure identity, the ring
+    axioms and the dimension sum hold only for the whole center, so they
+    gate, at max(tol, 1e-6), only a `full` family, not one grade of it."""
     gate = max(tol, 1e-6)
     half = [verify_half_braiding(x, tol) for x in simples]
     forward = verify_G_braiding(simples, pairwise, tol)
     reverse = verify_reverse_braiding(simples, tol)
     closure = _closure_residual(simples, fusion_table)
-    family = _family_gate(simples, gate, full)
+    homs = [[hom_center(x, y)[0] for y in simples] for x in simples]
+    family = _family_gate(simples, homs, gate, full)
+    ring = _ring_failure(simples, fusion_table, gate) if full else None
     ok = (all(h["pass"] for h in half) and forward["pass"] and reverse["pass"]
-          and family["pass"] and (not full or closure < gate))
+          and family["pass"] and ring is None and (not full or closure < gate))
     return {"half": half, "forward": forward, "reverse": reverse,
-            "closure_residual": closure, "family": family, "pass": bool(ok)}
+            "closure_residual": closure, "hom": homs, "family": family,
+            "ring": ring, "pass": bool(ok)}
 
 
 # ---------------------------------------------------------------------------

@@ -840,53 +840,31 @@ def tube_representation(tube: TubeAlgebra, hb: HalfBraiding,
 # reporting
 
 
-def center_report_dict(tube: TubeAlgebra, decs: dict, simples: dict,
+def center_report_dict(tube: TubeAlgebra, decs: dict, simples: list,
                        tol: float = 1e-8) -> dict:
-    """JSON-ready summary of a center computation.
+    """The center report's tube part, with `simples` (one dict per simple,
+    in the order of the grades of `decs` and of their blocks) as the
+    entries of the blocks.
 
-    `decs` maps grade -> TubeDecomposition and `simples` maps grade -> the
-    matching list from `extract_simples`.  The report lists each simple
-    with its object content, quantum dimension and verification residual,
-    plus the hom-dimension table between all extracted simples.
+    `decs` maps grade -> TubeDecomposition.  Per grade the report lists the
+    decomposition's sizes, probe seed and retries, and per block its entry
+    from `simples` with the block's rank and corner multiplicities added.
     """
     cat = tube.cat
+    rows = iter(simples)
     out: dict = {"category": cat.name, "kind": tube.kind,
                  "group": list(cat.group.elements), "tol": tol, "grades": {}}
-    flat: list[tuple[str, HalfBraiding]] = []
     for g in sorted(decs):
         dec = decs[g]
-        xs = simples[g]
-        entries = []
-        for blk, X in zip(dec.blocks, xs):
-            chk = verify_half_braiding(X, tol)
-            entries.append({
-                "name": X.name,
-                "object": {cat.label_name(a): n
-                           for a, n in sorted(X.multiplicities().items())},
-                "rank": blk.rank,
-                "corners": {cat.label_name(p): n
-                            for p, n in sorted(blk.corners.items())},
-                "qdim": X.qdim(),
-                "residual": chk["max_residual"],
-                "unitarity": chk["unitarity"],
-                "pass": chk["pass"],
-            })
-            flat.append((X.name, X))
         out["grades"][dec.grade_name] = {
             "dim": dec.dim,
             "center_dim": dec.center_dim,
             "block_ranks": dec.block_ranks(),
             "seed": dec.seed,
             "retries": dec.retries,
-            "simples": entries,
+            "simples": [dict(next(rows), rank=blk.rank,
+                             corners={cat.label_name(p): n
+                                      for p, n in sorted(blk.corners.items())})
+                        for blk in dec.blocks],
         }
-    table = {}
-    for na, a in flat:
-        row = {}
-        for nb, b in flat:
-            row[nb] = hom_center(a, b)[0]
-        table[na] = row
-    out["hom_table"] = table
-    total = sum(len(v) for v in simples.values())
-    out["simple_count"] = total
     return out

@@ -23,20 +23,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import sys
 
 import numpy as np
 
-from .braiding import braidable, build_G_braiding, certify, equivariant_count
-from .center import (
-    HalfBraiding,
-    center_report_dict,
-    extract_simples,
-    hom_center,
-    tensor_half_braidings,
-)
+from .braiding import certify
+from .center import extract_simples
 from .fusion_core import (
     DataError,
     GradedCategory,
@@ -50,7 +43,15 @@ from .fusion_core import (
     verify_action,
     verify_pentagon,
 )
-from .morphisms import Mor, conjugate_solution, engine_for, residual_max, vobj_tensor
+from .morphisms import engine_for, residual_max
+from .report import (
+    SUBCATS,
+    center_report,
+    header,
+    read_family,
+    read_report,
+    stale_fields,
+)
 from .tube import (
     build_tube,
     build_twisted_tube,
@@ -66,7 +67,6 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_SEED = 7
-SUBCATS = ("degree0", "all")
 DEFAULT_TOL = 1e-8
 PENTAGON_TOL = 1e-12
 
@@ -159,21 +159,6 @@ def _write_json(path: str | None, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _header(args, seed: int, tol: float) -> dict:
-    action = getattr(args, "action", None)
-    return {
-        "tool": "gct",
-        "command": args.command,
-        "input": args.input,
-        "seed": int(seed),
-        "tol": float(tol),
-        # --action excludes --subcat, so a twisted run reads no subcat
-        "subcat": None if action else getattr(args, "subcat", None),
-        "action": action,
-        "grade": getattr(args, "grade", None),
-    }
-
-
 def _print_table(headers: list[str], rows: list[list]) -> None:
     cells = [headers] + [[str(c) for c in r] for r in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
@@ -187,112 +172,6 @@ def _fmt(x: float) -> str:
 
 def _status(ok: bool | None) -> str:
     return "skipped" if ok is None else "ok" if ok else "FAIL"
-
-
-# ---------------------------------------------------------------------------
-# morphism (de)serialization for report files
-
-
-def _ser_mor(f: Mor) -> dict:
-    cat = f.eng.cat
-    blocks = {}
-    for c in sorted(f.blocks):
-        M = np.asarray(f.blocks[c])
-        if M.size == 0:
-            continue
-        blocks[cat.label_name(c)] = [[[float(z.real), float(z.imag)] for z in row]
-                                     for row in M]
-    return {
-        "source": [list(map(int, w)) for w in f.source],
-        "target": [list(map(int, w)) for w in f.target],
-        "blocks": blocks,
-    }
-
-
-def _deser_mor(eng, data: dict, where: str) -> Mor:
-    """A stored morphism; `where` names the report entry in error messages."""
-    cat = eng.cat
-    index = {name: i for i, name in enumerate(cat.labels)}
-    try:
-        src = tuple(tuple(int(a) for a in w) for w in data["source"])
-        tgt = tuple(tuple(int(a) for a in w) for w in data["target"])
-        raw = data["blocks"]
-    except (KeyError, TypeError) as e:
-        raise DataError(f"schema mismatch in a morphism entry: {e}") from None
-    for w in src + tgt:
-        for a in w:
-            if not 0 <= a < cat.rank:
-                raise DataError(f"schema mismatch: label index {a} out of range")
-    blocks = {}
-    for cname, rows in raw.items():
-        if cname not in index:
-            raise DataError(f"schema mismatch: unknown channel label {cname!r}")
-        c = index[cname]
-        try:
-            M = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
-        except (TypeError, IndexError, ValueError) as e:
-            raise DataError(f"schema mismatch in {where}, block {cname!r}: {e}") from None
-        want = (eng.vdim(c, tgt), eng.vdim(c, src))
-        if M.shape != want:
-            raise DataError(
-                f"schema mismatch: block {cname!r} has shape {M.shape}, "
-                f"expected {want}")
-        if not np.all(np.isfinite(M)):
-            # a NaN residual compares false with every tolerance
-            raise DataError(f"{where}, block {cname!r} has a non-finite entry")
-        blocks[c] = M
-    return Mor(eng, src, tgt, blocks)
-
-
-# ---------------------------------------------------------------------------
-# shared center pipeline
-
-
-def _extract_family(tube, grades, seed: int, tol: float):
-    decs, simples = {}, {}
-    for g in grades:
-        dec = decompose(tube, g, seed=seed)
-        decs[g] = dec
-        simples[g] = extract_simples(tube, dec, seed=seed, tol=tol)
-    fam = [x for g in sorted(simples) for x in simples[g]]
-    return decs, simples, fam
-
-
-def _fusion_section(fam: list[HalfBraiding]) -> dict:
-    """Fusion multiplicities N_xy^z of the center family and its quantum
-    dimensions; `certify` reads the table's closure residual."""
-    table: dict = {}
-    for x in fam:
-        row = {}
-        for y in fam:
-            t = tensor_half_braidings(x, y)
-            row[y.name] = {z.name: n for z in fam if (n := hom_center(t, z)[0])}
-        table[x.name] = row
-    return {"table": table, "qdims": {x.name: x.qdim() for x in fam}}
-
-
-def _braiding_section(fam: list[HalfBraiding]):
-    """The braidings of member pairs, keyed by their indices in `fam`, and
-    the report entries that serialise them."""
-    pairwise = {(i, j): build_G_braiding(x, y)
-                for i, x in enumerate(fam) for j, y in enumerate(fam)
-                if braidable(y)}
-    entries = {f"{fam[i].name}|{fam[j].name}": _ser_mor(B)
-               for (i, j), B in pairwise.items()}
-    return pairwise, entries
-
-
-def _simple_data_section(fam: list[HalfBraiding]) -> dict:
-    out = {}
-    for x in fam:
-        grade_name = x.cat.group.elements[x.grade]
-        out[x.name] = {
-            "grade": grade_name,
-            "object_words": [list(map(int, w)) for w in x.obj],
-            "E": {x.cat.label_name(pi): _ser_mor(x.E[pi])
-                  for pi in sorted(x.E)},
-        }
-    return out
 
 
 def _print_center_tables(rep: dict, verdict: dict) -> None:
@@ -317,6 +196,8 @@ def _print_center_tables(rep: dict, verdict: dict) -> None:
     rows.append(["family schur", _fmt(family["schur_defect"])])
     rows.append(["family dim", _fmt(family["dim_residual"])])
     _print_table(["braiding check", "residual"], rows)
+    if verdict["ring"]:
+        print(f"\nfusion ring axioms fail: {verdict['ring']}")
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +216,7 @@ def cmd_verify(args) -> int:
         funit = residual_max(funit, float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[1])))))
     # the conjugate equations presuppose associativity: without it their
     # solve can fail, and a residual would mean nothing
-    conj = (residual_max(*(conjugate_solution(cat, a).residual for a in range(cat.rank)))
+    conj = (residual_max(*(engine_for(cat).conjugates(a).residual for a in range(cat.rank)))
             if pent["pass"] else None)
 
     rows = [
@@ -359,7 +240,7 @@ def cmd_verify(args) -> int:
     ok = all(r[3] == "ok" for r in rows)
 
     seed = _resolve_seed(args)
-    payload = _header(args, seed, tol)
+    payload = header(args, seed, tol)
     payload.update({
         "category": cat.name,
         "pentagon": pent["max_residual"],
@@ -399,7 +280,7 @@ def cmd_tube(args) -> int:
           f"dim {tube.dim}")
     _print_table(["grade", "dim", "center", "blocks", "simples"], rows)
 
-    payload = _header(args, seed, tol)
+    payload = header(args, seed, tol)
     payload.update(tube_dump_dict(tube, seed=seed, tol=tol))
     payload["decompositions"] = dumps
     _write_json(args.json, payload)
@@ -409,22 +290,13 @@ def cmd_tube(args) -> int:
 def _center_payload(args, tube, seed: int, tol: float):
     grades = ([_parse_grade(tube.cat, args.grade)] if args.grade
               else list(tube.grades))
-    decs, simples, fam = _extract_family(tube, grades, seed, tol)
-    rep = center_report_dict(tube, decs, simples, tol)
-    fusion = _fusion_section(fam)
-    pairwise, entries = _braiding_section(fam)
-    verdict = certify(fam, pairwise, fusion["table"], tol, args.grade is None)
-    fusion["closure_residual"] = verdict["closure_residual"]
-    payload = _header(args, seed, tol)
+    decs, simples = {}, {}
+    for g in grades:
+        decs[g] = decompose(tube, g, seed=seed)
+        simples[g] = extract_simples(tube, decs[g], seed=seed, tol=tol)
+    rep, verdict, fam = center_report(tube, decs, simples, tol, not args.grade)
+    payload = header(args, seed, tol)
     payload.update(rep)
-    payload["family"] = [x.name for x in fam]
-    payload["simple_data"] = _simple_data_section(fam)
-    payload["fusion"] = fusion
-    payload["braiding"] = entries
-    payload["braiding_summary"] = verdict["forward"]
-    payload["reverse_summary"] = verdict["reverse"]
-    payload["family_gate"] = verdict["family"]
-    payload["pass"] = verdict["pass"]
     return payload, verdict, fam
 
 
@@ -452,7 +324,7 @@ def cmd_gcenter(args) -> int:
     seed = _resolve_seed(args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
 
-    payload, verdict, fam = _center_payload(args, tube, seed, tol)
+    payload, verdict, _ = _center_payload(args, tube, seed, tol)
     print(f"twisted center of {cat2.name} under the order-{cat2.group.order} "
           f"action {act.name!r}: {payload['simple_count']} simples")
     _print_center_tables(payload, verdict)
@@ -468,20 +340,10 @@ def cmd_gcenter(args) -> int:
     # the tubes are not in the report, so this is the one check outside certify
     payload["pass"] = verdict["pass"] and iso["pass"]
 
-    # equivariant count only makes sense over the full family
-    if not args.grade:
-        cnt = equivariant_count(fam, tol)
-        payload["equivariant"] = {
-            "count": cnt["count"],
-            "orbits": [{"members": [fam[i].name for i in o["members"]],
-                        "stabilizer": [cat2.group.elements[g]
-                                       for g in o["stabilizer"]]}
-                       for o in cnt["orbits"]],
-            "assumes_vanishing_obstruction": cnt["assumes_vanishing_obstruction"],
-        }
-        print(f"equivariant objects: {cnt['count']} "
-              f"(from {len(cnt['orbits'])} orbits; assumes vanishing "
-              f"stabilizer obstruction)")
+    if "equivariant" in payload:
+        print(f"equivariant objects: {payload['equivariant']['count']} "
+              f"(from {len(payload['equivariant']['orbits'])} orbits; assumes "
+              f"vanishing stabilizer obstruction)")
 
     _write_json(args.json, payload)
     if not payload["pass"]:
@@ -491,75 +353,13 @@ def cmd_gcenter(args) -> int:
 
 
 def cmd_braid_check(args) -> int:
-    with open(args.input) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DataError(f"schema mismatch: not a JSON report ({e})") from None
-    for key in ("tool", "command", "input", "family", "simple_data", "braiding"):
-        if key not in data:
-            raise DataError(f"schema mismatch: report lacks {key!r}")
-    if data["tool"] != "gct" or data["command"] not in ("center", "gcenter"):
-        raise DataError("schema mismatch: not a center/gcenter report")
-
-    # rebuild the category context the report was produced in
-    subcat = data.get("subcat") or "degree0"
-    if subcat not in SUBCATS:
-        raise DataError(f"schema mismatch: unknown subcat {subcat!r}")
-    action_name = None
-    if data["command"] == "gcenter":
-        action_name = data.get("action")
-        if not action_name:
-            raise DataError("schema mismatch: gcenter report names no action")
+    data, subcat, action_name = read_report(args.input)
     cat, act = _context(_load_associative(data["input"]), subcat, action_name)
-    eng = engine_for(cat)
-    grp = cat.group
     tol = args.tol if args.tol is not None else float(data.get("tol", DEFAULT_TOL))
-
-    fam = []
-    for name in data["family"]:
-        try:
-            sd = data["simple_data"][name]
-            grade = grp.elements.index(sd["grade"])
-            obj = tuple(tuple(int(a) for a in w) for w in sd["object_words"])
-            E = {}
-            for pname, ser in sd["E"].items():
-                pi = cat.labels.index(pname)
-                E[pi] = _deser_mor(eng, ser, f"simple {name!r}, E({pname})")
-        except (KeyError, ValueError) as e:
-            raise DataError(f"schema mismatch in simple {name!r}: {e}") from None
-        X = HalfBraiding(cat, obj, grade, E, action=act, name=name)
-        if sorted(E) != sorted(X.loop_labels()):
-            raise DataError(f"schema mismatch: simple {name!r} lacks E-data "
-                            f"for some loops")
-        fam.append(X)
-
-    pos = {x.name: i for i, x in enumerate(fam)}
-    pairwise = {}
-    for key, ser in data["braiding"].items():
-        a, _, b = key.partition("|")
-        if a not in pos or b not in pos:
-            raise DataError(f"schema mismatch: braiding entry {key!r} does not "
-                            f"name two family simples")
-        i, j = pos[a], pos[b]
-        B = _deser_mor(eng, ser, f"braiding entry {key!r}")
-        x, y = fam[i], fam[j]
-        want_src = vobj_tensor(x.obj, y.obj)
-        want_tgt = vobj_tensor(x.tgt_vobj(y.obj), x.obj)
-        if B.source != want_src or B.target != want_tgt:
-            raise DataError(f"schema mismatch: braiding entry {key!r} has "
-                            f"wrong endpoints for its simples")
-        pairwise[(i, j)] = B
-
-    try:
-        table = data["fusion"]["table"]
-        fusion = {x: {y: {z: operator.index(n) for z, n in table[x][y].items()}
-                      for y in pos} for x in pos}
-    except (KeyError, TypeError, AttributeError) as e:
-        raise DataError(f"schema mismatch in the fusion table: {e!r}") from None
-    full = data.get("grade") is None
-    verdict = certify(fam, pairwise, fusion, tol, full)
-    stale = _stale_fields(data, fam)
+    full = not data.get("grade")
+    fam, pairwise, table = read_family(data, cat, act)
+    verdict = certify(fam, pairwise, table, tol, full)
+    stale = stale_fields(data, fam, verdict, full)
     half, sweep = verdict["half"], verdict["forward"]
     rev, closure, family = verdict["reverse"], verdict["closure_residual"], verdict["family"]
     print("half-braiding data:")
@@ -579,12 +379,14 @@ def cmd_braid_check(args) -> int:
              ["dim", "dim_residual", dim, dim < gate if full else None]]
     _print_table(["axiom", "checks", "residual", "status"],
                  [[a, keys, _fmt(v), _status(ok)] for a, keys, v, ok in rows])
+    if verdict["ring"]:
+        print(f"\nfusion ring axioms fail: {verdict['ring']}")
     if stale:
         print("\nreport fields that differ from the rebuilt family:")
         _print_table(["field", "differing", "first (stored != rebuilt)"], stale)
 
     seed = _resolve_seed(args)
-    payload = _header(args, seed, tol)
+    payload = header(args, seed, tol)
     payload.update({
         "halfbraiding_residuals": {x.name: h["max_residual"] for x, h in zip(fam, half)},
         "axioms": axioms,
@@ -594,6 +396,8 @@ def cmd_braid_check(args) -> int:
         "family_gate": family,
         "pass": verdict["pass"] and not stale,
     })
+    if verdict["ring"]:
+        payload["fusion_ring"] = verdict["ring"]
     if stale:
         payload["stale_fields"] = {field: n for field, n, _ in stale}
     _write_json(args.json, payload)
@@ -601,49 +405,6 @@ def cmd_braid_check(args) -> int:
         print("FAIL: the report fails the center checks", file=sys.stderr)
         return EXIT_DATA
     return EXIT_PASS
-
-
-def _stale_fields(data: dict, fam: list[HalfBraiding]) -> list:
-    """The stored fields that `certify` does not read, against the rebuilt
-    family: `hom_table` against the family gate's Schur entries (memo hits
-    after `certify`), `fusion.qdims` and each simple's name, qdim and
-    object under `grades`.  One row [field, differing leaves, the first of
-    them] per field that differs."""
-    rebuilt = {
-        "hom_table": {x.name: {y.name: hom_center(x, y)[0] for y in fam} for x in fam},
-        "fusion.qdims": {x.name: x.qdim() for x in fam},
-        "grades": [{"name": x.name, "qdim": x.qdim(),
-                    "object": {x.cat.label_name(a): n
-                               for a, n in sorted(x.multiplicities().items())}}
-                   for x in fam],
-    }
-    try:
-        stored = {
-            "hom_table": data["hom_table"],
-            "fusion.qdims": data["fusion"]["qdims"],
-            "grades": [{key: s[key] for key in ("name", "qdim", "object")}
-                       for gd in data["grades"].values() for s in gd["simples"]],
-        }
-    except (KeyError, TypeError, AttributeError) as e:
-        raise DataError(f"schema mismatch in the stored center data: {e!r}") from None
-    rows = []
-    for field, want in rebuilt.items():
-        got, want = dict(_leaves(stored[field])), dict(_leaves(want))
-        bad = sorted(p for p in got.keys() | want.keys()
-                     if p not in got or p not in want or got[p] != want[p])
-        if bad:
-            rows.append([field, len(bad),
-                         f"{bad[0]}: {got.get(bad[0], '-')} != {want.get(bad[0], '-')}"])
-    return rows
-
-
-def _leaves(node, path: str = ""):
-    """(path, value) for every leaf of nested dicts and lists."""
-    if isinstance(node, (dict, list)):
-        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
-            yield from _leaves(child, f"{path}/{key}")
-    else:
-        yield path, node
 
 
 # ---------------------------------------------------------------------------

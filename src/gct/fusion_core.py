@@ -40,6 +40,8 @@ __all__ = [
     "load_category",
     "category_from_dict",
     "fp_dimensions",
+    "fusion_ring_failure",
+    "unit_candidates",
     "verify_pentagon",
     "verify_action",
     "build_crossed_extension",
@@ -209,11 +211,7 @@ class GradedCategory:
     # -- basic structure ----------------------------------------------------
 
     def _find_unit(self) -> int:
-        units = []
-        eye = np.eye(self.rank, dtype=int)
-        for u in range(self.rank):
-            if np.array_equal(self.N[u], eye) and np.array_equal(self.N[:, u, :], eye):
-                units.append(u)
+        units = unit_candidates(self.N)
         if len(units) != 1:
             raise ValidationError(f"unit axiom violated: found {len(units)} candidate unit objects")
         return units[0]
@@ -423,20 +421,20 @@ def _category_from_dict(data: dict, name: str) -> GradedCategory:
         nr = len(cat.right_channels(a, b, c, d))
         if mat.shape != (nl, nr):
             raise DataError(
-                f"F block {_key_names(cat, (a, b, c, d))} has shape {mat.shape}, expected ({nl}, {nr})"
+                f"F block {_key_names(cat.labels, (a, b, c, d))} has shape {mat.shape}, expected ({nl}, {nr})"
             )
         if nl and np.abs(mat.conj().T @ mat - np.eye(nl)).max() > ATOL:
-            raise ValidationError(f"F block {_key_names(cat, (a, b, c, d))} is not unitary")
+            raise ValidationError(f"F block {_key_names(cat.labels, (a, b, c, d))} is not unitary")
         if cat.unit in (a, b, c) and nl and np.abs(mat - np.eye(nl)).max() > 1e-12:
             raise ValidationError(
-                f"gauge violation: F block {_key_names(cat, (a, b, c, d))} with a unit argument is not the identity"
+                f"gauge violation: F block {_key_names(cat.labels, (a, b, c, d))} with a unit argument is not the identity"
             )
     for key, declared in _declared_channels:
         for which, canon in (("rows", cat.left_channels(*key)), ("cols", cat.right_channels(*key))):
             got = declared[which]
             if got and [tuple(ch) for ch in got] != canon:
                 raise DataError(
-                    f"F block {_key_names(cat, key)}: declared {which} do not match the canonical channel order"
+                    f"F block {_key_names(cat.labels, key)}: declared {which} do not match the canonical channel order"
                 )
 
     for act in cat.actions.values():
@@ -446,31 +444,62 @@ def _category_from_dict(data: dict, name: str) -> GradedCategory:
     return cat
 
 
-def _key_names(cat: GradedCategory, key: tuple[int, ...]) -> str:
-    return "(" + ", ".join(cat.labels[k] for k in key) + ")"
+def _key_names(names, key: tuple[int, ...]) -> str:
+    return "(" + ", ".join(names[k] for k in key) + ")"
+
+
+def unit_candidates(N: np.ndarray) -> list[int]:
+    """The labels whose row and column of the fusion table N are the identity."""
+    eye = np.eye(len(N), dtype=N.dtype)
+    return [u for u in range(len(N)) if (N[u] == eye).all() and (N[:, u] == eye).all()]
+
+
+def fusion_ring_failure(N: np.ndarray, unit: int, dual, names) -> str | None:
+    """The first fusion-ring axiom that the integer table N[a, b, c] = N_ab^c
+    fails, naming the first bad labels in lexicographic order, or None.
+
+    Checks associativity, that `dual` is an involution with N_{a b}^unit =
+    [b = dual a], and Frobenius reciprocity N_ab^c = N_{dual a, c}^b.
+    `names[i]` names index i in the message.  The associativity sums run
+    in float64, exact while rank * max(N)^2 < 2^53; a larger table is
+    refused.
+    """
+    rank = len(N)
+    dual = np.asarray(dual)
+    if rank and rank * int(N.max()) ** 2 >= 2 ** 53:
+        return (f"fusion table too large for exact associativity sums: rank {rank}, "
+                f"max multiplicity {int(N.max())}, rank * max(N)^2 >= 2^53")
+
+    # per first label a, sum_e N[a,b,e] N[e,c,:] against sum_f N[b,c,f] N[a,f,:]
+    Nf = N.astype(float)
+    for a in range(rank):
+        bad = np.argwhere((Nf[a] @ Nf.reshape(rank, -1)).reshape(N.shape) != Nf @ Nf[a])
+        if len(bad):
+            return f"associativity violated at {_key_names(names, (a, *bad[0, :2]))}"
+
+    if not np.array_equal(dual[dual], np.arange(rank)):
+        return "duality violated: dual map is not an involution"
+    expect = (np.arange(rank)[None, :] == dual[:, None]).astype(N.dtype)
+    bad = np.argwhere(N[:, :, unit] != expect)
+    if len(bad):
+        a, b = bad[0]
+        return (f"duality violated at {_key_names(names, (a, b))}: N[a, b, unit] = {N[a, b, unit]}, "
+                f"expected {expect[a, b]}")
+
+    bad = np.argwhere(N != N[dual].transpose(0, 2, 1))
+    if len(bad):
+        a, b, c = bad[0]
+        return (f"Frobenius reciprocity violated at {_key_names(names, (a, b, c))}: N[a, b, c] = "
+                f"{N[a, b, c]}, N[dual a, c, b] = {N[dual[a], c, b]}")
+    return None
 
 
 def _validate(cat: GradedCategory) -> None:
     rank, N, dual, u = cat.rank, cat.N, cat.dual, cat.unit
 
-    # associativity of the fusion ring, reported at the first bad triple:
-    # per first label a, sum_e N[a,b,e] N[e,c,:] against sum_f N[b,c,f] N[a,f,:]
-    for a in range(rank):
-        bad = np.argwhere((N[a] @ N.reshape(rank, -1)).reshape(N.shape) != N @ N[a])
-        if len(bad):
-            raise ValidationError(
-                f"associativity violated at {_key_names(cat, (a, *bad[0, :2].tolist()))}"
-            )
-
-    # duals
-    if not np.array_equal(dual[dual], np.arange(rank)):
-        raise ValidationError("duality violated: dual map is not an involution")
-    for a, b in itertools.product(range(rank), repeat=2):
-        expect = 1 if b == dual[a] else 0
-        if N[a, b, u] != expect:
-            raise ValidationError(
-                f"duality violated at {_key_names(cat, (a, b))}: N[a, b, unit] = {N[a, b, u]}, expected {expect}"
-            )
+    failure = fusion_ring_failure(N, u, dual, cat.labels)
+    if failure:
+        raise ValidationError(failure)
 
     # quantum dimensions: declared values must match the Frobenius-Perron
     # eigenvector, per-label and as a simultaneous eigenvector of fusion.
@@ -486,7 +515,7 @@ def _validate(cat: GradedCategory) -> None:
         lhs = float(N[a, b] @ declared)
         if abs(lhs - declared[a] * declared[b]) > 1e-6 * max(1.0, declared[a] * declared[b]):
             raise ValidationError(
-                f"quantum dimensions are not multiplicative at {_key_names(cat, (a, b))}"
+                f"quantum dimensions are not multiplicative at {_key_names(cat.labels, (a, b))}"
             )
     if np.abs(declared[dual] - declared).max() > 1e-9:
         raise ValidationError("quantum dimension not dual-invariant")
@@ -496,7 +525,7 @@ def _validate(cat: GradedCategory) -> None:
     for a, b, c in zip(*np.nonzero(N)):
         if tbl[cat.deg[a], cat.deg[b]] != cat.deg[c]:
             raise ValidationError(
-                f"grading violated at {_key_names(cat, (int(a), int(b), int(c)))}: "
+                f"grading violated at {_key_names(cat.labels, (int(a), int(b), int(c)))}: "
                 f"deg(c) != deg(a) deg(b)"
             )
     if cat.deg[u] != cat.group.neutral:
@@ -831,7 +860,7 @@ def verify_action(cat: GradedCategory, name: str | GroupAction | None = None) ->
         if len(bad):
             block = int(F.blocks[np.searchsorted(F.off, bad[0], "right") - 1])
             failures.append(f"action of {G.elements[g]} changes the F block at "
-                            f"{_key_names(cat, _quadruple(block, cat.rank))}")
+                            f"{_key_names(cat.labels, _quadruple(block, cat.rank))}")
     return {"action": act.name, "max_deviation": max_dev, "failures": failures, "pass": not failures}
 
 

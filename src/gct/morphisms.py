@@ -44,12 +44,6 @@ __all__ = [
     "engine_for",
     "as_vobj",
     "vobj_tensor",
-    "hom_dim",
-    "left_tensor",
-    "right_tensor",
-    "onb",
-    "conjugate_solution",
-    "frobenius_transpose",
     "ConjugatePair",
     "residual_max",
 ]
@@ -892,33 +886,3 @@ class TreeEngine:
     def hat(self, T: Mor) -> Mor:
         """Transpose: Hom(x, y) -> Hom(ybar, xbar), with hat(S o T) = hat(T) o hat(S)."""
         return self.conj_mor(T.H)
-
-
-# ---------------------------------------------------------------------------
-# module-level operation wrappers (the engine is cached per category)
-
-
-def hom_dim(cat: GradedCategory, c: int, w) -> int:
-    """dim Hom(c, w) for a simple c and a word or object w."""
-    eng = engine_for(cat)
-    return eng.vdim(c, as_vobj(w))
-
-
-def left_tensor(cat: GradedCategory, x, f: Mor) -> Mor:
-    return engine_for(cat).ltens(x, f)
-
-
-def right_tensor(cat: GradedCategory, f: Mor, x) -> Mor:
-    return engine_for(cat).rtens(f, x)
-
-
-def onb(cat: GradedCategory, c: int, x) -> list:
-    return engine_for(cat).onb(c, as_vobj(x))
-
-
-def conjugate_solution(cat: GradedCategory, a: int) -> ConjugatePair:
-    return engine_for(cat).conjugates(a)
-
-
-def frobenius_transpose(cat: GradedCategory, T: Mor) -> Mor:
-    return engine_for(cat).frobenius_transpose(T)

@@ -18,8 +18,8 @@ from gct import (
     build_tube,
     bundled_path,
     conjugate_half_braiding,
-    conjugate_solution,
     decompose,
+    engine_for,
     equivariant_count,
     extract_simples,
     hom_center,
@@ -32,7 +32,7 @@ from gct import (
     verify_half_braiding,
     verify_pentagon,
 )
-from gct.center import center_report_dict
+from gct.report import center_report
 from test_oracles import (
     _group_table_from_pointed,
     _raw,
@@ -57,7 +57,7 @@ def test_criterion_1_exact_structure(cats):
         assert rep["max_residual"] < 1e-12, name
         worst_pent = max(worst_pent, rep["max_residual"])
         for a in range(cat.rank):
-            r = conjugate_solution(cat, a).residual
+            r = engine_for(cat).conjugates(a).residual
             assert r < 1e-9, (name, cat.labels[a], r)
             worst_conj = max(worst_conj, r)
     _line(1, "pentagon + conjugates",
@@ -204,7 +204,7 @@ def test_criterion_9_determinism(cats):
         decs = {g: decompose(tube, g, seed=7) for g in tube.grades}
         simples = {g: extract_simples(tube, decs[g], seed=7)
                    for g in tube.grades}
-        rep = center_report_dict(tube, decs, simples)
+        rep = center_report(tube, decs, simples, 1e-8, True)[0]
         dumps.append(json.dumps(rep, sort_keys=True, indent=1).encode())
     assert dumps[0] == dumps[1]
     _line(9, "deterministic reports",

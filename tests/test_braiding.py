@@ -6,6 +6,7 @@ fault injection into the braiding entries the sweep reads.
 """
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from gct import (
     verify_reverse_braiding,
 )
 from conftest import _supplied
-from gct.braiding import _family_gate, _unitarity_defect
+from gct.braiding import _family_gate, _ring_failure, _unitarity_defect
 from gct.center import center_hom_residual, unit_loop_E
 from gct.fusion_core import ValidationError
 from gct.morphisms import Mor, residual_max, vobj_tensor
@@ -380,6 +381,11 @@ def test_a_one_ulp_entry_keys_its_own_column(s3_center, braid_reports):
     assert verify_G_braiding(fam, pairwise) == forward
 
 
+def _homs(fam):
+    """dim Hom(x, y) over the member pairs, as `certify` passes it."""
+    return [[hom_center(x, y)[0] for y in fam] for x in fam]
+
+
 def test_family_gate_reads_schur_and_the_center_dimension(fib_center, z3_twisted):
     """dim Z(Fib) = (1 + phi^2)^2 from the golden ratio, and the twisted
     center of Vec_Z3 under Z2 has dimension 3 * 2 * 3.  A family short of
@@ -387,17 +393,49 @@ def test_family_gate_reads_schur_and_the_center_dimension(fib_center, z3_twisted
     a member breaks Schur orthogonality."""
     fam = fib_center["fam"]
     phi = (1 + 5 ** 0.5) / 2
-    gate = _family_gate(fam, 1e-6, True)
+    gate = _family_gate(fam, _homs(fam), 1e-6, True)
     assert gate["pass"] and gate["schur_defect"] == 0
     assert gate["center_dim"] == pytest.approx((1 + phi ** 2) ** 2, abs=1e-12)
     assert gate["dim_residual"] < 1e-9
-    short = _family_gate(fam[:-1], 1e-6, True)
+    short = _family_gate(fam[:-1], _homs(fam[:-1]), 1e-6, True)
     assert not short["pass"] and short["schur_defect"] == 0
     assert short["dim_residual"] > 1.0
-    assert _family_gate(fam[:-1], 1e-6, False)["pass"]
+    assert _family_gate(fam[:-1], _homs(fam[:-1]), 1e-6, False)["pass"]
     x = fam[0]
     twin = HalfBraiding(x.cat, x.obj, x.grade, dict(x.E), name="twin")
-    twice = _family_gate(fam + [twin], 1e-6, False)
+    twice = _family_gate(fam + [twin], _homs(fam + [twin]), 1e-6, False)
     assert not twice["pass"] and twice["schur_defect"] == 1
-    twisted = _family_gate(z3_twisted["fam"], 1e-6, True)
+    twisted = _family_gate(z3_twisted["fam"], _homs(z3_twisted["fam"]), 1e-6, True)
     assert twisted["pass"] and twisted["center_dim"] == 18.0
+
+
+def _stub_member(name, d=1.0, grade=0):
+    """What `_ring_failure` reads of a member: name, qdim, grade, neutral."""
+    group = types.SimpleNamespace(neutral=0)
+    return types.SimpleNamespace(name=name, qdim=lambda: d, grade=grade,
+                                 cat=types.SimpleNamespace(group=group))
+
+
+def _group_table(elements, mul):
+    return {a: {b: {mul(a, b): 1} for b in elements} for a in elements}
+
+
+def test_ring_axioms_past_the_loader_read_duals_and_neutral_members():
+    """The group ring of S3 is a fusion ring that is not commutative: it
+    fails only while its members are neutral.  Z3 with d = 1, 1, 2 fails
+    d_xbar = d_x at 1, whose dual is 2."""
+    s3 = list(itertools.permutations(range(3)))
+    names = ["".join(map(str, p)) for p in s3]
+
+    def mul(a, b):
+        pa, pb = s3[names.index(a)], s3[names.index(b)]
+        return names[s3.index(tuple(pa[pb[i]] for i in range(3)))]
+
+    table = _group_table(names, mul)
+    neutral = [_stub_member(n) for n in names]
+    assert _ring_failure(neutral, table, 1e-6) == "commutativity violated at (021, 102)"
+    graded = [_stub_member(n, grade=int(n != "012")) for n in names]
+    assert _ring_failure(graded, table, 1e-6) is None
+    z3 = _group_table("012", lambda a, b: str((int(a) + int(b)) % 3))
+    members = [_stub_member(n, d) for n, d in zip("012", (1.0, 1.0, 2.0))]
+    assert _ring_failure(members, z3, 1e-6) == "duality violated at 1: d_xbar != d_x"

@@ -22,11 +22,11 @@ from gct import (
     verify_half_braiding,
 )
 from gct.braiding import _closure_residual
-from gct.center import _hom_system, center_report_dict, kernel_solve
+from gct.center import _hom_system, kernel_solve
 from gct.morphisms import Mor, vobj_tensor
 from gct.tube import TubeBasisElement
 from test_tube import _dense_star, _private_ideals
-from gct.cli import _fusion_section
+from gct.report import _fusion_table, center_report
 
 
 def _qdims(fam):
@@ -236,9 +236,9 @@ def test_s3_fusion_closure(s3_center):
     table is commutative (the center is braided) with the unit row the
     identity."""
     fam = s3_center["fam"]
-    fusion = _fusion_section(fam)
-    assert _closure_residual(fam, fusion["table"]) < 1e-9
-    table = fusion["table"]
+    table = _fusion_table(fam)
+    assert _closure_residual(fam, table) < 1e-9
+    qdims = {z.name: z.qdim() for z in fam}
     one = identity_half_braiding(fam[0].cat)
     (unit,) = [z for z in fam if hom_center(one, z)[0] == 1]
     for x in fam:
@@ -246,7 +246,7 @@ def test_s3_fusion_closure(s3_center):
         for y in fam:
             row = table[x.name][y.name]
             assert row == table[y.name][x.name]
-            assert sum(n * fusion["qdims"][z] for z, n in row.items()) == \
+            assert sum(n * qdims[z] for z, n in row.items()) == \
                 pytest.approx(x.qdim() * y.qdim(), abs=1e-9)
 
 
@@ -746,8 +746,8 @@ def test_a_corrupted_star_entry_shows_in_the_star_residual(s3_center):
 
 
 def test_center_report_roundtrip(ising_center):
-    rep = center_report_dict(ising_center["tube"], ising_center["decs"],
-                             ising_center["simples"])
+    rep = center_report(ising_center["tube"], ising_center["decs"],
+                        ising_center["simples"], 1e-8, True)[0]
     assert rep["simple_count"] == 6
     assert set(rep["grades"]) == {"e", "u"}
     for gname, comp in rep["grades"].items():

@@ -271,17 +271,21 @@ def test_center_tables_show_a_nan_closure_and_reverse_residual(fib_center, braid
     or a reverse residual read as a finite cell, not as nan."""
     from gct import HalfBraiding
     from gct.braiding import _closure_residual, _family_gate
+    from gct.center import hom_center
+    from gct.report import _fusion_table
     fam = fib_center["fam"]
+    homs = [[hom_center(x, y)[0] for y in fam] for x in fam]
     last = fam[-1]
     bad = HalfBraiding(last.cat, last.obj, last.grade, dict(last.E), name=last.name)
     bad.qdim = lambda: float("nan")
-    closure = _closure_residual(fam[:-1] + [bad], gct.cli._fusion_section(fam)["table"])
+    closure = _closure_residual(fam[:-1] + [bad], _fusion_table(fam))
     assert np.isnan(closure)
     reverse = dict(braid_reports["fib"]["reverse"], membership=float("nan"))
     gct.cli._print_center_tables({"grades": {}},
                                  {"forward": braid_reports["fib"]["forward"],
                                   "reverse": reverse, "closure_residual": closure,
-                                  "family": _family_gate(fam, 1e-6, True)})
+                                  "family": _family_gate(fam, homs, 1e-6, True),
+                                  "ring": None})
     cells = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines()
                  if line.strip())
     assert cells["reverse"] == "nan"
@@ -511,8 +515,8 @@ def test_center_payload_is_the_same_on_warm_caches(name):
     verdicts, homs, products).  All of it must give the same JSON."""
     from gct import build_tube, load_category
     from gct.braiding import certify
-    from gct.cli import (_braiding_section, _build_parser, _center_payload,
-                         _context, _fusion_section)
+    from gct.cli import _build_parser, _center_payload, _context
+    from gct.report import _braiding_section, _fusion_table
 
     path = bundled_path(name)
     args = _build_parser().parse_args(["center", path, "--subcat", "all"])
@@ -528,7 +532,7 @@ def test_center_payload_is_the_same_on_warm_caches(name):
     assert first["pass"]
     second = _center_payload(args, tube, 7, tol)[0]
     assert dump(second) == dump(first)
-    table = _fusion_section(fam)["table"]
+    table = _fusion_table(fam)
     assert dump(table) == dump(first["fusion"]["table"])
     pairwise, entries = _braiding_section(fam)
     assert dump(entries) == dump(first["braiding"])
@@ -588,6 +592,8 @@ def test_braid_check_reaches_the_verdict_of_the_report(request, report, tmp_path
     assert check["family_gate"] == data["family_gate"]
     assert check["closure_residual"] == data["fusion"]["closure_residual"]
     assert check["pass"] is data["pass"] is True
+    # failure rows and keys appear only on failure
+    assert not {"fusion_ring", "stale_fields"} & (check.keys() | data.keys())
 
 
 def test_braid_check_stores_the_exact_half_braiding_residuals(fib_report, tmp_path):
@@ -691,15 +697,19 @@ def test_braid_check_refuses_a_malformed_matrix_entry(fib_report, tmp_path, entr
     _one_line_error(run_cli("braid-check", str(bad)), "schema mismatch", "'e:3|e:3'")
 
 
-@pytest.mark.parametrize("edit", ["missing", "string", "float"])
+@pytest.mark.parametrize("edit", ["missing", "string", "float", "negative", "unknown"])
 def test_braid_check_refuses_a_malformed_fusion_table(fib_report, tmp_path, edit):
-    """The closure residual is read off the stored fusion table, so a
-    missing table or a multiplicity that is no integer is refused."""
+    """The closure residual and the ring axioms are read off the stored
+    fusion table, so a missing table, a multiplicity that is no integer or
+    is negative, and an entry naming no member are refused."""
     data = json.loads(fib_report.read_text())
     if edit == "missing":
         del data["fusion"]
+    elif edit == "unknown":
+        data["fusion"]["table"]["e:2"]["e:2"]["e:9"] = 1
     else:
-        data["fusion"]["table"]["e:2"]["e:2"]["e:2"] = "1" if edit == "string" else 1.0
+        data["fusion"]["table"]["e:2"]["e:2"]["e:2"] = {"string": "1", "float": 1.0,
+                                                         "negative": -1}[edit]
     bad = tmp_path / "fusion.json"
     bad.write_text(json.dumps(data))
     _one_line_error(run_cli("braid-check", str(bad)), "schema mismatch in the fusion table")
@@ -725,6 +735,25 @@ def test_braid_check_passes_a_report_with_no_pairs_to_check(tmp_path):
     assert json.loads(out.read_text())["braiding"] == {}
     res = run_cli("braid-check", str(out))
     assert res.returncode == 0, res.stderr
+
+
+def test_a_complex_f_center_round_trips_through_braid_check(tmp_path):
+    """Z(Vec_Z3^omega), for the 3-cocycle of `_vec_zn(3, omega=1)`, has rank
+    9.  Its stored E-data and braiding entries carry imaginary parts, and
+    braid-check reads them back and passes them."""
+    from gct.report import _leaves
+    from test_fusion_core import _vec_zn
+
+    cat = tmp_path / "vec_z3_omega.json"
+    cat.write_text(json.dumps(_vec_zn(3, omega=1)))
+    report = tmp_path / "center.json"
+    assert gct.cli.main(["center", str(cat), "--json", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["simple_count"] == len(data["family"]) == 9
+    imag = max(abs(v) for p, v in _leaves([data["simple_data"], data["braiding"]])
+               if "/blocks/" in p and p.endswith("/1"))
+    assert imag > 0.5
+    assert gct.cli.main(["braid-check", str(report)]) == 0
 
 
 def test_braid_check_rejects_non_report(tmp_path):
@@ -807,3 +836,35 @@ def test_braid_check_refuses_stored_fields_that_are_not_the_family(fib_report, t
     assert check["stale_fields"] == {field: count}
     row = res.stdout.splitlines()[-1].split()
     assert row[:2] == [field, str(count)]
+
+
+@pytest.mark.parametrize("report,edit,key,value", [
+    ("fib_report", "_swapped_fusion", "fusion_ring",
+     "unit axiom violated: found 0 candidate unit objects"),
+    ("z3_gcenter_report", "_equivariant_count_raised", "stale_fields", {"equivariant": 19}),
+], ids=["swapped-fusion", "equivariant-count"])
+def test_braid_check_refuses_a_fusion_ring_or_count_that_is_not_the_family(
+        request, tmp_path, report, edit, key, value):
+    """Z(Fib) with the e:0 row's multiplicities of e:0 and e:1 swapped in
+    every fusion entry keeps the closure identity (both have dimension
+    phi), but its table has no two-sided unit.  The vec_z3 inversion
+    gcenter report with its equivariant count raised by 5 and no orbits
+    stores a block that the rebuilt family does not give.  Every residual
+    gate still passes, and braid-check exits 2 with a row naming the axiom
+    or the field."""
+    data = json.loads(request.getfixturevalue(report).read_text())
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(getattr(_gate_tool(), edit)(data)))
+    out = tmp_path / "check.json"
+    res = run_cli("braid-check", str(bad), "--json", str(out))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    check = json.loads(out.read_text())
+    assert check["pass"] is False
+    assert check["sweep"]["pass"] and check["reverse"]["pass"] and check["family_gate"]["pass"]
+    assert check["closure_residual"] < 1e-9
+    assert {k: check[k] for k in ("fusion_ring", "stale_fields") if k in check} == {key: value}
+    if key == "fusion_ring":
+        assert f"fusion ring axioms fail: {value}" in res.stdout.splitlines()
+    else:
+        assert res.stdout.splitlines()[-1].split()[:3] == ["equivariant", "19", "/count:"]

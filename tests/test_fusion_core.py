@@ -28,7 +28,7 @@ from gct import (
     verify_pentagon,
 )
 from gct.cli import _twisted_setup
-from gct.fusion_core import GroupAction, neutrally_graded
+from gct.fusion_core import GroupAction, fusion_ring_failure, neutrally_graded
 
 from conftest import BUNDLED
 
@@ -695,3 +695,61 @@ def test_associativity_failure_names_the_first_bad_triple():
     data["N"] = [[a, b, 1 if (a, b) == (1, 1) else c, v] for a, b, c, v in data["N"]]
     with pytest.raises(ValidationError, match=r"^associativity violated at \(1, 1, 2\)$"):
         category_from_dict(data, "vec_z3_broken")
+
+
+def test_frobenius_reciprocity_failure_names_the_first_bad_triple():
+    """x x = y, x y = y x = 1 + x and y y = x + y is associative, with
+    x-bar = y and N_xy^1 = 1, but N_xx^x = 0 while N_{x-bar x}^x =
+    N_yx^x = 1."""
+    products = {("x", "x"): ["y"], ("x", "y"): ["1", "x"], ("y", "x"): ["1", "x"],
+                ("y", "y"): ["x", "y"]}
+    labels = ["1", "x", "y"]
+    N = [[0, b, b, 1] for b in range(3)] + [[a, 0, a, 1] for a in (1, 2)]
+    N += [[labels.index(a), labels.index(b), labels.index(c), 1]
+          for (a, b), cs in products.items() for c in cs]
+    data = {"rank": 3, "labels": labels, "dual": [0, 2, 1], "qdim": [1.0, 2.0, 2.0], "N": N}
+    with pytest.raises(ValidationError,
+                       match=r"^Frobenius reciprocity violated at \(x, x, x\): "
+                             r"N\[a, b, c\] = 0, N\[dual a, c, b\] = 1$"):
+        category_from_dict(data, "not_frobenius")
+
+
+def _first_nonassociative(N):
+    """The first (a, b, c), in lexicographic order, where (a b) c and
+    a (b c) differ, by exact integer sums."""
+    n = len(N)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        for d in range(n):
+            left = sum(int(N[a, b, e]) * int(N[e, c, d]) for e in range(n))
+            right = sum(int(N[b, c, f]) * int(N[a, f, d]) for f in range(n))
+            if left != right:
+                return a, b, c
+    return None
+
+
+@pytest.mark.parametrize("rank,top", [(4, 3), (3, 2 ** 24)])
+def test_float_associativity_matches_integer_sums(rank, top):
+    """Random tables with entries up to `top`; at rank 3 and 2^24, rank *
+    top^2 = 3 * 2^48 is just under the 2^53 bound.  The float64 sums name
+    the first bad triple that exact integer sums name."""
+    rng = np.random.default_rng(rank)
+    names = [str(i) for i in range(rank)]
+    for _ in range(10):
+        N = rng.integers(0, top + 1, size=(rank,) * 3)
+        a, b, c = _first_nonassociative(N)
+        assert fusion_ring_failure(N, 0, np.arange(rank), names) == \
+            f"associativity violated at ({a}, {b}, {c})"
+    vec_z5 = category_from_dict(_vec_zn(5), "vec_z5")
+    assert _first_nonassociative(vec_z5.N) is None
+    assert fusion_ring_failure(vec_z5.N, 0, vec_z5.dual, vec_z5.labels) is None
+
+
+def test_a_table_past_the_exact_float_bound_is_refused():
+    """rank * max(N)^2 = 2 * (2^26)^2 = 2^53: the associativity sums would
+    no longer be exact, so the loader refuses the table."""
+    data = _vec_zn(2)
+    data["N"] = [[a, b, c, 2 ** 26 if (a, b) == (1, 1) else v] for a, b, c, v in data["N"]]
+    with pytest.raises(ValidationError, match=r"too large for exact associativity sums"):
+        category_from_dict(data, "vec_z2_huge")
+    N = category_from_dict(_vec_zn(2), "vec_z2").N * (2 ** 26 - 1)
+    assert "too large" not in fusion_ring_failure(N, 0, [0, 1], ["0", "1"])

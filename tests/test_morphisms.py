@@ -13,17 +13,11 @@ from hypothesis import strategies as st
 from gct import (
     build_tube,
     bundled_path,
-    conjugate_solution,
     decompose,
     engine_for,
     extract_simples,
-    frobenius_transpose,
     hom_center,
-    hom_dim,
-    left_tensor,
     load_category,
-    onb,
-    right_tensor,
     tensor_half_braidings,
     verify_half_braiding,
 )
@@ -38,25 +32,28 @@ RNG = np.random.default_rng(20240811)
 def test_hom_dims_frozen(cats):
     fib, ising = cats["fib"], cats["ising"]
     t = fib.labels.index("t")
-    assert hom_dim(fib, t, (t, t, t)) == 2
-    assert hom_dim(fib, fib.unit, (t, t)) == 1
-    assert hom_dim(fib, fib.unit, (t, t, t)) == 1
+    eng = engine_for(fib)
+    assert eng.vdim(t, as_vobj((t, t, t))) == 2
+    assert eng.vdim(fib.unit, as_vobj((t, t))) == 1
+    assert eng.vdim(fib.unit, as_vobj((t, t, t))) == 1
     sigma = ising.labels.index("sigma")
     psi = ising.labels.index("psi")
-    assert hom_dim(ising, ising.unit, (sigma, sigma)) == 1
-    assert hom_dim(ising, psi, (sigma, sigma)) == 1
-    assert hom_dim(ising, sigma, (sigma, sigma)) == 0
-    assert hom_dim(ising, sigma, (sigma, sigma, sigma)) == 2
+    eng = engine_for(ising)
+    assert eng.vdim(ising.unit, as_vobj((sigma, sigma))) == 1
+    assert eng.vdim(psi, as_vobj((sigma, sigma))) == 1
+    assert eng.vdim(sigma, as_vobj((sigma, sigma))) == 0
+    assert eng.vdim(sigma, as_vobj((sigma, sigma, sigma))) == 2
 
 
 def test_hom_dim_pointed_follows_group_law(cats):
     s3 = cats["vec_s3"]
+    eng = engine_for(s3)
     for a in range(s3.rank):
         for b in range(s3.rank):
             c = int(np.argmax(s3.N[a, b]))  # the unique fusion product
             assert s3.N[a, b, c] == 1
             for d in range(s3.rank):
-                assert hom_dim(s3, d, (a, b)) == (1 if d == c else 0)
+                assert eng.vdim(d, ((a, b),)) == (1 if d == c else 0)
 
 
 @pytest.mark.parametrize("name,word", [
@@ -70,8 +67,8 @@ def test_onb_orthonormal_and_complete(cats, name, word):
     eng = engine_for(cat)
     total = eng.zero(w, w)
     for c in range(cat.rank):
-        basis = onb(cat, c, w)
-        assert len(basis) == hom_dim(cat, c, w)
+        basis = eng.onb(c, as_vobj(w))
+        assert len(basis) == eng.vdim(c, as_vobj(w))
         for i, bi in enumerate(basis):
             for j, bj in enumerate(basis):
                 got = (bi.H @ bj).scalar()
@@ -84,26 +81,26 @@ def test_interchange_law(cats):
     ising = cats["ising"]
     sigma = ising.labels.index("sigma")
     psi = ising.labels.index("psi")
-    f = onb(ising, ising.unit, (sigma, sigma))[0]
-    g = onb(ising, psi, (sigma, sigma))[0]
-    left_first = right_tensor(ising, f, (sigma, sigma)) @ left_tensor(
-        ising, (ising.unit,), g)
-    right_first = left_tensor(ising, (sigma, sigma), g) @ right_tensor(
-        ising, f, (psi,))
+    eng = engine_for(ising)
+    f = eng.onb(ising.unit, as_vobj((sigma, sigma)))[0]
+    g = eng.onb(psi, as_vobj((sigma, sigma)))[0]
+    left_first = eng.rtens(f, (sigma, sigma)) @ eng.ltens((ising.unit,), g)
+    right_first = eng.ltens((sigma, sigma), g) @ eng.rtens(f, (psi,))
     assert left_first.diff_norm(right_first) < 1e-10
 
 
 def test_tensor_respects_composition(cats):
     fib = cats["fib"]
     t = fib.labels.index("t")
-    b = onb(fib, t, (t, t))[0]
+    eng = engine_for(fib)
+    b = eng.onb(t, as_vobj((t, t)))[0]
     proj = b @ b.H          # End(t t)
     assert (proj @ proj).diff_norm(proj) < 1e-10
-    rt = right_tensor(fib, proj, (t,))
+    rt = eng.rtens(proj, (t,))
     assert (rt @ rt).diff_norm(rt) < 1e-10
-    assert right_tensor(fib, proj @ proj, (t,)).diff_norm(rt) < 1e-10
-    lt = left_tensor(fib, (t,), proj)
-    assert left_tensor(fib, (t,), proj @ proj).diff_norm(lt @ lt) < 1e-10
+    assert eng.rtens(proj @ proj, (t,)).diff_norm(rt) < 1e-10
+    lt = eng.ltens((t,), proj)
+    assert eng.ltens((t,), proj @ proj).diff_norm(lt @ lt) < 1e-10
 
 
 @pytest.mark.parametrize("name", ["fib", "ising", "vec_s3"])
@@ -329,9 +326,10 @@ def test_raw_objects_are_normalised_once_per_plan(cats, fib_center, monkeypatch)
         for V in sums:
             x.E_vobj(V)
     assert seen == []
-    # the public boundary still normalises
-    assert hom_dim(cat, t, np.int64(t)) == hom_dim(cat, t, ((t,),)) == 1
-    assert onb(cat, t, (np.int64(t),))[0].target == ((t,),)
+    # as_vobj still normalises at the public boundary
+    eng = engine_for(cat)
+    assert eng.vdim(t, as_vobj(np.int64(t))) == eng.vdim(t, ((t,),)) == 1
+    assert eng.onb(t, as_vobj((np.int64(t),)))[0].target == ((t,),)
 
 
 def test_mor_norm_keeps_a_nan_block():
@@ -364,7 +362,7 @@ def test_conjugate_residual_keeps_a_nan(cats, monkeypatch):
 def test_adjoint_is_antimultiplicative_involution(cats):
     ising = cats["ising"]
     sigma = ising.labels.index("sigma")
-    b = onb(ising, ising.unit, (sigma, sigma))[0]
+    b = engine_for(ising).onb(ising.unit, as_vobj((sigma, sigma)))[0]
     assert b.H.H.diff_norm(b) == 0.0
     prod = b @ b.H
     assert prod.H.diff_norm(b @ b.H) < 1e-12
@@ -375,7 +373,7 @@ def test_adjoint_is_antimultiplicative_involution(cats):
 def test_conjugates_solve_the_duality_equations(cats, name):
     cat = cats[name]
     for a in range(cat.rank):
-        pair = conjugate_solution(cat, a)
+        pair = engine_for(cat).conjugates(a)
         assert pair.residual < 1e-9
         # normalisation: R*R = d(a)
         assert (pair.R.H @ pair.R).scalar() == pytest.approx(
@@ -384,21 +382,22 @@ def test_conjugates_solve_the_duality_equations(cats, name):
 
 def test_frobenius_schur_indicators_frozen(cats):
     fib, ising = cats["fib"], cats["ising"]
-    assert conjugate_solution(fib, fib.labels.index("t")).fs_indicator == pytest.approx(1.0)
-    assert conjugate_solution(ising, ising.labels.index("psi")).fs_indicator == pytest.approx(1.0)
-    assert conjugate_solution(ising, ising.labels.index("sigma")).fs_indicator == pytest.approx(1.0)
+    assert engine_for(fib).conjugates(fib.labels.index("t")).fs_indicator == pytest.approx(1.0)
+    assert engine_for(ising).conjugates(ising.labels.index("psi")).fs_indicator == pytest.approx(1.0)
+    assert engine_for(ising).conjugates(ising.labels.index("sigma")).fs_indicator == pytest.approx(1.0)
     # non-self-dual labels carry no indicator
     z3 = cats["vec_z3"]
-    assert conjugate_solution(z3, 1).fs_indicator == 0.0
+    assert engine_for(z3).conjugates(1).fs_indicator == 0.0
 
 
 def test_frobenius_transpose_is_isometric(cats):
     ising = cats["ising"]
     sigma = ising.labels.index("sigma")
     psi = ising.labels.index("psi")
+    eng = engine_for(ising)
     for zeta in range(ising.rank):
-        basis = onb(ising, zeta, (sigma, psi, sigma))
-        flipped = [frobenius_transpose(ising, b) for b in basis]
+        basis = eng.onb(zeta, as_vobj((sigma, psi, sigma)))
+        flipped = [eng.frobenius_transpose(b) for b in basis]
         for i, fi in enumerate(flipped):
             # lands in Hom(sigma-bar, zeta-bar sigma psi)
             assert fi.source == ((int(ising.dual[sigma]),),)
@@ -412,9 +411,9 @@ def test_hat_reverses_composition(cats):
     fib = cats["fib"]
     t = fib.labels.index("t")
     eng = engine_for(fib)
-    T = onb(fib, t, (t, t))[0]
+    T = eng.onb(t, as_vobj((t, t)))[0]
     coeffs = RNG.normal(size=2) + 1j * RNG.normal(size=2)
-    basis = onb(fib, t, (t, t)) + onb(fib, fib.unit, (t, t))
+    basis = eng.onb(t, as_vobj((t, t))) + eng.onb(fib.unit, as_vobj((t, t)))
     S = eng.zero((t, t), (t, t))
     for z, b in zip(coeffs, basis):
         S = S + complex(z) * (b @ b.H)
@@ -428,7 +427,7 @@ def test_transport_is_a_unitary_action(cats):
     eng = engine_for(z3)
     act = z3.action("inversion")
     g = 1  # the involution
-    b = onb(z3, 0, (1, 2))[0]
+    b = eng.onb(0, as_vobj((1, 2)))[0]
     moved = eng.transport(b, g, act)
     assert moved.source == ((act.on_label(g, 0),),)
     assert moved.target == ((act.on_label(g, 1), act.on_label(g, 2)),)
@@ -678,7 +677,7 @@ def test_direct_sum_dims_add(cats):
     V = ((t,), (t, t))       # t  (+)  t(x)t
     assert eng.vdim(t, V) == 1 + 1
     assert eng.vdim(fib.unit, V) == 0 + 1
-    basis = onb(fib, t, V)
+    basis = eng.onb(t, V)
     assert len(basis) == 2
     gram = np.array([[(a.H @ b).scalar() for b in basis] for a in basis])
     assert np.allclose(gram, np.eye(2), atol=1e-10)
@@ -694,7 +693,7 @@ def test_direct_sum_dims_add(cats):
 def test_pairing_is_sesquilinear(cats, zs, ws):
     fib = cats["fib"]
     t = fib.labels.index("t")
-    basis = onb(fib, t, (t, t, t))
+    basis = engine_for(fib).onb(t, as_vobj((t, t, t)))
     f = zs[0] * basis[0] + zs[1] * basis[1]
     g = ws[0] * basis[0] + ws[1] * basis[1]
     want = np.conj(zs[0]) * ws[0] + np.conj(zs[1]) * ws[1]

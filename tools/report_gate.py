@@ -9,8 +9,8 @@ Runs `verify`, `tube` and `center` on every bundled category, the
 the refused `--subcat 1` on ising, the refused `center --action inversion` on
 vec_z3 and `verify --grade zz` on ising, `tube` and `verify` on a generated
 Vec_Z8 (from perfbench/gen_vec_zn.py), `braid-check` of every center
-report, and `braid-check` of four edits of the fib center report (see
-`MUTATIONS`).  Every run uses seed 1 and one BLAS thread, and runs the gct
+report, and `braid-check` of five edits of the fib center report and one
+of the vec_z3 inversion gcenter report (see `MUTATIONS`).  Every run uses seed 1 and one BLAS thread, and runs the gct
 of the checkout this script lives in.  For each run, OUTDIR/<run>/ holds
 `exit_code`, `stdout`, `stderr` and `report.json` (when the run wrote one).
 The inputs are copied to OUTDIR/inputs and every path is relative to OUTDIR,
@@ -35,6 +35,10 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the gct of this checkout, which every run uses too
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from gct.report import _leaves
+
 BUNDLED = ("fib", "ising", "vec_s3", "vec_z2", "vec_z3")
 
 # (run name, command, input name, extra arguments)
@@ -107,14 +111,40 @@ def _zero_qdims(report: dict) -> dict:
     return out
 
 
+def _swapped_fusion(report: dict, row: str = "e:0", a: str = "e:0", b: str = "e:1") -> dict:
+    """A copy of a report whose fusion-table row `row` has the multiplicities
+    of `a` and `b` swapped in every entry.  On Z(Fib), e:0 and e:1 both
+    have dimension phi, so the closure identity still holds."""
+    out = json.loads(json.dumps(report))
+    swap = {a: b, b: a}
+    for entry in out["fusion"]["table"][row].values():
+        moved = {swap.get(z, z): n for z, n in entry.items()}
+        entry.clear()
+        entry.update(moved)
+    return out
+
+
+def _equivariant_count_raised(report: dict) -> dict:
+    """A copy of a gcenter report with `equivariant.count` raised by 5 and
+    no orbits."""
+    out = json.loads(json.dumps(report))
+    out["equivariant"]["count"] += 5
+    out["equivariant"]["orbits"] = []
+    return out
+
+
 # (run name, center run whose report is edited, edit); braid-check must
-# refuse all four: e:3 dropped, e:3 carrying the data of e:0, and the
-# stored hom table and quantum dimensions that no longer match the family
+# refuse every one: e:3 dropped, e:3 carrying the data of e:0, the stored
+# hom table, quantum dimensions and equivariant count that no longer match
+# the family, and a fusion table that is no fusion ring
 MUTATIONS = (
     ("braid-check-center-fib-dropped", "center-fib", _dropped),
     ("braid-check-center-fib-duplicated", "center-fib", _duplicated),
     ("braid-check-center-fib-hom-table-2", "center-fib", _hom_table_of_twos),
     ("braid-check-center-fib-qdims-0", "center-fib", _zero_qdims),
+    ("braid-check-center-fib-swapped-fusion", "center-fib", _swapped_fusion),
+    ("braid-check-gcenter-vec_z3-inversion-count", "gcenter-vec_z3-inversion",
+     _equivariant_count_raised),
 )
 
 
@@ -142,16 +172,6 @@ def _run(out: str, env: dict, run: str, args: list) -> int:
         with open(os.path.join(out, run, name), "w") as fh:
             fh.write(text)
     return res.returncode
-
-
-def _leaves(node, path: str = ""):
-    """(path, value) for every leaf of nested dicts and lists; list indices
-    are kept in the path."""
-    if isinstance(node, (dict, list)):
-        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
-            yield from _leaves(child, f"{path}/{key}")
-    else:
-        yield path, node
 
 
 def _read(run_dir: str, name: str):
