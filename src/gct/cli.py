@@ -8,8 +8,9 @@ tube         build the (possibly twisted) tube algebra and print its block
              structure per grade
 center       extract the simple objects of the relative center, verify their
              half-braidings, and report hom/fusion/braiding data
-gcenter      same for the group-twisted center of a category with an action,
-             plus the crossed-extension comparison and the equivariant count
+gcenter      the center command with --action: the group-twisted center of a
+             category with an action, plus the crossed-extension comparison
+             and the equivariant count
 braid-check  re-verify the braiding entries of a previously written report
              file against the crossed-braiding axioms
 
@@ -36,7 +37,6 @@ from .fusion_core import (
     GroupAction,
     InternalCheckError,
     ValidationError,
-    build_crossed_extension,
     load_category,
     neutrally_graded,
     trivially_graded,
@@ -50,6 +50,7 @@ from .report import (
     header,
     read_family,
     read_report,
+    simple_fields,
     stale_fields,
 )
 from .tube import (
@@ -58,7 +59,6 @@ from .tube import (
     decompose,
     decomposition_dict,
     tube_dump_dict,
-    twisted_untwisted_iso,
 )
 
 EXIT_PASS = 0
@@ -70,7 +70,7 @@ DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-8
 PENTAGON_TOL = 1e-12
 
-# the BF axiom groups reported by braid-check, in terms of the sweep keys
+# the BF axiom groups of the gate table, in terms of the sweep keys
 BF_GROUPS = (
     ("BF0", ("unit_rows", "unitarity")),
     ("BF1", ("mult_second", "nat_second")),
@@ -83,16 +83,31 @@ BF_GROUPS = (
 # plumbing
 
 
+def _checked(kind, ok, what: str):
+    """An argparse type: `kind` of the text, refused unless `ok` holds."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return value
+    return parse
+
+
+_seed_arg = _checked(int, lambda s: s >= 0, "a non-negative integer")
+_tol_arg = _checked(float, lambda t: 0 < t < float("inf"), "a finite positive number")
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("GCT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DataError(f"GCT_SEED is not an integer: {env!r}") from None
-    return DEFAULT_SEED
+        return args.seed
+    try:
+        return _seed_arg(os.environ.get("GCT_SEED", str(DEFAULT_SEED)))
+    except argparse.ArgumentTypeError as e:
+        raise DataError(f"GCT_SEED: {e}") from None
 
 
 def _load_associative(path: str) -> GradedCategory:
@@ -122,7 +137,7 @@ def _parse_grade(cat: GradedCategory, spec: str) -> int:
     return g
 
 
-def _context(cat: GradedCategory, subcat: str, action_name: str | None):
+def _context(cat: GradedCategory, subcat: str | None, action_name: str | None):
     """The category and action (None in the plain flavour) of a tube or
     center; its loops are the category's neutral sector.
 
@@ -151,6 +166,17 @@ def _twisted_setup(cat: GradedCategory, action_name: str):
     return cat, cat.action(action_name)
 
 
+def _setup(args):
+    """The tube, seed, tol and grades of a tube, center or gcenter run."""
+    cat, act = _context(_load_associative(args.input), getattr(args, "subcat", None),
+                        getattr(args, "action", None))
+    tube = build_tube(cat) if act is None else build_twisted_tube(cat, act)
+    seed = _resolve_seed(args)
+    grades = ([_parse_grade(tube.cat, args.grade)] if args.grade
+              else list(tube.grades))
+    return tube, seed, DEFAULT_TOL if args.tol is None else args.tol, grades
+
+
 def _write_json(path: str | None, payload: dict) -> None:
     if not path:
         return
@@ -174,28 +200,38 @@ def _status(ok: bool | None) -> str:
     return "skipped" if ok is None else "ok" if ok else "FAIL"
 
 
-def _print_center_tables(rep: dict, verdict: dict) -> None:
-    for gname, gdata in rep["grades"].items():
-        print(f"grade {gname}: dim {gdata['dim']}, "
-              f"blocks {gdata['block_ranks']}, "
-              f"{len(gdata['simples'])} simples")
-    rows = []
-    for gname, gdata in rep["grades"].items():
-        for s in gdata["simples"]:
-            obj = " + ".join(f"{n}*{a}" if n > 1 else a
-                             for a, n in s["object"].items())
-            rows.append([s["name"], gname, obj, f"{s['qdim']:.6f}",
-                         _fmt(s["residual"]), "ok" if s["pass"] else "FAIL"])
+def _gate_rows(verdict: dict, full: bool, iso: dict | None = None) -> list:
+    """[axiom, checks, residual, ok] per gate of `certify`'s verdict and of
+    the crossed-extension comparison `iso`: ok is residual < the gate's
+    bound, so a NaN fails, and None for a gate that one grade skips."""
+    sweep, rev, family = verdict["forward"], verdict["reverse"], verdict["family"]
+    whole = family["tol"] if full else None
+    rows = [[bf, "+".join(keys), residual_max(*(sweep[k] for k in keys)), sweep["tol"]]
+            for bf, keys in BF_GROUPS]
+    rows += [["rev", "inversion+membership",
+              residual_max(rev["inversion"], rev["membership"]), rev["tol"]],
+             ["fus", "closure_residual", verdict["closure_residual"], whole],
+             ["Schur", "schur_defect", family["schur_defect"], 1],  # an integer defect
+             ["dim", "dim_residual", family["dim_residual"], whole]]
+    if iso is not None:
+        rows.append(["iso", "max_deviation", iso["max_deviation"], iso["tol"]])
+    return [[a, keys, res, None if bound is None else res < bound]
+            for a, keys, res, bound in rows]
+
+
+def _print_verdict(fam: list, verdict: dict, rows: list) -> None:
+    """The simples of a center family with their half-braiding checks, the
+    gate `rows`, and the first fusion-ring axiom that fails."""
+    simples = []
+    for x, h in zip(fam, verdict["half"]):
+        name, obj, qdim = simple_fields(x).values()
+        simples.append([name, x.cat.group.elements[x.grade],
+                        " + ".join(f"{n}*{a}" if n > 1 else a for a, n in obj.items()),
+                        f"{qdim:.6f}", _fmt(h["max_residual"]), _status(h["pass"])])
+    _print_table(["simple", "grade", "object", "qdim", "residual", "status"], simples)
     print()
-    _print_table(["simple", "grade", "object", "qdim", "residual", "status"], rows)
-    print()
-    summ, rev, family = verdict["forward"], verdict["reverse"], verdict["family"]
-    rows = [[key, _fmt(summ[key])] for _, keys in BF_GROUPS for key in keys]
-    rows.append(["reverse", _fmt(residual_max(rev["inversion"], rev["membership"]))])
-    rows.append(["fusion closure", _fmt(verdict["closure_residual"])])
-    rows.append(["family schur", _fmt(family["schur_defect"])])
-    rows.append(["family dim", _fmt(family["dim_residual"])])
-    _print_table(["braiding check", "residual"], rows)
+    _print_table(["axiom", "checks", "residual", "status"],
+                 [[a, keys, _fmt(v), _status(ok)] for a, keys, v, ok in rows])
     if verdict["ring"]:
         print(f"\nfusion ring axioms fail: {verdict['ring']}")
 
@@ -259,13 +295,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tube(args) -> int:
-    cat, act = _context(_load_associative(args.input), args.subcat, args.action)
-    tube = build_tube(cat) if act is None else build_twisted_tube(cat, act)
-    seed = _resolve_seed(args)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-
-    grades = ([_parse_grade(tube.cat, args.grade)] if args.grade
-              else list(tube.grades))
+    tube, seed, tol, grades = _setup(args)
     rows, dumps = [], {}
     for g in grades:
         dec = decompose(tube, g, seed=seed)
@@ -287,9 +317,8 @@ def cmd_tube(args) -> int:
     return EXIT_PASS
 
 
-def _center_payload(args, tube, seed: int, tol: float):
-    grades = ([_parse_grade(tube.cat, args.grade)] if args.grade
-              else list(tube.grades))
+def _center_payload(args, tube, seed: int, tol: float, grades: list):
+    """The report of a center run, `certify`'s verdict and the family."""
     decs, simples = {}, {}
     for g in grades:
         decs[g] = decompose(tube, g, seed=seed)
@@ -301,16 +330,26 @@ def _center_payload(args, tube, seed: int, tol: float):
 
 
 def cmd_center(args) -> int:
-    cat, _ = _context(_load_associative(args.input), args.subcat, None)
-    tube = build_tube(cat)
-    seed = _resolve_seed(args)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-
-    payload, verdict, _ = _center_payload(args, tube, seed, tol)
-    print(f"relative center of {tube.cat.name} over loops "
-          f"{[tube.cat.label_name(x) for x in tube.loop_labels]}: "
-          f"{payload['simple_count']} simples")
-    _print_center_tables(payload, verdict)
+    """`center`, and `gcenter`, which is `center` with an action."""
+    tube, seed, tol, grades = _setup(args)
+    payload, verdict, fam = _center_payload(args, tube, seed, tol, grades)
+    cat, act, count = tube.cat, tube.action, payload["simple_count"]
+    if act is None:
+        print(f"relative center of {cat.name} over loops "
+              f"{[cat.label_name(x) for x in tube.loop_labels]}: {count} simples")
+    else:
+        print(f"twisted center of {cat.name} under the order-{cat.group.order} "
+              f"action {act.name!r}: {count} simples")
+    for gname, gdata in payload["grades"].items():
+        print(f"grade {gname}: dim {gdata['dim']}, blocks {gdata['block_ranks']}, "
+              f"{len(gdata['simples'])} simples")
+    print()
+    _print_verdict(fam, verdict, _gate_rows(verdict, not args.grade,
+                                            payload.get("crossed_extension_iso")))
+    if "equivariant" in payload:
+        print(f"\nequivariant objects: {payload['equivariant']['count']} "
+              f"(from {len(payload['equivariant']['orbits'])} orbits; assumes "
+              f"vanishing stabilizer obstruction)")
     _write_json(args.json, payload)
     if not payload["pass"]:
         print("FAIL: extracted center data is inconsistent", file=sys.stderr)
@@ -318,69 +357,16 @@ def cmd_center(args) -> int:
     return EXIT_PASS
 
 
-def cmd_gcenter(args) -> int:
-    cat2, act = _twisted_setup(_load_associative(args.input), args.action)
-    tube = build_twisted_tube(cat2, act)
-    seed = _resolve_seed(args)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-
-    payload, verdict, _ = _center_payload(args, tube, seed, tol)
-    print(f"twisted center of {cat2.name} under the order-{cat2.group.order} "
-          f"action {act.name!r}: {payload['simple_count']} simples")
-    _print_center_tables(payload, verdict)
-
-    # compare against the plain tube of the crossed extension
-    ext = build_crossed_extension(cat2, act)
-    rel = build_tube(ext)
-    iso = twisted_untwisted_iso(tube, rel)
-    payload["crossed_extension_iso"] = iso
-    print(f"\ncrossed-extension comparison ({ext.name}): "
-          f"max deviation {_fmt(iso['max_deviation'])} "
-          f"[{'ok' if iso['pass'] else 'FAIL'}]")
-    # the tubes are not in the report, so this is the one check outside certify
-    payload["pass"] = verdict["pass"] and iso["pass"]
-
-    if "equivariant" in payload:
-        print(f"equivariant objects: {payload['equivariant']['count']} "
-              f"(from {len(payload['equivariant']['orbits'])} orbits; assumes "
-              f"vanishing stabilizer obstruction)")
-
-    _write_json(args.json, payload)
-    if not payload["pass"]:
-        print("FAIL: twisted-center data is inconsistent", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_PASS
-
-
 def cmd_braid_check(args) -> int:
     data, subcat, action_name = read_report(args.input)
     cat, act = _context(_load_associative(data["input"]), subcat, action_name)
-    tol = args.tol if args.tol is not None else float(data.get("tol", DEFAULT_TOL))
+    tol = args.tol if args.tol is not None else float(data["tol"])
     full = not data.get("grade")
     fam, pairwise, table = read_family(data, cat, act)
     verdict = certify(fam, pairwise, table, tol, full)
     stale = stale_fields(data, fam, verdict, full)
-    half, sweep = verdict["half"], verdict["forward"]
-    rev, closure, family = verdict["reverse"], verdict["closure_residual"], verdict["family"]
-    print("half-braiding data:")
-    _print_table(["simple", "residual", "status"],
-                 [[x.name, _fmt(h["max_residual"]), _status(h["pass"])]
-                  for x, h in zip(fam, half)])
-
-    print("\nbraiding axioms on the supplied entries:")
-    axioms = {bf: residual_max(*(sweep[k] for k in keys)) for bf, keys in BF_GROUPS}
-    rows = [[bf, "+".join(keys), axioms[bf], axioms[bf] < tol] for bf, keys in BF_GROUPS]
-    # the gates past the sweep, under names as short as the BF ones
-    gate, schur, dim = family["tol"], family["schur_defect"], family["dim_residual"]
-    rows += [["rev", "inversion+membership",
-              residual_max(rev["inversion"], rev["membership"]), rev["pass"]],
-             ["fus", "closure_residual", closure, closure < gate if full else None],
-             ["Schur", "schur_defect", schur, schur == 0],
-             ["dim", "dim_residual", dim, dim < gate if full else None]]
-    _print_table(["axiom", "checks", "residual", "status"],
-                 [[a, keys, _fmt(v), _status(ok)] for a, keys, v, ok in rows])
-    if verdict["ring"]:
-        print(f"\nfusion ring axioms fail: {verdict['ring']}")
+    rows = _gate_rows(verdict, full)
+    _print_verdict(fam, verdict, rows)
     if stale:
         print("\nreport fields that differ from the rebuilt family:")
         _print_table(["field", "differing", "first (stored != rebuilt)"], stale)
@@ -388,12 +374,13 @@ def cmd_braid_check(args) -> int:
     seed = _resolve_seed(args)
     payload = header(args, seed, tol)
     payload.update({
-        "halfbraiding_residuals": {x.name: h["max_residual"] for x, h in zip(fam, half)},
-        "axioms": axioms,
-        "sweep": sweep,
-        "reverse": rev,
-        "closure_residual": closure,
-        "family_gate": family,
+        "halfbraiding_residuals": {x.name: h["max_residual"]
+                                   for x, h in zip(fam, verdict["half"])},
+        "axioms": {bf: res for bf, _, res, _ in rows[:len(BF_GROUPS)]},
+        "sweep": verdict["forward"],
+        "reverse": verdict["reverse"],
+        "closure_residual": verdict["closure_residual"],
+        "family_gate": verdict["family"],
         "pass": verdict["pass"] and not stale,
     })
     if verdict["ring"]:
@@ -420,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", cmd_verify, "check the axioms of a category file"),
         ("tube", cmd_tube, "tube-algebra block structure per grade"),
         ("center", cmd_center, "simple objects of the relative center"),
-        ("gcenter", cmd_gcenter, "twisted center under a group action"),
+        ("gcenter", cmd_center, "twisted center under a group action"),
         ("braid-check", cmd_braid_check, "re-verify braiding data from a report"),
     ]
     for name, func, help_ in specs:
@@ -443,9 +430,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grade", default=None,
                        help="restrict to one grade (group element name or index)")
     for p in sub.choices.values():
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_tol_arg, default=None,
                        help="verification tolerance (default 1e-8)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed_arg, default=None,
                        help="RNG seed (default: GCT_SEED env var, else 7)")
         p.add_argument("--json", default=None, metavar="PATH",
                        help="write a machine-readable report to PATH")

@@ -1,9 +1,9 @@
 """The center report: one writer for each stored field, beside its reader.
 
-`center` and `gcenter` write their report with `center_report`.
-`braid-check` reads one back with `read_report` and `read_family`,
-certifies the family, and compares every stored field that the family
-determines with its writer's output on the rebuilt family
+`center` and `gcenter` write their report, and decide its `pass`, with
+`center_report`.  `braid-check` reads one back with `read_report` and
+`read_family`, certifies the family, and compares every stored field that
+the family determines with its writer's output on the rebuilt family
 (`stale_fields`).  A block added to `family_fields` is thereby written
 and re-checked by one function.
 
@@ -21,8 +21,9 @@ import numpy as np
 
 from .braiding import braidable, build_G_braiding, certify, equivariant_count
 from .center import HalfBraiding, center_report_dict, hom_center, tensor_half_braidings
-from .fusion_core import DataError
+from .fusion_core import DataError, build_crossed_extension
 from .morphisms import Mor, engine_for, vobj_tensor
+from .tube import build_tube, twisted_untwisted_iso
 
 SUBCATS = ("degree0", "all")
 # the fields of a simple's entry under `grades` that its half-braiding determines
@@ -65,25 +66,18 @@ def _deser_mor(eng, data: dict, where: str) -> Mor:
     """A stored morphism; `where` names the report entry in error messages."""
     cat = eng.cat
     index = {name: i for i, name in enumerate(cat.labels)}
-    try:
-        src = tuple(tuple(int(a) for a in w) for w in data["source"])
-        tgt = tuple(tuple(int(a) for a in w) for w in data["target"])
-        raw = data["blocks"]
-    except (KeyError, TypeError) as e:
-        raise DataError(f"schema mismatch in a morphism entry: {e}") from None
+    src = tuple(tuple(int(a) for a in w) for w in data["source"])
+    tgt = tuple(tuple(int(a) for a in w) for w in data["target"])
     for w in src + tgt:
         for a in w:
             if not 0 <= a < cat.rank:
                 raise DataError(f"schema mismatch: label index {a} out of range")
     blocks = {}
-    for cname, rows in raw.items():
+    for cname, rows in data["blocks"].items():
         if cname not in index:
             raise DataError(f"schema mismatch: unknown channel label {cname!r}")
         c = index[cname]
-        try:
-            M = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
-        except (TypeError, IndexError, ValueError) as e:
-            raise DataError(f"schema mismatch in {where}, block {cname!r}: {e}") from None
+        M = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
         want = (eng.vdim(c, tgt), eng.vdim(c, src))
         if M.shape != want:
             raise DataError(
@@ -136,16 +130,21 @@ def _equivariant(fam: list[HalfBraiding]) -> dict:
     }
 
 
+def simple_fields(x: HalfBraiding) -> dict:
+    """The `SIMPLE_FIELDS` of a member: its name, its object as
+    {label name: multiplicity} and its quantum dimension."""
+    return dict(zip(SIMPLE_FIELDS, (x.name, {x.cat.label_name(a): n for a, n
+                                             in sorted(x.multiplicities().items())},
+                                    x.qdim())))
+
+
 def family_fields(fam: list[HalfBraiding], verdict: dict, full: bool) -> dict:
     """Every stored field that the family and `certify`'s verdict on it
     determine, keyed by its dotted path in the report.  `grades` lists the
     `SIMPLE_FIELDS` of each member in family order; a full twisted family
     adds its equivariant count, which presumes every simple of the center."""
     names = [x.name for x in fam]
-    simples = [dict(zip(SIMPLE_FIELDS, (x.name, {x.cat.label_name(a): n for a, n
-                                                 in sorted(x.multiplicities().items())},
-                                        x.qdim())))
-               for x in fam]
+    simples = [simple_fields(x) for x in fam]
     out = {
         "hom_table": {x: dict(zip(names, row)) for x, row in zip(names, verdict["hom"])},
         "fusion.qdims": {s["name"]: s["qdim"] for s in simples},
@@ -185,7 +184,9 @@ def _leaves(node, path: str = ""):
 def center_report(tube, decs: dict, simples: dict, tol: float, full: bool):
     """The report of the center family `simples` (grade -> the list from
     `extract_simples` on `decs[grade]`), `certify`'s verdict on it, and the
-    family.  `full` says that the grades are all of the tube's."""
+    family.  `full` says that the grades are all of the tube's.  The
+    report's `pass` is the verdict's and, for a twisted tube, that of its
+    comparison with the tube of the crossed extension."""
     fam = [x for g in sorted(simples) for x in simples[g]]
     table = _fusion_table(fam)
     pairwise, entries = _braiding_section(fam)
@@ -216,6 +217,11 @@ def center_report(tube, decs: dict, simples: dict, tol: float, full: bool):
     })
     if verdict["ring"]:
         rep["fusion_ring"] = verdict["ring"]
+    if tube.action is not None:
+        # a report holds no tubes, so braid-check cannot repeat this check
+        ext = build_tube(build_crossed_extension(tube.cat, tube.action))
+        iso = rep["crossed_extension_iso"] = twisted_untwisted_iso(tube, ext)
+        rep["pass"] = verdict["pass"] and iso["pass"]
     return rep, verdict, fam
 
 
@@ -227,18 +233,22 @@ def read_report(path: str):
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise DataError(f"schema mismatch: not a JSON report ({e})") from None
-    for key in ("tool", "command", "input", "family", "simple_data", "braiding"):
-        if key not in data:
+    for key in ("tool", "command", "input", "tol", "family", "simple_data", "braiding"):
+        if not isinstance(data, dict) or key not in data:
             raise DataError(f"schema mismatch: report lacks {key!r}")
     if data["tool"] != "gct" or data["command"] not in ("center", "gcenter"):
         raise DataError("schema mismatch: not a center/gcenter report")
+    if not isinstance(data["input"], str):  # open() reads an int as a file descriptor
+        raise DataError(f"schema mismatch: input {data['input']!r} is not a path")
+    if not (type(data["tol"]) in (int, float) and 0 < data["tol"] < float("inf")):
+        raise DataError(f"schema mismatch: tol {data['tol']!r} is not a finite positive number")
     subcat = data.get("subcat") or "degree0"
     if subcat not in SUBCATS:
         raise DataError(f"schema mismatch: unknown subcat {subcat!r}")
     action = None
     if data["command"] == "gcenter":
         action = data.get("action")
-        if not action:
+        if not isinstance(action, str) or not action:
             raise DataError("schema mismatch: gcenter report names no action")
     return data, subcat, action
 
@@ -246,48 +256,48 @@ def read_report(path: str):
 def read_family(data: dict, cat, act):
     """The family of a report, its braiding entries keyed by member
     positions, and its fusion table, as `certify` takes them; (cat, act)
-    is the context the report was written in."""
+    is the context the report was written in.  A field of the wrong type
+    or shape ends in DataError naming the entry it is in."""
     eng = engine_for(cat)
-    fam = []
-    for name in data["family"]:
-        try:
+    where = "the family"
+    try:
+        fam = []
+        for name in data["family"]:
+            where = f"simple {name!r}"
             sd = data["simple_data"][name]
             grade = cat.group.elements.index(sd["grade"])
             obj = tuple(tuple(int(a) for a in w) for w in sd["object_words"])
-            E = {}
-            for pname, ser in sd["E"].items():
-                pi = cat.labels.index(pname)
-                E[pi] = _deser_mor(eng, ser, f"simple {name!r}, E({pname})")
-        except (KeyError, ValueError) as e:
-            raise DataError(f"schema mismatch in simple {name!r}: {e}") from None
-        X = HalfBraiding(cat, obj, grade, E, action=act, name=name)
-        if sorted(E) != sorted(X.loop_labels()):
-            raise DataError(f"schema mismatch: simple {name!r} lacks E-data "
-                            f"for some loops")
-        fam.append(X)
+            E = {cat.labels.index(pname): _deser_mor(eng, ser, f"{where}, E({pname})")
+                 for pname, ser in sd["E"].items()}
+            X = HalfBraiding(cat, obj, grade, E, action=act, name=name)
+            if sorted(E) != sorted(X.loop_labels()):
+                raise DataError(f"schema mismatch: simple {name!r} lacks E-data "
+                                f"for some loops")
+            fam.append(X)
 
-    pos = {x.name: i for i, x in enumerate(fam)}
-    pairwise = {}
-    for key, ser in data["braiding"].items():
-        a, _, b = key.partition("|")
-        if a not in pos or b not in pos:
-            raise DataError(f"schema mismatch: braiding entry {key!r} does not "
-                            f"name two family simples")
-        i, j = pos[a], pos[b]
-        B = _deser_mor(eng, ser, f"braiding entry {key!r}")
-        x, y = fam[i], fam[j]
-        if (B.source != vobj_tensor(x.obj, y.obj)
-                or B.target != vobj_tensor(x.tgt_vobj(y.obj), x.obj)):
-            raise DataError(f"schema mismatch: braiding entry {key!r} has "
-                            f"wrong endpoints for its simples")
-        pairwise[(i, j)] = B
+        pos = {x.name: i for i, x in enumerate(fam)}
+        pairwise = {}
+        for key, ser in data["braiding"].items():
+            where = f"braiding entry {key!r}"
+            a, _, b = key.partition("|")
+            if a not in pos or b not in pos:
+                raise DataError(f"schema mismatch: {where} does not name two "
+                                f"family simples")
+            i, j = pos[a], pos[b]
+            B = _deser_mor(eng, ser, where)
+            x, y = fam[i], fam[j]
+            if (B.source != vobj_tensor(x.obj, y.obj)
+                    or B.target != vobj_tensor(x.tgt_vobj(y.obj), x.obj)):
+                raise DataError(f"schema mismatch: {where} has wrong endpoints "
+                                f"for its simples")
+            pairwise[(i, j)] = B
 
-    try:
+        where = "the fusion table"
         stored = data["fusion"]["table"]
         table = {x: {y: {z: operator.index(n) for z, n in stored[x][y].items()}
                      for y in pos} for x in pos}
-    except (KeyError, TypeError, AttributeError) as e:
-        raise DataError(f"schema mismatch in the fusion table: {e!r}") from None
+    except (TypeError, AttributeError, KeyError, ValueError, IndexError) as e:
+        raise DataError(f"schema mismatch in {where}: {e!r}") from None
     for entry in (e for row in table.values() for e in row.values()):
         if not (entry.keys() <= pos.keys() and all(0 <= n < 2 ** 53 for n in entry.values())):
             raise DataError(f"schema mismatch in the fusion table: {entry} names "

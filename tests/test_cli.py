@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface (subprocess level)."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -281,15 +282,53 @@ def test_center_tables_show_a_nan_closure_and_reverse_residual(fib_center, braid
     closure = _closure_residual(fam[:-1] + [bad], _fusion_table(fam))
     assert np.isnan(closure)
     reverse = dict(braid_reports["fib"]["reverse"], membership=float("nan"))
-    gct.cli._print_center_tables({"grades": {}},
-                                 {"forward": braid_reports["fib"]["forward"],
-                                  "reverse": reverse, "closure_residual": closure,
-                                  "family": _family_gate(fam, homs, 1e-6, True),
-                                  "ring": None})
-    cells = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines()
-                 if line.strip())
-    assert cells["reverse"] == "nan"
-    assert cells["fusion closure"] == "nan"
+    verdict = {"half": [], "forward": braid_reports["fib"]["forward"],
+               "reverse": reverse, "closure_residual": closure,
+               "family": _family_gate(fam, homs, 1e-6, True), "ring": None}
+    gct.cli._print_verdict([], verdict, gct.cli._gate_rows(verdict, True))
+    cells = _gate_table(capsys.readouterr().out)
+    assert cells["rev"][-2:] == ["nan", "FAIL"]
+    assert cells["fus"][-2:] == ["nan", "FAIL"]
+
+
+def _gate_table(out: str) -> dict:
+    """{axiom: [checks, residual, status]} of the gate table in a command's
+    stdout."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:2] == ["axiom", "checks"])
+    return {line.split()[0]: line.split()[1:]
+            for line in itertools.takewhile(str.strip, lines[start + 1:])}
+
+
+def test_a_single_grade_skips_the_gates_of_the_whole_center(capsys):
+    """The closure identity and the dimension sum hold only for the whole
+    center, so `center --grade 1` on Ising passes with their rows skipped."""
+    assert gct.cli.main(["center", bundled_path("ising"), "--grade", "1"]) == 0
+    status = {axiom: row[-1] for axiom, row in _gate_table(capsys.readouterr().out).items()}
+    assert status == {"BF0": "ok", "BF1": "ok", "BF2": "ok", "BF3": "ok", "rev": "ok",
+                      "fus": "skipped", "Schur": "ok", "dim": "skipped"}
+
+
+@pytest.mark.parametrize("argv", [["center", "fib"],
+                                  ["gcenter", "vec_z3", "--action", "inversion"]],
+                         ids=["center-fib", "gcenter-vec_z3-inversion"])
+def test_center_and_braid_check_print_one_gate_table(tmp_path, capsys, argv):
+    """A center run and braid-check of its report print the same gate
+    rows.  A twisted run adds its comparison with the tube of the crossed
+    extension as an `iso` row, which braid-check cannot repeat."""
+    command, name, *rest = argv
+    report = tmp_path / "report.json"
+    assert gct.cli.main([command, bundled_path(name), *rest, "--json", str(report)]) == 0
+    center = _gate_table(capsys.readouterr().out)
+    assert gct.cli.main(["braid-check", str(report)]) == 0
+    check = _gate_table(capsys.readouterr().out)
+    assert list(check) == ["BF0", "BF1", "BF2", "BF3", "rev", "fus", "Schur", "dim"]
+    iso = center.pop("iso", None)
+    assert center == check
+    if command == "gcenter":
+        assert iso[0] == "max_deviation" and iso[-1] == "ok"
+    else:
+        assert iso is None
 
 
 def test_verify_reports_a_broken_pentagon_as_a_data_failure(tmp_path):
@@ -442,6 +481,9 @@ def test_every_subcommand_prints_its_help(command):
     (["verify", "f.json", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
     (["tube", "f.json", "--subcat", "all", "--action", "inversion"],
      "argument --action: not allowed with argument --subcat"),
+    (["center", "f.json", "--tol", "nan"], "argument --tol: not a finite positive number: 'nan'"),
+    (["center", "f.json", "--tol", "-1"], "argument --tol: not a finite positive number: '-1'"),
+    (["center", "f.json", "--seed", "-1"], "argument --seed: not a non-negative integer: '-1'"),
 ])
 def test_a_subcommand_usage_error_exits_2(argv, message):
     res = run_cli(*argv)
@@ -492,9 +534,9 @@ def test_gcenter_payload_is_the_same_on_warm_caches():
     path = bundled_path("vec_z3")
     args = _build_parser().parse_args(["gcenter", path, "--action", "inversion"])
     tube = build_twisted_tube(*_twisted_setup(load_category(path), args.action))
-    first = _center_payload(args, tube, 7, 1e-8)
+    first = _center_payload(args, tube, 7, 1e-8, list(tube.grades))
     assert first[-1]
-    second = _center_payload(args, tube, 7, 1e-8)
+    second = _center_payload(args, tube, 7, 1e-8, list(tube.grades))
     assert json.dumps(second[0], sort_keys=True) == json.dumps(first[0], sort_keys=True)
 
 
@@ -528,9 +570,9 @@ def test_center_payload_is_the_same_on_warm_caches(name):
     def dump(obj):
         return json.dumps(obj, sort_keys=True)
 
-    first, verdict, fam = _center_payload(args, tube, 7, tol)
+    first, verdict, fam = _center_payload(args, tube, 7, tol, list(tube.grades))
     assert first["pass"]
-    second = _center_payload(args, tube, 7, tol)[0]
+    second = _center_payload(args, tube, 7, tol, list(tube.grades))[0]
     assert dump(second) == dump(first)
     table = _fusion_table(fam)
     assert dump(table) == dump(first["fusion"]["table"])
@@ -557,9 +599,14 @@ def test_seed_flag_beats_env(tmp_path):
 
 
 def test_bad_seed_env_is_data_error():
-    res = run_cli("center", bundled_path("vec_z2"), "--subcat", "all",
-                  env_extra={"GCT_SEED": "notanumber"})
-    assert res.returncode == 2
+    # one test over both values, so that its id stays the same
+    for seed, message in [("notanumber", "invalid int value"),
+                          ("-3", "not a non-negative integer")]:
+        res = run_cli("center", bundled_path("vec_z2"), "--subcat", "all",
+                      env_extra={"GCT_SEED": seed})
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stderr.splitlines() == [f"error: GCT_SEED: {message}: '{seed}'"]
 
 
 # ------------------------------------------------------------ braid-check
@@ -713,6 +760,29 @@ def test_braid_check_refuses_a_malformed_fusion_table(fib_report, tmp_path, edit
     bad = tmp_path / "fusion.json"
     bad.write_text(json.dumps(data))
     _one_line_error(run_cli("braid-check", str(bad)), "schema mismatch in the fusion table")
+
+
+@pytest.mark.parametrize("path,value", [
+    (("tol",), "abc"), (("tol",), None), (("tol",), -1.0),
+    (("family",), 5), (("simple_data",), []),
+    (("simple_data", "e:3", "object_words"), 5), (("simple_data", "e:3", "E"), []),
+    (("simple_data", "e:3", "E", "t", "blocks"), []),
+    (("braiding",), []), (("input",), 5),
+], ids=["tol-string", "tol-null", "tol-negative", "family-int", "simple-data-list",
+        "object-words-int", "E-list", "E-blocks-list", "braiding-list", "input-int"])
+def test_braid_check_refuses_a_malformed_report(fib_report, tmp_path, path, value):
+    """A report field of the wrong type or shape exits 2 with one
+    schema-mismatch line, not a traceback.  An int `input` would otherwise
+    be opened as a file descriptor, so these run in a subprocess."""
+    data = json.loads(fib_report.read_text())
+    *parents, last = path
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(data))
+    _one_line_error(run_cli("braid-check", str(bad)), "error: schema mismatch")
 
 
 def test_braid_check_rejects_empty_map(ising_report, tmp_path):

@@ -9,9 +9,10 @@ Runs `verify`, `tube` and `center` on every bundled category, the
 the refused `--subcat 1` on ising, the refused `center --action inversion` on
 vec_z3 and `verify --grade zz` on ising, `tube` and `verify` on a generated
 Vec_Z8 (from perfbench/gen_vec_zn.py), `braid-check` of every center
-report, and `braid-check` of five edits of the fib center report and one
-of the vec_z3 inversion gcenter report (see `MUTATIONS`).  Every run uses seed 1 and one BLAS thread, and runs the gct
-of the checkout this script lives in.  For each run, OUTDIR/<run>/ holds
+report, and `braid-check` of six edits of the fib center report and one
+of the vec_z3 inversion gcenter report (see `MUTATIONS`).  Every run uses
+seed 1 and one BLAS thread, and runs the gct of the checkout this script
+lives in.  For each run, OUTDIR/<run>/ holds
 `exit_code`, `stdout`, `stderr` and `report.json` (when the run wrote one).
 The inputs are copied to OUTDIR/inputs and every path is relative to OUTDIR,
 so the outputs of two checkouts can be compared.
@@ -133,16 +134,25 @@ def _equivariant_count_raised(report: dict) -> dict:
     return out
 
 
+def _object_words_int(report: dict, name: str = "e:3") -> dict:
+    """A copy of a report whose simple `name` has the int 5 for its
+    `object_words`, a field of the wrong type."""
+    out = json.loads(json.dumps(report))
+    out["simple_data"][name]["object_words"] = 5
+    return out
+
+
 # (run name, center run whose report is edited, edit); braid-check must
 # refuse every one: e:3 dropped, e:3 carrying the data of e:0, the stored
 # hom table, quantum dimensions and equivariant count that no longer match
-# the family, and a fusion table that is no fusion ring
+# the family, a fusion table that is no fusion ring, and a malformed field
 MUTATIONS = (
     ("braid-check-center-fib-dropped", "center-fib", _dropped),
     ("braid-check-center-fib-duplicated", "center-fib", _duplicated),
     ("braid-check-center-fib-hom-table-2", "center-fib", _hom_table_of_twos),
     ("braid-check-center-fib-qdims-0", "center-fib", _zero_qdims),
     ("braid-check-center-fib-swapped-fusion", "center-fib", _swapped_fusion),
+    ("braid-check-center-fib-object-words-int", "center-fib", _object_words_int),
     ("braid-check-gcenter-vec_z3-inversion-count", "gcenter-vec_z3-inversion",
      _equivariant_count_raised),
 )
