@@ -17,7 +17,13 @@ import dataclasses
 
 import numpy as np
 
-from .fusion_core import InternalCheckError, ValidationError, fusion_ring_failure, unit_candidates
+from .fusion_core import (
+    InternalCheckError,
+    ValidationError,
+    fusion_ring_failure,
+    unit_candidates,
+    unitarity_defect,
+)
 from .morphisms import Mor, residual_max, vobj_tensor
 from .center import (
     HalfBraiding,
@@ -57,12 +63,7 @@ __all__ = [
 
 def _unitarity_defect(m: Mor) -> float:
     """Worst entry of B^* B - 1 over the nonempty channel blocks B of m."""
-    worst = 0.0
-    for B in m.blocks.values():
-        if B.size:
-            worst = residual_max(
-                worst, float(np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1])))))
-    return worst
+    return residual_max(0.0, *(unitarity_defect(B) for B in m.blocks.values() if B.size))
 
 
 def braidable(y: HalfBraiding) -> bool:
@@ -615,7 +616,7 @@ def verify_equivariant(X: EquivariantObject, tol: float = 1e-8) -> dict:
     return out
 
 
-def equivariant_count(simples: list, tol: float = 1e-8) -> dict:
+def equivariant_count(simples: list) -> dict:
     """Count simple equivariant objects by orbits and stabiliser classes.
 
     Sorts the family into action orbits; each orbit contributes one
@@ -653,7 +654,7 @@ def equivariant_count(simples: list, tol: float = 1e-8) -> dict:
                        "count": grp.class_count_of_subgroup(stab)})
     total = sum(o["count"] for o in orbits)
     return {"orbits": orbits, "count": total,
-            "assumes_vanishing_obstruction": True, "tol": tol}
+            "assumes_vanishing_obstruction": True}
 
 
 def equivariant_braiding(X: EquivariantObject, Y: EquivariantObject) -> Mor:

@@ -30,9 +30,10 @@ from .fusion_core import (
     GroupAction,
     InternalCheckError,
     ValidationError,
+    unitarity_defect,
 )
 from .morphisms import Mor, as_vobj, engine_for, residual_max, vobj_tensor
-from .tube import TubeAlgebra, TubeDecomposition, null_space_abs
+from .tube import TubeAlgebra, TubeDecomposition, null_space_abs, probes, spectral_clusters
 
 __all__ = [
     "HalfBraiding",
@@ -45,6 +46,7 @@ __all__ = [
     "tensor_half_braidings",
     "g_action_on_center",
     "induce_object",
+    "split_simples",
     "extract_simples",
     "tube_representation",
     "center_report_dict",
@@ -272,10 +274,8 @@ def _verify_half_braiding(hb: HalfBraiding, tol: float) -> dict:
                 continue
             B = Em.blocks.get(c)
             B = np.zeros((m, n), dtype=complex) if B is None else B
-            eye = np.eye(n)
-            unit_defect = residual_max(unit_defect,
-                                       float(np.max(np.abs(B.conj().T @ B - eye))),
-                                       float(np.max(np.abs(B @ B.conj().T - eye))))
+            unit_defect = residual_max(unit_defect, unitarity_defect(B),
+                                       unitarity_defect(B.conj().T))
     sl = _simple_letter_form(hb)
     max_res = 0.0
     checked = 0
@@ -334,7 +334,7 @@ def kernel_solve(A: np.ndarray, basis: list, tol: float):
     return Z.shape[1], [lincomb(Z[:, k], basis) for k in range(Z.shape[1])]
 
 
-def hom_center(x: HalfBraiding, y: HalfBraiding, tol: float = 1e-9):
+def hom_center(x: HalfBraiding, y: HalfBraiding):
     """Dimension and basis of the center hom space x -> y.
 
     Solves E_y(pi) (T x pi) = (pi' x T) E_x(pi) over T in Hom(obj_x, obj_y)
@@ -348,12 +348,12 @@ def hom_center(x: HalfBraiding, y: HalfBraiding, tol: float = 1e-9):
     orthogonal by grade bookkeeping (the grade is part of the object's
     identity even when the action is not faithful), so the solve runs only
     within a grade and (0, []) is returned across grades.  The solution is
-    memoised on x per (y, tol), with y held weakly.
+    memoised on x per y, with y held weakly.
     """
     _same_context(x, y)
     if x.grade != y.grade:
         return 0, []
-    return _solve_hom_center(x, y, tol)
+    return _solve_hom_center(x, y)
 
 
 def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -394,11 +394,11 @@ def _hom_system(x: HalfBraiding, y: HalfBraiding):
 
 
 @memo(weak=True)
-def _solve_hom_center(x: HalfBraiding, y: HalfBraiding, tol: float):
+def _solve_hom_center(x: HalfBraiding, y: HalfBraiding):
     A, layout = _hom_system(x, y)
     if not layout:
         return 0, []
-    Z = null_space_abs(A, atol=tol)
+    Z = null_space_abs(A)
     basis = [Mor(x.eng, x.obj, y.obj,
                  {d: Z[off:off + m * n, k].reshape(m, n) for d, off, (m, n) in layout})
              for k in range(Z.shape[1])]
@@ -568,12 +568,10 @@ def induce_object(cat: GradedCategory, mu: int, k: int = 0,
 # splitting induced objects into simples
 
 
-def _spectral_cuts(theta: HalfBraiding, rng, cluster_tol: float = 1e-6):
-    """Minimal projections of End(theta) from a random Hermitian probe.
-
-    Returns None when the probe is degenerate (eigenvalue collision across
-    distinct summands), so the caller can retry with fresh randomness.
-    """
+def _spectral_cuts(theta: HalfBraiding, rng):
+    """Projections of End(theta), one per `spectral_clusters` run of a
+    random Hermitian probe drawn from rng, or [None] for a simple theta.
+    A degenerate probe gives projections that are not minimal."""
     n_end, basis = hom_center(theta, theta)
     if n_end == 1:
         return [None]
@@ -590,12 +588,9 @@ def _spectral_cuts(theta: HalfBraiding, rng, cluster_tol: float = 1e-6):
         spectra[c] = (w, V)
         vals.extend(float(v) for v in w)
     vals.sort()
-    scale = max(1.0, abs(vals[0]), abs(vals[-1]))
-    edges = [vals[0] - 1.0]
-    for a, b in zip(vals, vals[1:]):
-        if b - a > cluster_tol * scale:
-            edges.append((a + b) / 2)
-    edges.append(vals[-1] + 1.0)
+    edges = ([vals[0] - 1.0]
+             + [(vals[run[0] - 1] + vals[run[0]]) / 2 for run in spectral_clusters(vals)[1:]]
+             + [vals[-1] + 1.0])
     projs = []
     for lo, hi in zip(edges, edges[1:]):
         blocks = {}
@@ -659,18 +654,32 @@ def _cut_by_projection(theta: HalfBraiding, p: Mor | None,
     return HalfBraiding(theta.cat, obj, theta.grade, E, action=theta.action)
 
 
+def split_simples(theta: HalfBraiding, seed: int, tol: float) -> list[HalfBraiding]:
+    """theta cut into simple half-braidings: the ranges of the spectral
+    projections of the first probe (`probes`) whose cuts all have
+    one-dimensional endomorphisms and pass `verify_half_braiding` at tol.
+    A simple may appear more than once."""
+    for attempt, rng in probes(seed):
+        cuts = [_cut_by_projection(theta, p, tol) for p in _spectral_cuts(theta, rng)]
+        if all(hom_center(cut, cut)[0] == 1 and verify_half_braiding(cut, tol)["pass"]
+               for cut in cuts):
+            return cuts
+    raise InternalCheckError(
+        f"could not split {theta.name or theta.obj} after {attempt + 1} probes")
+
+
 def extract_simples(tube: TubeAlgebra, dec: TubeDecomposition, seed: int = 7,
-                    tol: float = 1e-8, max_retries: int = 8) -> list[HalfBraiding]:
+                    tol: float = 1e-8) -> list[HalfBraiding]:
     """Simple half-braidings of one grade, ordered like the tube blocks.
 
     Induces an object around every simple of the grade's outer sector,
-    splits each induced object with minimal projections of its
-    endomorphism algebra, throws away repeats (detected by `hom_center`),
-    and finally pairs each survivor with a tube block by evaluating the
-    block's central projection in the tube representation carried by the
-    half-braiding.  Corner multiplicities are cross-checked against the
-    object's simple content.  Any mismatch is a hard failure: the tube
-    decomposition is the ground truth for how many simples must appear.
+    splits each induced object with `split_simples`, throws away repeats
+    (detected by `hom_center`), and finally pairs each survivor with a
+    tube block by evaluating the block's central projection in the tube
+    representation carried by the half-braiding.  Corner multiplicities
+    are cross-checked against the object's simple content.  Any mismatch
+    is a hard failure: the tube decomposition is the ground truth for how
+    many simples must appear.
     """
     cat = tube.cat
     g = dec.grade
@@ -683,27 +692,7 @@ def extract_simples(tube: TubeAlgebra, dec: TubeDecomposition, seed: int = 7,
         if not chk["pass"]:
             raise InternalCheckError(
                 f"induced object around {cat.label_name(mu)} fails the axioms: {chk}")
-        cuts = None
-        for attempt in range(max_retries):
-            rng = np.random.default_rng(seed + attempt)
-            projs = _spectral_cuts(theta, rng)
-            trial = [_cut_by_projection(theta, p, tol) for p in projs]
-            good = True
-            for cut in trial:
-                if hom_center(cut, cut)[0] != 1:
-                    good = False
-                    break
-                if not verify_half_braiding(cut, tol)["pass"]:
-                    good = False
-                    break
-            if good:
-                cuts = trial
-                break
-        if cuts is None:
-            raise InternalCheckError(
-                f"could not split the object induced around {cat.label_name(mu)} "
-                f"after {max_retries} probes")
-        for cut in cuts:
+        for cut in split_simples(theta, seed, tol):
             if all(hom_center(cut, r)[0] == 0 for r in reps):
                 reps.append(cut)
     if len(reps) != len(dec.blocks):

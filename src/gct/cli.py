@@ -40,6 +40,7 @@ from .fusion_core import (
     load_category,
     neutrally_graded,
     trivially_graded,
+    unitarity_defect,
     verify_action,
     verify_pentagon,
 )
@@ -108,6 +109,15 @@ def _resolve_seed(args) -> int:
         return _seed_arg(os.environ.get("GCT_SEED", str(DEFAULT_SEED)))
     except argparse.ArgumentTypeError as e:
         raise DataError(f"GCT_SEED: {e}") from None
+
+
+def _floored(tol: float, what: str) -> float:
+    """A center or braid-check tolerance, refused below PENTAGON_TOL: nothing
+    built from an input is certified finer than its pentagon is accepted."""
+    if tol < PENTAGON_TOL:
+        raise DataError(f"{what} {tol:g} is below {PENTAGON_TOL:g}, the pentagon "
+                        f"tolerance that every input is accepted at")
+    return tol
 
 
 def _load_associative(path: str) -> GradedCategory:
@@ -246,10 +256,7 @@ def cmd_verify(args) -> int:
     ptol = args.tol if args.tol is not None else PENTAGON_TOL
 
     pent = verify_pentagon(cat, tol=ptol)
-    funit = 0.0
-    for mat in cat.F.values():
-        M = np.asarray(mat)
-        funit = residual_max(funit, float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[1])))))
+    funit = residual_max(0.0, *(unitarity_defect(np.asarray(m)) for m in cat.F.values()))
     # the conjugate equations presuppose associativity: without it their
     # solve can fail, and a residual would mean nothing
     conj = (residual_max(*(engine_for(cat).conjugates(a).residual for a in range(cat.rank)))
@@ -331,6 +338,8 @@ def _center_payload(args, tube, seed: int, tol: float, grades: list):
 
 def cmd_center(args) -> int:
     """`center`, and `gcenter`, which is `center` with an action."""
+    if args.tol is not None:
+        _floored(args.tol, "--tol")
     tube, seed, tol, grades = _setup(args)
     payload, verdict, fam = _center_payload(args, tube, seed, tol, grades)
     cat, act, count = tube.cat, tube.action, payload["simple_count"]
@@ -359,8 +368,9 @@ def cmd_center(args) -> int:
 
 def cmd_braid_check(args) -> int:
     data, subcat, action_name = read_report(args.input)
+    tol = (_floored(args.tol, "--tol") if args.tol is not None
+           else _floored(float(data["tol"]), "the report's tol"))
     cat, act = _context(_load_associative(data["input"]), subcat, action_name)
-    tol = args.tol if args.tol is not None else float(data["tol"])
     full = not data.get("grade")
     fam, pairwise, table = read_family(data, cat, act)
     verdict = certify(fam, pairwise, table, tol, full)

@@ -423,7 +423,7 @@ def _category_from_dict(data: dict, name: str) -> GradedCategory:
             raise DataError(
                 f"F block {_key_names(cat.labels, (a, b, c, d))} has shape {mat.shape}, expected ({nl}, {nr})"
             )
-        if nl and np.abs(mat.conj().T @ mat - np.eye(nl)).max() > ATOL:
+        if nl and unitarity_defect(mat) > ATOL:
             raise ValidationError(f"F block {_key_names(cat.labels, (a, b, c, d))} is not unitary")
         if cat.unit in (a, b, c) and nl and np.abs(mat - np.eye(nl)).max() > 1e-12:
             raise ValidationError(
@@ -584,6 +584,12 @@ def fp_dimensions(cat: GradedCategory) -> dict[str, float]:
 # flat buffer.
 
 _PENTAGON_CHUNK = 1 << 15  # left trees per pass; bounds the pass's arrays
+
+
+def unitarity_defect(B: np.ndarray) -> float:
+    """max |B^* B - 1| over the entries, for a matrix B with a column;
+    unitarity_defect(B.conj().T) is max |B B^* - 1|."""
+    return float(np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1]))))
 
 
 def residual_max(*residuals: float) -> float:

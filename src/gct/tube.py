@@ -96,9 +96,15 @@ __all__ = [
     "verify_algebra",
     "decompose",
     "twisted_untwisted_iso",
+    "probes",
+    "spectral_clusters",
     "tube_dump_dict",
     "decomposition_dict",
 ]
+
+AXIOM_TOL = 1e-8    # bound on the algebra axioms and the twisted/plain deviation
+PROBES = 8          # seeded probes per spectral split: seed, seed + 1, ...
+CLUSTER_GAP = 1e-6  # relative spectral gap that separates two clusters
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -380,21 +386,20 @@ def _find(root: dict, p):
 # builders
 
 
-def build_tube(cat: GradedCategory, verify: bool = True) -> TubeAlgebra:
+def build_tube(cat: GradedCategory) -> TubeAlgebra:
     """Tube algebra of `cat` relative to its neutral sector: the loops are
     the degree-neutral simples and the outer strands of grade g the simples
     of degree g.  The full (ungraded) tube of the underlying category is
     ``build_tube(trivially_graded(cat))``, where every simple is a loop.
     """
     tube = TubeAlgebra(cat)
-    if verify:
-        rep = verify_algebra(tube)
-        if not rep["pass"]:
-            raise InternalCheckError(f"tube algebra axioms fail: {rep}")
+    rep = verify_algebra(tube)
+    if not rep["pass"]:
+        raise InternalCheckError(f"tube algebra axioms fail: {rep}")
     return tube
 
 
-def build_twisted_tube(d0: GradedCategory, action, verify: bool = True) -> TubeAlgebra:
+def build_twisted_tube(d0: GradedCategory, action) -> TubeAlgebra:
     """Group-twisted tube algebra of a trivially graded category.
 
     `action` is an action name bundled with `d0` (or a GroupAction, which
@@ -409,10 +414,9 @@ def build_twisted_tube(d0: GradedCategory, action, verify: bool = True) -> TubeA
     if not rep["pass"]:
         raise ValidationError(f"action {act.name!r} is not strict: {rep}")
     tube = TubeAlgebra(d0, act)
-    if verify:
-        rep2 = verify_algebra(tube)
-        if not rep2["pass"]:
-            raise InternalCheckError(f"twisted tube algebra axioms fail: {rep2}")
+    rep2 = verify_algebra(tube)
+    if not rep2["pass"]:
+        raise InternalCheckError(f"twisted tube algebra axioms fail: {rep2}")
     return tube
 
 
@@ -493,10 +497,10 @@ def _star_anti_mult(C: np.ndarray, S: np.ndarray) -> float:
     return float(np.max(np.abs(star_of_prod - prod_of_stars)))
 
 
-def verify_algebra(tube: TubeAlgebra, tol: float = 1e-8) -> dict:
+def verify_algebra(tube: TubeAlgebra) -> dict:
     """Report the *-algebra axioms: associativity, star, trace, unit.
 
-    Pure report; `pass` summarizes every residual against its tolerance.
+    Pure report; `pass` summarizes every residual against `AXIOM_TOL`.
     Every entry of every axiom is checked ideal by ideal, as the module
     docstring says; `pass` needs the pattern gate `pattern_violation_max`
     to be exactly 0.0.
@@ -522,7 +526,7 @@ def verify_algebra(tube: TubeAlgebra, tol: float = 1e-8) -> dict:
     min_eig = float(eigs.min())
     max_eig = float(eigs.max())
     pattern = _pattern_violation(tube)
-    ok = (assoc < tol and invol < tol and anti < tol and gram_herm < tol
+    ok = (residual_max(assoc, invol, anti, gram_herm) < AXIOM_TOL
           and unit_res < 1e-9 and pattern == 0.0
           and min_eig > 1e-10 * max(1.0, max_eig))
     return {
@@ -535,7 +539,7 @@ def verify_algebra(tube: TubeAlgebra, tol: float = 1e-8) -> dict:
         "trace_max_eig": max_eig,
         "unit_residual": unit_res,
         "pattern_violation_max": pattern,
-        "tol": tol,
+        "tol": AXIOM_TOL,
         "pass": bool(ok),
     }
 
@@ -590,17 +594,30 @@ class TubeDecomposition:
         return [b.rank for b in self.blocks]
 
 
-def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
-              cluster_tol: float = 1e-6, max_retries: int = 8) -> TubeDecomposition:
+def probes(seed: int):
+    """(attempt, generator) for each probe of a spectral split: attempt a
+    below `PROBES` draws from default_rng(seed + a)."""
+    for attempt in range(PROBES):
+        yield attempt, np.random.default_rng(seed + attempt)
+
+
+def spectral_clusters(w) -> list[list[int]]:
+    """The index runs of an ascending spectrum w, cut wherever two
+    neighbours lie more than CLUSTER_GAP * max(1, max |w|) apart."""
+    scale = max(1.0, float(np.max(np.abs(w))))
+    cuts = [i for i in range(1, len(w)) if w[i] - w[i - 1] > CLUSTER_GAP * scale]
+    return [list(range(a, b)) for a, b in zip([0] + cuts, cuts + [len(w)])]
+
+
+def decompose(tube: TubeAlgebra, grade: int, seed: int = 7) -> TubeDecomposition:
     """Block structure of one graded component.
 
     The grade splits into its ideals (see the module docstring).  For each
     ideal, solves the commutant equations for its center, probes it with a
-    seeded random Hermitian central element, clusters the spectrum (gap
-    threshold `cluster_tol`) and turns each cluster into a minimal central
-    projection.
-    Probes that produce eigenvalue collisions are retried with seed+1,
-    seed+2, ...; the largest retry count of any ideal is reported.
+    seeded random Hermitian central element (`probes`), clusters the
+    spectrum (`spectral_clusters`) and turns each cluster into a minimal
+    central projection.  A probe that fails a check gives way to the next;
+    the largest attempt index of any ideal is reported as `retries`.
 
     The blocks are sorted by rank, corners and rounded projection.  Blocks
     of two ideals differ in their corners, since a block's corners over its
@@ -619,7 +636,7 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
     for idl in tube.ideals:
         if idl.grade != grade:
             continue
-        found, attempt = _decompose_ideal(tube, idl, seed, cluster_tol, max_retries)
+        found, attempt = _decompose_ideal(tube, idl, seed)
         retries = max(retries, attempt)
         for m, zc, corners in found:
             blocks.append(TubeBlock(rank=m, positions=idl.positions, projection=zc,
@@ -637,8 +654,7 @@ def decompose(tube: TubeAlgebra, grade: int, seed: int = 7,
                              seed=seed, retries=retries)
 
 
-def _decompose_ideal(tube: TubeAlgebra, ideal: TubeIdeal, seed: int,
-                     cluster_tol: float, max_retries: int) -> tuple:
+def _decompose_ideal(tube: TubeAlgebra, ideal: TubeIdeal, seed: int) -> tuple:
     """Minimal central projections of one ideal: a list of (rank,
     projection on the ideal's positions, corner multiplicity of each of its
     labels), and the attempt index."""
@@ -678,8 +694,7 @@ def _decompose_ideal(tube: TubeAlgebra, ideal: TubeIdeal, seed: int,
     corner_trace = (C @ np.einsum("ikk->i", C))[:, corner_pos]
 
     last_reason = ""
-    for attempt in range(max_retries):
-        rng = np.random.default_rng(seed + attempt)
+    for attempt, rng in probes(seed):
         coeff = rng.standard_normal(nc) + 1j * rng.standard_normal(nc)
         z0 = Z @ coeff
         z = z0 + S @ np.conj(z0)
@@ -692,60 +707,36 @@ def _decompose_ideal(tube: TubeAlgebra, ideal: TubeIdeal, seed: int,
             last_reason = f"probe not Hermitian in the trace form ({herm_dev:.2e})"
             continue
         w, V = np.linalg.eigh((Mh + Mh.conj().T) / 2)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        clusters = []
-        start = 0
-        for idx in range(1, n):
-            if w[idx] - w[idx - 1] > cluster_tol * scale:
-                clusters.append(list(range(start, idx)))
-                start = idx
-        clusters.append(list(range(start, n)))
+        clusters = spectral_clusters(w)
         if len(clusters) != nc:
             last_reason = f"{len(clusters)} spectral clusters for a {nc}-dim center"
             continue
-        ranks = []
-        for cl in clusters:
-            m = math.isqrt(len(cl))
-            ranks.append(m if m * m == len(cl) else -1)
-        if -1 in ranks:
+        ranks = [math.isqrt(len(cl)) for cl in clusters]
+        if any(m * m != len(cl) for m, cl in zip(ranks, clusters)):
             last_reason = "eigenvalue collision (non-square cluster)"
             continue
 
-        projs = []
-        for cl in clusters:
-            P = V[:, cl] @ V[:, cl].conj().T
-            p_alg = Uinv @ P @ U
-            projs.append(p_alg @ unit)
-
+        projs = [Uinv @ (V[:, cl] @ V[:, cl].conj().T) @ U @ unit for cl in clusters]
         zs = np.stack(projs, axis=1)
         dev = _projection_residual(C, S, M, unit, zs)
         if not dev <= 1e-6:  # a NaN residual is a failed probe too
             last_reason = f"projection system residual {dev:.2e}"
             continue
 
-        found = []
-        corner_ok = True
-        for zc, tr, m in zip(projs, zs.T @ corner_trace, ranks):
-            vals = unit[corner_pos] * tr / m
-            corners = {}
-            for p, val in zip(labels, vals):
-                nval = round(val.real)
-                if abs(val - nval) > 1e-6:
-                    corner_ok = False
-                corners[p] = int(nval)
-            if sum(corners.values()) != m:
-                corner_ok = False
-            found.append((m, zc, corners))
-        if not corner_ok:
+        # row a: the corner counts of block a, one per label
+        vals = unit[corner_pos] * (zs.T @ corner_trace) / np.array(ranks)[:, None]
+        counts = np.round(vals.real)
+        if not (np.abs(vals - counts).max() <= 1e-6 and (counts.sum(axis=1) == ranks).all()):
             last_reason = "non-integral corner multiplicities"
             continue
         if sum(m * m for m in ranks) != n:
             last_reason = "block ranks do not fill the component"
             continue
-        return found, attempt
+        return [(m, zc, dict(zip(labels, map(int, row))))
+                for m, zc, row in zip(ranks, projs, counts)], attempt
 
     raise InternalCheckError(
-        f"block decomposition of {where} failed after {max_retries} probes "
+        f"block decomposition of {where} failed after {attempt + 1} probes "
         f"(last: {last_reason}; Gram condition number {cond:.3e})")
 
 
@@ -773,16 +764,16 @@ def _projection_residual(C: np.ndarray, S: np.ndarray, M: np.ndarray,
 # twisted vs plain comparison
 
 
-def twisted_untwisted_iso(twisted: TubeAlgebra, relative: TubeAlgebra,
-                          tol: float = 1e-8) -> dict:
+def twisted_untwisted_iso(twisted: TubeAlgebra, relative: TubeAlgebra) -> dict:
     """Compare a twisted tube with the plain tube of the matching extension.
 
     `relative` must be the tube of the crossed extension of `twisted`'s
     category by the same action, with loops in the neutral sector.  The
     canonical basis bijection sends the loop/outer labels of the extension
     to their base labels and inverts the grade; the report carries the
-    worst deviation between the mapped structure constants (and, for
-    information, of the star, trace and unit data).
+    worst deviation between the mapped structure constants, which passes
+    below `AXIOM_TOL` (and, for information, of the star, trace and unit
+    data).
     """
     if twisted.kind != "twisted" or relative.kind != "relative":
         raise ValidationError("arguments must be (twisted, relative) tube algebras")
@@ -846,8 +837,8 @@ def twisted_untwisted_iso(twisted: TubeAlgebra, relative: TubeAlgebra,
         "trace_deviation": tdev,
         "unit_deviation": udev,
         "grade_map": grade_map,
-        "tol": tol,
-        "pass": bool(dev < tol),
+        "tol": AXIOM_TOL,
+        "pass": bool(dev < AXIOM_TOL),
     }
 
 

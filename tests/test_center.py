@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import gct.tube
 from gct import (
     HalfBraiding,
     build_tube,
@@ -22,7 +23,8 @@ from gct import (
     verify_half_braiding,
 )
 from gct.braiding import _closure_residual
-from gct.center import _hom_system, kernel_solve
+from gct.center import _hom_system, kernel_solve, split_simples
+from gct.fusion_core import InternalCheckError
 from gct.morphisms import Mor, vobj_tensor
 from gct.tube import TubeBasisElement
 from test_tube import _dense_star, _private_ideals
@@ -183,6 +185,52 @@ def test_induced_object_from_odd_sector(ising_center, cats):
     mults = [hom_center(ind, s)[0] for s in ising_center["simples"][0]]
     total = sum(m * s.qdim() for m, s in zip(mults, ising_center["simples"][0]))
     assert total == pytest.approx(ind.qdim(), abs=1e-8)
+
+
+# ------------------------------------------------------------ the probe
+
+
+@pytest.mark.parametrize("name", ["fib", "ising"])
+def test_split_simples_cuts_every_induced_object_into_verified_simples(cats, name):
+    """Each object induced around a simple splits into simple half-braidings
+    that pass the axioms and whose quantum dimensions add up to the induced
+    object's; a second split at the same seed gives the same E-data."""
+    cat = cats[name]
+    for mu in range(cat.rank):
+        theta = induce_object(cat, mu)
+        cuts = split_simples(theta, 7, 1e-8)
+        assert len(cuts) > 1
+        for x in cuts:
+            assert hom_center(x, x)[0] == 1
+            assert verify_half_braiding(x)["pass"]
+        assert sum(x.qdim() for x in cuts) == pytest.approx(theta.qdim(), rel=1e-12)
+        again = split_simples(theta, 7, 1e-8)
+        assert [x.obj for x in again] == [x.obj for x in cuts]
+        for x, y in zip(again, cuts):
+            assert x.E.keys() == y.E.keys()
+            for pi in x.E:
+                assert x.E[pi].blocks.keys() == y.E[pi].blocks.keys()
+                assert all(np.array_equal(B, y.E[pi].blocks[c])
+                           for c, B in x.E[pi].blocks.items())
+
+
+@pytest.mark.parametrize("probes", [None, 2], ids=["PROBES", "2"])
+def test_a_spectrum_that_never_splits_fails_after_every_probe(fib_center, cats, monkeypatch,
+                                                              probes):
+    """With CLUSTER_GAP at 1e9 no probe's spectrum is cut: `decompose` finds
+    one cluster for the fib tube's four-dimensional center, and
+    `split_simples` keeps the induced object whole, which is not simple.
+    Both give up after PROBES probes, whatever PROBES is set to."""
+    if probes is not None:
+        monkeypatch.setattr(gct.tube, "PROBES", probes)
+    monkeypatch.setattr(gct.tube, "CLUSTER_GAP", 1e9)
+    n = gct.tube.PROBES
+    with pytest.raises(InternalCheckError) as exc:
+        decompose(fib_center["tube"], 0)
+    assert "1 spectral clusters for a 4-dim center" in str(exc.value)
+    assert f"failed after {n} probes" in str(exc.value)
+    with pytest.raises(InternalCheckError, match=f"could not split .* after {n} probes"):
+        split_simples(induce_object(cats["fib"], cats["fib"].unit), 7, 1e-8)
 
 
 # ------------------------------------------------------------ conjugation

@@ -494,6 +494,57 @@ def test_a_subcommand_usage_error_exits_2(argv, message):
     assert line == f"gct {argv[0]}: error: {message}"
 
 
+FLOOR = "is below 1e-12, the pentagon tolerance that every input is accepted at"
+
+
+@pytest.mark.parametrize("argv", [
+    ["center", "fib", "--tol", "1e-30"],
+    ["gcenter", "vec_z3", "--action", "inversion", "--tol", "5e-13"],
+    ["braid-check", "fib_report", "--tol", "1e-30"],
+], ids=["center", "gcenter", "braid-check"])
+def test_a_tol_below_the_pentagon_floor_exits_2_and_runs_nothing(
+        argv, request, tmp_path, capsys, monkeypatch):
+    """No residual of a center is certified finer than its input's pentagon
+    is accepted, so `--tol` below 1e-12 is bad data: exit 2 with one line,
+    before any input is loaded and without a report."""
+    command, name, *rest = argv
+    path = (request.getfixturevalue(name) if command == "braid-check"
+            else bundled_path(name))
+
+    def no_load(*_):
+        raise AssertionError("an input was loaded")
+
+    monkeypatch.setattr(gct.cli, "load_category", no_load)
+    out = tmp_path / "report.json"
+    assert gct.cli.main([command, str(path), *rest, "--json", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert stderr.splitlines() == [f"error: --tol {rest[-1]} {FLOOR}"]
+
+
+def test_braid_check_refuses_a_stored_tol_below_the_floor(fib_report, tmp_path, capsys):
+    """A report's own tol meets the same floor; a --tol at or above it is
+    the tolerance braid-check then uses instead."""
+    data = json.loads(fib_report.read_text())
+    data["tol"] = 1e-30
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(data))
+    assert gct.cli.main(["braid-check", str(path)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.splitlines() == [f"error: the report's tol 1e-30 {FLOOR}"]
+    assert gct.cli.main(["braid-check", str(path), "--tol", "1e-12"]) == 0
+
+
+def test_verify_keeps_a_tol_below_the_floor(capsys):
+    """For `verify` the tolerance is the pentagon's own, so any finite
+    positive --tol runs; fib's float residuals then fail it."""
+    assert gct.cli.main(["verify", bundled_path("fib"), "--tol", "1e-30"]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert "pentagon" in stdout and "1.000e-30" in stdout
+    assert "1e-12" not in stderr
+
+
 def test_a_twisted_tube_report_records_no_subcat(tmp_path):
     path = tmp_path / "tube.json"
     res = run_cli("tube", bundled_path("vec_z3"), "--action", "inversion",

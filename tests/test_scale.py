@@ -95,7 +95,7 @@ def test_vec_z6_center_has_36_invertible_simples(tmp_path):
 def test_vec_z32_decompose_traces_under_16_mib():
     # the projections and their sort keys live on each ideal's 32 positions,
     # not on the 1024 of the grade
-    tube = build_tube(category_from_dict(_vec_zn(32)), verify=False)
+    tube = gct.TubeAlgebra(category_from_dict(_vec_zn(32)))
     tracemalloc.start()
     try:
         dec = decompose(tube, 0)

@@ -39,6 +39,7 @@ from gct.tube import (
     _projection_residual,
     decomposition_dict,
     null_space_abs,
+    spectral_clusters,
     tube_dump_dict,
 )
 from test_fusion_core import _random_unitary_f, _rep_a4_ring, _rep_a4_category, _vec_zn
@@ -289,8 +290,9 @@ def test_projection_residual_keeps_a_nan(request, fixture, monkeypatch):
     assert got != got
     tube = request.getfixturevalue(fixture)["tube"]
     monkeypatch.setattr(gct.tube, "_projection_residual", lambda *a: float("nan"))
+    monkeypatch.setattr(gct.tube, "PROBES", 2)
     with pytest.raises(InternalCheckError, match="projection system residual nan"):
-        decompose(tube, 0, max_retries=2)
+        decompose(tube, 0)
 
 
 def _nan_off_pattern(where):
@@ -906,6 +908,20 @@ def test_decomposition_is_deterministic(cats):
         assert np.array_equal(ba.projection, bb.projection)
 
 
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+def test_spectral_clusters_cut_only_above_the_gap(scale):
+    """A gap of exactly CLUSTER_GAP * max(1, max |w|) keeps two eigenvalues
+    in one run; the next float above it cuts.  Scaling by 4 is exact, so the
+    threshold is exactly 4 * CLUSTER_GAP when max |w| is 4."""
+    gap = gct.tube.CLUSTER_GAP * scale
+    top = max(scale, 1.0)
+    assert spectral_clusters(np.array([0.0, gap, top])) == [[0, 1], [2]]
+    above = np.nextafter(gap, 1.0)
+    assert spectral_clusters(np.array([0.0, above, top])) == [[0], [1], [2]]
+    assert spectral_clusters(np.array([-top, 0.0, gap])) == [[0], [1, 2]]
+    assert spectral_clusters(np.array([2.0])) == [[0]]
+
+
 def test_block_structure_is_seed_independent(fib_center):
     tube = fib_center["tube"]
     alt = decompose(tube, 0, seed=987654321)
@@ -969,7 +985,7 @@ def test_closed_form_constants_on_f_data_that_fail_the_pentagon(monkeypatch):
     cat = _rep_a4_category(_random_unitary_f(_rep_a4_ring(), seed=5))
     assert not verify_pentagon(cat)["pass"]
     monkeypatch.setattr(gct.tube.TubeAlgebra, "_fill_star", lambda self: None)
-    tube = build_tube(cat, verify=False)
+    tube = gct.tube.TubeAlgebra(cat)
     assert max(max(e.col, e.row) for e in tube.basis) == 1
     _assert_constants_are_spliced(tube)
 
@@ -981,7 +997,7 @@ def test_a_flipped_f_entry_moves_both_fills_alike(ising_full_tube):
     (block,) = [b for b in data["F"] if b["abcd"] == [1, 2, 1, 2]]
     block["matrix"][0][0][0] *= -1
     cat = category_from_dict(data, "ising_flipped")
-    tube = build_tube(trivially_graded(cat), verify=False)
+    tube = gct.tube.TubeAlgebra(trivially_graded(cat))
     assert tube.basis == ising_full_tube.basis
     assert np.max(np.abs(_dense_constants(tube) - _dense_constants(ising_full_tube))) > 1
     _assert_constants_are_spliced(tube)

@@ -7,12 +7,13 @@ Usage: python3 tools/report_gate.py OUTDIR
 Runs `verify`, `tube` and `center` on every bundled category, the
 `--subcat all`, `--grade` and `--action` variants, `tube` and `center` with
 the refused `--subcat 1` on ising, the refused `center --action inversion` on
-vec_z3 and `verify --grade zz` on ising, `tube` and `verify` on a generated
-Vec_Z8 (from perfbench/gen_vec_zn.py), `braid-check` of every center
-report, and `braid-check` of six edits of the fib center report and one
-of the vec_z3 inversion gcenter report (see `MUTATIONS`).  Every run uses
-seed 1 and one BLAS thread, and runs the gct of the checkout this script
-lives in.  For each run, OUTDIR/<run>/ holds
+vec_z3 and `verify --grade zz` on ising, `center` on fib at `--tol 1e-6`
+and at the refused `--tol 1e-30` (below the 1e-12 floor), `tube` and
+`verify` on a generated Vec_Z8 (from perfbench/gen_vec_zn.py),
+`braid-check` of every center report, and `braid-check` of six edits of
+the fib center report and one of the vec_z3 inversion gcenter report (see
+`MUTATIONS`).  Every run uses seed 1 and one BLAS thread, and runs the gct
+of the checkout this script lives in.  For each run, OUTDIR/<run>/ holds
 `exit_code`, `stdout`, `stderr` and `report.json` (when the run wrote one).
 The inputs are copied to OUTDIR/inputs and every path is relative to OUTDIR,
 so the outputs of two checkouts can be compared.
@@ -52,6 +53,8 @@ RUNS = (
         ("tube-ising-subcat-1", "tube", "ising", ("--subcat", "1")),
         ("center-ising-subcat-1", "center", "ising", ("--subcat", "1")),
         ("center-ising-grade-1", "center", "ising", ("--grade", "1")),
+        ("center-fib-tol-1e-6", "center", "fib", ("--tol", "1e-6")),
+        ("center-fib-tol-1e-30", "center", "fib", ("--tol", "1e-30")),
         ("center-vec_z3-action-inversion", "center", "vec_z3", ("--action", "inversion")),
         ("verify-ising-grade-zz", "verify", "ising", ("--grade", "zz")),
         ("center-vec_z2-subcat-all", "center", "vec_z2", ("--subcat", "all")),
