@@ -10,7 +10,6 @@ from .braiding import (
     EquivariantObject,
     build_G_braiding,
     certify,
-    conjugate_equivariant,
     equivariant_braiding,
     equivariant_count,
     hom_equivariant,
@@ -47,9 +46,7 @@ from .fusion_core import (
     build_crossed_extension,
     bundled_path,
     category_from_dict,
-    degree_zero_part,
     fp_dimensions,
-    group_from_pointed,
     load_category,
     trivially_graded,
     verify_action,

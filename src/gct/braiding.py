@@ -29,7 +29,6 @@ from .center import (
     HalfBraiding,
     _placed,
     center_hom_residual,
-    conjugate_half_braiding,
     g_action_on_center,
     hom_center,
     identity_half_braiding,
@@ -51,7 +50,6 @@ __all__ = [
     "regular_equivariant",
     "scalar_twist_equivariant",
     "tensor_equivariant",
-    "conjugate_equivariant",
     "hom_equivariant",
     "verify_equivariant",
     "verify_equivariant_braiding",
@@ -555,27 +553,6 @@ def hom_equivariant(X: EquivariantObject, Y: EquivariantObject,
     return kernel_solve(np.concatenate(rows, axis=0), basis, tol)
 
 
-def conjugate_equivariant(X: EquivariantObject) -> EquivariantObject:
-    """Equivariant structure on the conjugate base via bent cocycle legs."""
-    base = X.base
-    eng = base.eng
-    grp = base.cat.group
-    act = base.action
-    cbar = conjugate_half_braiding(base)
-    R, Rbar = eng.vobj_R(base.obj)
-    cocycle = {}
-    for g in range(grp.order):
-        gobj = eng._moved_vobj(act, g, base.obj)
-        gobjbar = tuple(base.cat.dual_word(w) for w in gobj)
-        Rg = eng.transport(Rbar, g, act)
-        s1 = eng.drop_units(eng.ltens(cbar.obj, Rg), "source", (-1,))
-        s2 = eng.rtens(eng.ltens(cbar.obj, X.cocycle[g].H), gobjbar)
-        s3 = eng.drop_units(eng.rtens(R.H, gobjbar), "target", (0,))
-        cocycle[g] = s3 @ s2 @ s1
-    return EquivariantObject(cbar, cocycle,
-                             name=f"conj({X.name})" if X.name else "")
-
-
 def tensor_equivariant(X: EquivariantObject, Y: EquivariantObject) -> EquivariantObject:
     """Tensor product of equivariant objects with the spliced cocycle."""
     base = tensor_half_braidings(X.base, Y.base)
@@ -591,7 +568,7 @@ def tensor_equivariant(X: EquivariantObject, Y: EquivariantObject) -> Equivarian
 
 
 def verify_equivariant(X: EquivariantObject, tol: float = 1e-8) -> dict:
-    """Cocycle checks: intertwining, unitarity, chain rule, conjugate legs."""
+    """Cocycle checks: intertwining, unitarity, chain rule, neutral element."""
     base = X.base
     eng = base.eng
     grp = base.cat.group

@@ -55,6 +55,7 @@ from .report import (
     stale_fields,
 )
 from .tube import (
+    AXIOM_TOL,
     build_tube,
     build_twisted_tube,
     decompose,
@@ -177,14 +178,13 @@ def _twisted_setup(cat: GradedCategory, action_name: str):
 
 
 def _setup(args):
-    """The tube, seed, tol and grades of a tube, center or gcenter run."""
+    """The tube and grades of a tube, center or gcenter run."""
     cat, act = _context(_load_associative(args.input), getattr(args, "subcat", None),
                         getattr(args, "action", None))
     tube = build_tube(cat) if act is None else build_twisted_tube(cat, act)
-    seed = _resolve_seed(args)
     grades = ([_parse_grade(tube.cat, args.grade)] if args.grade
               else list(tube.grades))
-    return tube, seed, DEFAULT_TOL if args.tol is None else args.tol, grades
+    return tube, grades
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -282,8 +282,7 @@ def cmd_verify(args) -> int:
     _print_table(["check", "residual", "tol", "status"], rows)
     ok = all(r[3] == "ok" for r in rows)
 
-    seed = _resolve_seed(args)
-    payload = header(args, seed, tol)
+    payload = header(args, args.seed, tol)
     payload.update({
         "category": cat.name,
         "pentagon": pent["max_residual"],
@@ -302,10 +301,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tube(args) -> int:
-    tube, seed, tol, grades = _setup(args)
+    tube, grades = _setup(args)
     rows, dumps = [], {}
     for g in grades:
-        dec = decompose(tube, g, seed=seed)
+        dec = decompose(tube, g, seed=args.seed)
         ranks = dec.block_ranks()
         rows.append([tube.grade_name(g), dec.dim, dec.center_dim,
                      ", ".join(f"{ranks.count(r)} of rank {r}" for r in sorted(set(ranks)))
@@ -317,8 +316,8 @@ def cmd_tube(args) -> int:
           f"dim {tube.dim}")
     _print_table(["grade", "dim", "center", "blocks", "simples"], rows)
 
-    payload = header(args, seed, tol)
-    payload.update(tube_dump_dict(tube, seed=seed, tol=tol))
+    payload = header(args, args.seed, AXIOM_TOL)
+    payload.update(tube_dump_dict(tube, seed=args.seed))
     payload["decompositions"] = dumps
     _write_json(args.json, payload)
     return EXIT_PASS
@@ -338,10 +337,9 @@ def _center_payload(args, tube, seed: int, tol: float, grades: list):
 
 def cmd_center(args) -> int:
     """`center`, and `gcenter`, which is `center` with an action."""
-    if args.tol is not None:
-        _floored(args.tol, "--tol")
-    tube, seed, tol, grades = _setup(args)
-    payload, verdict, fam = _center_payload(args, tube, seed, tol, grades)
+    tol = DEFAULT_TOL if args.tol is None else _floored(args.tol, "--tol")
+    tube, grades = _setup(args)
+    payload, verdict, fam = _center_payload(args, tube, args.seed, tol, grades)
     cat, act, count = tube.cat, tube.action, payload["simple_count"]
     if act is None:
         print(f"relative center of {cat.name} over loops "
@@ -381,8 +379,7 @@ def cmd_braid_check(args) -> int:
         print("\nreport fields that differ from the rebuilt family:")
         _print_table(["field", "differing", "first (stored != rebuilt)"], stale)
 
-    seed = _resolve_seed(args)
-    payload = header(args, seed, tol)
+    payload = header(args, args.seed, tol)
     payload.update({
         "halfbraiding_residuals": {x.name: h["max_residual"]
                                    for x, h in zip(fam, verdict["half"])},
@@ -439,9 +436,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (tube, center, gcenter):
         p.add_argument("--grade", default=None,
                        help="restrict to one grade (group element name or index)")
-    for p in sub.choices.values():
-        p.add_argument("--tol", type=_tol_arg, default=None,
-                       help="verification tolerance (default 1e-8)")
+    for name, p in sub.choices.items():
+        if name != "tube":  # a tube is checked at tube.AXIOM_TOL alone
+            p.add_argument("--tol", type=_tol_arg, default=None,
+                           help="verification tolerance (default 1e-8)")
         p.add_argument("--seed", type=_seed_arg, default=None,
                        help="RNG seed (default: GCT_SEED env var, else 7)")
         p.add_argument("--json", default=None, metavar="PATH",
@@ -452,6 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # a bad GCT_SEED is refused before any input is read
+        args.seed = _resolve_seed(args)
         return args.func(args)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -47,8 +47,6 @@ __all__ = [
     "build_crossed_extension",
     "neutrally_graded",
     "trivially_graded",
-    "degree_zero_part",
-    "group_from_pointed",
     "bundled_path",
 ]
 
@@ -124,20 +122,6 @@ class GroupData:
     def conj(self, g: int, h: int) -> int:
         """g h g^{-1}."""
         return self.mul(self.mul(g, h), self.inv(g))
-
-    def conjugacy_classes(self) -> list[list[int]]:
-        seen: set[int] = set()
-        classes = []
-        for h in range(self.order):
-            if h in seen:
-                continue
-            cls = sorted({self.conj(g, h) for g in range(self.order)})
-            seen.update(cls)
-            classes.append(cls)
-        return classes
-
-    def centralizer(self, h: int) -> list[int]:
-        return [g for g in range(self.order) if self.mul(g, h) == self.mul(h, g)]
 
     def class_count_of_subgroup(self, members: list[int]) -> int:
         """Number of conjugacy classes of the subgroup spanned by `members`.
@@ -267,17 +251,11 @@ class GradedCategory:
     def dual_word(self, word: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(int(self.dual[a]) for a in reversed(word))
 
-    def action(self, name: str | GroupAction | None) -> GroupAction:
+    def action(self, name: str | GroupAction) -> GroupAction:
         """The bundled action called `name`; a GroupAction passes through
         unchanged, so callers may hand over an action that is not bundled."""
         if isinstance(name, GroupAction):
             return name
-        if name is None:
-            if len(self.actions) == 1:
-                return next(iter(self.actions.values()))
-            raise DataError(
-                f"category '{self.name}' bundles {len(self.actions)} actions; specify one by name"
-            )
         try:
             return self.actions[name]
         except KeyError:
@@ -824,8 +802,8 @@ def verify_pentagon(cat: GradedCategory, tol: float = 1e-12) -> dict:
 # actions
 
 
-def verify_action(cat: GradedCategory, name: str | GroupAction | None = None) -> dict:
-    """Check that an action (bundled, by name, or given) is strict."""
+def verify_action(cat: GradedCategory, name: str | GroupAction) -> dict:
+    """Check that an action (a bundled name, or a GroupAction) is strict."""
     act = cat.action(name)
     G = cat.group
     failures: list[str] = []
@@ -900,49 +878,8 @@ def trivially_graded(cat: GradedCategory) -> GradedCategory:
     return neutrally_graded(cat, GroupData.trivial(), {})
 
 
-def degree_zero_part(cat: GradedCategory) -> tuple[GradedCategory, list[int]]:
-    """The neutral sector as a trivially graded category, plus the label map."""
-    keep = cat.neutral_sector()
-    pos = {a: i for i, a in enumerate(keep)}
-    rank = len(keep)
-    N = np.zeros((rank, rank, rank), dtype=int)
-    for i, a in enumerate(keep):
-        for j, b in enumerate(keep):
-            for k, c in enumerate(keep):
-                N[i, j, k] = cat.N[a, b, c]
-    F = {}
-    for (a, b, c, d), mat in cat.F.items():
-        if all(x in pos for x in (a, b, c, d)):
-            F[(pos[a], pos[b], pos[c], pos[d])] = mat
-    sub = GradedCategory(
-        labels=tuple(cat.labels[a] for a in keep),
-        dual=np.array([pos[int(cat.dual[a])] for a in keep], dtype=int),
-        qdim=cat.qdim[keep].copy(),
-        N=N,
-        group=GroupData.trivial(),
-        deg=np.zeros(rank, dtype=int),
-        F=F,
-        name=cat.name + "0",
-    )
-    return sub, keep
-
-
-def group_from_pointed(cat: GradedCategory) -> GroupData:
-    """Fusion group of a pointed category (all quantum dimensions 1)."""
-    if np.abs(cat.qdim - 1.0).max() > 1e-9:
-        raise ValidationError("category is not pointed: quantum dimensions differ from 1")
-    table = np.zeros((cat.rank, cat.rank), dtype=int)
-    for a in range(cat.rank):
-        for b in range(cat.rank):
-            cs = np.nonzero(cat.N[a, b])[0]
-            if len(cs) != 1 or cat.N[a, b, cs[0]] != 1:
-                raise ValidationError("category is not pointed: fusion is not a group law")
-            table[a, b] = cs[0]
-    return GroupData(cat.labels, table)
-
-
 def build_crossed_extension(d0: GradedCategory,
-                            action_name: str | GroupAction | None = None) -> GradedCategory:
+                            action_name: str | GroupAction) -> GradedCategory:
     """G-crossed extension of a trivially graded category with a G-action.
 
     Labels are pairs (g, a) named "g|a"; fusion, duals and F data are induced

@@ -365,7 +365,7 @@ class TreeEngine:
                             T1[i_inter[(m, e, pp, nu, mu)], src_index[q + ((m, mu),)]] += val
             # F-move on (a, e, b; c) for each prefix path: column (m, nu, mu)
             # reads the row (a e -> m; nu), (m b -> c; mu) of F^{a e b}_c
-            tgt_labels = self._factored_labels(a, w, None, channel=c)
+            tgt_labels = self._factored_labels(a, w, c)
             i_tgt = {lab: i for i, lab in enumerate(tgt_labels)}
             T2 = np.zeros((len(tgt_labels), len(inter)), dtype=complex)
             for col, (m, e, pp, nu, mu) in enumerate(inter):
@@ -383,12 +383,8 @@ class TreeEngine:
             out[c] = U
         return out
 
-    def _factored_labels(self, a: int, w: Word, m: int | None, channel: int | None = None):
-        """Labels (d, path, nu) of the factored basis of Hom(c, (a,)+w).
-
-        With m given, c = m; with channel given, c = channel.
-        """
-        c = m if m is not None else channel
+    def _factored_labels(self, a: int, w: Word, c: int):
+        """Labels (d, path, nu) of the factored basis of Hom(c, (a,)+w)."""
         N = self.cat.N
         out = []
         for d in range(self.rank):
@@ -866,23 +862,3 @@ class TreeEngine:
         )                                                                   # -> zbar w
         out = finish @ mid @ start
         return math.sqrt(float(cat.qdim[xi]) / float(cat.qdim[zeta])) * out
-
-    def conj_mor(self, T: Mor) -> Mor:
-        """Conjugate (bar) of a morphism: Hom(x, y) -> Hom(xbar, ybar).
-
-        Anti-linear and covariant; concretely R_x^* o xbar(T^*) o xbar(Rbar_y)
-        with the identity legs written out.
-        """
-        x, y = T.source, T.target
-        xbar = tuple(self.cat.dual_word(w) for w in x)
-        ybar = tuple(self.cat.dual_word(w) for w in y)
-        Rx, _ = self.vobj_R(x)
-        _, Rbary = self.vobj_R(y)
-        first = self.drop_units(self.ltens(xbar, Rbary), "source", (-1,))  # xbar -> xbar y ybar
-        second = self.rtens(self.ltens(xbar, T.H), ybar)                   # -> xbar x ybar
-        third = self.drop_units(self.rtens(Rx.H, ybar), "target", (0,))    # -> ybar
-        return third @ second @ first
-
-    def hat(self, T: Mor) -> Mor:
-        """Transpose: Hom(x, y) -> Hom(ybar, xbar), with hat(S o T) = hat(T) o hat(S)."""
-        return self.conj_mor(T.H)

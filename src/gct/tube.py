@@ -846,7 +846,7 @@ def twisted_untwisted_iso(twisted: TubeAlgebra, relative: TubeAlgebra) -> dict:
 # dumps
 
 
-def tube_dump_dict(tube: TubeAlgebra, seed: int = 7, tol: float = 1e-8) -> dict:
+def tube_dump_dict(tube: TubeAlgebra, seed: int = 7) -> dict:
     """JSON-ready dump: basis descriptors, sparse constants, star, trace."""
     cat = tube.cat
     names = cat.labels
@@ -868,7 +868,7 @@ def tube_dump_dict(tube: TubeAlgebra, seed: int = 7, tol: float = 1e-8) -> dict:
             "loops": [names[x] for x in tube.loop_labels],
             "action": tube.action.name if tube.action is not None else None,
             "seed": int(seed),
-            "tolerance": float(tol),
+            "tolerance": AXIOM_TOL,
         },
         "dim": tube.dim,
         "grades": grades,
@@ -908,8 +908,8 @@ def _listed(index: np.ndarray, values: np.ndarray) -> list:
             for ix, v in zip(index, values)]
 
 
-def decomposition_dict(dec: TubeDecomposition, tube: TubeAlgebra | None = None) -> dict:
-    name = (lambda a: tube.cat.labels[a]) if tube is not None else str
+def decomposition_dict(dec: TubeDecomposition, tube: TubeAlgebra) -> dict:
+    labels = tube.cat.labels
     blocks = []
     for b in dec.blocks:
         proj = [[int(b.positions[i]), float(b.projection[i].real),
@@ -917,7 +917,7 @@ def decomposition_dict(dec: TubeDecomposition, tube: TubeAlgebra | None = None) 
                 for i in np.nonzero(np.abs(b.projection) > 1e-9)[0]]
         blocks.append({
             "rank": int(b.rank),
-            "corners": {name(k): int(v) for k, v in sorted(b.corners.items())},
+            "corners": {labels[k]: int(v) for k, v in sorted(b.corners.items())},
             "projection": proj,
         })
     return {

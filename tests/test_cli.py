@@ -456,6 +456,7 @@ def test_label_list_subcat_is_refused(name, subcat):
     (["center", "vec_z3", "--action", "inversion"], "--action inversion"),
     (["gcenter", "vec_z3", "--action", "inversion", "--subcat", "all"], "--subcat all"),
     (["verify", "ising", "--grade", "zz"], "--grade zz"),
+    (["tube", "fib", "--tol", "1e-30"], "--tol 1e-30"),
 ])
 def test_an_option_the_command_does_not_read_is_refused(argv, option):
     command, name, *rest = argv
@@ -658,6 +659,34 @@ def test_bad_seed_env_is_data_error():
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         assert res.stderr.splitlines() == [f"error: GCT_SEED: {message}: '{seed}'"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "fib"],
+    ["tube", "fib"],
+    ["center", "fib"],
+    ["gcenter", "vec_z3", "--action", "inversion"],
+    ["braid-check", "fib_report"],
+], ids=["verify", "tube", "center", "gcenter", "braid-check"])
+def test_a_bad_gct_seed_exits_2_before_anything_runs(
+        argv, request, tmp_path, capsys, monkeypatch):
+    """GCT_SEED is read once, before the command runs: a bad value exits 2
+    with one line, and no category or report is read."""
+    command, name, *rest = argv
+    path = (request.getfixturevalue(name) if command == "braid-check"
+            else bundled_path(name))
+
+    def no_read(*_):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(gct.cli, "load_category", no_read)
+    monkeypatch.setattr(gct.cli, "read_report", no_read)
+    monkeypatch.setenv("GCT_SEED", "-3")
+    out = tmp_path / "report.json"
+    assert gct.cli.main([command, str(path), *rest, "--json", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert stderr.splitlines() == ["error: GCT_SEED: not a non-negative integer: '-3'"]
 
 
 # ------------------------------------------------------------ braid-check
@@ -884,15 +913,40 @@ def test_braid_check_rejects_non_report(tmp_path):
     assert res.returncode == 2
 
 
-def _gate_tool():
-    """tools/report_gate.py, whose MUTATIONS edit a center report."""
+def _repo_module(directory: str, name: str):
+    """The script `directory`/`name`.py of this repository, loaded from its file."""
     import importlib.util
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "tools", "report_gate.py")
-    spec = importlib.util.spec_from_file_location("report_gate", path)
+                        directory, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _gate_tool():
+    """tools/report_gate.py, whose MUTATIONS edit a center report."""
+    return _repo_module("tools", "report_gate")
+
+
+def test_every_name_the_tracer_wraps_still_resolves():
+    """perfbench/tracer.py wraps gct functions and methods by name, so a
+    deleted or renamed one would break `perfbench/run.py --trace 1`: each
+    entry must be an attribute of its gct module, or in its class's dict."""
+    import importlib
+    tracer = _repo_module("perfbench", "tracer")
+    entries = tracer.SPANNED + tracer.COUNTED
+    assert entries
+    missing = []
+    for name, mod, cls, attr in entries:
+        module = importlib.import_module(f"gct.{mod}")
+        if cls is None:
+            found = callable(getattr(module, attr, None))
+        else:
+            found = attr in getattr(getattr(module, cls, None), "__dict__", {})
+        if not found:
+            missing.append(name)
+    assert missing == []
 
 
 @pytest.mark.parametrize("edit,args,schur,dim", [

@@ -407,21 +407,6 @@ def test_frobenius_transpose_is_isometric(cats):
                 assert abs(got - (1.0 if i == j else 0.0)) < 1e-9
 
 
-def test_hat_reverses_composition(cats):
-    fib = cats["fib"]
-    t = fib.labels.index("t")
-    eng = engine_for(fib)
-    T = eng.onb(t, as_vobj((t, t)))[0]
-    coeffs = RNG.normal(size=2) + 1j * RNG.normal(size=2)
-    basis = eng.onb(t, as_vobj((t, t))) + eng.onb(fib.unit, as_vobj((t, t)))
-    S = eng.zero((t, t), (t, t))
-    for z, b in zip(coeffs, basis):
-        S = S + complex(z) * (b @ b.H)
-    lhs = eng.hat(S @ T)
-    rhs = eng.hat(T) @ eng.hat(S)
-    assert lhs.diff_norm(rhs) < 1e-9
-
-
 def test_transport_is_a_unitary_action(cats):
     z3 = cats["vec_z3"]
     eng = engine_for(z3)

@@ -8,7 +8,8 @@ Runs `verify`, `tube` and `center` on every bundled category, the
 `--subcat all`, `--grade` and `--action` variants, `tube` and `center` with
 the refused `--subcat 1` on ising, the refused `center --action inversion` on
 vec_z3 and `verify --grade zz` on ising, `center` on fib at `--tol 1e-6`
-and at the refused `--tol 1e-30` (below the 1e-12 floor), `tube` and
+and at the refused `--tol 1e-30` (below the 1e-12 floor), `tube` on fib
+with the refused `--tol 1e-30` (a tube takes no `--tol`), `tube` and
 `verify` on a generated Vec_Z8 (from perfbench/gen_vec_zn.py),
 `braid-check` of every center report, and `braid-check` of six edits of
 the fib center report and one of the vec_z3 inversion gcenter report (see
@@ -55,6 +56,7 @@ RUNS = (
         ("center-ising-grade-1", "center", "ising", ("--grade", "1")),
         ("center-fib-tol-1e-6", "center", "fib", ("--tol", "1e-6")),
         ("center-fib-tol-1e-30", "center", "fib", ("--tol", "1e-30")),
+        ("tube-fib-tol-1e-30", "tube", "fib", ("--tol", "1e-30")),
         ("center-vec_z3-action-inversion", "center", "vec_z3", ("--action", "inversion")),
         ("verify-ising-grade-zz", "verify", "ising", ("--grade", "zz")),
         ("center-vec_z2-subcat-all", "center", "vec_z2", ("--subcat", "all")),
