@@ -20,6 +20,13 @@ goes through it and follows one policy:
   before it calls the memoised function.
 * Stored values are shared by every later caller, so nothing modifies them
   in place; a function that hands out a mutable value copies it itself.
+* ``forget(owner)`` drops every table of an owner.  A memoised function is
+  pure, so the next miss recomputes the same bits, and a caller that has
+  kept a result still holds a valid value; forgetting costs time, never
+  correctness.  Only a pipeline that owns the run calls it, at the end of a
+  stage whose keys the next stage will not ask for: the center command
+  forgets the category's engine after each grade's extraction (whose keys
+  are the induced objects) and after the fusion table.
 """
 
 from __future__ import annotations
@@ -63,3 +70,9 @@ def memo(fn=None, *, weak: bool = False):
             got = None if tab is None else tab.get(args)
             return miss(owner, table(owner), args, args) if got is None else got
     return functools.wraps(fn)(call)
+
+
+def forget(owner) -> None:
+    """Drop every memo table of `owner` (see the module docstring)."""
+    for name in [n for n in vars(owner) if n.startswith("_memo_")]:
+        delattr(owner, name)

@@ -41,6 +41,7 @@ __all__ = [
     "unit_loop_E",
     "verify_half_braiding",
     "hom_center",
+    "hom_dim",
     "center_hom_residual",
     "conjugate_half_braiding",
     "tensor_half_braidings",
@@ -391,6 +392,16 @@ def _hom_system(x: HalfBraiding, y: HalfBraiding):
             rows.append(S)
     A = np.concatenate(rows, axis=0) if rows else np.zeros((0, n_unknowns), dtype=complex)
     return A, layout
+
+
+def hom_dim(x: HalfBraiding, y: HalfBraiding) -> int:
+    """The dimension of the center hom space x -> y: `hom_center`'s solve
+    without its basis, and stored nowhere."""
+    _same_context(x, y)
+    if x.grade != y.grade:
+        return 0
+    A, layout = _hom_system(x, y)
+    return null_space_abs(A).shape[1] if layout else 0
 
 
 @memo(weak=True)

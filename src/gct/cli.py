@@ -29,6 +29,7 @@ import sys
 
 import numpy as np
 
+from ._memo import forget
 from .braiding import certify
 from .center import extract_simples
 from .fusion_core import (
@@ -190,9 +191,9 @@ def _setup(args):
 def _write_json(path: str | None, payload: dict) -> None:
     if not path:
         return
-    text = json.dumps(payload, indent=1, sort_keys=True)
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _print_table(headers: list[str], rows: list[list]) -> None:
@@ -329,6 +330,7 @@ def _center_payload(args, tube, seed: int, tol: float, grades: list):
     for g in grades:
         decs[g] = decompose(tube, g, seed=seed)
         simples[g] = extract_simples(tube, decs[g], seed=seed, tol=tol)
+        forget(engine_for(tube.cat))    # a stage boundary (see gct._memo)
     rep, verdict, fam = center_report(tube, decs, simples, tol, not args.grade)
     payload = header(args, seed, tol)
     payload.update(rep)

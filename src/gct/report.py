@@ -20,7 +20,8 @@ import operator
 import numpy as np
 
 from .braiding import braidable, build_G_braiding, certify, equivariant_count
-from .center import HalfBraiding, center_report_dict, hom_center, tensor_half_braidings
+from ._memo import forget
+from .center import HalfBraiding, center_report_dict, hom_dim, tensor_half_braidings
 from .fusion_core import DataError, build_crossed_extension
 from .morphisms import Mor, engine_for, vobj_tensor
 from .tube import build_tube, twisted_untwisted_iso
@@ -107,13 +108,14 @@ def _braiding_section(fam: list[HalfBraiding]):
 
 def _fusion_table(fam: list[HalfBraiding]) -> dict:
     """The fusion multiplicities {x: {y: {z: N_xy^z}}} of the members,
-    keyed by name, nonzero entries only."""
+    keyed by name, nonzero entries only; `hom_dim` keeps no basis on the
+    products."""
     table: dict = {}
     for x in fam:
         row = {}
         for y in fam:
             t = tensor_half_braidings(x, y)
-            row[y.name] = {z.name: n for z in fam if (n := hom_center(t, z)[0])}
+            row[y.name] = {z.name: n for z in fam if (n := hom_dim(t, z))}
         table[x.name] = row
     return table
 
@@ -189,6 +191,7 @@ def center_report(tube, decs: dict, simples: dict, tol: float, full: bool):
     comparison with the tube of the crossed extension."""
     fam = [x for g in sorted(simples) for x in simples[g]]
     table = _fusion_table(fam)
+    forget(engine_for(tube.cat))    # a stage boundary (see gct._memo)
     pairwise, entries = _braiding_section(fam)
     verdict = certify(fam, pairwise, table, tol, full)
     fields = family_fields(fam, verdict, full)

@@ -1,6 +1,7 @@
 """Tests for half-braidings and the extracted relative centers."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -23,7 +24,8 @@ from gct import (
     verify_half_braiding,
 )
 from gct.braiding import _closure_residual
-from gct.center import _hom_system, kernel_solve, split_simples
+from gct._memo import forget
+from gct.center import _hom_system, hom_dim, kernel_solve, split_simples
 from gct.fusion_core import InternalCheckError
 from gct.morphisms import Mor, vobj_tensor
 from gct.tube import TubeBasisElement
@@ -296,6 +298,52 @@ def test_s3_fusion_closure(s3_center):
             assert row == table[y.name][x.name]
             assert sum(n * qdims[z] for z, n in row.items()) == \
                 pytest.approx(x.qdim() * y.qdim(), abs=1e-9)
+
+
+@pytest.mark.parametrize("key", ["fib_center", "ising_center", "ising_full_center",
+                                 "s3_center"])
+def test_hom_dim_is_the_dimension_of_hom_center(request, key):
+    """The fusion table's dimension-only solve against the basis solve, for
+    every product of two members and every member."""
+    fam = request.getfixturevalue(key)["fam"]
+    for x, y in itertools.product(fam, repeat=2):
+        t = tensor_half_braidings(x, y)
+        assert [hom_dim(t, z) for z in fam] == [hom_center(t, z)[0] for z in fam]
+
+
+def _same_bits(f: Mor, g: Mor) -> bool:
+    return ((f.source, f.target) == (g.source, g.target) and f.blocks.keys() == g.blocks.keys()
+            and all(np.array_equal(f.blocks[c], g.blocks[c]) for c in f.blocks))
+
+
+@pytest.mark.parametrize("key", ["fib", "ising"])
+def test_a_forgotten_engine_recomputes_the_same_bits(request, key):
+    """After `forget` drops the engine's tables (and a product's hom
+    memo), tensor plans, factorization unitaries and hom_center bases are
+    rebuilt bit for bit."""
+    fam = request.getfixturevalue(f"{key}_center")["fam"]
+    eng = fam[0].eng
+    products = [tensor_half_braidings(x, y) for x, y in itertools.product(fam[:3], repeat=2)]
+
+    def compute():
+        tens = [f for x in fam for pi in x.loop_labels()
+                for f in (eng.rtens(x.E[pi], pi), eng.ltens(x.tgt_label(pi), x.E[pi]))]
+        units = [eng.factor_unitary(a, w) for a in range(eng.rank)
+                 for w in itertools.product(range(eng.rank), repeat=3)]
+        homs = [T for t in products for z in fam for T in hom_center(t, z)[1]]
+        return tens, units, homs
+
+    tens, units, homs = compute()
+    forget(eng)
+    for t in products:
+        forget(t)
+    assert not [n for n in vars(eng) if n.startswith("_memo_")]
+    tens2, units2, homs2 = compute()
+    assert homs and len(homs2) == len(homs)
+    assert all(_same_bits(f, g) for f, g in zip(tens + homs, tens2 + homs2))
+    for u, u2 in zip(units, units2):
+        assert u is not u2 and u.keys() == u2.keys()
+        assert all(np.array_equal(u[c], u2[c]) for c in u)
 
 
 def test_tensor_memo_lets_a_transient_right_factor_go(fib_center):

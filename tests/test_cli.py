@@ -228,22 +228,83 @@ def _held_bytes(value, seen) -> int:
 
 
 def test_center_tensor_plans_stay_small(monkeypatch, tmp_path):
-    """After `gct center vec_s3.json` the engine's tensor plans (with the
+    """Over `gct center vec_s3.json` the engine's tensor plans (with the
     unitaries they hold) and the tensor factors read off the same pieces
-    hold < 2 MB."""
+    hold < 2 MB.  The center command forgets the engine's tables at each
+    stage boundary, so the tables are read at every `forget` and at the
+    end, and summed; an entry rebuilt in a later stage counts twice."""
     from gct import load_category
+    from gct._memo import forget
 
-    loaded = []
+    loaded, stages = [], []
+
+    def snapshot(eng):
+        tables = {name: getattr(eng, "_memo_" + name, {})
+                  for name in ("tensor_plan", "tensor_factors")}
+        seen: set = set()
+        stages.append((len(tables["tensor_plan"]),
+                       sum(_held_bytes(t, seen) for t in tables.values())))
+
+    def recording_forget(owner):
+        if owner is loaded[0]._engine:
+            snapshot(owner)
+        forget(owner)
+
     monkeypatch.setattr(gct.cli, "load_category",
                         lambda path: loaded.append(load_category(path)) or loaded[-1])
+    monkeypatch.setattr(gct.cli, "forget", recording_forget)
+    monkeypatch.setattr(gct.report, "forget", recording_forget)
     out = tmp_path / "s3.json"
     assert gct.cli.main(["center", bundled_path("vec_s3"), "--json", str(out)]) == 0
-    eng = loaded[0]._engine
-    seen: set = set()
-    held = {name: _held_bytes(getattr(eng, "_memo_" + name), seen)
-            for name in ("tensor_plan", "tensor_factors")}
-    assert len(eng._memo_tensor_plan) > 2000
-    assert sum(held.values()) < 2 * 2**20, held
+    snapshot(loaded[0]._engine)
+    assert len(stages) == 3, stages
+    assert sum(n for n, _ in stages) > 2000, stages
+    assert sum(b for _, b in stages) < 2 * 2**20, stages
+
+
+def test_center_forgets_the_induced_objects(monkeypatch, tmp_path):
+    """After `gct center vec_s3.json` no engine table keeps a key of the
+    extraction stage: no induced object and no word (xi, mu, xi-bar) with a
+    loop letter on either side, which only its E-data builds.  (The bare
+    words also arise in the sweep as triple products of simples.)  No
+    product of the fusion table keeps a hom_center basis."""
+    from gct import load_category
+
+    loaded, fams = [], []
+    center_report = gct.cli.center_report
+
+    def recording_report(*args):
+        got = center_report(*args)
+        fams.append(got[2])
+        return got
+
+    monkeypatch.setattr(gct.cli, "load_category",
+                        lambda path: loaded.append(load_category(path)) or loaded[-1])
+    monkeypatch.setattr(gct.cli, "center_report", recording_report)
+    assert gct.cli.main(["center", bundled_path("vec_s3"), "--json",
+                         str(tmp_path / "s3.json")]) == 0
+    cat, fam = loaded[0], fams[0]
+    objs = {tuple((xi, mu, int(cat.dual[xi])) for xi in cat.sector(cat.group.neutral))
+            for mu in range(cat.rank)}
+    words = {w for obj in objs for w in obj}
+
+    def parts(key):
+        if isinstance(key, tuple):
+            yield key
+            for part in key:
+                yield from parts(part)
+
+    def induced(part):
+        return part in objs or (len(part) == 4 and (part[:3] in words or part[1:] in words))
+
+    tables = {n: t for n, t in vars(cat._engine).items() if n.startswith("_memo_")}
+    assert tables
+    assert not [(n, key) for n, t in tables.items() for key in t
+                if any(induced(p) for p in parts(key))]
+    products = [t for x in fam for per_y in x._memo_tensor_half_braidings.values()
+                for t in per_y.values()]
+    assert len(products) == len(fam) ** 2
+    assert not [t.name for t in products if getattr(t, "_memo_solve_hom_center", None)]
 
 
 def test_verify_fails_a_nan_f_block(monkeypatch, capsys):

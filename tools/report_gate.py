@@ -10,7 +10,8 @@ the refused `--subcat 1` on ising, the refused `center --action inversion` on
 vec_z3 and `verify --grade zz` on ising, `center` on fib at `--tol 1e-6`
 and at the refused `--tol 1e-30` (below the 1e-12 floor), `tube` on fib
 with the refused `--tol 1e-30` (a tube takes no `--tol`), `tube` and
-`verify` on a generated Vec_Z8 (from perfbench/gen_vec_zn.py),
+`verify` on a generated Vec_Z8 and `center` on a generated Vec_Z4 (both
+from perfbench/gen_vec_zn.py),
 `braid-check` of every center report, and `braid-check` of six edits of
 the fib center report and one of the vec_z3 inversion gcenter report (see
 `MUTATIONS`).  Every run uses seed 1 and one BLAS thread, and runs the gct
@@ -66,6 +67,7 @@ RUNS = (
         ("gcenter-vec_z2-trivial", "gcenter", "vec_z2", ("--action", "trivial")),
         ("verify-vec_z8", "verify", "vec_z8", ()),
         ("tube-vec_z8", "tube", "vec_z8", ()),
+        ("center-vec_z4", "center", "vec_z4", ()),
     ]
 )
 
@@ -172,7 +174,8 @@ def _write_inputs(out: str) -> None:
         "gen_vec_zn", os.path.join(ROOT, "perfbench", "gen_vec_zn.py"))
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    gen.write_vec_zn(8, os.path.join(out, "inputs", "vec_z8.json"))
+    for n in (4, 8):
+        gen.write_vec_zn(n, os.path.join(out, "inputs", f"vec_z{n}.json"))
 
 
 def _run(out: str, env: dict, run: str, args: list) -> int:
